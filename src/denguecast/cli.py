@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import dataprep, experiments, imputation, lstm
-from .dataprep import CLIMATE_FEATURES
 from .errors import (
     DivergenceError,
     EmptyTrain,
@@ -43,7 +42,7 @@ def _load_config(path):
 
 def _merge_config(args, keys):
     """Fill argparse values that were left at None from --config JSON."""
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _load_config(args.config)
         unknown = set(cfg) - set(keys)
         if unknown:
@@ -203,6 +202,7 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
+    _merge_config(args, MODEL_SPEC_KEYS)
     records = dataprep.load_records_csv(args.records)
     spec = _model_spec(args)
     report = experiments.run_config(
@@ -349,13 +349,10 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--config", default=None,
-                       help="JSON file supplying flag values")
 
     p = sub.add_parser("synth", help="generate a synthetic raw CSV bundle")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--districts", type=int, default=26)
     p.add_argument("--months", type=int, default=84)
     p.add_argument("--beta", type=float, default=1.0)
@@ -373,6 +370,7 @@ def build_parser():
 
     p = sub.add_parser("impute", help="fill missing larval indices by co-training")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--records", required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--p1", type=float, default=2.0)
@@ -383,6 +381,9 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one model configuration")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None,
+                   help="JSON file supplying model flag values")
     p.add_argument("--records", required=True)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
@@ -402,6 +403,7 @@ def build_parser():
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--sweep-config", dest="sweep_config", default=None,
                    help="JSON SweepSpec file")
+    p.add_argument("--jobs", type=int, default=1)
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -415,8 +417,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "config") and args.config and args.func is cmd_train:
-        _merge_config(args, MODEL_SPEC_KEYS)
     try:
         return args.func(args)
     except DivergenceError as exc:

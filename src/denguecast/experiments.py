@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import calendar
 import csv
-import dataclasses
 import io
 import math
 import time
@@ -30,7 +29,6 @@ import numpy as np
 from . import dataprep
 from .dataprep import (
     CLIMATE_FEATURES,
-    DistrictMonthRecord,
     GapReport,
     LarvalSurvey,
     RawClimateReading,

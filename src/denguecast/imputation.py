@@ -7,10 +7,34 @@ tentative addition most reduces local squared error (largest positive delta)
 is transferred, with its predicted label, into the peer's training set. On
 termination every originally-unlabeled point gets the mean of the two
 regressors' predictions.
+
+The scan is incremental, and its results are bit-identical to re-running
+every kNN query from scratch:
+
+- A scanned candidate costs one distance scan over the regressor's training
+  set. Its k nearest training points give both its self-label and the
+  neighbourhood Omega whose local error the confidence measures.
+- Each regressor caches, for every training point i that has appeared in
+  some Omega, the distances and labels of i's k nearest training points,
+  nearest first, and the "before" residual y_i minus the mean of those
+  labels.
+- The "after" neighbourhood of i is its cached list with the candidate
+  inserted at the candidate's distance to i, which the scan already
+  computed (|a - b| == |b - a|), then cut back to k. The mean is taken over
+  the same labels in the same order as a fresh query would use, so the bits
+  match.
+- A point transferred into a regressor's training set enters every cached
+  neighbourhood of that regressor by the same rule, after one distance scan,
+  and the changed "before" residuals are recomputed.
+
+Distance ties go to the earlier training index, as a stable sort orders
+them. A new point always has the highest index, so it is inserted after
+every equal distance.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -97,10 +121,21 @@ def _minkowski(xs, x, p):
     return np.sum(d**p, axis=1) ** (1.0 / p)
 
 
+def _nearest(dist, k):
+    """Indices of the k smallest distances, nearest first.
+
+    Equal to np.argsort(dist, kind="stable")[:k], so ties go to the earlier
+    index, but only the entries at or below the k-th distance are sorted.
+    """
+    if k >= len(dist):
+        return np.argsort(dist, kind="stable")
+    kth = np.partition(dist, k - 1)[k - 1]
+    near = np.flatnonzero(dist <= kth)
+    return near[np.argsort(dist[near], kind="stable")[:k]]
+
+
 def _knn_mean(xs, ys, x, k, p):
-    dist = _minkowski(xs, x, p)
-    order = np.argsort(dist, kind="stable")  # ties -> earlier training index
-    return float(np.mean(ys[order[: min(k, len(ys))]]))
+    return float(np.mean(ys[_nearest(_minkowski(xs, x, p), k)]))
 
 
 def _stack(train):
@@ -121,38 +156,105 @@ def knn_predict(train, x, cfg):
     return _knn_mean(xs, ys, np.asarray(x, dtype=np.float64), cfg.k, cfg.p)
 
 
-def _confidence(xs, ys, cand_x, cand_y, k, p):
-    """Delta in local squared error from tentatively adding (cand_x, cand_y).
+class _Neighbourhood:
+    """The k nearest training points of one training point, nearest first."""
 
-    Positive means the neighborhood of the candidate is predicted better
-    after the addition.
+    __slots__ = ("dists", "labels", "before")
+
+    def __init__(self, dists, labels, before):
+        self.dists = dists    # list of distances, ascending
+        self.labels = labels  # their labels, in the same order
+        self.before = before  # the point's label minus the mean of labels
+
+    def insert_at(self, d, k):
+        """Position at which a point at distance d enters, or None if it does not.
+
+        The point must have a higher training index than every neighbour, so
+        it goes after every equal distance.
+        """
+        pos = bisect.bisect_right(self.dists, d)
+        return pos if pos < k else None
+
+
+class _Regressor:
+    """One COREG kNN regressor: its training set and a neighbourhood cache.
+
+    The cache maps a training index to its _Neighbourhood. An entry is
+    computed the first time the point appears in some candidate's
+    neighbourhood and is kept exact as the training set grows.
     """
-    dist = _minkowski(xs, cand_x, p)
-    order = np.argsort(dist, kind="stable")
-    omega = order[: min(k, len(ys))]
-    xs_aug = np.vstack([xs, cand_x[None, :]])
-    ys_aug = np.append(ys, cand_y)
+
+    def __init__(self, xs, ys, cfg):
+        self.xs = xs
+        self.ys = ys
+        self.k = cfg.k
+        self.p = cfg.p
+        self._cache = {}
+
+    def query(self, x):
+        """Distances from x to every training point, and the k nearest indices."""
+        dist = _minkowski(self.xs, x, self.p)
+        return dist, _nearest(dist, self.k)
+
+    def neighbourhood(self, i):
+        nb = self._cache.get(i)
+        if nb is None:
+            dist, near = self.query(self.xs[i])
+            labels = self.ys[near].tolist()
+            nb = _Neighbourhood(dist[near].tolist(), labels,
+                                self.ys[i] - float(np.mean(labels)))
+            self._cache[i] = nb
+        return nb
+
+    def add(self, x, y):
+        """Append (x, y) to the training set and update the cached neighbourhoods."""
+        dist = _minkowski(self.xs, x, self.p)
+        for i, nb in self._cache.items():
+            pos = nb.insert_at(dist[i], self.k)
+            if pos is None:
+                continue
+            nb.dists.insert(pos, dist[i])
+            nb.labels.insert(pos, y)
+            del nb.dists[self.k:], nb.labels[self.k:]
+            nb.before = self.ys[i] - float(np.mean(nb.labels))
+        self.xs = np.vstack([self.xs, x[None, :]])
+        self.ys = np.append(self.ys, y)
+
+
+def _confidence(reg, dist, omega, cand_y):
+    """Delta in local squared error from tentatively adding a candidate.
+
+    dist holds the candidate's distance to every training point of reg and
+    omega its k nearest training indices. Positive means the neighborhood
+    of the candidate is predicted better after the addition.
+    """
+    k = reg.k
     delta = 0.0
-    for i in omega:
-        before = ys[i] - _knn_mean(xs, ys, xs[i], k, p)
-        after = ys_aug[i] - _knn_mean(xs_aug, ys_aug, xs[i], k, p)
+    for i in omega.tolist():
+        nb = reg.neighbourhood(i)
+        before = nb.before
+        pos = nb.insert_at(dist[i], k)
+        if pos is None:
+            after = before
+        else:
+            labels = nb.labels[:pos] + [cand_y] + nb.labels[pos:k - 1]
+            after = reg.ys[i] - float(np.mean(labels))
         delta += before * before - after * after
     return float(delta)
 
 
 def coreg_confidence(regressor_train, candidate_x, candidate_y, cfg):
     """Confidence of labeling candidate_x as candidate_y, per local error change."""
-    xs, ys = _stack(regressor_train)
-    return _confidence(
-        xs, ys, np.asarray(candidate_x, dtype=np.float64), candidate_y, cfg.k, cfg.p
-    )
+    reg = _Regressor(*_stack(regressor_train), cfg)
+    dist, omega = reg.query(np.asarray(candidate_x, dtype=np.float64))
+    return _confidence(reg, dist, omega, candidate_y)
 
 
 # ---------------------------------------------------------------------------
 # the co-training loop
 
 
-def _best_candidate(xs, ys, unlabeled, pool, taken, k, p):
+def _best_candidate(reg, unlabeled, pool, taken):
     """Scan the pool and return the best positive-delta pick, or None.
 
     Selection maximizes delta; exact ties go to the smaller unlabeled index.
@@ -161,9 +263,9 @@ def _best_candidate(xs, ys, unlabeled, pool, taken, k, p):
     for u in pool:
         if u in taken:
             continue
-        x_u = unlabeled[u]
-        y_hat = _knn_mean(xs, ys, x_u, k, p)
-        delta = _confidence(xs, ys, x_u, y_hat, k, p)
+        dist, omega = reg.query(unlabeled[u])
+        y_hat = float(np.mean(reg.ys[omega]))
+        delta = _confidence(reg, dist, omega, y_hat)
         if delta <= 0.0:
             continue
         if best is None or delta > best.delta or (delta == best.delta and u < best.index):
@@ -187,10 +289,7 @@ def coreg_impute(labeled, unlabeled, cfg):
 
     xs0, ys0 = _stack(labeled)
     unlabeled = [np.asarray(x, dtype=np.float64) for x in unlabeled]
-    sides = [
-        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg1},
-        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg2},
-    ]
+    sides = [_Regressor(xs0, ys0, cfg.cfg1), _Regressor(xs0, ys0, cfg.cfg2)]
     remaining = list(range(len(unlabeled)))
     rng = make_rng(cfg.seed)
 
@@ -204,10 +303,7 @@ def coreg_impute(labeled, unlabeled, cfg):
         picks = []
         taken = set()
         for side in sides:
-            pick = _best_candidate(
-                side["xs"], side["ys"], unlabeled, pool, taken,
-                side["cfg"].k, side["cfg"].p,
-            )
+            pick = _best_candidate(side, unlabeled, pool, taken)
             picks.append(pick)
             if pick is not None:
                 taken.add(pick.index)
@@ -215,15 +311,13 @@ def coreg_impute(labeled, unlabeled, cfg):
         for j, pick in enumerate(picks):
             if pick is None:
                 continue
-            peer = sides[1 - j]
-            peer["xs"] = np.vstack([peer["xs"], unlabeled[pick.index][None, :]])
-            peer["ys"] = np.append(peer["ys"], pick.label)
+            sides[1 - j].add(unlabeled[pick.index], pick.label)
             remaining.remove(pick.index)
         log.append(
             IterationEntry(
                 iteration=iteration,
                 picks=(picks[0], picks[1]),
-                train_sizes=(len(sides[0]["ys"]), len(sides[1]["ys"])),
+                train_sizes=(len(sides[0].ys), len(sides[1].ys)),
             )
         )
         if picks[0] is None and picks[1] is None:
@@ -231,8 +325,7 @@ def coreg_impute(labeled, unlabeled, cfg):
 
     imputed = {}
     for i, x in enumerate(unlabeled):
-        y1 = _knn_mean(sides[0]["xs"], sides[0]["ys"], x, cfg.cfg1.k, cfg.cfg1.p)
-        y2 = _knn_mean(sides[1]["xs"], sides[1]["ys"], x, cfg.cfg2.k, cfg.cfg2.p)
+        y1, y2 = (_knn_mean(s.xs, s.ys, x, s.k, s.p) for s in sides)
         imputed[i] = 0.5 * (y1 + y2)
     return imputed, log
 

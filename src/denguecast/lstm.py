@@ -21,10 +21,9 @@ All tensors are batched: a batch of windows is (B, t, F).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

@@ -7,8 +7,11 @@ from denguecast.dataprep import DistrictMonthRecord
 from denguecast.errors import EmptyTrain, ValidationError
 from denguecast.imputation import (
     CoregCfg,
+    IterationEntry,
     KnnRegressorCfg,
     LabeledExample,
+    PickInfo,
+    _nearest,
     coreg_confidence,
     coreg_impute,
     impute_larval,
@@ -269,6 +272,171 @@ class TestCoregImpute:
             )
             wins += rmse_coreg < rmse_mean
         assert wins == len(list(seeds))
+
+
+# Reference COREG that re-runs every kNN query from scratch: each scanned
+# candidate costs seven full distance scans and stable argsorts. The
+# incremental scan in denguecast.imputation must reproduce it bit for bit.
+
+
+def _ref_minkowski(xs, x, p):
+    d = np.abs(xs - x)
+    if p == 2.0:
+        return np.sqrt(np.sum(d * d, axis=1))
+    return np.sum(d**p, axis=1) ** (1.0 / p)
+
+
+def _ref_knn_mean(xs, ys, x, k, p):
+    dist = _ref_minkowski(xs, x, p)
+    order = np.argsort(dist, kind="stable")
+    return float(np.mean(ys[order[: min(k, len(ys))]]))
+
+
+def _ref_confidence(xs, ys, cand_x, cand_y, k, p):
+    dist = _ref_minkowski(xs, cand_x, p)
+    order = np.argsort(dist, kind="stable")
+    omega = order[: min(k, len(ys))]
+    xs_aug = np.vstack([xs, cand_x[None, :]])
+    ys_aug = np.append(ys, cand_y)
+    delta = 0.0
+    for i in omega:
+        before = ys[i] - _ref_knn_mean(xs, ys, xs[i], k, p)
+        after = ys_aug[i] - _ref_knn_mean(xs_aug, ys_aug, xs[i], k, p)
+        delta += before * before - after * after
+    return float(delta)
+
+
+def _ref_best_candidate(xs, ys, unlabeled, pool, taken, k, p):
+    best = None
+    for u in pool:
+        if u in taken:
+            continue
+        x_u = unlabeled[u]
+        y_hat = _ref_knn_mean(xs, ys, x_u, k, p)
+        delta = _ref_confidence(xs, ys, x_u, y_hat, k, p)
+        if delta <= 0.0:
+            continue
+        if best is None or delta > best.delta or (delta == best.delta and u < best.index):
+            best = PickInfo(index=u, label=y_hat, delta=delta)
+    return best
+
+
+def _ref_coreg_impute(labeled, unlabeled, cfg):
+    xs0 = np.stack([ex.x for ex in labeled])
+    ys0 = np.array([ex.y for ex in labeled])
+    sides = [
+        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg1},
+        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg2},
+    ]
+    remaining = list(range(len(unlabeled)))
+    rng = make_rng(cfg.seed)
+    log = []
+    for iteration in range(1, cfg.max_iters + 1):
+        if not remaining:
+            break
+        pool_size = min(cfg.pool_size, len(remaining))
+        pool_positions = rng.choice(len(remaining), size=pool_size, replace=False)
+        pool = sorted(remaining[i] for i in pool_positions)
+        picks = []
+        taken = set()
+        for side in sides:
+            pick = _ref_best_candidate(
+                side["xs"], side["ys"], unlabeled, pool, taken,
+                side["cfg"].k, side["cfg"].p,
+            )
+            picks.append(pick)
+            if pick is not None:
+                taken.add(pick.index)
+        for j, pick in enumerate(picks):
+            if pick is None:
+                continue
+            peer = sides[1 - j]
+            peer["xs"] = np.vstack([peer["xs"], unlabeled[pick.index][None, :]])
+            peer["ys"] = np.append(peer["ys"], pick.label)
+            remaining.remove(pick.index)
+        log.append(IterationEntry(iteration, (picks[0], picks[1]),
+                                  (len(sides[0]["ys"]), len(sides[1]["ys"]))))
+        if picks[0] is None and picks[1] is None:
+            break
+    imputed = {}
+    for i, x in enumerate(unlabeled):
+        y1 = _ref_knn_mean(sides[0]["xs"], sides[0]["ys"], x, cfg.cfg1.k, cfg.cfg1.p)
+        y2 = _ref_knn_mean(sides[1]["xs"], sides[1]["ys"], x, cfg.cfg2.k, cfg.cfg2.p)
+        imputed[i] = 0.5 * (y1 + y2)
+    return imputed, log
+
+
+def _coreg_problem(n_labeled, n_unlabeled, grid, seed):
+    """Labels vary smoothly with x; grid=True puts x on a small integer grid,
+    so many points coincide and distances tie exactly."""
+    rng = make_rng(seed)
+
+    def draw():
+        if grid:
+            return rng.integers(0, 5, size=2).astype(np.float64)
+        return rng.uniform(0, 1, size=2)
+
+    labeled = []
+    for _ in range(n_labeled):
+        x = draw()
+        labeled.append(LabeledExample(
+            x=x, y=float(2.0 + 0.3 * x[0] - 0.2 * x[1] + rng.normal(0, 0.1))))
+    return labeled, [draw() for _ in range(n_unlabeled)]
+
+
+class TestIncrementalScanMatchesReference:
+    # (k, p1, p2, n_labeled, grid, data seed, minimum picks). With k=1 every
+    # distinct point is its own nearest neighbour, so deltas are 0 and
+    # nothing is picked; the other cases pick often enough that cached
+    # neighbourhoods are updated in place.
+    CASES = [
+        (1, 2.0, 5.0, 40, False, 71, 0),
+        (3, 1.0, 2.0, 40, False, 73, 20),
+        (7, 5.0, 1.0, 40, False, 77, 20),
+        (1, 5.0, 1.0, 30, True, 71, 0),
+        (3, 1.0, 2.0, 40, True, 73, 10),
+        (7, 2.0, 5.0, 30, True, 77, 20),
+        # k larger than the labeled set
+        (7, 1.0, 5.0, 4, False, 7, 20),
+        (3, 2.0, 1.0, 2, True, 2, 20),
+    ]
+
+    @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
+    def test_log_and_imputed_values_identical(self, k, p1, p2, n_labeled, grid,
+                                              seed, min_picks):
+        labeled, unlabeled = _coreg_problem(n_labeled, 40, grid, seed)
+        cfg = CoregCfg(
+            cfg1=KnnRegressorCfg(k=k, p=p1), cfg2=KnnRegressorCfg(k=k, p=p2),
+            max_iters=25, pool_size=12, seed=k,
+        )
+        imputed, log = coreg_impute(labeled, unlabeled, cfg)
+        ref_imputed, ref_log = _ref_coreg_impute(labeled, unlabeled, cfg)
+        assert [e.line() for e in log] == [e.line() for e in ref_log]
+        assert imputed == ref_imputed
+        assert sum(p is not None for e in log for p in e.picks) >= min_picks
+
+    @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
+    def test_confidence_identical(self, k, p1, p2, n_labeled, grid, seed,
+                                  min_picks):
+        labeled, candidates = _coreg_problem(n_labeled, 10, grid, seed + 1)
+        xs = np.stack([ex.x for ex in labeled])
+        ys = np.array([ex.y for ex in labeled])
+        cfg = KnnRegressorCfg(k=k, p=p1)
+        for j, x in enumerate(candidates):
+            y = 1.5 + 0.1 * j
+            assert coreg_confidence(labeled, x, y, cfg) == _ref_confidence(
+                xs, ys, x, y, k, p1)
+
+
+class TestNearest:
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_equals_stable_argsort_prefix(self, n):
+        rng = make_rng(n)
+        for _ in range(20):
+            dist = rng.integers(0, 4, size=n).astype(np.float64)  # many ties
+            for k in range(1, n + 3):
+                expected = np.argsort(dist, kind="stable")[:k]
+                assert _nearest(dist, k).tolist() == expected.tolist()
 
 
 class TestImputeLarval:
