@@ -1,20 +1,24 @@
-"""Command-line front end: synth -> prepare -> impute -> train -> sweep -> report.
+"""Command-line front end.
 
-Exit codes: 0 success, 2 input/validation problems, 3 failed preconditions
-(e.g. imputation impossible), 4 numerical divergence. Commands are
-idempotent: identical inputs and seed produce byte-identical outputs, so no
-timestamps or wall-clock values are ever written to artifacts.
+Commands: synth -> prepare -> impute -> train -> predict, and sweep -> report.
+Each command accepts only the flags it reads, spelled out in full.
+
+Exit codes: 0 success, 2 input/validation problems (argparse also exits 2 on
+an unknown flag), 3 failed preconditions (e.g. imputation impossible), 4
+numerical divergence. Commands are idempotent: identical inputs and seed
+produce byte-identical outputs, so no timestamps or wall-clock values are
+ever written to artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from . import dataprep, experiments, imputation, lstm
+from .dataprep import csv_text
 from .errors import (
     DivergenceError,
     EmptyTrain,
@@ -93,17 +97,6 @@ def _add_model_flags(p):
     p.add_argument("--lr", type=float, default=1e-3)
 
 
-def _csv_text(header, rows):
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -125,29 +118,29 @@ def cmd_synth(args):
         for r in bundle.climate
     ]
     _write(out / "climate.csv",
-           _csv_text(["district", "date", "temp_c", "rh_pct"], climate_rows))
+           csv_text(["district", "date", "temp_c", "rh_pct"], climate_rows))
     rain_rows = [
         [w.district, w.iso_year, w.iso_week, repr(w.rainfall)] for w in bundle.rain
     ]
     _write(out / "rain.csv",
-           _csv_text(["district", "iso_year", "iso_week", "rain_mm"], rain_rows))
+           csv_text(["district", "iso_year", "iso_week", "rain_mm"], rain_rows))
     larval_rows = [
         [s.district, s.month[0], s.month[1], s.n_low, s.n_mid, s.n_high]
         for s in bundle.larval
     ]
     _write(out / "larval.csv",
-           _csv_text(["district", "year", "month", "n_low", "n_mid", "n_high"],
-                     larval_rows))
+           csv_text(["district", "year", "month", "n_low", "n_mid", "n_high"],
+                    larval_rows))
     cases_rows = [[d, m[0], m[1], n] for (d, m), n in bundle.cases]
     _write(out / "cases.csv",
-           _csv_text(["district", "year", "month", "cases"], cases_rows))
+           csv_text(["district", "year", "month", "cases"], cases_rows))
     truth_rows = [
         [d, m[0], m[1], repr(v)]
         for (d, m), v in sorted(bundle.truth.items(),
                                 key=lambda kv: (kv[0][0], kv[0][1]))
     ]
     _write(out / "larval_truth.csv",
-           _csv_text(["district", "year", "month", "larval_index"], truth_rows))
+           csv_text(["district", "year", "month", "larval_index"], truth_rows))
     print(f"wrote {len(cases_rows)} case rows for {spec.districts} districts "
           f"x {spec.months} months to {out}")
     return 0
@@ -218,7 +211,7 @@ def cmd_train(args):
         for epoch, (tr, va) in enumerate(report.trained.loss_history)
     ]
     _write(out / "loss.csv",
-           _csv_text(["epoch", "train_mse", "validation_mse"], loss_rows))
+           csv_text(["epoch", "train_mse", "validation_mse"], loss_rows))
     print(f"validation MSE {report.validation_mse:.5f} "
           f"(scaled {report.validation_mse_scaled:.6f})")
     print(f"test MSE {report.test_mse:.5f} (scaled {report.test_mse_scaled:.6f})")
@@ -232,8 +225,9 @@ def cmd_predict(args):
     if trained.scaler is None:
         raise ValidationError("model has no scaler; cannot de-scale predictions")
     scaled = dataprep.apply_scaler(trained.scaler, records)
+    spec = trained.spec
     windows, _ = dataprep.build_windows(
-        scaled, trained.spec.timesteps, trained.spec.variant
+        scaled, spec.timesteps, spec.variant, spec.predictors
     )
     actual = {(r.district, r.month): r.cases for r in records}
     preds = lstm.predict_batch(trained, windows)
@@ -245,7 +239,7 @@ def cmd_predict(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "predictions.csv",
-           _csv_text(["district", "year", "month", "predicted", "actual"], rows))
+           csv_text(experiments.PREDICTION_HEADER, rows))
     print(f"wrote {len(rows)} predictions")
     return 0
 
@@ -262,8 +256,7 @@ def _sweep_spec(args):
         grid = [
             experiments.GridCell(
                 label=c["label"],
-                overrides={k: (tuple(v) if k == "predictors" else v)
-                           for k, v in c.items() if k != "label"},
+                overrides={k: v for k, v in c.items() if k != "label"},
             )
             for c in cfg["grid"]
         ] if "grid" in cfg else experiments.default_grid(kind, base)
@@ -322,16 +315,7 @@ def cmd_report(args):
     tables_dir = run_dir / "tables"
     for path in csvs:
         rows = experiments.parse_prediction_csv(path.read_text(encoding="utf-8"))
-        stem = path.stem  # predictions_<slug>_seed<s>
-        name_seed = stem.rsplit("_seed", 1)
-        label = name_seed[0][len("predictions_"):]
-        seed = int(name_seed[1]) if len(name_seed) == 2 else 0
-        report = experiments.RunReport(
-            label=label, seed=seed, validation_mse=0.0, test_mse=0.0,
-            validation_mse_scaled=0.0, test_mse_scaled=0.0,
-            predictions=rows, wall_clock=0.0,
-        )
-        _write(tables_dir / f"{stem}.md", experiments.prediction_table_md(report))
+        _write(tables_dir / f"{path.stem}.md", experiments.prediction_table_md(rows))
     print(f"rendered {len(csvs)} prediction tables to {tables_dir}")
     return 0
 
@@ -344,13 +328,18 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="denguecast",
         description="District-month dengue incidence forecasting pipeline",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text):
+        # allow_abbrev=False: a prefix such as --seed must not stand for --seeds
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("synth", help="generate a synthetic raw CSV bundle")
+    p = command("synth", "generate a synthetic raw CSV bundle")
     common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--districts", type=int, default=26)
@@ -360,7 +349,7 @@ def build_parser():
     p.add_argument("--missing-rate", dest="missing_rate", type=float, default=0.3)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("prepare", help="aggregate and join raw CSVs into records.csv")
+    p = command("prepare", "aggregate and join raw CSVs into records.csv")
     common(p)
     p.add_argument("--climate", required=True)
     p.add_argument("--rain", required=True)
@@ -368,7 +357,7 @@ def build_parser():
     p.add_argument("--cases", required=True)
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("impute", help="fill missing larval indices by co-training")
+    p = command("impute", "fill missing larval indices by co-training")
     common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--records", required=True)
@@ -379,7 +368,7 @@ def build_parser():
     p.add_argument("--max-iters", dest="max_iters", type=int, default=100)
     p.set_defaults(func=cmd_impute)
 
-    p = sub.add_parser("train", help="train one model configuration")
+    p = command("train", "train one model configuration")
     common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None,
@@ -388,13 +377,13 @@ def build_parser():
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict with a saved model")
+    p = command("predict", "predict with a saved model")
     common(p)
     p.add_argument("--model", required=True, help="path to model.bin")
     p.add_argument("--records", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep", help="run a configuration sweep")
+    p = command("sweep", "run a configuration sweep")
     common(p)
     p.add_argument("--records", required=True)
     p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
@@ -407,7 +396,7 @@ def build_parser():
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("report", help="render tables from a sweep run directory")
+    p = command("report", "render tables from a sweep run directory")
     p.add_argument("--run", required=True, help="sweep output directory")
     p.set_defaults(func=cmd_report)
 

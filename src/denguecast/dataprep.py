@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -83,7 +84,6 @@ class SupervisedWindow:
 class SplitDataset:
     train: list[SupervisedWindow]
     test: list[SupervisedWindow]
-    split_seed: int
 
 
 @dataclass
@@ -364,17 +364,13 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
             )
 
     windows = []
-    gap_pairs = []
-    skipped = 0
+    report = detect_gaps(records)
     for district in sorted(by_district):
         rows = sorted(by_district[district], key=lambda r: month_index(r.month))
         idx = [month_index(r.month) for r in rows]
-        for a, b in zip(rows, rows[1:]):
-            if month_index(b.month) - month_index(a.month) > 1:
-                gap_pairs.append((district, a.month, b.month))
         for i in range(t - 1, len(rows)):
             if idx[i] - idx[i - t + 1] != t - 1:
-                skipped += 1
+                report.skipped_windows += 1
                 continue
             span = rows[i - t + 1 : i + 1]
             mat = np.empty((t, len(predictors) + (variant == "II") + 1))
@@ -392,15 +388,14 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
                     target_month=span[-1].month,
                 )
             )
-    return windows, GapReport(gaps=gap_pairs, skipped_windows=skipped)
+    return windows, report
 
 
-def split_dataset(windows, ratio, seed):
+def split_dataset(windows, ratio):
     """Chronological split: earliest floor(ratio * n) windows become train.
 
     Ordering is by target month, ties broken by district name, so every test
-    target month is >= every train target month. The seed is recorded for
-    provenance but unused by the chronological policy.
+    target month is >= every train target month. The split is deterministic.
     """
     if not windows:
         raise EmptyInput("no windows to split")
@@ -410,9 +405,7 @@ def split_dataset(windows, ratio, seed):
     n_train = int(math.floor(ratio * len(ordered)))
     if n_train == 0:
         raise EmptyTrain(f"ratio {ratio} leaves an empty training split")
-    return SplitDataset(
-        train=ordered[:n_train], test=ordered[n_train:], split_seed=int(seed)
-    )
+    return SplitDataset(train=ordered[:n_train], test=ordered[n_train:])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +419,21 @@ def split_dataset(windows, ratio, seed):
 #              (larval_index cell empty when missing)
 
 
-def _read_rows(path, expected_header):
+def csv_text(header, rows):
+    """Header line plus one line per row, each ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _read_rows(path, *headers):
+    """(line number, cells) of each non-blank row after the header.
+
+    The header must equal one of headers, and every row must have as many
+    cells as it.
+    """
     try:
         f = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -437,16 +444,17 @@ def _read_rows(path, expected_header):
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        if header != list(expected_header):
+        if header not in [list(h) for h in headers]:
             raise ValidationError(
-                f"{path}: expected header {','.join(expected_header)}, "
+                f"{path}: expected header "
+                f"{' or '.join(','.join(h) for h in headers)}, "
                 f"got {','.join(header)}"
             )
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise ValidationError(f"{path}:{lineno}: wrong column count")
             rows.append((lineno, row))
     return rows
@@ -558,38 +566,25 @@ def write_records_csv(records, path, extra_header=(), extra_cells=None):
             writer.writerow(row)
 
 
-def load_records_csv(path, allow_extra=("provenance",)):
+def load_records_csv(path):
+    """Read records.csv, or imputed.csv with its trailing provenance column."""
     records = []
-    try:
-        f = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    with f:
-        reader = csv.reader(f)
+    headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
+    for lineno, row in _read_rows(path, *headers):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        base = list(RECORDS_HEADER)
-        if header != base and header != base + list(allow_extra):
-            raise ValidationError(f"{path}: unexpected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                cases_text = row[7]
-                cases = float(cases_text) if "." in cases_text else int(cases_text)
-                records.append(
-                    DistrictMonthRecord(
-                        district=row[0],
-                        month=(int(row[1]), int(row[2])),
-                        temp_mean=float(row[3]),
-                        rh_mean=float(row[4]),
-                        rain_total=float(row[5]),
-                        larval_index=float(row[6]) if row[6] != "" else None,
-                        cases=cases,
-                    )
+            cases_text = row[7]
+            cases = float(cases_text) if "." in cases_text else int(cases_text)
+            records.append(
+                DistrictMonthRecord(
+                    district=row[0],
+                    month=(int(row[1]), int(row[2])),
+                    temp_mean=float(row[3]),
+                    rh_mean=float(row[4]),
+                    rain_total=float(row[5]),
+                    larval_index=float(row[6]) if row[6] != "" else None,
+                    cases=cases,
                 )
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return records

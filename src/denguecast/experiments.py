@@ -1,4 +1,4 @@
-"""Experiment harness: synthetic data, sweeps, variant comparison, reports.
+"""Experiment harness: synthetic data, single runs, sweeps, reports.
 
 The synthetic generator stands in for the (unpublished) field dataset. It
 plants known structure so sweeps have ground truth: seasonal climate per
@@ -29,13 +29,13 @@ import numpy as np
 from . import dataprep
 from .dataprep import (
     CLIMATE_FEATURES,
-    GapReport,
     LarvalSurvey,
     RawClimateReading,
     SplitDataset,
     WeeklyRainfall,
     apply_scaler,
     build_windows,
+    csv_text,
     fit_scaler,
     month_index,
     split_dataset,
@@ -272,21 +272,6 @@ def synth_generate(spec):
                        truth=truth)
 
 
-def bundle_to_records(bundle):
-    """Assemble a bundle the same way the prepare step does."""
-    climate = dataprep.aggregate_monthly(bundle.climate)
-    rain = dataprep.rain_to_monthly(bundle.rain)
-    larval = {}
-    for s in bundle.larval:
-        key = (s.district, s.month)
-        if key in larval:
-            raise ValidationError(f"duplicate larval survey for {key}")
-        idx = weighted_larval_index(s.n_low, s.n_mid, s.n_high)
-        if idx is not None:
-            larval[key] = idx
-    return dataprep.assemble_records(climate, rain, larval, bundle.cases)
-
-
 # ---------------------------------------------------------------------------
 # prepared supervised data
 
@@ -295,11 +280,9 @@ def bundle_to_records(bundle):
 class PreparedData:
     split: SplitDataset
     scaler: dataprep.Scaler
-    gap_report: GapReport
 
 
-def make_supervised(records, t, variant, ratio=0.85, seed=0,
-                    predictors=CLIMATE_FEATURES):
+def make_supervised(records, t, variant, ratio=0.85, predictors=CLIMATE_FEATURES):
     """Scale, window and split records without temporal leakage.
 
     The chronological split boundary is found first (on unscaled windows,
@@ -309,7 +292,7 @@ def make_supervised(records, t, variant, ratio=0.85, seed=0,
     if not records:
         raise EmptyInput("no records to prepare")
     raw_windows, _ = build_windows(records, t, variant, predictors)
-    raw_split = split_dataset(raw_windows, ratio, seed)
+    raw_split = split_dataset(raw_windows, ratio)
     boundary = max(month_index(w.target_month) for w in raw_split.train)
     train_records = [r for r in records if month_index(r.month) <= boundary]
     features = list(predictors)
@@ -318,9 +301,8 @@ def make_supervised(records, t, variant, ratio=0.85, seed=0,
     features.append("cases")
     scaler = fit_scaler(train_records, features)
     scaled = apply_scaler(scaler, records)
-    windows, gaps = build_windows(scaled, t, variant, predictors)
-    split = split_dataset(windows, ratio, seed)
-    return PreparedData(split=split, scaler=scaler, gap_report=gaps)
+    windows, _ = build_windows(scaled, t, variant, predictors)
+    return PreparedData(split=split_dataset(windows, ratio), scaler=scaler)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +335,8 @@ def evaluate(trained, windows):
     X, y = windows_to_arrays(windows)
     pred, _ = model_forward(trained.model, X, training=False)
     scaled = mse(y, pred)
-    lo, hi = trained.scaler.ranges["cases"]
-    raw_pred = lo + pred * (hi - lo)
-    raw_y = lo + y * (hi - lo)
+    raw_pred = trained.scaler.invert_value("cases", pred)
+    raw_y = trained.scaler.invert_value("cases", y)
     raw = mse(raw_y, raw_pred)
     rows = [
         PredictionRow(
@@ -368,12 +349,12 @@ def evaluate(trained, windows):
 
 
 def run_config(records, spec, label, report_seed, ratio=0.85,
-               validation_fraction=0.15, predictors=CLIMATE_FEATURES, lr=1e-3):
+               validation_fraction=0.15, lr=1e-3):
     """Prepare data for one configuration, train it, and report MSEs."""
     started = time.perf_counter()
     prepared = make_supervised(
-        records, spec.timesteps, spec.variant, ratio=ratio, seed=spec.seed,
-        predictors=predictors,
+        records, spec.timesteps, spec.variant, ratio=ratio,
+        predictors=spec.predictors,
     )
     trained = train(
         spec, prepared.split, validation_fraction=validation_fraction,
@@ -467,19 +448,15 @@ class SweepResult:
 
 
 def _cell_spec(base, cell, seed):
-    overrides = dict(cell.overrides)
-    predictors = overrides.pop("predictors", CLIMATE_FEATURES)
-    spec = replace(base, **overrides, seed=derive_seed(seed, cell.label))
-    return spec, tuple(predictors)
+    return replace(base, **cell.overrides, seed=derive_seed(seed, cell.label))
 
 
 def _sweep_task(args):
     records, base, cell, seed, ratio, validation_fraction, lr = args
-    spec, predictors = _cell_spec(base, cell, seed)
     try:
         report = run_config(
-            records, spec, cell.label, seed, ratio=ratio,
-            validation_fraction=validation_fraction, predictors=predictors, lr=lr,
+            records, _cell_spec(base, cell, seed), cell.label, seed, ratio=ratio,
+            validation_fraction=validation_fraction, lr=lr,
         )
         return ("ok", cell.label, seed, report)
     except DivergenceError as exc:
@@ -544,36 +521,6 @@ def run_sweep(sweep, records, ratio=0.85, validation_fraction=0.15, lr=1e-3,
     )
 
 
-@dataclass
-class VariantComparison:
-    pairs: list  # (seed, report_I, report_II)
-    win_rate: float
-
-
-def compare_variants(records, base, seeds, ratio=0.85, validation_fraction=0.15,
-                     lr=1e-3):
-    """Train variants I and II with identical seeds; report paired test MSE.
-
-    win_rate is the fraction of seeds where variant II has the lower test MSE.
-    """
-    if not seeds:
-        raise EmptyInput("no seeds for the variant comparison")
-    pairs = []
-    wins = 0
-    for seed in seeds:
-        run_seed = derive_seed(seed, "variant-pair")
-        spec1 = replace(base, variant="I", seed=run_seed)
-        spec2 = replace(base, variant="II", seed=run_seed)
-        r1 = run_config(records, spec1, "Variant I", seed, ratio=ratio,
-                        validation_fraction=validation_fraction, lr=lr)
-        r2 = run_config(records, spec2, "Variant II", seed, ratio=ratio,
-                        validation_fraction=validation_fraction, lr=lr)
-        pairs.append((seed, r1, r2))
-        if r2.test_mse < r1.test_mse:
-            wins += 1
-    return VariantComparison(pairs=pairs, win_rate=wins / len(seeds))
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -611,18 +558,18 @@ def _month_labels(months):
     return {m: f"{m[0]:04d}-{m[1]:02d}" for m in months}
 
 
-def prediction_table_md(report):
-    """Monthly-by-district prediction table with count footers.
+def prediction_table_md(predictions):
+    """Monthly-by-district table of PredictionRows, with count footers.
 
     One row per month, one column per district; cells are predictions rounded
     half away from zero. The "Predicted Count" footer is the column sum of the
     rounded monthly predictions, "Actual Count" the sum of the actuals.
     """
-    months = sorted({p.month for p in report.predictions}, key=month_index)
-    districts = sorted({p.district for p in report.predictions})
+    months = sorted({p.month for p in predictions}, key=month_index)
+    districts = sorted({p.district for p in predictions})
     if not months:
-        raise EmptyInput("report has no predictions")
-    cell = {(p.district, p.month): p for p in report.predictions}
+        raise EmptyInput("no predictions to tabulate")
+    cell = {(p.district, p.month): p for p in predictions}
     labels = _month_labels(months)
 
     lines = [
@@ -654,23 +601,22 @@ def prediction_table_md(report):
     return "\n".join(lines) + "\n"
 
 
+PREDICTION_HEADER = ["district", "year", "month", "predicted", "actual"]
+
+
 def prediction_table_csv(report):
     """Raw (unrounded) predictions; reparses to the same floats exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["district", "year", "month", "predicted", "actual"])
     rows = sorted(report.predictions, key=lambda p: (p.district, month_index(p.month)))
-    for p in rows:
-        writer.writerow(
-            [p.district, p.month[0], p.month[1], repr(p.predicted), repr(p.actual)]
-        )
-    return buf.getvalue()
+    return csv_text(PREDICTION_HEADER, [
+        [p.district, p.month[0], p.month[1], repr(p.predicted), repr(p.actual)]
+        for p in rows
+    ])
 
 
 def parse_prediction_csv(text):
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header != ["district", "year", "month", "predicted", "actual"]:
+    if header != PREDICTION_HEADER:
         raise ValidationError(f"unexpected prediction CSV header {header}")
     rows = []
     for row in reader:
@@ -701,19 +647,14 @@ def mse_table_md(result):
 
 
 def mse_table_csv(result):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return csv_text(
         ["label", "validation_mse", "test_mse",
-         "validation_mse_scaled", "test_mse_scaled", "n_seeds", "best"]
+         "validation_mse_scaled", "test_mse_scaled", "n_seeds", "best"],
+        [[row.label, repr(row.validation_mse), repr(row.test_mse),
+          repr(row.validation_mse_scaled), repr(row.test_mse_scaled),
+          row.n_seeds, int(row.best)]
+         for row in result.rows],
     )
-    for row in result.rows:
-        writer.writerow(
-            [row.label, repr(row.validation_mse), repr(row.test_mse),
-             repr(row.validation_mse_scaled), repr(row.test_mse_scaled),
-             row.n_seeds, int(row.best)]
-        )
-    return buf.getvalue()
 
 
 def render_report(reports, sweep_result=None):
@@ -727,7 +668,7 @@ def render_report(reports, sweep_result=None):
     files = {}
     for report in reports:
         stem = f"predictions_{slugify(report.label)}_seed{report.seed}"
-        files[f"tables/{stem}.md"] = prediction_table_md(report)
+        files[f"tables/{stem}.md"] = prediction_table_md(report.predictions)
         files[f"reports/{stem}.csv"] = prediction_table_csv(report)
     if sweep_result is not None:
         files["tables/mse_summary.md"] = mse_table_md(sweep_result)

@@ -77,6 +77,13 @@ class CoregCfg:
             raise ValidationError(
                 "the two regressors must use different Minkowski orders"
             )
+        for cfg in (self.cfg1, self.cfg2):
+            if cfg.k < 2:
+                raise ValidationError(
+                    f"co-training needs k >= 2, got k={cfg.k}: with k=1 each "
+                    "training point is its own nearest neighbour, so every "
+                    "confidence delta is 0 and nothing is ever picked"
+                )
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.pool_size < 1:

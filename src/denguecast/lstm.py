@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataprep import CLIMATE_FEATURES, Scaler
 from .errors import (
     DivergenceError,
     EmptyInput,
@@ -38,7 +39,6 @@ from .errors import (
 from .nn_core import (
     Adam,
     Parameter,
-    Sgd,
     derive_seed,
     dropout,
     l2_penalty,
@@ -70,8 +70,11 @@ class ModelSpec:
     timesteps: int = 3
     variant: str = "II"
     seed: int = 0
+    predictors: tuple = CLIMATE_FEATURES  # climate columns of each window row
 
     def __post_init__(self):
+        # a tuple, so a spec read back from a JSON list compares equal
+        object.__setattr__(self, "predictors", tuple(self.predictors))
         if self.arch not in ARCHITECTURES:
             raise SpecError(f"unknown architecture {self.arch!r}")
         if self.arch in ("plain", "bidir") and self.num_layers != 1:
@@ -409,8 +412,7 @@ def windows_to_arrays(windows):
     return X, y
 
 
-def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3,
-          optimizer="adam"):
+def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3):
     """Full-batch training with Adam; keeps the best-validation snapshot.
 
     The last validation_fraction of the (chronologically ordered) train split
@@ -418,6 +420,8 @@ def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3,
     epoch; the returned parameters are the snapshot with the lowest
     validation MSE (no early stopping). Raises DivergenceError when a loss is
     non-finite or exceeds DIVERGENCE_FACTOR times the epoch-0 training loss.
+    The windows are already built: spec.predictors and spec.variant are only
+    recorded, for predict to window new records the same way.
     """
     if not split.train:
         raise EmptyInput("training split is empty")
@@ -433,7 +437,7 @@ def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3,
 
     model = Model(spec, X_tr.shape[2])
     params = model.parameters()
-    opt = Adam(lr=lr) if optimizer == "adam" else Sgd(lr=lr)
+    opt = Adam(lr=lr)
     drop_rng = make_rng(derive_seed(spec.seed, "dropout"))
 
     history = []
@@ -474,26 +478,11 @@ def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3,
     )
 
 
-def predict(trained, window):
-    """De-scaled prediction for one window. Raw output, never clamped:
-    a fitted model may legitimately emit small negative counts."""
-    feats = window.features if hasattr(window, "features") else window
-    X = np.asarray(feats, dtype=np.float64)
-    if X.ndim != 2:
-        raise SpecError(f"expected one (t, F) window, got shape {X.shape}")
-    if X.shape != (trained.spec.timesteps, trained.model.input_dim):
-        raise SpecError(
-            f"window shape {X.shape} does not match model "
-            f"({trained.spec.timesteps}, {trained.model.input_dim})"
-        )
-    pred, _ = model_forward(trained.model, X[None], training=False)
-    value = float(pred[0])
-    if trained.scaler is not None:
-        value = trained.scaler.invert_value("cases", value)
-    return value
-
-
 def predict_batch(trained, windows):
+    """Prediction per window, de-scaled when the model carries a scaler.
+
+    Raw output, never clamped: a fitted model may emit small negative counts.
+    """
     X, _ = windows_to_arrays(windows)
     if X.shape[1] != trained.spec.timesteps or X.shape[2] != trained.model.input_dim:
         raise SpecError(
@@ -502,8 +491,7 @@ def predict_batch(trained, windows):
         )
     pred, _ = model_forward(trained.model, X, training=False)
     if trained.scaler is not None:
-        lo, hi = trained.scaler._require("cases")
-        return lo + pred * (hi - lo)
+        return trained.scaler.invert_value("cases", pred)
     return pred
 
 
@@ -526,8 +514,6 @@ def save_model(trained, bin_path, sidecar_path):
 
 
 def load_model(bin_path, sidecar_path):
-    from .dataprep import Scaler
-
     with open(sidecar_path, encoding="utf-8") as f:
         sidecar = json.load(f)
     spec = ModelSpec(**sidecar["spec"])

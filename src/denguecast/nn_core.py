@@ -35,28 +35,12 @@ def derive_seed(base_seed, label):
 
 
 # ---------------------------------------------------------------------------
-# matrices and elementwise kernels
-
-
-def matmul(a, b):
-    """Matrix product of two 2-D arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+# elementwise kernels
 
 
 def relu(x):
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return (x > 0.0).astype(np.float64)
 
 
 def sigmoid(x):
@@ -68,20 +52,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid_grad(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh_act(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def tanh_grad(x):
-    t = np.tanh(np.asarray(x, dtype=np.float64))
-    return 1.0 - t * t
 
 
 def dropout(x, rate, rng, training=True):
@@ -114,7 +84,7 @@ def mse(actual, predicted):
 
 
 # ---------------------------------------------------------------------------
-# parameters, regularization, optimizers
+# parameters, regularization, optimizer
 
 
 class Parameter:
@@ -192,19 +162,6 @@ class Adam:
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class Sgd:
-    """Plain gradient descent, kept for ablation against Adam."""
-
-    def __init__(self, lr=1e-3):
-        self.lr = lr
-
-    def step(self, params):
-        for p in params:
-            if p.grad is None:
-                raise StateError(f"gradient of {p.name} not populated before step")
-            p.value -= self.lr * p.grad
 
 
 # ---------------------------------------------------------------------------

@@ -342,35 +342,35 @@ def synthetic_windows(n, start=(2014, 1)):
 
 class TestSplitDataset:
     def test_floor_arithmetic_2184(self):
-        split = split_dataset(synthetic_windows(2184), 0.85, seed=1)
+        split = split_dataset(synthetic_windows(2184), 0.85)
         assert len(split.train) == 1856  # floor(0.85 * 2184)
         assert len(split.test) == 328
 
     def test_twenty_windows(self):
-        split = split_dataset(synthetic_windows(20), 0.85, seed=1)
+        split = split_dataset(synthetic_windows(20), 0.85)
         assert (len(split.train), len(split.test)) == (17, 3)
 
     def test_single_window_rejected(self):
         with pytest.raises(EmptyTrain):
-            split_dataset(synthetic_windows(1), 0.85, seed=1)
+            split_dataset(synthetic_windows(1), 0.85)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            split_dataset([], 0.85, seed=1)
+            split_dataset([], 0.85)
 
     def test_bad_ratio(self):
         with pytest.raises(ValidationError):
-            split_dataset(synthetic_windows(10), 1.0, seed=1)
+            split_dataset(synthetic_windows(10), 1.0)
 
     def test_no_temporal_leakage(self):
-        split = split_dataset(synthetic_windows(100), 0.85, seed=1)
+        split = split_dataset(synthetic_windows(100), 0.85)
         max_train = max(month_index(w.target_month) for w in split.train)
         min_test = min(month_index(w.target_month) for w in split.test)
         assert min_test >= max_train
 
     def test_partition(self):
         windows = synthetic_windows(50)
-        split = split_dataset(windows, 0.6, seed=1)
+        split = split_dataset(windows, 0.6)
         ids = sorted(id(w) for w in split.train + split.test)
         assert ids == sorted(id(w) for w in windows)
         assert not set(map(id, split.train)) & set(map(id, split.test))
@@ -399,3 +399,16 @@ class TestRecordsCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_records_csv(tmp_path / "absent.csv")
+
+    def test_wrong_cell_count(self, tmp_path):
+        records = district_series(n_months=2)
+        path = tmp_path / "imputed.csv"
+        # second row lacks its provenance cell
+        write_records_csv(records, path, extra_header=("provenance",),
+                          extra_cells=[("observed",), ()])
+        with pytest.raises(ValidationError, match=":3: wrong column count"):
+            load_records_csv(path)
+        # a cell beyond the records.csv header
+        write_records_csv(records, path, extra_cells=[("x",), ("x",)])
+        with pytest.raises(ValidationError, match=":2: wrong column count"):
+            load_records_csv(path)

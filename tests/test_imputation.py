@@ -104,6 +104,13 @@ class TestCfgValidation:
             x = rng.normal(size=4)
             assert knn_predict(train, x, cfg) == knn_predict(list(train), x, cfg)
 
+    def test_k1_rejected(self):
+        # each training point would be its own nearest neighbour: no picks
+        for k1, k2 in ((1, 3), (3, 1)):
+            with pytest.raises(ValidationError, match="k >= 2"):
+                CoregCfg(cfg1=KnnRegressorCfg(k=k1, p=2.0),
+                         cfg2=KnnRegressorCfg(k=k2, p=5.0))
+
     def test_bad_iters_and_pool(self):
         with pytest.raises(ValidationError):
             CoregCfg(max_iters=0)
@@ -386,9 +393,9 @@ def _coreg_problem(n_labeled, n_unlabeled, grid, seed):
 
 class TestIncrementalScanMatchesReference:
     # (k, p1, p2, n_labeled, grid, data seed, minimum picks). With k=1 every
-    # distinct point is its own nearest neighbour, so deltas are 0 and
-    # nothing is picked; the other cases pick often enough that cached
-    # neighbourhoods are updated in place.
+    # distinct point is its own nearest neighbour, so deltas are 0: the
+    # confidence cases keep k=1, and CoregCfg rejects it. The other cases
+    # pick often enough that cached neighbourhoods are updated in place.
     CASES = [
         (1, 2.0, 5.0, 40, False, 71, 0),
         (3, 1.0, 2.0, 40, False, 73, 20),
@@ -401,7 +408,8 @@ class TestIncrementalScanMatchesReference:
         (3, 2.0, 1.0, 2, True, 2, 20),
     ]
 
-    @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
+    @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks",
+                             [case for case in CASES if case[0] > 1])
     def test_log_and_imputed_values_identical(self, k, p1, p2, n_labeled, grid,
                                               seed, min_picks):
         labeled, unlabeled = _coreg_problem(n_labeled, 40, grid, seed)

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from denguecast.dataprep import SupervisedWindow, SplitDataset, Scaler
+from denguecast.dataprep import CLIMATE_FEATURES, SupervisedWindow, SplitDataset, Scaler
 from denguecast.errors import (
     DivergenceError,
     EmptyInput,
@@ -22,7 +23,6 @@ from denguecast.lstm import (
     load_model,
     model_backward,
     model_forward,
-    predict,
     predict_batch,
     save_model,
     sequence_forward,
@@ -281,7 +281,7 @@ def linear_dynamics_windows(n=60, seed=9, noise=0.02):
 
 def as_split(windows, ratio=0.85):
     n_train = int(len(windows) * ratio)
-    return SplitDataset(train=windows[:n_train], test=windows[n_train:], split_seed=0)
+    return SplitDataset(train=windows[:n_train], test=windows[n_train:])
 
 
 class TestTrain:
@@ -319,7 +319,7 @@ class TestTrain:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=500, timesteps=T, seed=5)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
-        tm = train(spec, SplitDataset(train=windows, test=windows[:1], split_seed=0),
+        tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
                    lr=1e-2)
         assert tm.loss_history[-1][0] < 1e-4
 
@@ -342,7 +342,7 @@ class TestTrain:
     def test_empty_split(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, epochs=1, timesteps=T)
         with pytest.raises(EmptyInput):
-            train(spec, SplitDataset(train=[], test=[], split_seed=0))
+            train(spec, SplitDataset(train=[], test=[]))
 
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
@@ -359,6 +359,16 @@ class TestTrain:
         assert tr2 == va2 == windows[:3]  # degenerate fallback
 
 
+def window(features):
+    return SupervisedWindow(features=features, target=0.0, district="D1",
+                            target_month=(2014, 1))
+
+
+def predict_one(trained, features):
+    """De-scaled prediction for one (t, F) feature matrix."""
+    return float(predict_batch(trained, [window(features)])[0])
+
+
 class TestPredict:
     def _trained_constant(self, c=12.0):
         rng = make_rng(8)
@@ -370,7 +380,7 @@ class TestPredict:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=400, timesteps=T, seed=9)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
-        tm = train(spec, SplitDataset(train=windows, test=windows[:1], split_seed=0),
+        tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
                    lr=1e-2)
         return tm, windows
 
@@ -378,7 +388,7 @@ class TestPredict:
         c = 12.0
         tm, windows = self._trained_constant(c)
         for w in windows[:3]:
-            assert abs(predict(tm, w) - c) < 0.05 * abs(c) + 0.01
+            assert abs(predict_one(tm, w.features) - c) < 0.05 * abs(c) + 0.01
 
     def test_output_not_clamped(self):
         _, model, _, _ = model_and_data("plain", 1)
@@ -389,7 +399,7 @@ class TestPredict:
 
         tm = TrainedModel(spec=model.spec, model=model, scaler=None,
                           loss_history=[(0.0, 0.0)], best_epoch=0)
-        value = predict(tm, np.zeros((T, F)))
+        value = predict_one(tm, np.zeros((T, F)))
         assert value == -3.0  # negative predictions pass through untouched
 
     def test_descaling_inverts_target_scaler(self):
@@ -403,14 +413,14 @@ class TestPredict:
 
         tm = TrainedModel(spec=model.spec, model=model, scaler=scaler,
                           loss_history=[(0.0, 0.0)], best_epoch=0)
-        assert predict(tm, np.zeros((T, F))) == pytest.approx(10.0 + 0.25 * 40.0)
+        assert predict_one(tm, np.zeros((T, F))) == pytest.approx(10.0 + 0.25 * 40.0)
 
     def test_schema_mismatch(self):
         tm, _ = self._trained_constant()
         with pytest.raises(SpecError):
-            predict(tm, np.zeros((T + 1, F)))
+            predict_one(tm, np.zeros((T + 1, F)))
         with pytest.raises(SpecError):
-            predict(tm, np.zeros((T, F + 2)))
+            predict_one(tm, np.zeros((T, F + 2)))
 
 
 class TestPersistence:
@@ -423,8 +433,23 @@ class TestPersistence:
         loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert loaded.spec == tm.spec
         assert loaded.loss_history == tm.loss_history
-        w = windows[0]
-        assert predict(loaded, w) == predict(tm, w)
+        assert predict_batch(loaded, windows).tolist() == (
+            predict_batch(tm, windows).tolist())
+
+    def test_sidecar_without_predictors_loads_default(self, tmp_path):
+        # the windows' F=5 is 3 predictors + larval index + cases (variant II)
+        spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
+                         predictors=["rain_total", "temp_mean", "rh_mean"])
+        assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
+        tm = train(spec, as_split(linear_dynamics_windows(n=30)))
+        save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
+        assert load_model(tmp_path / "m.bin", tmp_path / "m.json").spec == spec
+        # a sidecar written before ModelSpec recorded its predictors
+        sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        del sidecar["spec"]["predictors"]
+        (tmp_path / "m.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
+        assert loaded.spec.predictors == CLIMATE_FEATURES
 
     def test_deterministic_bytes(self, tmp_path):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.2,
@@ -441,6 +466,7 @@ class TestPersistence:
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
         tm = train(spec, as_split(windows))
+        # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
-        singles = [predict(tm, w) for w in windows[:5]]
+        singles = [predict_one(tm, w.features) for w in windows[:5]]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
