@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataprep, experiments, imputation, lstm
@@ -26,6 +27,10 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
+
+
+class UnreadFlag(ValidationError):
+    """A flag given on the command line that this run would not read."""
 
 
 def _write(path, text):
@@ -44,13 +49,17 @@ def _load_config(path):
         raise ValidationError(f"malformed config {path}: {exc}") from None
 
 
+def _check_keys(found, known, what):
+    unknown = set(found) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _merge_config(args, keys):
     """Fill argparse values that were left at None from --config JSON."""
     if args.config:
         cfg = _load_config(args.config)
-        unknown = set(cfg) - set(keys)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(cfg, keys, "config")
         for key, value in cfg.items():
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
@@ -74,12 +83,23 @@ MODEL_SPEC_DEFAULTS = {
 }
 
 
-def _model_spec(args):
-    values = {}
+def _model_spec(args, base=None):
+    """ModelSpec from the model flags given, then the base values, then defaults."""
+    values = dict(MODEL_SPEC_DEFAULTS)
+    values.update(base or {})
     for key in MODEL_SPEC_KEYS:
         v = getattr(args, key, None)
-        values[key] = MODEL_SPEC_DEFAULTS[key] if v is None else v
+        if v is not None:
+            values[key] = v
     return lstm.ModelSpec(**values)
+
+
+def _int_list(flag, text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _add_model_flags(p):
@@ -244,39 +264,59 @@ def cmd_predict(args):
     return 0
 
 
+SWEEP_CONFIG_KEYS = ("kind", "base", "grid", "seeds")
+
+
 def _sweep_spec(args):
-    base = _model_spec(args)
-    if args.sweep_config:
-        cfg = _load_config(args.sweep_config)
-        kind = cfg.get("kind", args.kind)
-        if "base" in cfg:
-            base_values = dict(MODEL_SPEC_DEFAULTS)
-            base_values.update(cfg["base"])
-            base = lstm.ModelSpec(**base_values)
+    """SweepSpec from the --sweep-config file, if any, and the flags.
+
+    A value comes from the file or from a flag, never both, and --grid is
+    read only by a timestep sweep whose file has no grid.
+    """
+    cfg = _load_config(args.sweep_config) if args.sweep_config else {}
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("base", {}), dict):
+        raise ValidationError("a sweep config and its base are JSON objects")
+    base = cfg.get("base", {})
+    _check_keys(cfg, SWEEP_CONFIG_KEYS, "sweep config")
+    _check_keys(base, [f.name for f in fields(lstm.ModelSpec)], "sweep config base")
+    clash = [k for k in ("kind", "seeds") + MODEL_SPEC_KEYS
+             if getattr(args, k, None) is not None and (k in cfg or k in base)]
+    if clash:
+        flags = " ".join("--" + k.replace("_", "-") for k in clash)
+        raise UnreadFlag(f"{flags} ({args.sweep_config} sets {', '.join(clash)})")
+    kind = cfg.get("kind", args.kind)
+    if kind is None:
+        raise ValidationError("sweep requires --kind or a kind in --sweep-config")
+    if args.grid is not None and (kind != "timestep" or "grid" in cfg):
+        raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
+    spec = _model_spec(args, base)
+    if "grid" in cfg:
+        if not isinstance(cfg["grid"], list) or not all(
+            isinstance(c, dict) and "label" in c for c in cfg["grid"]
+        ):
+            raise ValidationError("a sweep config grid is a list of cells with labels")
         grid = [
             experiments.GridCell(
                 label=c["label"],
                 overrides={k: v for k, v in c.items() if k != "label"},
             )
             for c in cfg["grid"]
-        ] if "grid" in cfg else experiments.default_grid(kind, base)
-        seeds = cfg.get("seeds", [int(s) for s in args.seeds.split(",")])
+        ]
+    elif args.grid is not None:
+        grid = experiments.default_grid(kind, spec,
+                                        timesteps=_int_list("--grid", args.grid))
     else:
-        kind = args.kind
-        if kind is None:
-            raise ValidationError("sweep requires --kind or --sweep-config")
-        if kind == "timestep" and args.grid:
-            ts = tuple(int(x) for x in args.grid.split(","))
-            grid = experiments.default_grid(kind, base, timesteps=ts)
-        else:
-            grid = experiments.default_grid(kind, base)
-        seeds = [int(s) for s in args.seeds.split(",")]
-    return experiments.SweepSpec(kind=kind, base=base, grid=grid, seeds=seeds)
+        grid = experiments.default_grid(kind, spec)
+    if "seeds" in cfg:
+        seeds = cfg["seeds"]
+    else:
+        seeds = _int_list("--seeds", args.seeds or "0,1,2")
+    return experiments.SweepSpec(kind=kind, base=spec, grid=grid, seeds=seeds)
 
 
 def cmd_sweep(args):
+    sweep = _sweep_spec(args)  # before reading data: a bad flag fails at once
     records = dataprep.load_records_csv(args.records)
-    sweep = _sweep_spec(args)
     result = experiments.run_sweep(
         sweep, records, ratio=args.ratio,
         validation_fraction=args.validation_fraction, lr=args.lr,
@@ -389,7 +429,8 @@ def build_parser():
     p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
     p.add_argument("--grid", default=None,
                    help="comma-separated time steps (timestep sweeps)")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", default=None,
+                   help="comma-separated run seeds (default 0,1,2)")
     p.add_argument("--sweep-config", dest="sweep_config", default=None,
                    help="JSON SweepSpec file")
     p.add_argument("--jobs", type=int, default=1)
@@ -408,6 +449,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UnreadFlag as exc:
+        parser.error(f"unrecognized arguments: {exc}")
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

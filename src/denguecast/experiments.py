@@ -21,7 +21,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -396,6 +396,14 @@ class SweepSpec:
             raise ValidationError("sweep grid must be non-empty")
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
+        # each cell's seed is derived from the run seed and its label
+        cell_keys = {f.name for f in fields(ModelSpec)} - {"seed"}
+        for cell in self.grid:
+            unknown = set(cell.overrides) - cell_keys
+            if unknown:
+                raise ValidationError(
+                    f"grid cell {cell.label!r}: unknown keys {sorted(unknown)}"
+                )
 
 
 def default_grid(kind, base, timesteps=(2, 3, 4, 5)):

@@ -1,11 +1,13 @@
 """LSTM cell with backpropagation through time, in four architectures.
 
-Cell equations are the standard formulation:
+Cell equations are the standard formulation. Gate k of GATES = (i, f, g, o)
+uses slice k of the gate-major weights Wx (4, H, F), Wh (4, H, H) and b (4, H),
+so one batched matmul over the gate axis computes all four gates:
 
-    i = sigmoid(W_i x + U_i h_prev + b_i)      input gate
-    f = sigmoid(W_f x + U_f h_prev + b_f)      forget gate
-    g = tanh   (W_g x + U_g h_prev + b_g)      candidate state
-    o = sigmoid(W_o x + U_o h_prev + b_o)      output gate
+    i = sigmoid(Wx[0] x + Wh[0] h_prev + b[0])   input gate
+    f = sigmoid(Wx[1] x + Wh[1] h_prev + b[1])   forget gate
+    g = tanh   (Wx[2] x + Wh[2] h_prev + b[2])   candidate state
+    o = sigmoid(Wx[3] x + Wh[3] h_prev + b[3])   output gate
     c = f * c_prev + i * g
     h = o * tanh(c)
 
@@ -16,7 +18,9 @@ bidirectional combination. The head is a ReLU dense layer followed by a
 linear scalar output. Gradients are hand-derived and exact; dropout sits
 between layers and before the head during training.
 
-All tensors are batched: a batch of windows is (B, t, F).
+All tensors are batched: a batch of windows is (B, t, F). Saved models keep
+the PSNAPv01 per-gate parameter names (layerN.dir.W_i, .U_i, .b_i, ...): see
+snapshot_slots.
 """
 
 from __future__ import annotations
@@ -103,7 +107,10 @@ GATES = ("i", "f", "g", "o")
 
 
 class LstmCellParams:
-    """Gate weights for one cell: W_* (H x F), U_* (H x H), b_* (H,)."""
+    """Gate-major weights of one cell: Wx (4, H, F) multiplies the input, Wh
+    (4, H, H) the previous hidden state, and b (4, H) is the bias. Index k of
+    each belongs to gate GATES[k]; the forget-gate bias starts at 1.
+    """
 
     def __init__(self, prefix, input_dim, hidden, rng):
         self.prefix = prefix
@@ -111,31 +118,21 @@ class LstmCellParams:
         self.hidden = hidden
         lim_w = math.sqrt(1.0 / input_dim)
         lim_u = math.sqrt(1.0 / hidden)
-        self.W = {}
-        self.U = {}
-        self.b = {}
-        for gate in GATES:
-            self.W[gate] = Parameter(
-                f"{prefix}.W_{gate}", rng.uniform(-lim_w, lim_w, (hidden, input_dim))
-            )
-            self.U[gate] = Parameter(
-                f"{prefix}.U_{gate}", rng.uniform(-lim_u, lim_u, (hidden, hidden))
-            )
-            bias = np.full(hidden, 1.0) if gate == "f" else np.zeros(hidden)
-            self.b[gate] = Parameter(f"{prefix}.b_{gate}", bias, is_bias=True)
+        # per gate, W then U: the draw order of the v01 per-gate layout
+        draws = [(rng.uniform(-lim_w, lim_w, (hidden, input_dim)),
+                  rng.uniform(-lim_u, lim_u, (hidden, hidden))) for _ in GATES]
+        b = np.zeros((4, hidden))
+        b[GATES.index("f")] = 1.0
+        self.Wx = Parameter(f"{prefix}.Wx", [w for w, _ in draws])
+        self.Wh = Parameter(f"{prefix}.Wh", [u for _, u in draws])
+        self.b = Parameter(f"{prefix}.b", b, is_bias=True)
 
     def parameters(self):
-        out = []
-        for gate in GATES:
-            out += [self.W[gate], self.U[gate], self.b[gate]]
-        return out
+        return [self.Wx, self.Wh, self.b]
 
 
 def cell_forward(x_t, h_prev, c_prev, cell):
     """One LSTM step over a batch; returns (h, c, cache for the backward pass)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
     if x_t.ndim != 2 or x_t.shape[1] != cell.input_dim:
         raise ShapeError(f"expected input (B, {cell.input_dim}), got {x_t.shape}")
     if h_prev.shape != (x_t.shape[0], cell.hidden) or c_prev.shape != h_prev.shape:
@@ -143,46 +140,42 @@ def cell_forward(x_t, h_prev, c_prev, cell):
             f"state shapes {h_prev.shape}/{c_prev.shape} inconsistent with "
             f"batch {x_t.shape[0]} and hidden {cell.hidden}"
         )
-    a = {
-        g: x_t @ cell.W[g].value.T + h_prev @ cell.U[g].value.T + cell.b[g].value
-        for g in GATES
-    }
-    i = sigmoid(a["i"])
-    f = sigmoid(a["f"])
-    g = np.tanh(a["g"])
-    o = sigmoid(a["o"])
+    a = np.matmul(x_t, cell.Wx.value.transpose(0, 2, 1))  # (4, B, H)
+    a += np.matmul(h_prev, cell.Wh.value.transpose(0, 2, 1))
+    a += cell.b.value[:, None, :]
+    acts = sigmoid(a)  # the g block is replaced by its tanh
+    np.tanh(a[2], out=acts[2])
+    i, f, g, o = acts
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "tc": tc}
+    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": acts, "tc": tc}
     return h, c, cache
 
 
-def cell_backward(dh, dc_carry, cache, cell):
-    """Backward through one step; accumulates gate gradients in place.
-
-    Returns (dx, dh_prev, dc_prev).
-    """
-    i, f, g, o, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
-    do = dh * tc
+def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
+    """Backward through one step; accumulates the weight gradients in place.
+    Returns (dx, dh_prev, dc_prev); dx is None unless need_dx. A first step
+    started from the zero state: it skips Wh, whose gradient term there is
+    zero, and returns None for dh_prev and dc_prev."""
+    acts, tc = cache["acts"], cache["tc"]
+    i, f, g, o = acts
     dct = dc_carry + dh * o * (1.0 - tc * tc)
-    da = {
-        "i": dct * g * i * (1.0 - i),
-        "f": dct * cache["c_prev"] * f * (1.0 - f),
-        "g": dct * i * (1.0 - g * g),
-        "o": do * o * (1.0 - o),
-    }
-    dx = np.zeros_like(cache["x"])
-    dh_prev = np.zeros_like(cache["h_prev"])
-    for gate in GATES:
-        cell.W[gate].grad += da[gate].T @ cache["x"]
-        cell.U[gate].grad += da[gate].T @ cache["h_prev"]
-        cell.b[gate].grad += da[gate].sum(axis=0)
-        dx += da[gate] @ cell.W[gate].value
-        dh_prev += da[gate] @ cell.U[gate].value
-    dc_prev = dct * f
-    return dx, dh_prev, dc_prev
+    da = np.empty_like(acts)
+    da[0] = dct * g * i * (1.0 - i)
+    da[1] = dct * cache["c_prev"] * f * (1.0 - f)
+    da[2] = dct * i * (1.0 - g * g)
+    da[3] = dh * tc * o * (1.0 - o)
+    da_t = da.transpose(0, 2, 1)
+    cell.Wx.grad += np.matmul(da_t, cache["x"])
+    cell.b.grad += da.sum(axis=1)
+    # summing over axis 0 adds the gates in GATES order
+    dx = np.matmul(da, cell.Wx.value).sum(axis=0) if need_dx else None
+    if first_step:
+        return dx, None, None
+    cell.Wh.grad += np.matmul(da_t, cache["h_prev"])
+    dh_prev = np.matmul(da, cell.Wh.value).sum(axis=0)
+    return dx, dh_prev, dct * f
 
 
 def sequence_forward(window, cell, direction="forward"):
@@ -218,22 +211,27 @@ def sequence_forward(window, cell, direction="forward"):
     return (seq[0] if single else seq), caches
 
 
-def sequence_backward(d_seq, caches, cell, direction="forward"):
-    """Backward through a whole sequence; d_seq is indexed like the input rows."""
-    d_seq = np.asarray(d_seq, dtype=np.float64)
-    if d_seq.ndim == 2:
-        d_seq = d_seq[None]
+def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
+    """Backward through a whole sequence; d_seq is indexed like the input rows.
+
+    Returns the gradient w.r.t. the input rows, or None unless need_dx.
+    """
     B, t, H = d_seq.shape
     if len(caches) != t or caches[0]["x"].shape[0] != B:
         raise StaleCache("cache does not match the gradient being propagated")
     dp = d_seq[:, ::-1, :] if direction == "backward" else d_seq
     dh_carry = np.zeros((B, cell.hidden))
     dc_carry = np.zeros((B, cell.hidden))
-    dXp = np.empty((B, t, cell.input_dim))
+    dXp = np.empty((B, t, cell.input_dim)) if need_dx else None
     for s in reversed(range(t)):
-        dx, dh_carry, dc_carry = cell_backward(dp[:, s, :] + dh_carry, dc_carry,
-                                               caches[s], cell)
-        dXp[:, s, :] = dx
+        dx, dh_carry, dc_carry = cell_backward(
+            dp[:, s, :] + dh_carry, dc_carry, caches[s], cell,
+            need_dx=need_dx, first_step=s == 0,
+        )
+        if need_dx:
+            dXp[:, s, :] = dx
+    if not need_dx:
+        return None
     return dXp[:, ::-1, :] if direction == "backward" else dXp
 
 
@@ -253,29 +251,24 @@ class Model:
         dim = input_dim
         for li in range(spec.num_layers):
             fwd = LstmCellParams(f"layer{li}.fwd", dim, H, rng)
-            bwd = (
-                LstmCellParams(f"layer{li}.bwd", dim, H, rng)
-                if spec.bidirectional
-                else None
-            )
+            bwd = (LstmCellParams(f"layer{li}.bwd", dim, H, rng)
+                   if spec.bidirectional else None)
             self.layers.append((fwd, bwd))
             dim = 2 * H if spec.bidirectional else H
-        feat_dim = dim
-        lim1 = math.sqrt(1.0 / feat_dim)
+        lim1 = math.sqrt(1.0 / dim)  # dim is now the head's feature width
         lim2 = math.sqrt(1.0 / H)
-        self.head_W1 = Parameter("head.W1", rng.uniform(-lim1, lim1, (H, feat_dim)))
+        self.head_W1 = Parameter("head.W1", rng.uniform(-lim1, lim1, (H, dim)))
         self.head_b1 = Parameter("head.b1", np.zeros(H), is_bias=True)
         self.head_w2 = Parameter("head.w2", rng.uniform(-lim2, lim2, (1, H)))
         self.head_b2 = Parameter("head.b2", np.zeros(1), is_bias=True)
+        self.head = [self.head_W1, self.head_b1, self.head_w2, self.head_b2]
+
+    def cells(self):
+        """LSTM cells in layer order, each forward cell before its backward one."""
+        return [cell for layer in self.layers for cell in layer if cell is not None]
 
     def parameters(self):
-        out = []
-        for fwd, bwd in self.layers:
-            out += fwd.parameters()
-            if bwd is not None:
-                out += bwd.parameters()
-        out += [self.head_W1, self.head_b1, self.head_w2, self.head_b2]
-        return out
+        return [p for cell in self.cells() for p in cell.parameters()] + self.head
 
 
 def count_parameters(model):
@@ -286,10 +279,8 @@ def model_forward(model, window, training=False, rng=None):
     """Scalar prediction per window; returns (predictions (B,), cache)."""
     spec = model.spec
     X = np.asarray(window, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[None]
     if X.ndim != 3:
-        raise ShapeError(f"expected (B, t, F) or (t, F), got {X.shape}")
+        raise ShapeError(f"expected (B, t, F), got {X.shape}")
     if X.shape[2] != model.input_dim:
         raise ShapeError(f"window has {X.shape[2]} features, model expects {model.input_dim}")
     if training and spec.dropout > 0.0 and rng is None:
@@ -341,10 +332,7 @@ def model_backward(model, cache, d_pred):
         raise StaleCache(
             f"cache batch {cache['batch']} does not match gradient length {d_pred.shape[0]}"
         )
-    spec = model.spec
-    H = spec.hidden
-    B = cache["batch"]
-    t = cache["timesteps"]
+    H = model.spec.hidden
 
     dp = d_pred[:, None]
     model.head_w2.grad += dp.T @ cache["z1"]
@@ -361,23 +349,20 @@ def model_backward(model, cache, d_pred):
         fwd, bwd = model.layers[li]
         lc = cache["layers"][li]
         if li == last:
-            d_fwd_seq = np.zeros((B, t, H))
-            d_fwd_seq[:, -1, :] = d_feature[:, :H]
-            if bwd is not None:
-                d_bwd_seq = np.zeros((B, t, H))
-                d_bwd_seq[:, 0, :] = d_feature[:, H:]
+            # the feature is forward's last row and backward's first row
+            d_out = np.zeros((cache["batch"], cache["timesteps"], d_feature.shape[1]))
+            d_out[:, -1, :H] = d_feature[:, :H]
+            d_out[:, 0, H:] = d_feature[:, H:]
         else:
             d_out = d_above * lc["mask"]
-            d_fwd_seq = d_out[:, :, :H]
-            if bwd is not None:
-                d_bwd_seq = d_out[:, :, H:]
-        d_below = sequence_backward(d_fwd_seq, lc["fwd_caches"], fwd, "forward")
+        need_dx = li > 0  # nothing reads the gradient w.r.t. the input windows
+        d_above = sequence_backward(d_out[:, :, :H], lc["fwd_caches"], fwd,
+                                    "forward", need_dx=need_dx)
         if bwd is not None:
-            d_below = d_below + sequence_backward(
-                d_bwd_seq, lc["bwd_caches"], bwd, "backward"
-            )
-        d_above = d_below
-    return d_above  # gradient w.r.t. the input windows
+            d_bwd = sequence_backward(d_out[:, :, H:], lc["bwd_caches"], bwd,
+                                      "backward", need_dx=need_dx)
+            if need_dx:
+                d_above = d_above + d_bwd
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +484,21 @@ def predict_batch(trained, windows):
 # persistence: binary parameter snapshot + JSON sidecar
 
 
+def snapshot_slots(model):
+    """(name, view of the value, is_bias) in the v01 snapshot order: per cell
+    and gate k, prefix.W_<gate> (Wx[k]), .U_<gate> (Wh[k]) and .b_<gate> (b[k]);
+    then the head parameters whole."""
+    for cell in model.cells():
+        for k, gate in enumerate(GATES):
+            for name, p in (("W", cell.Wx), ("U", cell.Wh), ("b", cell.b)):
+                yield f"{cell.prefix}.{name}_{gate}", p.value[k], p.is_bias
+    for p in model.head:
+        yield p.name, p.value, p.is_bias
+
+
 def save_model(trained, bin_path, sidecar_path):
-    save_params(trained.model.parameters(), bin_path)
+    slots = snapshot_slots(trained.model)
+    save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
     sidecar = {
         "spec": asdict(trained.spec),
         "input_dim": trained.model.input_dim,
@@ -518,13 +516,13 @@ def load_model(bin_path, sidecar_path):
         sidecar = json.load(f)
     spec = ModelSpec(**sidecar["spec"])
     model = Model(spec, int(sidecar["input_dim"]))
-    stored = {p.name: p for p in load_params(bin_path)}
-    for p in model.parameters():
-        if p.name not in stored:
-            raise ValidationError(f"snapshot is missing parameter {p.name}")
-        if stored[p.name].value.shape != p.value.shape:
-            raise ValidationError(f"snapshot shape mismatch for {p.name}")
-        p.value = stored[p.name].value
+    stored = {p.name: p.value for p in load_params(bin_path)}
+    for name, value, _ in snapshot_slots(model):
+        if name not in stored:
+            raise ValidationError(f"snapshot is missing parameter {name}")
+        if stored[name].shape != value.shape:
+            raise ValidationError(f"snapshot shape mismatch for {name}")
+        value[...] = stored[name]
     scaler = None
     if sidecar["scaler"] is not None:
         scaler = Scaler.from_dict(sidecar["scaler"])

@@ -44,13 +44,15 @@ def relu(x):
 
 
 def sigmoid(x):
-    """Logistic function, computed in the overflow-safe branch per sign."""
+    """Overflow-safe, branch-free logistic: with e = exp(-|x|) <= 1 it is
+    where(x < 0, e, 1) / (1 + e), the numerator computed as exp(min(x, 0)).
+    In place where possible: gate-sized temporaries set the peak memory."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    den = np.exp(-np.abs(x))
+    den += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= den
     return out
 
 

@@ -163,8 +163,26 @@ def test_impute_k1_exits_2(chain, tmp_path, capsys):
     # prefixes of --seeds and --max-iters
     ["sweep", "--out", "o", "--records", "r", "--seed", "1"],
     ["impute", "--out", "o", "--records", "r", "--max", "5"],
+    # read only by a timestep sweep
+    ["sweep", "--out", "o", "--records", "r", "--kind", "architecture",
+     "--grid", "2,3"],
+    # values that sweep.json (written by the test) already sets
+    ["sweep", "--out", "o", "--records", "r", "--sweep-config", "sweep.json",
+     "--kind", "variant"],
+    ["sweep", "--out", "o", "--records", "r", "--sweep-config", "sweep.json",
+     "--seeds", "1"],
+    ["sweep", "--out", "o", "--records", "r", "--sweep-config", "sweep.json",
+     "--grid", "2,3"],
+    ["sweep", "--out", "o", "--records", "r", "--sweep-config", "sweep.json",
+     "--epochs", "5"],
 ])
-def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+def test_flag_the_command_does_not_read_is_rejected(argv, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps({
+        "kind": "timestep", "seeds": [0], "base": {"epochs": 2},
+        "grid": [{"label": "t = 2", "timesteps": 2}],
+    }), encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -177,3 +195,35 @@ def test_train_unreadable_config_exits_2(tmp_path, capsys):
                      "--config", str(tmp_path / "missing.json")])
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"kind": "architecture", "base": {"hiden": 4}}, "hiden"),
+    ({"kind": "predictor",
+      "grid": [{"label": "Rainfall", "predictor": ["rain_total"]}]}, "predictor"),
+])
+def test_sweep_config_misspelt_key_exits_2(config, key, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["sweep", "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"),
+                     "--sweep-config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and f"['{key}']" in err
+
+
+def test_sweep_reads_grid_and_flags_the_config_leaves_open(chain, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": {"hidden": 2}, "seeds": [0]}),
+                    encoding="utf-8")
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--out", str(out),
+                     "--records", str(chain / "imp" / "imputed.csv"),
+                     "--sweep-config", str(path), "--kind", "timestep",
+                     "--grid", "2,4", "--epochs", "1"]) == 0
+    labels = [r["label"] for r in _csv_rows(out / "reports" / "mse_summary.csv")]
+    assert labels == ["t = 2", "t = 4"]
+    sidecar = json.loads((out / "models" / "t-4_seed0.json").read_text(encoding="utf-8"))
+    assert (sidecar["spec"]["hidden"], sidecar["spec"]["epochs"],
+            sidecar["spec"]["timesteps"]) == (2, 1, 4)

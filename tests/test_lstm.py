@@ -12,8 +12,10 @@ from denguecast.errors import (
     SpecError,
     StaleCache,
 )
+from denguecast import lstm
 from denguecast.lstm import (
     ARCHITECTURES,
+    GATES,
     LstmCellParams,
     Model,
     ModelSpec,
@@ -32,8 +34,10 @@ from denguecast.lstm import (
 from denguecast.nn_core import (
     grad_check,
     l2_penalty,
+    load_params,
     make_rng,
     mse,
+    sigmoid,
     zero_grads,
 )
 
@@ -56,12 +60,12 @@ def naive_cell(x, h_prev, c_prev, cell):
     c = np.zeros(hdim)
     for j in range(hdim):
         acts = {}
-        for gate in ("i", "f", "g", "o"):
-            a = cell.b[gate].value[j]
+        for gi, gate in enumerate(("i", "f", "g", "o")):
+            a = cell.b.value[gi, j]
             for k in range(len(x)):
-                a += cell.W[gate].value[j, k] * x[k]
+                a += cell.Wx.value[gi, j, k] * x[k]
             for k in range(hdim):
-                a += cell.U[gate].value[j, k] * h_prev[k]
+                a += cell.Wh.value[gi, j, k] * h_prev[k]
             acts[gate] = a
         i = 1.0 / (1.0 + math.exp(-acts["i"]))
         f = 1.0 / (1.0 + math.exp(-acts["f"]))
@@ -95,8 +99,8 @@ class TestModelSpec:
 
     def test_forget_bias_init(self):
         cell = make_cell()
-        assert np.all(cell.b["f"].value == 1.0)
-        assert np.all(cell.b["i"].value == 0.0)
+        assert np.all(cell.b.value[GATES.index("f")] == 1.0)
+        assert np.all(cell.b.value[GATES.index("i")] == 0.0)
 
 
 class TestCellForward:
@@ -110,8 +114,8 @@ class TestCellForward:
     def test_saturating_gates_carry_state(self):
         cell = make_cell()
         set_all(cell, 0.0)
-        cell.b["f"].value[...] = 30.0   # forget gate ~1
-        cell.b["i"].value[...] = -30.0  # input gate ~0
+        cell.b.value[GATES.index("f")] = 30.0   # forget gate ~1
+        cell.b.value[GATES.index("i")] = -30.0  # input gate ~0
         c_prev = make_rng(2).normal(size=(1, H)) * 0.5
         _, c, _ = cell_forward(np.zeros((1, F)), np.zeros((1, H)), c_prev, cell)
         np.testing.assert_allclose(c, c_prev, atol=1e-6)
@@ -184,10 +188,8 @@ class TestModelForward:
     def test_bidir_palindrome_symmetry(self):
         spec, model, _, _ = model_and_data("bidir", 1)
         fwd, bwd = model.layers[0]
-        for gate in ("i", "f", "g", "o"):
-            bwd.W[gate].value = fwd.W[gate].value.copy()
-            bwd.U[gate].value = fwd.U[gate].value.copy()
-            bwd.b[gate].value = fwd.b[gate].value.copy()
+        for p_bwd, p_fwd in zip(bwd.parameters(), fwd.parameters()):
+            p_bwd.value = p_fwd.value.copy()
         row = make_rng(12).normal(size=F)
         X = np.stack([row, make_rng(13).normal(size=F), row])  # palindromic in time
         X = np.stack([X])
@@ -246,6 +248,99 @@ class TestModelBackward:
         _, cache = model_forward(model, X)
         with pytest.raises(StaleCache):
             model_backward(model, cache, np.zeros(len(y) + 1))
+
+
+# The per-gate cell of the v01 layout, copied as an oracle for the gate-major
+# cell: one matmul pair per gate, gate gradients summed in GATES order, and
+# every gradient computed whatever the flags. It reads and accumulates through
+# per-gate views of the gate-major parameters, so both cells run on one model.
+
+
+def _per_gate(arrays):
+    """{"W": {gate: view}, "U": ..., "b": ...} of (Wx, Wh, b) arrays."""
+    return {name: dict(zip(GATES, a)) for name, a in zip(("W", "U", "b"), arrays)}
+
+
+def _ref_cell_forward(x_t, h_prev, c_prev, cell):
+    p = _per_gate(q.value for q in cell.parameters())
+    a = {
+        g: x_t @ p["W"][g].T + h_prev @ p["U"][g].T + p["b"][g]
+        for g in GATES
+    }
+    i = sigmoid(a["i"])
+    f = sigmoid(a["f"])
+    g = np.tanh(a["g"])
+    o = sigmoid(a["o"])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
+             "i": i, "f": f, "g": g, "o": o, "tc": tc}
+    return h, c, cache
+
+
+def _ref_cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
+    p = _per_gate(q.value for q in cell.parameters())
+    grad = _per_gate(q.grad for q in cell.parameters())
+    i, f, g, o, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
+    do = dh * tc
+    dct = dc_carry + dh * o * (1.0 - tc * tc)
+    da = {
+        "i": dct * g * i * (1.0 - i),
+        "f": dct * cache["c_prev"] * f * (1.0 - f),
+        "g": dct * i * (1.0 - g * g),
+        "o": do * o * (1.0 - o),
+    }
+    dx = np.zeros_like(cache["x"])
+    dh_prev = np.zeros_like(cache["h_prev"])
+    for gate in GATES:
+        grad["W"][gate] += da[gate].T @ cache["x"]
+        grad["U"][gate] += da[gate].T @ cache["h_prev"]
+        grad["b"][gate] += da[gate].sum(axis=0)
+        dx += da[gate] @ p["W"][gate]
+        dh_prev += da[gate] @ p["U"][gate]
+    dc_prev = dct * f
+    return dx, dh_prev, dc_prev
+
+
+def use_reference_cell(monkeypatch):
+    monkeypatch.setattr(lstm, "cell_forward", _ref_cell_forward)
+    monkeypatch.setattr(lstm, "cell_backward", _ref_cell_backward)
+
+
+class TestMatchesPerGateReference:
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
+    def test_batch_gradients_identical(self, arch, layers, monkeypatch):
+        spec = ModelSpec(arch=arch, num_layers=layers, hidden=16, dropout=0.2,
+                         epochs=1, l2_lambda=0.01, timesteps=T, seed=21)
+        model = Model(spec, F)
+        params = model.parameters()
+        rng = make_rng(22)
+        X = rng.normal(size=(50, T, F))
+        y = rng.normal(size=50)
+
+        def batch_gradients():
+            zero_grads(params)
+            pred, cache = model_forward(model, X, training=True, rng=make_rng(23))
+            model_backward(model, cache, (2.0 / len(y)) * (pred - y))
+            l2_penalty(params, spec.l2_lambda)
+            return [pred] + [p.grad.copy() for p in params]
+
+        got = batch_gradients()
+        use_reference_cell(monkeypatch)
+        want = batch_gradients()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.all(a == b)
+
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
+    def test_loss_history_identical(self, arch, layers, monkeypatch):
+        spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
+                         epochs=3, timesteps=T, seed=24)
+        split = as_split(linear_dynamics_windows(n=40))
+        got = train(spec, split).loss_history
+        use_reference_cell(monkeypatch)
+        assert got == train(spec, split).loss_history
 
 
 class TestParameterCount:
@@ -450,6 +545,24 @@ class TestPersistence:
         (tmp_path / "m.json").write_text(json.dumps(sidecar), encoding="utf-8")
         loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert loaded.spec.predictors == CLIMATE_FEATURES
+
+    def test_snapshot_keeps_v01_gate_names(self, tmp_path):
+        spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
+                         epochs=1, timesteps=T, seed=14)
+        tm = train(spec, as_split(linear_dynamics_windows(n=30)))
+        save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
+        stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
+        assert list(stored) == [
+            f"layer0.{d}.{w}_{g}" for d in ("fwd", "bwd") for g in GATES
+            for w in ("W", "U", "b")
+        ] + ["head.W1", "head.b1", "head.w2", "head.b2"]
+        bwd = tm.model.layers[0][1]
+        k = GATES.index("g")
+        assert np.all(stored["layer0.bwd.W_g"].value == bwd.Wx.value[k])
+        assert np.all(stored["layer0.bwd.U_g"].value == bwd.Wh.value[k])
+        assert np.all(stored["layer0.bwd.b_g"].value == bwd.b.value[k])
+        assert stored["layer0.bwd.b_g"].is_bias
+        assert not stored["layer0.bwd.U_g"].is_bias
 
     def test_deterministic_bytes(self, tmp_path):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.2,

@@ -25,6 +25,17 @@ from denguecast.nn_core import (
 )
 
 
+def _ref_sigmoid(x):
+    """The masked two-branch sigmoid that the branch-free one replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestActivations:
     def test_relu_values(self):
         out = relu(np.array([-1.0, 2.0]))
@@ -38,6 +49,14 @@ class TestActivations:
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-300)
         assert out[1] == pytest.approx(1.0)
+
+    def test_sigmoid_bits_match_masked_branches(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -709.0,
+                            745.0, -745.0, -746.0])
+        grid = make_rng(5).normal(size=(37, 41)) * np.logspace(-3, 2.5, 41)
+        for x in (special, grid):
+            bits = sigmoid(x).view(np.int64)
+            assert np.all(bits == _ref_sigmoid(x).view(np.int64))
 
 
 class TestDropout:
