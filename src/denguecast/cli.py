@@ -3,6 +3,14 @@
 Commands: synth -> prepare -> impute -> train -> predict, and sweep -> report.
 Each command accepts only the flags it reads, spelled out in full.
 
+Config files: `train --config` reads one flat JSON object of lstm.ModelSpec
+and lstm.TrainCfg fields, e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}.
+`sweep --sweep-config` reads an object with optional keys kind, seeds (list of
+ints), base (an object as for train) and grid (objects of a label and the
+ModelSpec fields the cell changes, bar seed). Keys and value types are checked
+(specs.from_json). A value comes from the file or from a flag, never both: a
+flag for a key the file sets exits 2. Fields set by neither keep the defaults.
+
 Exit codes: 0 success, 2 input/validation problems (argparse also exits 2 on
 an unknown flag), 3 failed preconditions (e.g. imputation impossible), 4
 numerical divergence. Commands are idempotent: identical inputs and seed
@@ -15,10 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import dataprep, experiments, imputation, lstm
+from . import dataprep, experiments, imputation, lstm, specs
 from .dataprep import csv_text
 from .errors import (
     DivergenceError,
@@ -40,66 +48,41 @@ def _write(path, text):
 
 
 def _load_config(path):
+    """The JSON object in a config file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as exc:
+            cfg = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must hold a JSON object, got {cfg!r}")
+    return cfg
 
 
-def _check_keys(found, known, what):
-    unknown = set(found) - set(known)
-    if unknown:
-        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+def _file_or_flags(args, given, keys, where):
+    """The values of a config object plus the flags among keys that are set;
+    a key set by both is an UnreadFlag."""
+    flags = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    clash = [k for k in flags if k in given]
+    if clash:
+        names = " ".join("--" + k.replace("_", "-") for k in clash)
+        raise UnreadFlag(f"{names} ({where} sets {', '.join(clash)})")
+    return given | flags
 
 
-def _merge_config(args, keys):
-    """Fill argparse values that were left at None from --config JSON."""
-    if args.config:
-        cfg = _load_config(args.config)
-        _check_keys(cfg, keys, "config")
-        for key, value in cfg.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+def _run_spec(args, given, where):
+    """(ModelSpec, TrainCfg) from a flat object of their fields and the flags."""
+    train_keys = [f.name for f in fields(lstm.TrainCfg)]
+    keys = [f.name for f in fields(lstm.ModelSpec)] + train_keys
+    values = _file_or_flags(args, given, keys, where)
+    model = {k: v for k, v in values.items() if k not in train_keys}
+    train = {k: v for k, v in values.items() if k in train_keys}
+    return (specs.from_json(lstm.ModelSpec, model, where),
+            specs.from_json(lstm.TrainCfg, train, where))
 
 
-MODEL_SPEC_KEYS = (
-    "arch", "num_layers", "hidden", "dropout", "epochs", "l2_lambda",
-    "timesteps", "variant", "seed",
-)
-
-MODEL_SPEC_DEFAULTS = {
-    "arch": "stacked",
-    "num_layers": 4,
-    "hidden": 32,
-    "dropout": 0.2,
-    "epochs": 3000,
-    "l2_lambda": 0.0,
-    "timesteps": 3,
-    "variant": "II",
-    "seed": 0,
-}
-
-
-def _model_spec(args, base=None):
-    """ModelSpec from the model flags given, then the base values, then defaults."""
-    values = dict(MODEL_SPEC_DEFAULTS)
-    values.update(base or {})
-    for key in MODEL_SPEC_KEYS:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    return lstm.ModelSpec(**values)
-
-
-def _int_list(flag, text):
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValidationError(
-            f"{flag} takes comma-separated integers, got {text!r}") from None
+def comma_ints(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_model_flags(p):
@@ -111,10 +94,9 @@ def _add_model_flags(p):
     p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
     p.add_argument("--timesteps", type=int)
     p.add_argument("--variant", choices=("I", "II"))
-    p.add_argument("--ratio", type=float, default=0.85)
-    p.add_argument("--validation-fraction", dest="validation_fraction",
-                   type=float, default=0.15)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--ratio", type=float)
+    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
+    p.add_argument("--lr", type=float)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +197,11 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
-    _merge_config(args, MODEL_SPEC_KEYS)
+    spec, cfg = _run_spec(args, _load_config(args.config) if args.config else {},
+                          args.config)
     records = dataprep.load_records_csv(args.records)
-    spec = _model_spec(args)
-    report = experiments.run_config(
-        records, spec, label="train", report_seed=spec.seed,
-        ratio=args.ratio, validation_fraction=args.validation_fraction,
-        lr=args.lr,
-    )
+    report = experiments.run_config(records, spec, cfg, label="train",
+                                    report_seed=spec.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lstm.save_model(report.trained, out / "model.bin", out / "model.json")
@@ -264,64 +243,39 @@ def cmd_predict(args):
     return 0
 
 
-SWEEP_CONFIG_KEYS = ("kind", "base", "grid", "seeds")
+@dataclass(frozen=True)
+class SweepFile:
+    """A --sweep-config object; a key it leaves out is None."""
+    kind: str = None
+    seeds: tuple[int, ...] = None
+    base: dict = None
+    grid: tuple[dict, ...] = None
 
 
 def _sweep_spec(args):
-    """SweepSpec from the --sweep-config file, if any, and the flags.
-
-    A value comes from the file or from a flag, never both, and --grid is
-    read only by a timestep sweep whose file has no grid.
-    """
-    cfg = _load_config(args.sweep_config) if args.sweep_config else {}
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("base", {}), dict):
-        raise ValidationError("a sweep config and its base are JSON objects")
-    base = cfg.get("base", {})
-    _check_keys(cfg, SWEEP_CONFIG_KEYS, "sweep config")
-    _check_keys(base, [f.name for f in fields(lstm.ModelSpec)], "sweep config base")
-    clash = [k for k in ("kind", "seeds") + MODEL_SPEC_KEYS
-             if getattr(args, k, None) is not None and (k in cfg or k in base)]
-    if clash:
-        flags = " ".join("--" + k.replace("_", "-") for k in clash)
-        raise UnreadFlag(f"{flags} ({args.sweep_config} sets {', '.join(clash)})")
-    kind = cfg.get("kind", args.kind)
+    """SweepSpec from the --sweep-config file, if any, and the flags; --grid
+    is read only by a timestep sweep whose file has no grid."""
+    path = args.sweep_config
+    file = specs.from_json(SweepFile, _load_config(path) if path else {}, path)
+    given = {k: v for k, v in vars(file).items() if v is not None}
+    top = _file_or_flags(args, given, ("kind", "seeds"), path)
+    kind = top.get("kind")
     if kind is None:
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
-    if args.grid is not None and (kind != "timestep" or "grid" in cfg):
+    if args.grid is not None and (kind != "timestep" or "grid" in top):
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
-    spec = _model_spec(args, base)
-    if "grid" in cfg:
-        if not isinstance(cfg["grid"], list) or not all(
-            isinstance(c, dict) and "label" in c for c in cfg["grid"]
-        ):
-            raise ValidationError("a sweep config grid is a list of cells with labels")
-        grid = [
-            experiments.GridCell(
-                label=c["label"],
-                overrides={k: v for k, v in c.items() if k != "label"},
-            )
-            for c in cfg["grid"]
-        ]
-    elif args.grid is not None:
-        grid = experiments.default_grid(kind, spec,
-                                        timesteps=_int_list("--grid", args.grid))
-    else:
-        grid = experiments.default_grid(kind, spec)
-    if "seeds" in cfg:
-        seeds = cfg["seeds"]
-    else:
-        seeds = _int_list("--seeds", args.seeds or "0,1,2")
-    return experiments.SweepSpec(kind=kind, base=spec, grid=grid, seeds=seeds)
+    spec, train_cfg = _run_spec(args, top.get("base", {}), f"{path} base")
+    grid = top["grid"] if "grid" in top else experiments.default_grid(kind, spec, args.grid)
+    return experiments.SweepSpec(kind, spec, grid, top.get("seeds", (0, 1, 2)),
+                                 train_cfg)
 
 
 def cmd_sweep(args):
-    sweep = _sweep_spec(args)  # before reading data: a bad flag fails at once
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    sweep = _sweep_spec(args)  # before reading data: a bad flag or cell fails at once
     records = dataprep.load_records_csv(args.records)
-    result = experiments.run_sweep(
-        sweep, records, ratio=args.ratio,
-        validation_fraction=args.validation_fraction, lr=args.lr,
-        jobs=args.jobs,
-    )
+    result = experiments.run_sweep(sweep, records, jobs=args.jobs)
     out = Path(args.out)
     files = experiments.render_report(result.reports, sweep_result=result)
     for rel, text in sorted(files.items()):
@@ -412,7 +366,7 @@ def build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None,
-                   help="JSON file supplying model flag values")
+                   help="JSON object of ModelSpec and TrainCfg fields")
     p.add_argument("--records", required=True)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
@@ -427,9 +381,9 @@ def build_parser():
     common(p)
     p.add_argument("--records", required=True)
     p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=comma_ints,
                    help="comma-separated time steps (timestep sweeps)")
-    p.add_argument("--seeds", default=None,
+    p.add_argument("--seeds", type=comma_ints,
                    help="comma-separated run seeds (default 0,1,2)")
     p.add_argument("--sweep-config", dest="sweep_config", default=None,
                    help="JSON SweepSpec file")

@@ -2,11 +2,11 @@
 
 The synthetic generator stands in for the (unpublished) field dataset. It
 plants known structure so sweeps have ground truth: seasonal climate per
-district, a larval index driven by season and current-month rain anomalies,
-and case counts driven by 1-month-lagged temperature season, 2-month-lagged
-rain anomalies and the beta-weighted 1-month-lagged larval index. The true
-larval index for every district-month goes to an answer table so imputation
-quality is measurable.
+district, a larval index driven by its own season and by the rain anomaly and
+temperature season of 3 months back, and case counts driven by 1-month-lagged
+temperature season, 2-month-lagged rain anomalies and the beta-weighted
+1-month-lagged larval index. The true larval index for every district-month
+goes to an answer table so imputation quality is measurable.
 
 Sweeps train one configuration per grid cell per seed, aggregate mean
 validation/test MSE and mark the argmin row. Reported MSE comes in both
@@ -21,7 +21,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -44,12 +44,14 @@ from .dataprep import (
 from .errors import DivergenceError, EmptyInput, ValidationError
 from .lstm import (
     ModelSpec,
+    TrainCfg,
     carve_validation,
     model_forward,
     train,
     windows_to_arrays,
 )
 from .nn_core import derive_seed, make_rng, mse
+from .specs import from_json
 
 SWEEP_KINDS = ("variant", "timestep", "predictor", "architecture")
 
@@ -65,6 +67,8 @@ LARVAL_NOISE_SD = 0.22      # idiosyncratic larval noise (invisible to climate)
 # orthogonal (in expectation over a year) to the lag-1 temperature season
 # that drives cases
 LARVAL_PHASE_OFFSET = math.pi / 3
+SYNTH_START = (2014, 1)     # (year, month) of the first generated month
+SURVEY_HOUSES = 100         # houses inspected per larval survey
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +83,6 @@ class SynthSpec:
     noise: float = 1.0
     missing_rate: float = 0.3
     seed: int = 0
-    start_year: int = 2014
-    start_month: int = 1
-    houses: int = 100
-    amplitudes: tuple | None = None  # per-district temperature amplitude
-    phases: tuple | None = None      # per-district seasonal phase
 
     def __post_init__(self):
         if self.districts < 1:
@@ -98,10 +97,6 @@ class SynthSpec:
             raise ValidationError(
                 f"missing_rate must lie in [0, 1), got {self.missing_rate}"
             )
-        for name in ("amplitudes", "phases"):
-            v = getattr(self, name)
-            if v is not None and len(v) != self.districts:
-                raise ValidationError(f"{name} must have one entry per district")
 
 
 @dataclass
@@ -142,21 +137,13 @@ def synth_generate(spec):
 
     districts = [f"D{i + 1:02d}" for i in range(spec.districts)]
     base_t = 26.0 + rng_params.uniform(-3.0, 3.0, spec.districts)
-    amp_t = (
-        np.asarray(spec.amplitudes, dtype=np.float64)
-        if spec.amplitudes is not None
-        else 3.0 + rng_params.uniform(0.0, 2.0, spec.districts)
-    )
-    phase = (
-        np.asarray(spec.phases, dtype=np.float64)
-        if spec.phases is not None
-        else rng_params.uniform(0.0, 2.0 * math.pi, spec.districts)
-    )
+    amp_t = 3.0 + rng_params.uniform(0.0, 2.0, spec.districts)
+    phase = rng_params.uniform(0.0, 2.0 * math.pi, spec.districts)
     base_rh = 60.0 + rng_params.uniform(-8.0, 8.0, spec.districts)
     amp_rh = 8.0 + rng_params.uniform(0.0, 4.0, spec.districts)
     base_rain = 90.0 + rng_params.uniform(0.0, 20.0, spec.districts)
 
-    months = _month_range(spec.start_year, spec.start_month, spec.months)
+    months = _month_range(*SYNTH_START, spec.months)
 
     # every ISO week belongs to the month containing its Thursday
     first = date(months[0][0], months[0][1], 1)
@@ -221,7 +208,7 @@ def synth_generate(spec):
             n_cases = int(rng_month.poisson(rate))
             cases.append(((district, (y, m)), n_cases))
 
-            n_low, n_mid, n_high = _survey_counts(larval_latent[mi], spec.houses)
+            n_low, n_mid, n_high = _survey_counts(larval_latent[mi], SURVEY_HOUSES)
             achieved = weighted_larval_index(n_low, n_mid, n_high)
             truth[(district, (y, m))] = achieved
             if rng_mask.random() >= spec.missing_rate:
@@ -282,7 +269,7 @@ class PreparedData:
     scaler: dataprep.Scaler
 
 
-def make_supervised(records, t, variant, ratio=0.85, predictors=CLIMATE_FEATURES):
+def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
     """Scale, window and split records without temporal leakage.
 
     The chronological split boundary is found first (on unscaled windows,
@@ -348,19 +335,17 @@ def evaluate(trained, windows):
     return scaled, raw, rows
 
 
-def run_config(records, spec, label, report_seed, ratio=0.85,
-               validation_fraction=0.15, lr=1e-3):
-    """Prepare data for one configuration, train it, and report MSEs."""
+def run_config(records, spec, cfg, label, report_seed):
+    """Prepare data for one configuration, train it as cfg says, and report MSEs."""
     started = time.perf_counter()
-    prepared = make_supervised(
-        records, spec.timesteps, spec.variant, ratio=ratio,
-        predictors=spec.predictors,
-    )
+    prepared = make_supervised(records, spec.timesteps, spec.variant, cfg.ratio,
+                               spec.predictors)
     trained = train(
-        spec, prepared.split, validation_fraction=validation_fraction,
-        scaler=prepared.scaler, lr=lr,
+        spec, prepared.split, validation_fraction=cfg.validation_fraction,
+        scaler=prepared.scaler, lr=cfg.lr,
     )
-    _, val_w = carve_validation(prepared.split.train, validation_fraction)
+    trained.train_cfg = cfg
+    _, val_w = carve_validation(prepared.split.train, cfg.validation_fraction)
     val_scaled, val_raw, _ = evaluate(trained, val_w)
     test_scaled, test_raw, rows = evaluate(trained, prepared.split.test)
     return RunReport(
@@ -376,18 +361,16 @@ def run_config(records, spec, label, report_seed, ratio=0.85,
     )
 
 
-@dataclass(frozen=True)
-class GridCell:
-    label: str
-    overrides: dict
-
-
 @dataclass
 class SweepSpec:
+    """A grid cell is a label and the ModelSpec fields the cell changes from
+    base; each cell's spec is built and checked here, before any training."""
     kind: str
     base: ModelSpec
-    grid: list[GridCell]
-    seeds: list[int]
+    grid: list[dict]
+    seeds: tuple[int, ...]
+    train_cfg: TrainCfg = TrainCfg()
+    cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -396,41 +379,49 @@ class SweepSpec:
             raise ValidationError("sweep grid must be non-empty")
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
-        # each cell's seed is derived from the run seed and its label
-        cell_keys = {f.name for f in fields(ModelSpec)} - {"seed"}
-        for cell in self.grid:
-            unknown = set(cell.overrides) - cell_keys
-            if unknown:
-                raise ValidationError(
-                    f"grid cell {cell.label!r}: unknown keys {sorted(unknown)}"
-                )
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValidationError(f"sweep seeds repeat: {list(self.seeds)}")
+        self.cells = []
+        by_slug = {}  # output files are named by the slug of the label
+        for overrides in map(dict, self.grid):
+            label = overrides.pop("label", None)
+            if not isinstance(label, str):
+                raise ValidationError(f"grid cell label must be a str, got {label!r}")
+            slug = slugify(label)
+            if slug in by_slug:
+                raise ValidationError(f"grid cells {by_slug[slug]!r} and {label!r} share files")
+            by_slug[slug] = label
+            # each cell's seed is derived from the run seed and its label
+            if "seed" in overrides:
+                raise ValidationError(f"grid cell {label!r}: unknown keys ['seed']")
+            spec = from_json(ModelSpec, asdict(self.base) | overrides, f"grid cell {label!r}")
+            self.cells.append((label, spec))
 
 
-def default_grid(kind, base, timesteps=(2, 3, 4, 5)):
+def default_grid(kind, base, timesteps=None):
     if kind == "timestep":
-        return [GridCell(f"t = {t}", {"timesteps": int(t)}) for t in timesteps]
+        return [{"label": f"t = {t}", "timesteps": int(t)}
+                for t in timesteps or (2, 3, 4, 5)]
     if kind == "predictor":
         return [
-            GridCell("Temperature", {"predictors": ("temp_mean",)}),
-            GridCell("Rainfall", {"predictors": ("rain_total",)}),
-            GridCell("Relative Humidity", {"predictors": ("rh_mean",)}),
-            GridCell("All three parameters", {"predictors": CLIMATE_FEATURES}),
+            {"label": "Temperature", "predictors": ("temp_mean",)},
+            {"label": "Rainfall", "predictors": ("rain_total",)},
+            {"label": "Relative Humidity", "predictors": ("rh_mean",)},
+            {"label": "All three parameters", "predictors": CLIMATE_FEATURES},
         ]
     if kind == "architecture":
         deep = max(2, base.num_layers)
         return [
-            GridCell("LSTM", {"arch": "plain", "num_layers": 1}),
-            GridCell("Stacked LSTM", {"arch": "stacked", "num_layers": deep}),
-            GridCell("Bidirectional LSTM", {"arch": "bidir", "num_layers": 1}),
-            GridCell(
-                "Bidirectional Stacked LSTM",
-                {"arch": "bidir_stacked", "num_layers": deep},
-            ),
+            {"label": "LSTM", "arch": "plain", "num_layers": 1},
+            {"label": "Stacked LSTM", "arch": "stacked", "num_layers": deep},
+            {"label": "Bidirectional LSTM", "arch": "bidir", "num_layers": 1},
+            {"label": "Bidirectional Stacked LSTM", "arch": "bidir_stacked",
+             "num_layers": deep},
         ]
     if kind == "variant":
         return [
-            GridCell("Variant I", {"variant": "I"}),
-            GridCell("Variant II", {"variant": "II"}),
+            {"label": "Variant I", "variant": "I"},
+            {"label": "Variant II", "variant": "II"},
         ]
     raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}")
 
@@ -455,24 +446,15 @@ class SweepResult:
     argmin_label: str | None
 
 
-def _cell_spec(base, cell, seed):
-    return replace(base, **cell.overrides, seed=derive_seed(seed, cell.label))
-
-
 def _sweep_task(args):
-    records, base, cell, seed, ratio, validation_fraction, lr = args
+    records, spec, cfg, label, seed = args
     try:
-        report = run_config(
-            records, _cell_spec(base, cell, seed), cell.label, seed, ratio=ratio,
-            validation_fraction=validation_fraction, lr=lr,
-        )
-        return ("ok", cell.label, seed, report)
+        return ("ok", label, seed, run_config(records, spec, cfg, label, seed))
     except DivergenceError as exc:
-        return ("diverged", cell.label, seed, str(exc))
+        return ("diverged", label, seed, str(exc))
 
 
-def run_sweep(sweep, records, ratio=0.85, validation_fraction=0.15, lr=1e-3,
-              jobs=1):
+def run_sweep(sweep, records, jobs=1):
     """Train every grid cell for every seed; aggregate and mark the argmin.
 
     Each cell x seed pair derives its own seed from (seed, label), so results
@@ -481,8 +463,9 @@ def run_sweep(sweep, records, ratio=0.85, validation_fraction=0.15, lr=1e-3,
     argmin is chosen by mean validation MSE.
     """
     tasks = [
-        (records, sweep.base, cell, seed, ratio, validation_fraction, lr)
-        for cell in sweep.grid
+        (records, replace(spec, seed=derive_seed(seed, label)), sweep.train_cfg,
+         label, seed)
+        for label, spec in sweep.cells
         for seed in sweep.seeds
     ]
     if jobs > 1:
@@ -500,13 +483,13 @@ def run_sweep(sweep, records, ratio=0.85, validation_fraction=0.15, lr=1e-3,
             failures.append((label, seed, payload))
 
     rows = []
-    for cell in sweep.grid:
-        cell_reports = [r for r in reports if r.label == cell.label]
+    for label, _ in sweep.cells:
+        cell_reports = [r for r in reports if r.label == label]
         if not cell_reports:
             continue
         rows.append(
             SweepRow(
-                label=cell.label,
+                label=label,
                 validation_mse=float(np.mean([r.validation_mse for r in cell_reports])),
                 test_mse=float(np.mean([r.test_mse for r in cell_reports])),
                 validation_mse_scaled=float(

@@ -54,6 +54,7 @@ from .nn_core import (
     sigmoid,
     zero_grads,
 )
+from .specs import from_json
 
 ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
 
@@ -65,8 +66,8 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class ModelSpec:
-    arch: str = "plain"
-    num_layers: int = 1
+    arch: str = "stacked"
+    num_layers: int = 4
     hidden: int = 32
     dropout: float = 0.2
     epochs: int = 3000
@@ -74,10 +75,10 @@ class ModelSpec:
     timesteps: int = 3
     variant: str = "II"
     seed: int = 0
-    predictors: tuple = CLIMATE_FEATURES  # climate columns of each window row
+    predictors: tuple[str, ...] = CLIMATE_FEATURES  # climate columns of each window row
 
     def __post_init__(self):
-        # a tuple, so a spec read back from a JSON list compares equal
+        # a tuple, so a spec given a list compares equal to one given a tuple
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if self.arch not in ARCHITECTURES:
             raise SpecError(f"unknown architecture {self.arch!r}")
@@ -101,6 +102,23 @@ class ModelSpec:
     @property
     def bidirectional(self):
         return self.arch in ("bidir", "bidir_stacked")
+
+
+@dataclass(frozen=True)
+class TrainCfg:
+    """Train share of the chronological split, validation carve, Adam's rate."""
+    ratio: float = 0.85
+    validation_fraction: float = 0.15
+    lr: float = 1e-3
+
+    def __post_init__(self):
+        if not 0.0 < self.ratio < 1.0:
+            raise SpecError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise SpecError(
+                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
+        if not self.lr > 0.0:
+            raise SpecError(f"lr must be > 0, got {self.lr}")
 
 
 GATES = ("i", "f", "g", "o")
@@ -376,6 +394,7 @@ class TrainedModel:
     scaler: object | None
     loss_history: list  # (train_mse, validation_mse) per epoch
     best_epoch: int
+    train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
 
 
 def carve_validation(windows, fraction):
@@ -501,6 +520,7 @@ def save_model(trained, bin_path, sidecar_path):
     save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
     sidecar = {
         "spec": asdict(trained.spec),
+        "train": asdict(trained.train_cfg),
         "input_dim": trained.model.input_dim,
         "scaler": None if trained.scaler is None else trained.scaler.to_dict(),
         "best_epoch": trained.best_epoch,
@@ -514,7 +534,9 @@ def save_model(trained, bin_path, sidecar_path):
 def load_model(bin_path, sidecar_path):
     with open(sidecar_path, encoding="utf-8") as f:
         sidecar = json.load(f)
-    spec = ModelSpec(**sidecar["spec"])
+    spec = from_json(ModelSpec, sidecar["spec"], f"{sidecar_path} spec")
+    # a sidecar written before models recorded their TrainCfg has no "train"
+    train_cfg = from_json(TrainCfg, sidecar.get("train", {}), f"{sidecar_path} train")
     model = Model(spec, int(sidecar["input_dim"]))
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
@@ -532,4 +554,5 @@ def load_model(bin_path, sidecar_path):
         scaler=scaler,
         loss_history=[tuple(x) for x in sidecar["loss_history"]],
         best_epoch=int(sidecar["best_epoch"]),
+        train_cfg=train_cfg,
     )

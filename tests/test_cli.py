@@ -36,16 +36,17 @@ def test_impute_round_trip_matches_golden(tmp_path):
     assert {name: _sha256(imp / name) for name in IMPUTE_GOLDEN} == IMPUTE_GOLDEN
 
 
-# sha256 of every file the full chain writes (see _run_chain), recorded
-# before de-scaling, gap scanning, CSV writing and record reading were each
-# merged into one path. Model sidecars are hashed with spec.predictors removed
-# (see _digest), the one key added since.
+# sha256 of every file the full chain writes (see chain), recorded before
+# de-scaling, gap scanning, CSV writing and record reading were each merged
+# into one path. The five .json model sidecars were re-pinned when they gained
+# spec.predictors and the "train" key (TrainCfg); without those two keys each
+# is byte-identical to the sidecar recorded here first.
 CHAIN_GOLDEN = {
     "imp/coreg_log.txt": "2cb83b5f84dcc721279ebd910c06ab35d33f6fa99689635829a3b979d48d4b49",
     "imp/imputed.csv": "0d40be376576a1725a7383419910b4e93af107eb4ec103e96927c22393f25678",
     "model/loss.csv": "8b5a809597d2dce8444541b53b57f6836ddbd4afc8a9216b6fd7ed0873e41e35",
     "model/model.bin": "e35e64b30fda10feb813b3e062a878d829397ad051953185967570f0108ba4a5",
-    "model/model.json": "16625d4812e9600f7ea60bb1f6a62d5855c3e0d228996f1a00055051f1118bd0",
+    "model/model.json": "9ccada5779ff162ec85944b13f138487c1d43c047c698deac44a45b36f5abde6",
     "pred/predictions.csv": "760292e26668dc95664e4b2c3db61275430ab9a940afe5188bd97ef26c2d5562",
     "prep/gap_report.txt": "5bce280eca1d8dbd203c819037a798c09901bfdd2f43ce38a7d08bc90a1cd96a",
     "prep/records.csv": "1f858d48f9d62a7a3965847224908625606ee8fb57024c18c798316d87c8f06d",
@@ -56,13 +57,13 @@ CHAIN_GOLDEN = {
     "raw/rain.csv": "0eda4e0cca9c3a4ec2edd8263e1893cdb53f9e2cea7906740ee874178e76130a",
     "sw/log.txt": "2da380f04c17175471aa3ea2e9b6df0ac1ca7cb375f23071a6ba587af43722ba",
     "sw/models/all-three-parameters_seed0.bin": "50207a29fee362b2baff5bb8248edc5a764a36168cf3cac4c9b34487699c859f",
-    "sw/models/all-three-parameters_seed0.json": "accf0acedd16bb471faa51d99918c900068217083d3162db0d3bd6321aa976cf",
+    "sw/models/all-three-parameters_seed0.json": "47414217a0f52757e6a78259130f72a0ee10c14826412828bd806a288f50a2d9",
     "sw/models/rainfall_seed0.bin": "cbb9ebedad6633e021d10d69e63cd43fedb853496e887d00aabf212a6faec77b",
-    "sw/models/rainfall_seed0.json": "876f01aca1195e4fb203c42048f6cc1530b6b8d96d4b714987de1f5ab99a2f82",
+    "sw/models/rainfall_seed0.json": "f9337043d547feb9cfc6c2a42ba880749b51e9329c79227f7a6531c29b1d8f58",
     "sw/models/relative-humidity_seed0.bin": "19df4b975af621495326bdc4f9a2c3ba3fde3a017472b115b5ffe34ab774ee0a",
-    "sw/models/relative-humidity_seed0.json": "1c6bb9d06b829943935b767a051a9cd5e9bd2915017cc9796863dd4262ebde4f",
+    "sw/models/relative-humidity_seed0.json": "ca697122f2e15abb06bc4fd3b1b099e14e08aea31448e303e4bdc4ad48c24f62",
     "sw/models/temperature_seed0.bin": "53fadec0f1eca11c56533e8c9a358af2ce8bc20ce297b5a90e3563143df170f0",
-    "sw/models/temperature_seed0.json": "b5c12107b0ec7383b5c54b6cfe0a3e00e6dfeb391abbae74d41d87813a6a11b0",
+    "sw/models/temperature_seed0.json": "3c29add4831422e0c3463980534da901f000f46228daf097e0ba0eb724265320",
     "sw/reports/mse_summary.csv": "4c782bbc18ebf883c34ffa8d270b6be819e815a662c10e6f86e4d730e3b16884",
     "sw/reports/predictions_all-three-parameters_seed0.csv": "78cb5e2756cb0cb35770253c80a43712f19599e28bfc31fa0c40873c16168a88",
     "sw/reports/predictions_rainfall_seed0.csv": "951a903895faa5417aa289bfac5565bcf6b090a6866720ec43eff7f633402e46",
@@ -74,16 +75,6 @@ CHAIN_GOLDEN = {
     "sw/tables/predictions_relative-humidity_seed0.md": "ab9745b0327cb2830044598fcbf1b1a8e6662259bb6b19ead68d33b6c5bfb2af",
     "sw/tables/predictions_temperature_seed0.md": "ab9745b0327cb2830044598fcbf1b1a8e6662259bb6b19ead68d33b6c5bfb2af",
 }
-
-
-def _digest(path):
-    """sha256 of a file; a .json sidecar is hashed without spec.predictors."""
-    if path.suffix != ".json":
-        return _sha256(path)
-    sidecar = json.loads(path.read_text(encoding="utf-8"))
-    sidecar["spec"].pop("predictors", None)
-    text = json.dumps(sidecar, indent=2) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +106,7 @@ def chain(tmp_path_factory):
 
 def test_full_chain_matches_golden(chain):
     written = {
-        path.relative_to(chain).as_posix(): _digest(path)
+        path.relative_to(chain).as_posix(): _sha256(path)
         for path in sorted(chain.rglob("*")) if path.is_file()
     }
     assert written == CHAIN_GOLDEN
@@ -175,6 +166,9 @@ def test_impute_k1_exits_2(chain, tmp_path, capsys):
      "--grid", "2,3"],
     ["sweep", "--out", "o", "--records", "r", "--sweep-config", "sweep.json",
      "--epochs", "5"],
+    # a value that train.json (written by the test) already sets
+    ["train", "--out", "o", "--records", "r", "--config", "train.json",
+     "--hidden", "4"],
 ])
 def test_flag_the_command_does_not_read_is_rejected(argv, tmp_path, monkeypatch,
                                                     capsys):
@@ -183,6 +177,7 @@ def test_flag_the_command_does_not_read_is_rejected(argv, tmp_path, monkeypatch,
         "kind": "timestep", "seeds": [0], "base": {"epochs": 2},
         "grid": [{"label": "t = 2", "timesteps": 2}],
     }), encoding="utf-8")
+    (tmp_path / "train.json").write_text('{"hidden": 2}', encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -227,3 +222,95 @@ def test_sweep_reads_grid_and_flags_the_config_leaves_open(chain, tmp_path):
     sidecar = json.loads((out / "models" / "t-4_seed0.json").read_text(encoding="utf-8"))
     assert (sidecar["spec"]["hidden"], sidecar["spec"]["epochs"],
             sidecar["spec"]["timesteps"]) == (2, 1, 4)
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"hidden": "4"}, "hidden must be int"),
+    ({"hidden": True}, "hidden must be int"),
+    ({"epochs": 1.5}, "epochs must be int"),
+    ({"lr": -1}, "lr must be > 0"),
+    ([1, 2], "must hold a JSON object"),
+])
+def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["train", "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"),
+                     "--config", str(path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"kind": "variant", "seeds": "0,1"}, "seeds must be a list of int"),
+    ({"kind": "variant", "seeds": [0.5]}, "seeds must be a list of int"),
+    ({"kind": "variant", "seeds": [0, 0]}, "seeds repeat"),
+    ({"kind": "timestep", "grid": [{"label": "t3", "timesteps": "3"}]},
+     "timesteps must be int"),
+    ({"kind": "timestep", "grid": [{"label": 5, "timesteps": 3}]},
+     "label must be a str"),
+    # both labels would write models/a_seed0.*
+    ({"kind": "timestep", "grid": [{"label": "a", "timesteps": 2},
+                                   {"label": "A", "timesteps": 3}]}, "'a' and 'A'"),
+])
+def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["sweep", "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"),
+                     "--sweep-config", str(path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_1_exits_2(jobs, tmp_path, capsys):
+    code = cli.main(["sweep", "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"),
+                     "--kind", "variant", "--jobs", jobs])
+    assert code == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
+def _copy_model(chain, tmp_path, edit):
+    """The chain's model.bin and its sidecar after edit(sidecar), in tmp_path."""
+    src = chain / "model"
+    (tmp_path / "model.bin").write_bytes((src / "model.bin").read_bytes())
+    sidecar = json.loads((src / "model.json").read_text(encoding="utf-8"))
+    edit(sidecar)
+    (tmp_path / "model.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    return tmp_path / "model.bin"
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda s: s["spec"].update(hidden="4"), "spec: hidden must be int"),
+    (lambda s: s["spec"].update(hiden=4), "spec: unknown keys ['hiden']"),
+], ids=["hidden-str", "unknown-key"])
+def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
+    model = _copy_model(chain, tmp_path, edit)
+    code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_predict_with_sidecar_without_train_key(chain, tmp_path):
+    model = _copy_model(chain, tmp_path, lambda s: s.pop("train"))
+    assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")]) == 0
+    assert ((tmp_path / "o" / "predictions.csv").read_bytes()
+            == (chain / "pred" / "predictions.csv").read_bytes())
+
+
+def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):
+    path = tmp_path / "train.json"
+    path.write_text('{"lr": 0.01, "ratio": 0.8}', encoding="utf-8")
+    out = tmp_path / "model"
+    assert cli.main(["train", "--out", str(out), "--config", str(path),
+                     "--records", str(chain / "imp" / "imputed.csv"),
+                     "--hidden", "2", "--epochs", "2"]) == 0
+    sidecar = json.loads((out / "model.json").read_text(encoding="utf-8"))
+    assert sidecar["train"] == {"ratio": 0.8, "validation_fraction": 0.15, "lr": 0.01}
+    assert (sidecar["spec"]["arch"], sidecar["spec"]["num_layers"],
+            sidecar["spec"]["hidden"]) == ("stacked", 4, 2)
