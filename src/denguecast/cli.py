@@ -6,10 +6,11 @@ Each command accepts only the flags it reads, spelled out in full.
 Config files: `train --config` reads one flat JSON object of lstm.ModelSpec
 and lstm.TrainCfg fields, e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}.
 `sweep --sweep-config` reads an object with optional keys kind, seeds (list of
-ints), base (an object as for train) and grid (objects of a label and the
-ModelSpec fields the cell changes, bar seed). Keys and value types are checked
-(specs.from_json). A value comes from the file or from a flag, never both: a
-flag for a key the file sets exits 2. Fields set by neither keep the defaults.
+ints), base (an object as for train, bar seed) and grid (objects of a label
+and the ModelSpec fields the cell changes, bar seed). Keys and value types are
+checked (specs.from_json). A value comes from the file or from a flag, never
+both: a flag for a key the file sets exits 2. Fields set by neither keep the
+defaults.
 
 Exit codes: 0 success, 2 input/validation problems (argparse also exits 2 on
 an unknown flag), 3 failed preconditions (e.g. imputation impossible), 4
@@ -114,47 +115,24 @@ def cmd_synth(args):
     )
     bundle = experiments.synth_generate(spec)
     out = Path(args.out)
-
-    climate_rows = [
-        [r.district, r.date.isoformat(), repr(r.temperature), repr(r.relative_humidity)]
-        for r in bundle.climate
-    ]
-    _write(out / "climate.csv",
-           csv_text(["district", "date", "temp_c", "rh_pct"], climate_rows))
-    rain_rows = [
-        [w.district, w.iso_year, w.iso_week, repr(w.rainfall)] for w in bundle.rain
-    ]
-    _write(out / "rain.csv",
-           csv_text(["district", "iso_year", "iso_week", "rain_mm"], rain_rows))
-    larval_rows = [
-        [s.district, s.month[0], s.month[1], s.n_low, s.n_mid, s.n_high]
-        for s in bundle.larval
-    ]
-    _write(out / "larval.csv",
-           csv_text(["district", "year", "month", "n_low", "n_mid", "n_high"],
-                    larval_rows))
-    cases_rows = [[d, m[0], m[1], n] for (d, m), n in bundle.cases]
-    _write(out / "cases.csv",
-           csv_text(["district", "year", "month", "cases"], cases_rows))
-    truth_rows = [
-        [d, m[0], m[1], repr(v)]
-        for (d, m), v in sorted(bundle.truth.items(),
-                                key=lambda kv: (kv[0][0], kv[0][1]))
-    ]
-    _write(out / "larval_truth.csv",
-           csv_text(["district", "year", "month", "larval_index"], truth_rows))
-    print(f"wrote {len(cases_rows)} case rows for {spec.districts} districts "
+    out.mkdir(parents=True, exist_ok=True)
+    dataprep.write_climate_csv(bundle.climate, out / "climate.csv")
+    dataprep.write_rain_csv(bundle.rain, out / "rain.csv")
+    dataprep.write_larval_csv(bundle.larval, out / "larval.csv")
+    dataprep.write_cases_csv(bundle.cases, out / "cases.csv")
+    dataprep.write_larval_truth_csv(bundle.truth, out / "larval_truth.csv")
+    print(f"wrote {len(bundle.cases)} case rows for {spec.districts} districts "
           f"x {spec.months} months to {out}")
     return 0
 
 
 def cmd_prepare(args):
-    readings = dataprep.load_climate_csv(args.climate)
+    # the climate table streams from the file into its monthly means
+    climate = dataprep.aggregate_monthly(dataprep.load_climate_csv(args.climate))
     weeks = dataprep.load_rain_csv(args.rain)
     surveys = dataprep.load_larval_csv(args.larval)
     case_pairs = dataprep.load_cases_csv(args.cases)
 
-    climate = dataprep.aggregate_monthly(readings)
     rain = dataprep.rain_to_monthly(weeks)
     larval_pairs = []
     for s in surveys:
@@ -264,7 +242,11 @@ def _sweep_spec(args):
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
     if args.grid is not None and (kind != "timestep" or "grid" in top):
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
-    spec, train_cfg = _run_spec(args, top.get("base", {}), f"{path} base")
+    base = top.get("base", {})
+    # each run's seed is derived from its seed in seeds and the cell label
+    if "seed" in base:
+        raise ValidationError(f"{path} base: unknown keys ['seed']")
+    spec, train_cfg = _run_spec(args, base, f"{path} base")
     grid = top["grid"] if "grid" in top else experiments.default_grid(kind, spec, args.grid)
     return experiments.SweepSpec(kind, spec, grid, top.get("seeds", (0, 1, 2)),
                                  train_cfg)

@@ -5,7 +5,13 @@ surveys and monthly case counts. They are aggregated to district-month
 resolution, joined into DistrictMonthRecord rows, min-max scaled, windowed
 into (timesteps x features) supervised samples and split chronologically.
 
-Months are (year, month) tuples everywhere. All functions are pure.
+The daily climate table is the only large one, so it is never held as one
+object per day: load_climate_csv streams its rows as plain tuples straight
+into aggregate_monthly, and write_climate_csv writes it from per-month arrays.
+Each CSV file has one loader and one writer here, sharing its header.
+
+Months are (year, month) tuples everywhere. All functions apart from the CSV
+loaders and writers are pure.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -34,14 +41,6 @@ VARIANTS = ("I", "II")
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class RawClimateReading:
-    district: str
-    date: date
-    temperature: float
-    relative_humidity: float
 
 
 @dataclass(frozen=True)
@@ -120,24 +119,32 @@ def month_of(d: date):
 # aggregation
 
 
-def aggregate_monthly(readings):
-    """Arithmetic mean of daily temperature/humidity per (district, month)."""
-    if not readings:
-        raise EmptyInput("no climate readings")
+def aggregate_monthly(rows):
+    """Arithmetic mean of daily temperature/humidity per (district, month).
+
+    rows are (district, (year, month), date, temperature, humidity) tuples,
+    as load_climate_csv streams them. Each sum accumulates in row order, and
+    the first row out of range raises.
+    """
     sums = {}
-    for r in readings:
-        if not math.isfinite(r.temperature):
+    for district, month, day, temperature, humidity in rows:
+        if not math.isfinite(temperature):
             raise ValidationError(
-                f"non-finite temperature for {r.district} on {r.date.isoformat()}"
+                f"non-finite temperature for {district} on {day.isoformat()}"
             )
-        if not (0.0 <= r.relative_humidity <= 100.0):
+        if not (0.0 <= humidity <= 100.0):
             raise ValidationError(
-                f"relative humidity {r.relative_humidity} outside [0, 100] "
-                f"for {r.district} on {r.date.isoformat()}"
+                f"relative humidity {humidity} outside [0, 100] "
+                f"for {district} on {day.isoformat()}"
             )
-        key = (r.district, month_of(r.date))
-        t, h, n = sums.get(key, (0.0, 0.0, 0))
-        sums[key] = (t + r.temperature, h + r.relative_humidity, n + 1)
+        acc = sums.get((district, month))
+        if acc is None:
+            acc = sums[(district, month)] = [0.0, 0.0, 0]
+        acc[0] += temperature
+        acc[1] += humidity
+        acc[2] += 1
+    if not sums:
+        raise EmptyInput("no climate readings")
     return {k: (t / n, h / n) for k, (t, h, n) in sums.items()}
 
 
@@ -411,12 +418,21 @@ def split_dataset(windows, ratio):
 # ---------------------------------------------------------------------------
 # CSV interfaces
 #
-# climate.csv  district,date,temp_c,rh_pct        dates ISO-8601
-# rain.csv     district,iso_year,iso_week,rain_mm
-# larval.csv   district,year,month,n_low,n_mid,n_high
-# cases.csv    district,year,month,cases
-# records.csv  district,year,month,temp_mean,rh_mean,rain_total,larval_index,cases
-#              (larval_index cell empty when missing)
+# climate.csv       district,date,temp_c,rh_pct        dates ISO-8601
+# rain.csv          district,iso_year,iso_week,rain_mm
+# larval.csv        district,year,month,n_low,n_mid,n_high
+# cases.csv         district,year,month,cases
+# larval_truth.csv  district,year,month,larval_index
+# records.csv       district,year,month,temp_mean,rh_mean,rain_total,larval_index,cases
+#                   (larval_index cell empty when missing)
+#
+# The raw files end each line in a bare newline, records.csv in "\r\n".
+
+CLIMATE_HEADER = ("district", "date", "temp_c", "rh_pct")
+RAIN_HEADER = ("district", "iso_year", "iso_week", "rain_mm")
+LARVAL_HEADER = ("district", "year", "month", "n_low", "n_mid", "n_high")
+CASES_HEADER = ("district", "year", "month", "cases")
+LARVAL_TRUTH_HEADER = ("district", "year", "month", "larval_index")
 
 
 def csv_text(header, rows):
@@ -428,8 +444,16 @@ def csv_text(header, rows):
     return buf.getvalue()
 
 
+def _write_csv(path, header, rows):
+    """Stream csv_text(header, rows) into the file at path."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_rows(path, *headers):
-    """(line number, cells) of each non-blank row after the header.
+    """Yield (line number, cells) for each non-blank row after the header.
 
     The header must equal one of headers, and every row must have as many
     cells as it.
@@ -450,36 +474,58 @@ def _read_rows(path, *headers):
                 f"{' or '.join(','.join(h) for h in headers)}, "
                 f"got {','.join(header)}"
             )
-        rows = []
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
+            if len(row) != width:
                 raise ValidationError(f"{path}:{lineno}: wrong column count")
-            rows.append((lineno, row))
-    return rows
+            yield lineno, row
 
 
 def load_climate_csv(path):
-    readings = []
-    for lineno, row in _read_rows(path, ("district", "date", "temp_c", "rh_pct")):
+    """Stream climate.csv as (district, (year, month), date, temperature,
+    humidity) tuples for aggregate_monthly.
+
+    Nothing is read until the stream is. Each distinct date text is parsed
+    once; the rows of one date share its date and month objects.
+    """
+    days = {}
+    for lineno, (district, day_text, temp_text, rh_text) in _read_rows(
+        path, CLIMATE_HEADER
+    ):
         try:
-            readings.append(
-                RawClimateReading(
-                    district=row[0],
-                    date=date.fromisoformat(row[1]),
-                    temperature=float(row[2]),
-                    relative_humidity=float(row[3]),
-                )
-            )
+            day = days.get(day_text)
+            if day is None:
+                d = date.fromisoformat(day_text)
+                day = days[day_text] = ((d.year, d.month), d)
+            temperature, humidity = float(temp_text), float(rh_text)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return readings
+        yield district, day[0], day[1], temperature, humidity
+
+
+def write_climate_csv(blocks, path):
+    """climate.csv from (district, (year, month), temperatures, humidities)
+    blocks, where the two arrays hold the month's days from the 1st on."""
+    day_texts = {}
+
+    def rows():
+        for district, (y, m), temps, hums in blocks:
+            texts = day_texts.get((y, m, len(temps)))
+            if texts is None:
+                texts = day_texts[(y, m, len(temps))] = [
+                    date(y, m, d).isoformat() for d in range(1, len(temps) + 1)
+                ]
+            yield from zip(itertools.repeat(district), texts,
+                           temps.tolist(), hums.tolist())
+
+    _write_csv(path, CLIMATE_HEADER, rows())
 
 
 def load_rain_csv(path):
     weeks = []
-    for lineno, row in _read_rows(path, ("district", "iso_year", "iso_week", "rain_mm")):
+    for lineno, row in _read_rows(path, RAIN_HEADER):
         try:
             weeks.append(
                 WeeklyRainfall(
@@ -494,10 +540,14 @@ def load_rain_csv(path):
     return weeks
 
 
+def write_rain_csv(weeks, path):
+    _write_csv(path, RAIN_HEADER,
+               ((w.district, w.iso_year, w.iso_week, w.rainfall) for w in weeks))
+
+
 def load_larval_csv(path):
     surveys = []
-    header = ("district", "year", "month", "n_low", "n_mid", "n_high")
-    for lineno, row in _read_rows(path, header):
+    for lineno, row in _read_rows(path, LARVAL_HEADER):
         try:
             surveys.append(
                 LarvalSurvey(
@@ -513,15 +563,32 @@ def load_larval_csv(path):
     return surveys
 
 
+def write_larval_csv(surveys, path):
+    _write_csv(path, LARVAL_HEADER, (
+        (s.district, s.month[0], s.month[1], s.n_low, s.n_mid, s.n_high)
+        for s in surveys
+    ))
+
+
 def load_cases_csv(path):
     """Returns ((district, (year, month)), cases) pairs, duplicates included."""
     pairs = []
-    for lineno, row in _read_rows(path, ("district", "year", "month", "cases")):
+    for lineno, row in _read_rows(path, CASES_HEADER):
         try:
             pairs.append(((row[0], (int(row[1]), int(row[2]))), int(row[3])))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return pairs
+
+
+def write_cases_csv(pairs, path):
+    _write_csv(path, CASES_HEADER, ((d, m[0], m[1], n) for (d, m), n in pairs))
+
+
+def write_larval_truth_csv(truth, path):
+    """larval_truth.csv from a (district, (year, month)) -> index map, sorted."""
+    _write_csv(path, LARVAL_TRUTH_HEADER,
+               ((d, m[0], m[1], v) for (d, m), v in sorted(truth.items())))
 
 
 RECORDS_HEADER = (

@@ -30,7 +30,6 @@ from . import dataprep
 from .dataprep import (
     CLIMATE_FEATURES,
     LarvalSurvey,
-    RawClimateReading,
     SplitDataset,
     WeeklyRainfall,
     apply_scaler,
@@ -101,7 +100,7 @@ class SynthSpec:
 
 @dataclass
 class SynthBundle:
-    climate: list[RawClimateReading]
+    climate: list  # (district, (year, month), temperatures, humidities) per month
     rain: list[WeeklyRainfall]
     larval: list[LarvalSurvey]
     cases: list  # ((district, (year, month)), count) pairs
@@ -219,27 +218,16 @@ def synth_generate(spec):
                     )
                 )
 
+            # one draw per day and variable, temperature first, as (temp, rh) pairs
             n_days = calendar.monthrange(y, m)[1]
+            daily = rng_daily.normal(
+                0.0, np.tile([0.8 * spec.noise, 2.0 * spec.noise], n_days)
+            )
             ang = 2.0 * math.pi * (m - 1) / 12.0
             temp_sig = base_t[di] + amp_t[di] * season_t[mi]
             rh_sig = base_rh[di] + amp_rh[di] * math.sin(ang + phase[di] + math.pi / 3)
-            for day in range(1, n_days + 1):
-                climate.append(
-                    RawClimateReading(
-                        district=district,
-                        date=date(y, m, day),
-                        temperature=float(
-                            temp_sig + rng_daily.normal(0.0, 0.8 * spec.noise)
-                        ),
-                        relative_humidity=float(
-                            np.clip(
-                                rh_sig + rng_daily.normal(0.0, 2.0 * spec.noise),
-                                0.0,
-                                100.0,
-                            )
-                        ),
-                    )
-                )
+            climate.append((district, (y, m), temp_sig + daily[0::2],
+                            np.clip(rh_sig + daily[1::2], 0.0, 100.0)))
 
         # spread each month's rainfall evenly over the ISO weeks it owns
         for mi, (y, m) in enumerate(months):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -397,6 +397,18 @@ class TrainedModel:
     train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
 
 
+@dataclass(frozen=True, kw_only=True)
+class Sidecar:
+    """The JSON object of a model's .json sidecar, in file order."""
+    spec: dict
+    # a sidecar written before models recorded their TrainCfg has no "train"
+    train: dict = field(default_factory=dict)
+    input_dim: int
+    scaler: dict | None
+    best_epoch: int
+    loss_history: tuple[tuple[float, ...], ...]  # (train_mse, validation_mse) per epoch
+
+
 def carve_validation(windows, fraction):
     """Chronological carve: the last fraction of an ordered window list.
 
@@ -518,26 +530,25 @@ def snapshot_slots(model):
 def save_model(trained, bin_path, sidecar_path):
     slots = snapshot_slots(trained.model)
     save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
-    sidecar = {
-        "spec": asdict(trained.spec),
-        "train": asdict(trained.train_cfg),
-        "input_dim": trained.model.input_dim,
-        "scaler": None if trained.scaler is None else trained.scaler.to_dict(),
-        "best_epoch": trained.best_epoch,
-        "loss_history": [[tr, va] for tr, va in trained.loss_history],
-    }
+    sidecar = Sidecar(
+        spec=asdict(trained.spec),
+        train=asdict(trained.train_cfg),
+        input_dim=trained.model.input_dim,
+        scaler=None if trained.scaler is None else trained.scaler.to_dict(),
+        best_epoch=trained.best_epoch,
+        loss_history=tuple(trained.loss_history),
+    )
     with open(sidecar_path, "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2)
+        json.dump(asdict(sidecar), f, indent=2)
         f.write("\n")
 
 
 def load_model(bin_path, sidecar_path):
     with open(sidecar_path, encoding="utf-8") as f:
-        sidecar = json.load(f)
-    spec = from_json(ModelSpec, sidecar["spec"], f"{sidecar_path} spec")
-    # a sidecar written before models recorded their TrainCfg has no "train"
-    train_cfg = from_json(TrainCfg, sidecar.get("train", {}), f"{sidecar_path} train")
-    model = Model(spec, int(sidecar["input_dim"]))
+        sidecar = from_json(Sidecar, json.load(f), str(sidecar_path))
+    spec = from_json(ModelSpec, sidecar.spec, f"{sidecar_path} spec")
+    train_cfg = from_json(TrainCfg, sidecar.train, f"{sidecar_path} train")
+    model = Model(spec, sidecar.input_dim)
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
         if name not in stored:
@@ -545,14 +556,12 @@ def load_model(bin_path, sidecar_path):
         if stored[name].shape != value.shape:
             raise ValidationError(f"snapshot shape mismatch for {name}")
         value[...] = stored[name]
-    scaler = None
-    if sidecar["scaler"] is not None:
-        scaler = Scaler.from_dict(sidecar["scaler"])
+    scaler = None if sidecar.scaler is None else Scaler.from_dict(sidecar.scaler)
     return TrainedModel(
         spec=spec,
         model=model,
         scaler=scaler,
-        loss_history=[tuple(x) for x in sidecar["loss_history"]],
-        best_epoch=int(sidecar["best_epoch"]),
+        loss_history=list(sidecar.loss_history),
+        best_epoch=sidecar.best_epoch,
         train_cfg=train_cfg,
     )

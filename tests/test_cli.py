@@ -36,6 +36,39 @@ def test_impute_round_trip_matches_golden(tmp_path):
     assert {name: _sha256(imp / name) for name in IMPUTE_GOLDEN} == IMPUTE_GOLDEN
 
 
+# sha256 of the daily climate table and the records prepared from it at the
+# default size (26 districts x 84 months, the benchmark's input), recorded
+# while both sides still built one object per day.
+DEFAULT_GOLDEN = {
+    "raw/climate.csv": "da64fe427f80a694511b289328b48954d5df600946de54e13815c82c82236705",
+    "prep/records.csv": "0552590917d278686ceb6879357944113cb3000f344df663a152a354ee463277",
+}
+
+
+def test_default_size_synth_prepare_matches_golden(tmp_path):
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert cli.main(["synth", "--out", str(raw), "--seed", "0"]) == 0
+    assert cli.main([
+        "prepare", "--out", str(prep),
+        "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
+        "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv"),
+    ]) == 0
+    assert {name: _sha256(tmp_path / name) for name in DEFAULT_GOLDEN} == DEFAULT_GOLDEN
+
+
+# sha256 of climate.csv at other noise levels, recorded with the same code as
+# DEFAULT_GOLDEN: the daily draws must scale with --noise, down to 0
+@pytest.mark.parametrize("args,digest", [
+    (["--noise", "0"], "e23aa58e65d8ab212cf73f03c52babd6c77178586e4ecb40413ae40d14bafe58"),
+    (["--noise", "2.5", "--seed", "5"],
+     "c68fee66c5bbc3c5d3a919cdc09bc448c22fb9632cdbd9c9c8c3ac00961153cc"),
+])
+def test_synth_climate_noise_matches_golden(args, digest, tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path), "--districts", "2",
+                     "--months", "3", *args]) == 0
+    assert _sha256(tmp_path / "climate.csv") == digest
+
+
 # sha256 of every file the full chain writes (see chain), recorded before
 # de-scaling, gap scanning, CSV writing and record reading were each merged
 # into one path. The five .json model sidecars were re-pinned when they gained
@@ -252,6 +285,8 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     # both labels would write models/a_seed0.*
     ({"kind": "timestep", "grid": [{"label": "a", "timesteps": 2},
                                    {"label": "A", "timesteps": 3}]}, "'a' and 'A'"),
+    # each run's seed comes from seeds, so a base seed would be ignored
+    ({"kind": "variant", "base": {"seed": 7}}, "base: unknown keys ['seed']"),
 ])
 def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -295,6 +330,16 @@ def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["spec", "input_dim", "scaler", "best_epoch",
+                                 "loss_history"])
+def test_predict_with_sidecar_missing_key_exits_2(key, chain, tmp_path, capsys):
+    model = _copy_model(chain, tmp_path, lambda s: s.pop(key))
+    code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")])
+    assert code == 2
+    assert f"model.json: missing keys ['{key}']" in capsys.readouterr().err
+
+
 def test_predict_with_sidecar_without_train_key(chain, tmp_path):
     model = _copy_model(chain, tmp_path, lambda s: s.pop("train"))
     assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -314,3 +359,59 @@ def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):
     assert sidecar["train"] == {"ratio": 0.8, "validation_fraction": 0.15, "lr": 0.01}
     assert (sidecar["spec"]["arch"], sidecar["spec"]["num_layers"],
             sidecar["spec"]["hidden"]) == ("stacked", 4, 2)
+
+
+@pytest.fixture(scope="module")
+def small_raw(tmp_path_factory):
+    """synth --districts 2 --months 3: 2 x 90 daily climate rows."""
+    raw = tmp_path_factory.mktemp("small") / "raw"
+    assert cli.main(["synth", "--out", str(raw), "--districts", "2",
+                     "--months", "3", "--seed", "0"]) == 0
+    return raw
+
+
+def _prepare_with_climate(small_raw, tmp_path, edit):
+    """Run prepare on small_raw with climate.csv's lines passed through edit."""
+    lines = (small_raw / "climate.csv").read_text(encoding="utf-8").splitlines()
+    climate = tmp_path / "climate.csv"
+    climate.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return cli.main([
+        "prepare", "--out", str(tmp_path / "prep"), "--climate", str(climate),
+        "--rain", str(small_raw / "rain.csv"), "--larval", str(small_raw / "larval.csv"),
+        "--cases", str(small_raw / "cases.csv"),
+    ])
+
+
+def _set_row(line_number, cells):
+    """An edit that sets the given cells of one line (1-based, header is 1)."""
+    def edit(lines):
+        row = lines[line_number - 1].split(",")
+        for i, text in cells.items():
+            row[i] = text
+        lines[line_number - 1] = ",".join(row)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_row(170, {1: "2014-02-30"}), "climate.csv:170: day is out of range"),
+    (_set_row(9, {1: "2014-01-08,extra"}), "climate.csv:9: wrong column count"),
+    (_set_row(40, {0: "D02", 1: "2014-02-10", 3: "140.0"}),
+     "relative humidity 140.0 outside [0, 100] for D02 on 2014-02-10"),
+    (_set_row(3, {2: "inf"}), "non-finite temperature for D01 on 2014-01-02"),
+    (lambda lines: lines[:1], "no climate readings"),
+], ids=["late-bad-date", "column-count", "humidity-140", "inf-temperature",
+        "header-only"])
+def test_prepare_rejects_bad_climate_row(edit, message, small_raw, tmp_path, capsys):
+    assert _prepare_with_climate(small_raw, tmp_path, edit) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "prep").exists()
+
+
+def test_prepare_reports_first_bad_climate_row(small_raw, tmp_path, capsys):
+    # a bad humidity on line 5 comes before an unparsable date on line 100
+    def edit(lines):
+        return _set_row(100, {1: "not-a-date"})(_set_row(5, {3: "-1.0"})(lines))
+    assert _prepare_with_climate(small_raw, tmp_path, edit) == 2
+    assert "relative humidity -1.0 outside [0, 100] for D01 on 2014-01-04" in (
+        capsys.readouterr().err)

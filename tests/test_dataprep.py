@@ -5,7 +5,6 @@ import pytest
 
 from denguecast.dataprep import (
     DistrictMonthRecord,
-    RawClimateReading,
     SupervisedWindow,
     WeeklyRainfall,
     aggregate_monthly,
@@ -14,11 +13,21 @@ from denguecast.dataprep import (
     build_windows,
     detect_gaps,
     fit_scaler,
+    LarvalSurvey,
+    load_cases_csv,
+    load_climate_csv,
+    load_larval_csv,
+    load_rain_csv,
     load_records_csv,
     month_index,
     rain_to_monthly,
     split_dataset,
     weighted_larval_index,
+    write_cases_csv,
+    write_climate_csv,
+    write_larval_csv,
+    write_larval_truth_csv,
+    write_rain_csv,
     write_records_csv,
     Scaler,
 )
@@ -34,8 +43,8 @@ from denguecast.nn_core import make_rng
 
 
 def reading(district="D1", day=date(2018, 1, 5), temp=30.0, rh=70.0):
-    return RawClimateReading(district=district, date=day, temperature=temp,
-                             relative_humidity=rh)
+    """One row as dataprep.load_climate_csv streams it."""
+    return district, (day.year, day.month), day, temp, rh
 
 
 def record(district="D1", month=(2018, 1), temp=30.0, rh=70.0, rain=50.0,
@@ -67,8 +76,8 @@ class TestAggregateMonthly:
             for d in range(1, 32)
         ]
         t_mean, h_mean = aggregate_monthly(readings)[("D1", (2018, 3))]
-        t_oracle = sum(r.temperature for r in readings) / len(readings)
-        h_oracle = sum(r.relative_humidity for r in readings) / len(readings)
+        t_oracle = sum(r[3] for r in readings) / len(readings)
+        h_oracle = sum(r[4] for r in readings) / len(readings)
         assert t_mean == pytest.approx(t_oracle, abs=1e-12)
         assert h_mean == pytest.approx(h_oracle, abs=1e-12)
 
@@ -412,3 +421,50 @@ class TestRecordsCsv:
         write_records_csv(records, path, extra_cells=[("x",), ("x",)])
         with pytest.raises(ValidationError, match=":2: wrong column count"):
             load_records_csv(path)
+
+
+class TestRawCsv:
+    def test_climate_round_trip(self, tmp_path):
+        temps, hums = np.array([30.0, 31.5, 29.25]), np.array([60.0, 100.0, 0.0])
+        path = tmp_path / "climate.csv"
+        write_climate_csv([("D1", (2016, 2), temps[:2], hums[:2]),
+                           ("D2", (2016, 2), temps, hums)], path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "district,date,temp_c,rh_pct",
+            "D1,2016-02-01,30.0,60.0",
+            "D1,2016-02-02,31.5,100.0",
+            "D2,2016-02-01,30.0,60.0",
+            "D2,2016-02-02,31.5,100.0",
+            "D2,2016-02-03,29.25,0.0",
+        ]
+        rows = load_climate_csv(path)
+        assert next(rows) == ("D1", (2016, 2), date(2016, 2, 1), 30.0, 60.0)
+        assert aggregate_monthly(rows) == {
+            ("D1", (2016, 2)): (31.5, 100.0),
+            ("D2", (2016, 2)): ((30.0 + 31.5 + 29.25) / 3, 160.0 / 3),
+        }
+
+    def test_climate_loader_reads_lazily(self, tmp_path):
+        rows = load_climate_csv(tmp_path / "absent.csv")
+        with pytest.raises(ValidationError, match="cannot read"):
+            next(rows)
+
+    def test_rain_larval_cases_round_trip(self, tmp_path):
+        weeks = [WeeklyRainfall("D1", 2018, 1, 12.5), WeeklyRainfall("D2", 2020, 53, 0.1)]
+        surveys = [LarvalSurvey("D1", (2018, 1), 90, 10, 0)]
+        cases = [(("D1", (2018, 1)), 4), (("D1", (2018, 1)), 5)]
+        write_rain_csv(weeks, tmp_path / "rain.csv")
+        write_larval_csv(surveys, tmp_path / "larval.csv")
+        write_cases_csv(cases, tmp_path / "cases.csv")
+        assert load_rain_csv(tmp_path / "rain.csv") == weeks
+        assert load_larval_csv(tmp_path / "larval.csv") == surveys
+        assert load_cases_csv(tmp_path / "cases.csv") == cases
+
+    def test_larval_truth_sorted(self, tmp_path):
+        path = tmp_path / "larval_truth.csv"
+        write_larval_truth_csv({("D2", (2018, 1)): 1.5, ("D1", (2018, 10)): 2.25,
+                                ("D1", (2018, 2)): 3.0}, path)
+        assert path.read_text(encoding="utf-8") == (
+            "district,year,month,larval_index\n"
+            "D1,2018,2,3.0\nD1,2018,10,2.25\nD2,2018,1,1.5\n"
+        )
