@@ -199,24 +199,20 @@ def cmd_predict(args):
     model_bin = Path(args.model)
     trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
     records = dataprep.load_records_csv(args.records)
-    if trained.scaler is None:
-        raise ValidationError("model has no scaler; cannot de-scale predictions")
-    scaled = dataprep.apply_scaler(trained.scaler, records)
     spec = trained.spec
     windows, _ = dataprep.build_windows(
-        scaled, spec.timesteps, spec.variant, spec.predictors
+        dataprep.apply_scaler(trained.scaler, records),
+        spec.timesteps, spec.variant, spec.predictors,
     )
+    if not windows:
+        raise ValidationError(
+            f"{args.records}: no district has {spec.timesteps} consecutive months "
+            f"(the model's timesteps) to predict from")
     actual = {(r.district, r.month): r.cases for r in records}
-    preds = lstm.predict_batch(trained, windows)
-    rows = [
-        [w.district, w.target_month[0], w.target_month[1], repr(float(preds[i])),
-         actual[(w.district, w.target_month)]]
-        for i, w in enumerate(windows)
-    ]
+    _, _, rows = experiments.evaluate(trained, windows, actual)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "predictions.csv",
-           csv_text(experiments.PREDICTION_HEADER, rows))
+    _write(out / "predictions.csv", experiments.prediction_table_csv(rows))
     print(f"wrote {len(rows)} predictions")
     return 0
 

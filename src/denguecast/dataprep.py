@@ -30,7 +30,6 @@ from .errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrain,
-    NotFitted,
     PrecisionError,
     ValidationError,
 )
@@ -267,35 +266,43 @@ def detect_gaps(records):
 
 @dataclass
 class Scaler:
-    """Per-feature min-max ranges; None until fitted."""
+    """Per-feature min-max ranges, fitted by fit_scaler."""
 
-    ranges: dict[str, tuple[float, float]] | None = None
-
-    def _require(self, feature):
-        if self.ranges is None:
-            raise NotFitted("scaler has not been fitted")
-        if feature not in self.ranges:
-            raise NotFitted(f"scaler has no range for feature {feature!r}")
-        return self.ranges[feature]
+    ranges: dict[str, tuple[float, float]]
 
     def transform_value(self, feature, value):
-        lo, hi = self._require(feature)
+        lo, hi = self.ranges[feature]
         if hi > lo:
             return (value - lo) / (hi - lo)
         return 0.0
 
     def invert_value(self, feature, value):
-        lo, hi = self._require(feature)
+        lo, hi = self.ranges[feature]
         return lo + value * (hi - lo)
 
     def to_dict(self):
-        if self.ranges is None:
-            raise NotFitted("scaler has not been fitted")
         return {k: [lo, hi] for k, (lo, hi) in self.ranges.items()}
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(ranges={k: (float(lo), float(hi)) for k, (lo, hi) in d.items()})
+    def from_dict(cls, d, columns, where):
+        """The scaler of a to_dict object d that must range exactly the given
+        columns, each as a [lo, hi] pair of finite numbers with lo <= hi."""
+        missing = [c for c in columns if c not in d]
+        unknown = sorted(set(d) - set(columns))
+        if missing or unknown:
+            raise ValidationError(
+                f"{where}: scaler must range exactly {list(columns)}; "
+                f"missing {missing}, unknown {unknown}")
+        ranges = {}
+        for feature, pair in d.items():
+            if not (type(pair) is list and len(pair) == 2
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+                    and pair[0] <= pair[1]):
+                raise ValidationError(
+                    f"{where}: scaler {feature} must be a [lo, hi] pair of finite "
+                    f"numbers with lo <= hi, got {pair!r}")
+            ranges[feature] = (float(pair[0]), float(pair[1]))
+        return cls(ranges)
 
 
 def fit_scaler(records, feature_set):
@@ -317,10 +324,11 @@ def apply_scaler(scaler, records):
     """Return copies of the records with fitted features min-max scaled.
 
     Missing larval indices stay None; features the scaler was not fitted
-    for are left untouched.
+    for are left untouched. Windows built from the scaled records carry
+    scaled targets, so a model trained on them predicts in scaled units;
+    experiments.evaluate is the one place that maps predictions back to
+    counts (Scaler.invert_value on "cases").
     """
-    if scaler.ranges is None:
-        raise NotFitted("scaler has not been fitted")
     out = []
     for r in records:
         changes = {}
@@ -335,6 +343,12 @@ def apply_scaler(scaler, records):
 
 # ---------------------------------------------------------------------------
 # supervised framing
+
+
+def window_columns(predictors, variant):
+    """Record fields of one window row, in column order: the climate
+    predictors, the larval index under variant II, then the incidence."""
+    return (*predictors, *(("larval_index",) if variant == "II" else ()), "cases")
 
 
 def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
@@ -370,6 +384,7 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
                 "larval index missing for districts: " + ", ".join(missing)
             )
 
+    columns = window_columns(predictors, variant)
     windows = []
     report = detect_gaps(records)
     for district in sorted(by_district):
@@ -380,13 +395,9 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
                 report.skipped_windows += 1
                 continue
             span = rows[i - t + 1 : i + 1]
-            mat = np.empty((t, len(predictors) + (variant == "II") + 1))
-            for j, r in enumerate(span):
-                feats = [getattr(r, p) for p in predictors]
-                if variant == "II":
-                    feats.append(r.larval_index)
-                feats.append(float(r.cases) if j < t - 1 else 0.0)
-                mat[j] = feats
+            mat = np.array([[getattr(r, c) for c in columns] for r in span],
+                           dtype=np.float64)
+            mat[-1, -1] = 0.0  # the current month's incidence is masked
             windows.append(
                 SupervisedWindow(
                     features=mat,
@@ -633,14 +644,19 @@ def write_records_csv(records, path, extra_header=(), extra_cells=None):
             writer.writerow(row)
 
 
+def parse_count(text):
+    """A case count as record_row writes it: an int, or a float when it has a
+    decimal point."""
+    return float(text) if "." in text else int(text)
+
+
 def load_records_csv(path):
     """Read records.csv, or imputed.csv with its trailing provenance column."""
     records = []
     headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
     for lineno, row in _read_rows(path, *headers):
         try:
-            cases_text = row[7]
-            cases = float(cases_text) if "." in cases_text else int(cases_text)
+            cases = parse_count(row[7])
             records.append(
                 DistrictMonthRecord(
                     district=row[0],

@@ -21,10 +21,6 @@ class DuplicateKey(PipelineError):
     """Two rows in one source share a (district, month) key."""
 
 
-class NotFitted(PipelineError):
-    """A scaler was applied before being fitted."""
-
-
 class EmptyTrain(PipelineError):
     """A regressor was asked to predict with no training examples."""
 

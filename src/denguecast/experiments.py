@@ -11,6 +11,13 @@ goes to an answer table so imputation quality is measurable.
 Sweeps train one configuration per grid cell per seed, aggregate mean
 validation/test MSE and mark the argmin row. Reported MSE comes in both
 raw-count and scaled flavors.
+
+Every prediction, in train, sweep and predict alike, takes one path:
+lstm.predict_batch gives the model's output in the scaled units it was
+trained in; evaluate de-scales it with the model's scaler, takes the scaled
+MSE against the windows' targets and the raw MSE against the records' case
+counts, and builds PredictionRows whose actual is the record's count as
+records.csv holds it; prediction_table_csv is the one writer of those rows.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from . import dataprep
+from . import dataprep, lstm
 from .dataprep import (
     CLIMATE_FEATURES,
     LarvalSurvey,
@@ -37,18 +44,15 @@ from .dataprep import (
     csv_text,
     fit_scaler,
     month_index,
+    parse_count,
     split_dataset,
     weighted_larval_index,
+    window_columns,
 )
 from .errors import DivergenceError, EmptyInput, ValidationError
-from .lstm import (
-    ModelSpec,
-    TrainCfg,
-    carve_validation,
-    model_forward,
-    train,
-    windows_to_arrays,
-)
+# model_forward is not called here: perfbench/tracing.py wraps it under this
+# module's name, as it does train, so both names stay
+from .lstm import ModelSpec, TrainCfg, carve_validation, model_forward, train
 from .nn_core import derive_seed, make_rng, mse
 from .specs import from_json
 
@@ -270,11 +274,7 @@ def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
     raw_split = split_dataset(raw_windows, ratio)
     boundary = max(month_index(w.target_month) for w in raw_split.train)
     train_records = [r for r in records if month_index(r.month) <= boundary]
-    features = list(predictors)
-    if variant == "II":
-        features.append("larval_index")
-    features.append("cases")
-    scaler = fit_scaler(train_records, features)
+    scaler = fit_scaler(train_records, window_columns(predictors, variant))
     scaled = apply_scaler(scaler, records)
     windows, _ = build_windows(scaled, t, variant, predictors)
     return PreparedData(split=split_dataset(windows, ratio), scaler=scaler)
@@ -289,7 +289,7 @@ class PredictionRow:
     district: str
     month: tuple[int, int]
     predicted: float
-    actual: float
+    actual: float  # the record's count, an int or a float as records.csv holds it
 
 
 @dataclass
@@ -305,22 +305,25 @@ class RunReport:
     trained: object | None = None
 
 
-def evaluate(trained, windows):
-    """(scaled MSE, raw MSE, per-window raw predictions) on a window list."""
-    X, y = windows_to_arrays(windows)
-    pred, _ = model_forward(trained.model, X, training=False)
-    scaled = mse(y, pred)
+def evaluate(trained, windows, actual):
+    """(scaled MSE, raw MSE, PredictionRows) of a trained model on windows.
+
+    actual maps (district, month) to the record's case count. The scaled MSE
+    is taken against the windows' (scaled) targets; the predictions are then
+    de-scaled and the raw MSE is taken against the counts, which each row
+    carries as its actual.
+    """
+    # through the module, so a wrapped lstm.predict_batch sees the call
+    pred = lstm.predict_batch(trained, windows)
+    scaled = mse([w.target for w in windows], pred)
     raw_pred = trained.scaler.invert_value("cases", pred)
-    raw_y = trained.scaler.invert_value("cases", y)
-    raw = mse(raw_y, raw_pred)
+    counts = [actual[(w.district, w.target_month)] for w in windows]
     rows = [
-        PredictionRow(
-            district=w.district, month=w.target_month,
-            predicted=float(raw_pred[i]), actual=float(raw_y[i]),
-        )
-        for i, w in enumerate(windows)
+        PredictionRow(district=w.district, month=w.target_month,
+                      predicted=float(p), actual=c)
+        for w, p, c in zip(windows, raw_pred, counts)
     ]
-    return scaled, raw, rows
+    return scaled, mse(counts, raw_pred), rows
 
 
 def run_config(records, spec, cfg, label, report_seed):
@@ -328,14 +331,13 @@ def run_config(records, spec, cfg, label, report_seed):
     started = time.perf_counter()
     prepared = make_supervised(records, spec.timesteps, spec.variant, cfg.ratio,
                                spec.predictors)
-    trained = train(
-        spec, prepared.split, validation_fraction=cfg.validation_fraction,
-        scaler=prepared.scaler, lr=cfg.lr,
-    )
+    trained = train(spec, prepared.split, validation_fraction=cfg.validation_fraction,
+                    scaler=prepared.scaler, lr=cfg.lr)
     trained.train_cfg = cfg
     _, val_w = carve_validation(prepared.split.train, cfg.validation_fraction)
-    val_scaled, val_raw, _ = evaluate(trained, val_w)
-    test_scaled, test_raw, rows = evaluate(trained, prepared.split.test)
+    actual = {(r.district, r.month): r.cases for r in records}
+    val_scaled, val_raw, _ = evaluate(trained, val_w, actual)
+    test_scaled, test_raw, rows = evaluate(trained, prepared.split.test, actual)
     return RunReport(
         label=label,
         seed=report_seed,
@@ -475,20 +477,10 @@ def run_sweep(sweep, records, jobs=1):
         cell_reports = [r for r in reports if r.label == label]
         if not cell_reports:
             continue
-        rows.append(
-            SweepRow(
-                label=label,
-                validation_mse=float(np.mean([r.validation_mse for r in cell_reports])),
-                test_mse=float(np.mean([r.test_mse for r in cell_reports])),
-                validation_mse_scaled=float(
-                    np.mean([r.validation_mse_scaled for r in cell_reports])
-                ),
-                test_mse_scaled=float(
-                    np.mean([r.test_mse_scaled for r in cell_reports])
-                ),
-                n_seeds=len(cell_reports),
-            )
-        )
+        means = {name: float(np.mean([getattr(r, name) for r in cell_reports]))
+                 for name in ("validation_mse", "test_mse",
+                              "validation_mse_scaled", "test_mse_scaled")}
+        rows.append(SweepRow(label=label, n_seeds=len(cell_reports), **means))
     argmin_label = None
     if rows:
         best_row = min(rows, key=lambda r: r.validation_mse)
@@ -583,9 +575,10 @@ def prediction_table_md(predictions):
 PREDICTION_HEADER = ["district", "year", "month", "predicted", "actual"]
 
 
-def prediction_table_csv(report):
-    """Raw (unrounded) predictions; reparses to the same floats exactly."""
-    rows = sorted(report.predictions, key=lambda p: (p.district, month_index(p.month)))
+def prediction_table_csv(rows):
+    """PredictionRows by district and month, unrounded; parse_prediction_csv
+    reads them back exactly."""
+    rows = sorted(rows, key=lambda p: (p.district, month_index(p.month)))
     return csv_text(PREDICTION_HEADER, [
         [p.district, p.month[0], p.month[1], repr(p.predicted), repr(p.actual)]
         for p in rows
@@ -604,7 +597,7 @@ def parse_prediction_csv(text):
         rows.append(
             PredictionRow(
                 district=row[0], month=(int(row[1]), int(row[2])),
-                predicted=float(row[3]), actual=float(row[4]),
+                predicted=float(row[3]), actual=parse_count(row[4]),
             )
         )
     return rows
@@ -648,7 +641,7 @@ def render_report(reports, sweep_result=None):
     for report in reports:
         stem = f"predictions_{slugify(report.label)}_seed{report.seed}"
         files[f"tables/{stem}.md"] = prediction_table_md(report.predictions)
-        files[f"reports/{stem}.csv"] = prediction_table_csv(report)
+        files[f"reports/{stem}.csv"] = prediction_table_csv(report.predictions)
     if sweep_result is not None:
         files["tables/mse_summary.md"] = mse_table_md(sweep_result)
         files["reports/mse_summary.csv"] = mse_table_csv(sweep_result)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataprep import CLIMATE_FEATURES, Scaler
+from .dataprep import CLIMATE_FEATURES, Scaler, window_columns
 from .errors import (
     DivergenceError,
     EmptyInput,
@@ -391,7 +391,7 @@ def model_backward(model, cache, d_pred):
 class TrainedModel:
     spec: ModelSpec
     model: Model
-    scaler: object | None
+    scaler: Scaler  # fitted on the training-period records the model saw
     loss_history: list  # (train_mse, validation_mse) per epoch
     best_epoch: int
     train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
@@ -404,7 +404,7 @@ class Sidecar:
     # a sidecar written before models recorded their TrainCfg has no "train"
     train: dict = field(default_factory=dict)
     input_dim: int
-    scaler: dict | None
+    scaler: dict
     best_epoch: int
     loss_history: tuple[tuple[float, ...], ...]  # (train_mse, validation_mse) per epoch
 
@@ -428,7 +428,7 @@ def windows_to_arrays(windows):
     return X, y
 
 
-def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3):
+def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
     """Full-batch training with Adam; keeps the best-validation snapshot.
 
     The last validation_fraction of the (chronologically ordered) train split
@@ -436,8 +436,9 @@ def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3):
     epoch; the returned parameters are the snapshot with the lowest
     validation MSE (no early stopping). Raises DivergenceError when a loss is
     non-finite or exceeds DIVERGENCE_FACTOR times the epoch-0 training loss.
-    The windows are already built: spec.predictors and spec.variant are only
-    recorded, for predict to window new records the same way.
+    The windows are already built and scaled by scaler: spec.predictors,
+    spec.variant and the scaler are only recorded, for predict to window and
+    scale new records the same way.
     """
     if not split.train:
         raise EmptyInput("training split is empty")
@@ -495,9 +496,10 @@ def train(spec, split, validation_fraction=0.15, scaler=None, lr=1e-3):
 
 
 def predict_batch(trained, windows):
-    """Prediction per window, de-scaled when the model carries a scaler.
+    """The model's output per window, in the scaled units of the targets it
+    was trained on; experiments.evaluate de-scales it to counts.
 
-    Raw output, never clamped: a fitted model may emit small negative counts.
+    Never clamped: a fitted model may emit small negative values.
     """
     X, _ = windows_to_arrays(windows)
     if X.shape[1] != trained.spec.timesteps or X.shape[2] != trained.model.input_dim:
@@ -506,8 +508,6 @@ def predict_batch(trained, windows):
             f"({trained.spec.timesteps}, {trained.model.input_dim})"
         )
     pred, _ = model_forward(trained.model, X, training=False)
-    if trained.scaler is not None:
-        return trained.scaler.invert_value("cases", pred)
     return pred
 
 
@@ -534,7 +534,7 @@ def save_model(trained, bin_path, sidecar_path):
         spec=asdict(trained.spec),
         train=asdict(trained.train_cfg),
         input_dim=trained.model.input_dim,
-        scaler=None if trained.scaler is None else trained.scaler.to_dict(),
+        scaler=trained.scaler.to_dict(),
         best_epoch=trained.best_epoch,
         loss_history=tuple(trained.loss_history),
     )
@@ -556,11 +556,12 @@ def load_model(bin_path, sidecar_path):
         if stored[name].shape != value.shape:
             raise ValidationError(f"snapshot shape mismatch for {name}")
         value[...] = stored[name]
-    scaler = None if sidecar.scaler is None else Scaler.from_dict(sidecar.scaler)
     return TrainedModel(
         spec=spec,
         model=model,
-        scaler=scaler,
+        scaler=Scaler.from_dict(sidecar.scaler,
+                                window_columns(spec.predictors, spec.variant),
+                                str(sidecar_path)),
         loss_history=list(sidecar.loss_history),
         best_epoch=sidecar.best_epoch,
         train_cfg=train_cfg,

@@ -73,7 +73,10 @@ def test_synth_climate_noise_matches_golden(args, digest, tmp_path):
 # de-scaling, gap scanning, CSV writing and record reading were each merged
 # into one path. The five .json model sidecars were re-pinned when they gained
 # spec.predictors and the "train" key (TrainCfg); without those two keys each
-# is byte-identical to the sidecar recorded here first.
+# is byte-identical to the sidecar recorded here first. The four
+# sw/reports/predictions_*.csv were re-pinned when their actual column became
+# each record's count as records.csv holds it (35, where it held 35.0, the
+# count sent through the scaler and back); their other columns are unchanged.
 CHAIN_GOLDEN = {
     "imp/coreg_log.txt": "2cb83b5f84dcc721279ebd910c06ab35d33f6fa99689635829a3b979d48d4b49",
     "imp/imputed.csv": "0d40be376576a1725a7383419910b4e93af107eb4ec103e96927c22393f25678",
@@ -98,10 +101,10 @@ CHAIN_GOLDEN = {
     "sw/models/temperature_seed0.bin": "53fadec0f1eca11c56533e8c9a358af2ce8bc20ce297b5a90e3563143df170f0",
     "sw/models/temperature_seed0.json": "3c29add4831422e0c3463980534da901f000f46228daf097e0ba0eb724265320",
     "sw/reports/mse_summary.csv": "4c782bbc18ebf883c34ffa8d270b6be819e815a662c10e6f86e4d730e3b16884",
-    "sw/reports/predictions_all-three-parameters_seed0.csv": "78cb5e2756cb0cb35770253c80a43712f19599e28bfc31fa0c40873c16168a88",
-    "sw/reports/predictions_rainfall_seed0.csv": "951a903895faa5417aa289bfac5565bcf6b090a6866720ec43eff7f633402e46",
-    "sw/reports/predictions_relative-humidity_seed0.csv": "8747aa69de8469c9342eccbfb9560b3c0bb2f9aff82a7f135334d792ce56e7c7",
-    "sw/reports/predictions_temperature_seed0.csv": "716eba14f39adac75aee9dea5169299457489c82d76e87c87b9be854810385e7",
+    "sw/reports/predictions_all-three-parameters_seed0.csv": "0522f116a6a5afe6a226f12b84a409b37adb5fcec8d1d8612e9eac206d66f9b8",
+    "sw/reports/predictions_rainfall_seed0.csv": "821548b18cf62cb166fa2fb21fcdee1ac0020bf5276415aabf073d3fa564c374",
+    "sw/reports/predictions_relative-humidity_seed0.csv": "af2a6db26f1d7b2f8b3d7f84a734c6ad30abf0c305450300ac42fe5e02552864",
+    "sw/reports/predictions_temperature_seed0.csv": "6752a8048bdf4f3a479998ed90c30ee7388e61f26d215b750348ec7a81a2fc70",
     "sw/tables/mse_summary.md": "06221b1d6c45cb7611f3af20ebaec3dce80e72cd5554fe40cc4c6f0ade60a92f",
     "sw/tables/predictions_all-three-parameters_seed0.md": "ab9745b0327cb2830044598fcbf1b1a8e6662259bb6b19ead68d33b6c5bfb2af",
     "sw/tables/predictions_rainfall_seed0.md": "ab9745b0327cb2830044598fcbf1b1a8e6662259bb6b19ead68d33b6c5bfb2af",
@@ -321,7 +324,23 @@ def _copy_model(chain, tmp_path, edit):
 @pytest.mark.parametrize("edit,named", [
     (lambda s: s["spec"].update(hidden="4"), "spec: hidden must be int"),
     (lambda s: s["spec"].update(hiden=4), "spec: unknown keys ['hiden']"),
-], ids=["hidden-str", "unknown-key"])
+    (lambda s: s.update(scaler=None), "scaler must be dict, got None"),
+    (lambda s: s["scaler"].update(temp_mean=[1]),
+     "scaler temp_mean must be a [lo, hi] pair"),
+    (lambda s: s["scaler"].update(temp_mean=["20", "30"]),
+     "scaler temp_mean must be a [lo, hi] pair"),
+    (lambda s: s["scaler"].update(temp_mean=[30.0, 20.0]),
+     "scaler temp_mean must be a [lo, hi] pair of finite numbers with lo <= hi"),
+    (lambda s: s["scaler"].update(cases=[0.0, float("inf")]),
+     "scaler cases must be a [lo, hi] pair of finite numbers"),
+    (lambda s: s["scaler"].update(rh_mean=[float("nan"), 1.0]),
+     "scaler rh_mean must be a [lo, hi] pair of finite numbers"),
+    # the model reads temp_mean, so raw temperatures must not reach it unscaled
+    (lambda s: s["scaler"].pop("temp_mean"), "missing ['temp_mean']"),
+    (lambda s: s["scaler"].update(wind=[0.0, 1.0]), "unknown ['wind']"),
+], ids=["hidden-str", "unknown-key", "scaler-null", "scaler-not-pair",
+        "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
+        "scaler-missing-column", "scaler-extra-column"])
 def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, edit)
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -346,6 +365,20 @@ def test_predict_with_sidecar_without_train_key(chain, tmp_path):
                      "--records", str(chain / "imp" / "imputed.csv")]) == 0
     assert ((tmp_path / "o" / "predictions.csv").read_bytes()
             == (chain / "pred" / "predictions.csv").read_bytes())
+
+
+@pytest.mark.parametrize("keep", [1, 3], ids=["header-only", "two-months"])
+def test_predict_without_a_complete_window_exits_2(keep, chain, tmp_path, capsys):
+    # the chain's model reads 3-month windows
+    lines = (chain / "imp" / "imputed.csv").read_text(encoding="utf-8").splitlines(True)
+    records = tmp_path / "records.csv"
+    records.write_text("".join(lines[:keep]), encoding="utf-8")
+    code = cli.main(["predict", "--out", str(tmp_path / "o"),
+                     "--model", str(chain / "model" / "model.bin"),
+                     "--records", str(records)])
+    assert code == 2
+    assert f"{records}: no district has 3 consecutive months" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):

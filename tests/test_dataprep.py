@@ -29,13 +29,11 @@ from denguecast.dataprep import (
     write_larval_truth_csv,
     write_rain_csv,
     write_records_csv,
-    Scaler,
 )
 from denguecast.errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrain,
-    NotFitted,
     PrecisionError,
     ValidationError,
 )
@@ -245,12 +243,6 @@ class TestScaler:
         scaler = fit_scaler(records, ["larval_index"])
         out = apply_scaler(scaler, records)
         assert out[0].larval_index is None
-
-    def test_unfitted(self):
-        with pytest.raises(NotFitted):
-            apply_scaler(Scaler(), [record()])
-        with pytest.raises(NotFitted):
-            Scaler().transform_value("temp_mean", 1.0)
 
 
 def district_series(district="D1", n_months=12, start=(2018, 1), larval=True,

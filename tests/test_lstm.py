@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from denguecast.dataprep import CLIMATE_FEATURES, SupervisedWindow, SplitDataset, Scaler
+from denguecast.dataprep import (
+    CLIMATE_FEATURES,
+    Scaler,
+    SplitDataset,
+    SupervisedWindow,
+    window_columns,
+)
 from denguecast.errors import (
     DivergenceError,
     EmptyInput,
@@ -338,9 +344,9 @@ class TestMatchesPerGateReference:
         spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
                          epochs=3, timesteps=T, seed=24)
         split = as_split(linear_dynamics_windows(n=40))
-        got = train(spec, split).loss_history
+        got = train(spec, split, scaler=unit_scaler(spec)).loss_history
         use_reference_cell(monkeypatch)
-        assert got == train(spec, split).loss_history
+        assert got == train(spec, split, scaler=unit_scaler(spec)).loss_history
 
 
 class TestParameterCount:
@@ -379,11 +385,16 @@ def as_split(windows, ratio=0.85):
     return SplitDataset(train=windows[:n_train], test=windows[n_train:])
 
 
+def unit_scaler(spec, hi=1.0):
+    """A complete scaler for spec's window columns, each ranging [0, hi]."""
+    return Scaler({c: (0.0, hi) for c in window_columns(spec.predictors, spec.variant)})
+
+
 class TestTrain:
     def test_one_epoch_history(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=1)
-        tm = train(spec, as_split(linear_dynamics_windows()))
+        tm = train(spec, as_split(linear_dynamics_windows()), scaler=unit_scaler(spec))
         assert len(tm.loss_history) == 1
 
     def test_learns_linear_dynamics(self):
@@ -391,7 +402,7 @@ class TestTrain:
                          epochs=400, timesteps=T, seed=2)
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
-        tm = train(spec, as_split(windows), lr=1e-2)
+        tm = train(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
         targets = np.array([w.target for w in windows])
         final_train_mse = tm.loss_history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
@@ -400,8 +411,8 @@ class TestTrain:
         spec = ModelSpec(arch="stacked", num_layers=2, hidden=4, dropout=0.2,
                          epochs=30, timesteps=T, seed=3)
         split = as_split(linear_dynamics_windows(n=40))
-        h1 = train(spec, split).loss_history
-        h2 = train(spec, split).loss_history
+        h1 = train(spec, split, scaler=unit_scaler(spec)).loss_history
+        h2 = train(spec, split, scaler=unit_scaler(spec)).loss_history
         assert h1 == h2  # bit-identical
 
     def test_constant_targets_converge(self):
@@ -415,20 +426,22 @@ class TestTrain:
                          epochs=500, timesteps=T, seed=5)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
         tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
-                   lr=1e-2)
+                   scaler=unit_scaler(spec), lr=1e-2)
         assert tm.loss_history[-1][0] < 1e-4
 
     def test_divergence_raises_with_epoch(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6)
         with pytest.raises(DivergenceError) as err:
-            train(spec, as_split(linear_dynamics_windows(n=30)), lr=1e12)
+            train(spec, as_split(linear_dynamics_windows(n=30)),
+                  scaler=unit_scaler(spec), lr=1e12)
         assert err.value.epoch >= 0
 
     def test_loss_spike_that_recovers_is_not_divergence(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6)
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)), lr=1.0)
+        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+                   scaler=unit_scaler(spec), lr=1.0)
         loss0 = tm.loss_history[0][0]
         peak = max(max(tr, va) for tr, va in tm.loss_history)
         assert peak > 10.0 * loss0  # a real spike, far below DIVERGENCE_FACTOR
@@ -437,12 +450,13 @@ class TestTrain:
     def test_empty_split(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, epochs=1, timesteps=T)
         with pytest.raises(EmptyInput):
-            train(spec, SplitDataset(train=[], test=[]))
+            train(spec, SplitDataset(train=[], test=[]), scaler=unit_scaler(spec))
 
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=100, timesteps=T, seed=7)
-        tm = train(spec, as_split(linear_dynamics_windows(n=50)))
+        tm = train(spec, as_split(linear_dynamics_windows(n=50)),
+                   scaler=unit_scaler(spec))
         vals = [v for _, v in tm.loss_history]
         assert tm.best_epoch == int(np.argmin(vals))
 
@@ -460,7 +474,7 @@ def window(features):
 
 
 def predict_one(trained, features):
-    """De-scaled prediction for one (t, F) feature matrix."""
+    """The model's (scaled) prediction for one (t, F) feature matrix."""
     return float(predict_batch(trained, [window(features)])[0])
 
 
@@ -476,7 +490,7 @@ class TestPredict:
                          epochs=400, timesteps=T, seed=9)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
         tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
-                   lr=1e-2)
+                   scaler=unit_scaler(spec), lr=1e-2)
         return tm, windows
 
     def test_constant_fit(self):
@@ -492,23 +506,10 @@ class TestPredict:
         model.head_b2.value[0] = -3.0
         from denguecast.lstm import TrainedModel
 
-        tm = TrainedModel(spec=model.spec, model=model, scaler=None,
+        tm = TrainedModel(spec=model.spec, model=model, scaler=unit_scaler(model.spec),
                           loss_history=[(0.0, 0.0)], best_epoch=0)
         value = predict_one(tm, np.zeros((T, F)))
         assert value == -3.0  # negative predictions pass through untouched
-
-    def test_descaling_inverts_target_scaler(self):
-        _, model, _, _ = model_and_data("plain", 1)
-        for p in model.parameters():
-            p.value[...] = 0.0
-        # identity-ish head: prediction = b2 in scaled space
-        model.head_b2.value[0] = 0.25
-        scaler = Scaler(ranges={"cases": (10.0, 50.0)})
-        from denguecast.lstm import TrainedModel
-
-        tm = TrainedModel(spec=model.spec, model=model, scaler=scaler,
-                          loss_history=[(0.0, 0.0)], best_epoch=0)
-        assert predict_one(tm, np.zeros((T, F))) == pytest.approx(10.0 + 0.25 * 40.0)
 
     def test_schema_mismatch(self):
         tm, _ = self._trained_constant()
@@ -523,7 +524,7 @@ class TestPersistence:
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=10)
         windows = linear_dynamics_windows(n=30)
-        tm = train(spec, as_split(windows), scaler=Scaler(ranges={"cases": (0.0, 9.0)}))
+        tm = train(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert loaded.spec == tm.spec
@@ -536,7 +537,8 @@ class TestPersistence:
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
         assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)))
+        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+                   scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         assert load_model(tmp_path / "m.bin", tmp_path / "m.json").spec == spec
         # a sidecar written before ModelSpec recorded its predictors
@@ -549,7 +551,8 @@ class TestPersistence:
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=14)
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)))
+        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+                   scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
         assert list(stored) == [
@@ -569,7 +572,7 @@ class TestPersistence:
                          epochs=10, timesteps=T, seed=11)
         split = as_split(linear_dynamics_windows(n=30))
         for name in ("a", "b"):
-            tm = train(spec, split)
+            tm = train(spec, split, scaler=unit_scaler(spec))
             save_model(tm, tmp_path / f"{name}.bin", tmp_path / f"{name}.json")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
@@ -578,7 +581,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
-        tm = train(spec, as_split(windows))
+        tm = train(spec, as_split(windows), scaler=unit_scaler(spec))
         # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]
