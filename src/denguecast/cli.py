@@ -22,7 +22,6 @@ ever written to artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -46,18 +45,6 @@ def _write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
-
-
-def _load_config(path):
-    """The JSON object in a config file."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config {path} must hold a JSON object, got {cfg!r}")
-    return cfg
 
 
 def _file_or_flags(args, given, keys, where):
@@ -175,8 +162,8 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
-    spec, cfg = _run_spec(args, _load_config(args.config) if args.config else {},
-                          args.config)
+    given = specs.read_object(args.config, "config") if args.config else {}
+    spec, cfg = _run_spec(args, given, args.config)
     records = dataprep.load_records_csv(args.records)
     report = experiments.run_config(records, spec, cfg, label="train",
                                     report_seed=spec.seed)
@@ -198,18 +185,14 @@ def cmd_train(args):
 def cmd_predict(args):
     model_bin = Path(args.model)
     trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
-    records = dataprep.load_records_csv(args.records)
     spec = trained.spec
-    windows, _ = dataprep.build_windows(
-        dataprep.apply_scaler(trained.scaler, records),
-        spec.timesteps, spec.variant, spec.predictors,
-    )
+    windows, _ = dataprep.build_windows(dataprep.load_records_csv(args.records),
+                                        spec.timesteps, spec.variant, spec.predictors)
     if not windows:
         raise ValidationError(
             f"{args.records}: no district has {spec.timesteps} consecutive months "
             f"(the model's timesteps) to predict from")
-    actual = {(r.district, r.month): r.cases for r in records}
-    _, _, rows = experiments.evaluate(trained, windows, actual)
+    _, _, rows = experiments.evaluate(trained, windows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "predictions.csv", experiments.prediction_table_csv(rows))
@@ -230,7 +213,8 @@ def _sweep_spec(args):
     """SweepSpec from the --sweep-config file, if any, and the flags; --grid
     is read only by a timestep sweep whose file has no grid."""
     path = args.sweep_config
-    file = specs.from_json(SweepFile, _load_config(path) if path else {}, path)
+    file = specs.from_json(SweepFile, specs.read_object(path, "config") if path else {},
+                           path)
     given = {k: v for k, v in vars(file).items() if v is not None}
     top = _file_or_flags(args, given, ("kind", "seeds"), path)
     kind = top.get("kind")
@@ -286,7 +270,7 @@ def cmd_report(args):
         raise ValidationError(f"no prediction reports under {run_dir}")
     tables_dir = run_dir / "tables"
     for path in csvs:
-        rows = experiments.parse_prediction_csv(path.read_text(encoding="utf-8"))
+        rows = experiments.load_prediction_csv(path)
         _write(tables_dir / f"{path.stem}.md", experiments.prediction_table_md(rows))
     print(f"rendered {len(csvs)} prediction tables to {tables_dir}")
     return 0

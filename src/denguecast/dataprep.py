@@ -2,8 +2,10 @@
 
 Raw inputs are daily climate readings, weekly rainfall, monthly larval
 surveys and monthly case counts. They are aggregated to district-month
-resolution, joined into DistrictMonthRecord rows, min-max scaled, windowed
-into (timesteps x features) supervised samples and split chronologically.
+resolution, joined into DistrictMonthRecord rows, windowed into (timesteps x
+features) supervised samples and split chronologically. Records and windows
+hold values as read: apply_scaler, the one scaler of model inputs, min-max
+scales the stacked arrays of a window list with a model's Scaler.
 
 The daily climate table is the only large one, so it is never held as one
 object per day: load_climate_csv streams its rows as plain tuples straight
@@ -17,7 +19,6 @@ loaders and writers are pure.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 import math
@@ -72,8 +73,8 @@ class DistrictMonthRecord:
 
 @dataclass
 class SupervisedWindow:
-    features: np.ndarray  # (t, F)
-    target: float
+    features: np.ndarray  # (t, F), unscaled
+    target: int | float  # the current month's count as the record holds it
     district: str
     target_month: tuple[int, int]
 
@@ -86,10 +87,9 @@ class SplitDataset:
 
 @dataclass
 class GapReport:
-    """Month-sequence discontinuities found while windowing."""
+    """Month-sequence discontinuities of an assembled record list."""
 
     gaps: list[tuple[str, tuple[int, int], tuple[int, int]]]
-    skipped_windows: int = 0
 
     def lines(self):
         if not self.gaps:
@@ -100,7 +100,6 @@ class GapReport:
                 f"{district}: gap between {before[0]:04d}-{before[1]:02d} "
                 f"and {after[0]:04d}-{after[1]:02d}"
             )
-        out.append(f"windows skipped: {self.skipped_windows}")
         return out
 
 
@@ -266,15 +265,20 @@ def detect_gaps(records):
 
 @dataclass
 class Scaler:
-    """Per-feature min-max ranges, fitted by fit_scaler."""
+    """Per-feature min-max ranges, fitted by fit_scaler. Their order is the
+    column order transform reads by default."""
 
     ranges: dict[str, tuple[float, float]]
 
-    def transform_value(self, feature, value):
-        lo, hi = self.ranges[feature]
-        if hi > lo:
-            return (value - lo) / (hi - lo)
-        return 0.0
+    def transform(self, values, columns=None):
+        """values min-max scaled; their last axis holds columns, every ranged
+        feature in order by default (values of a single column may have any
+        shape). Each value is divided by its column's width, and a zero-width
+        column maps to 0."""
+        lo, hi = np.array([self.ranges[c] for c in columns or self.ranges]).T
+        shifted = np.asarray(values, dtype=np.float64) - lo
+        width = hi - lo
+        return np.divide(shifted, width, out=np.zeros_like(shifted), where=width > 0)
 
     def invert_value(self, feature, value):
         lo, hi = self.ranges[feature]
@@ -286,7 +290,8 @@ class Scaler:
     @classmethod
     def from_dict(cls, d, columns, where):
         """The scaler of a to_dict object d that must range exactly the given
-        columns, each as a [lo, hi] pair of finite numbers with lo <= hi."""
+        columns, each as a [lo, hi] pair of finite numbers with lo <= hi. Its
+        ranges follow the order of columns, whatever the order of d."""
         missing = [c for c in columns if c not in d]
         unknown = sorted(set(d) - set(columns))
         if missing or unknown:
@@ -294,7 +299,8 @@ class Scaler:
                 f"{where}: scaler must range exactly {list(columns)}; "
                 f"missing {missing}, unknown {unknown}")
         ranges = {}
-        for feature, pair in d.items():
+        for feature in columns:
+            pair = d[feature]
             if not (type(pair) is list and len(pair) == 2
                     and all(type(v) in (int, float) and math.isfinite(v) for v in pair)
                     and pair[0] <= pair[1]):
@@ -320,25 +326,21 @@ def fit_scaler(records, feature_set):
     return Scaler(ranges=ranges)
 
 
-def apply_scaler(scaler, records):
-    """Return copies of the records with fitted features min-max scaled.
+def apply_scaler(scaler, windows):
+    """(X, y) for a model from windows built by build_windows: X (B, t, F)
+    stacks their features and y their targets, both min-max scaled by the
+    model's scaler, whose ranges are in window column order (incidence last).
+    The masked current-month incidence slot stays 0.
 
-    Missing larval indices stay None; features the scaler was not fitted
-    for are left untouched. Windows built from the scaled records carry
-    scaled targets, so a model trained on them predicts in scaled units;
-    experiments.evaluate is the one place that maps predictions back to
-    counts (Scaler.invert_value on "cases").
+    This is the one place model inputs are scaled; lstm.train and
+    lstm.predict_batch call it, so a model learns and predicts in scaled
+    units, and experiments.evaluate maps predictions back to counts
+    (Scaler.invert_value on "cases").
     """
-    out = []
-    for r in records:
-        changes = {}
-        for feature in scaler.ranges:
-            value = getattr(r, feature)
-            if value is None:
-                continue
-            changes[feature] = scaler.transform_value(feature, value)
-        out.append(dataclasses.replace(r, **changes))
-    return out
+    X = scaler.transform(np.stack([w.features for w in windows]))
+    X[:, -1, -1] = 0.0  # zero after scaling: a scaled 0 count need not be 0
+    y = scaler.transform([w.target for w in windows], ("cases",))
+    return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +360,10 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     index under variant II). Rows for past months also carry the observed
     incidence; the current-month row carries a masked incidence slot fixed
     at 0 so all rows share one schema. The target is the current month's
-    incidence. Windows that would span a month gap are skipped and counted.
+    incidence. Windows hold the records' values unscaled. Windows that would
+    span a month gap are skipped and counted.
 
-    Returns (windows, GapReport).
+    Returns (windows, number of windows skipped).
     """
     if t < 2:
         raise ValidationError(f"timesteps must be >= 2, got {t}")
@@ -386,13 +389,13 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
 
     columns = window_columns(predictors, variant)
     windows = []
-    report = detect_gaps(records)
+    skipped = 0
     for district in sorted(by_district):
         rows = sorted(by_district[district], key=lambda r: month_index(r.month))
         idx = [month_index(r.month) for r in rows]
         for i in range(t - 1, len(rows)):
             if idx[i] - idx[i - t + 1] != t - 1:
-                report.skipped_windows += 1
+                skipped += 1
                 continue
             span = rows[i - t + 1 : i + 1]
             mat = np.array([[getattr(r, c) for c in columns] for r in span],
@@ -401,12 +404,12 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
             windows.append(
                 SupervisedWindow(
                     features=mat,
-                    target=float(span[-1].cases),
+                    target=span[-1].cases,
                     district=district,
                     target_month=span[-1].month,
                 )
             )
-    return windows, report
+    return windows, skipped
 
 
 def split_dataset(windows, ratio):
@@ -463,7 +466,7 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_rows(path, *headers):
+def read_rows(path, *headers):
     """Yield (line number, cells) for each non-blank row after the header.
 
     The header must equal one of headers, and every row must have as many
@@ -502,7 +505,7 @@ def load_climate_csv(path):
     once; the rows of one date share its date and month objects.
     """
     days = {}
-    for lineno, (district, day_text, temp_text, rh_text) in _read_rows(
+    for lineno, (district, day_text, temp_text, rh_text) in read_rows(
         path, CLIMATE_HEADER
     ):
         try:
@@ -536,7 +539,7 @@ def write_climate_csv(blocks, path):
 
 def load_rain_csv(path):
     weeks = []
-    for lineno, row in _read_rows(path, RAIN_HEADER):
+    for lineno, row in read_rows(path, RAIN_HEADER):
         try:
             weeks.append(
                 WeeklyRainfall(
@@ -558,7 +561,7 @@ def write_rain_csv(weeks, path):
 
 def load_larval_csv(path):
     surveys = []
-    for lineno, row in _read_rows(path, LARVAL_HEADER):
+    for lineno, row in read_rows(path, LARVAL_HEADER):
         try:
             surveys.append(
                 LarvalSurvey(
@@ -584,7 +587,7 @@ def write_larval_csv(surveys, path):
 def load_cases_csv(path):
     """Returns ((district, (year, month)), cases) pairs, duplicates included."""
     pairs = []
-    for lineno, row in _read_rows(path, CASES_HEADER):
+    for lineno, row in read_rows(path, CASES_HEADER):
         try:
             pairs.append(((row[0], (int(row[1]), int(row[2]))), int(row[3])))
         except ValueError as exc:
@@ -654,7 +657,7 @@ def load_records_csv(path):
     """Read records.csv, or imputed.csv with its trailing provenance column."""
     records = []
     headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
-    for lineno, row in _read_rows(path, *headers):
+    for lineno, row in read_rows(path, *headers):
         try:
             cases = parse_count(row[7])
             records.append(

@@ -12,19 +12,19 @@ Sweeps train one configuration per grid cell per seed, aggregate mean
 validation/test MSE and mark the argmin row. Reported MSE comes in both
 raw-count and scaled flavors.
 
-Every prediction, in train, sweep and predict alike, takes one path:
-lstm.predict_batch gives the model's output in the scaled units it was
-trained in; evaluate de-scales it with the model's scaler, takes the scaled
-MSE against the windows' targets and the raw MSE against the records' case
-counts, and builds PredictionRows whose actual is the record's count as
-records.csv holds it; prediction_table_csv is the one writer of those rows.
+Windows hold unscaled features and each target month's count as the record
+holds it. Every prediction, in train, sweep and predict alike, takes one path:
+lstm.predict_batch scales the windows with the model's own scaler
+(dataprep.apply_scaler, as lstm.train does) and gives the model's output in
+those scaled units; evaluate de-scales it, takes the scaled MSE against the
+scaled targets and the raw MSE against the counts, and builds PredictionRows
+whose actual is the count; prediction_table_csv is the one writer of those
+rows and load_prediction_csv their one reader.
 """
 
 from __future__ import annotations
 
 import calendar
-import csv
-import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +39,7 @@ from .dataprep import (
     LarvalSurvey,
     SplitDataset,
     WeeklyRainfall,
-    apply_scaler,
+    apply_scaler,  # not called here: perfbench/tracing.py wraps it under this name
     build_windows,
     csv_text,
     fit_scaler,
@@ -262,22 +262,18 @@ class PreparedData:
 
 
 def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
-    """Scale, window and split records without temporal leakage.
-
-    The chronological split boundary is found first (on unscaled windows,
-    since scaling does not change ordering); the scaler is then fitted only
-    on records up to the boundary month and applied everywhere.
+    """Window and split records, and fit a scaler without temporal leakage:
+    only on records up to the split's boundary month, the last target month
+    of the train split. The windows stay unscaled.
     """
     if not records:
         raise EmptyInput("no records to prepare")
-    raw_windows, _ = build_windows(records, t, variant, predictors)
-    raw_split = split_dataset(raw_windows, ratio)
-    boundary = max(month_index(w.target_month) for w in raw_split.train)
+    windows, _ = build_windows(records, t, variant, predictors)
+    split = split_dataset(windows, ratio)
+    boundary = max(month_index(w.target_month) for w in split.train)
     train_records = [r for r in records if month_index(r.month) <= boundary]
     scaler = fit_scaler(train_records, window_columns(predictors, variant))
-    scaled = apply_scaler(scaler, records)
-    windows, _ = build_windows(scaled, t, variant, predictors)
-    return PreparedData(split=split_dataset(windows, ratio), scaler=scaler)
+    return PreparedData(split=split, scaler=scaler)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ class PredictionRow:
     district: str
     month: tuple[int, int]
     predicted: float
-    actual: float  # the record's count, an int or a float as records.csv holds it
+    actual: int | float  # the record's count as records.csv holds it
 
 
 @dataclass
@@ -305,23 +301,23 @@ class RunReport:
     trained: object | None = None
 
 
-def evaluate(trained, windows, actual):
+def evaluate(trained, windows):
     """(scaled MSE, raw MSE, PredictionRows) of a trained model on windows.
 
-    actual maps (district, month) to the record's case count. The scaled MSE
-    is taken against the windows' (scaled) targets; the predictions are then
-    de-scaled and the raw MSE is taken against the counts, which each row
+    The scaled MSE is taken against the windows' targets scaled by the
+    model's scaler; the predictions are then de-scaled and the raw MSE is
+    taken against the targets as the windows hold them, which each row
     carries as its actual.
     """
     # through the module, so a wrapped lstm.predict_batch sees the call
     pred = lstm.predict_batch(trained, windows)
-    scaled = mse([w.target for w in windows], pred)
+    counts = [w.target for w in windows]
+    scaled = mse(trained.scaler.transform(counts, ("cases",)), pred)
     raw_pred = trained.scaler.invert_value("cases", pred)
-    counts = [actual[(w.district, w.target_month)] for w in windows]
     rows = [
         PredictionRow(district=w.district, month=w.target_month,
-                      predicted=float(p), actual=c)
-        for w, p, c in zip(windows, raw_pred, counts)
+                      predicted=float(p), actual=w.target)
+        for w, p in zip(windows, raw_pred)
     ]
     return scaled, mse(counts, raw_pred), rows
 
@@ -335,9 +331,8 @@ def run_config(records, spec, cfg, label, report_seed):
                     scaler=prepared.scaler, lr=cfg.lr)
     trained.train_cfg = cfg
     _, val_w = carve_validation(prepared.split.train, cfg.validation_fraction)
-    actual = {(r.district, r.month): r.cases for r in records}
-    val_scaled, val_raw, _ = evaluate(trained, val_w, actual)
-    test_scaled, test_raw, rows = evaluate(trained, prepared.split.test, actual)
+    val_scaled, val_raw, _ = evaluate(trained, val_w)
+    test_scaled, test_raw, rows = evaluate(trained, prepared.split.test)
     return RunReport(
         label=label,
         seed=report_seed,
@@ -572,11 +567,11 @@ def prediction_table_md(predictions):
     return "\n".join(lines) + "\n"
 
 
-PREDICTION_HEADER = ["district", "year", "month", "predicted", "actual"]
+PREDICTION_HEADER = ("district", "year", "month", "predicted", "actual")
 
 
 def prediction_table_csv(rows):
-    """PredictionRows by district and month, unrounded; parse_prediction_csv
+    """PredictionRows by district and month, unrounded; load_prediction_csv
     reads them back exactly."""
     rows = sorted(rows, key=lambda p: (p.district, month_index(p.month)))
     return csv_text(PREDICTION_HEADER, [
@@ -585,21 +580,18 @@ def prediction_table_csv(rows):
     ])
 
 
-def parse_prediction_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != PREDICTION_HEADER:
-        raise ValidationError(f"unexpected prediction CSV header {header}")
+def load_prediction_csv(path):
+    """The PredictionRows of a file prediction_table_csv wrote; a bad header,
+    row or cell raises ValidationError naming the file (and line)."""
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        rows.append(
-            PredictionRow(
+    for lineno, row in dataprep.read_rows(path, PREDICTION_HEADER):
+        try:
+            rows.append(PredictionRow(
                 district=row[0], month=(int(row[1]), int(row[2])),
                 predicted=float(row[3]), actual=parse_count(row[4]),
-            )
-        )
+            ))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 

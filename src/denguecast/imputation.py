@@ -348,19 +348,9 @@ def imputation_features(records):
     features plus sine/cosine of the calendar month.
     """
     scaler = dataprep.fit_scaler(records, dataprep.CLIMATE_FEATURES)
-    rows = []
-    for r in records:
-        angle = 2.0 * math.pi * (r.month[1] - 1) / 12.0
-        rows.append(
-            [
-                scaler.transform_value("temp_mean", r.temp_mean),
-                scaler.transform_value("rh_mean", r.rh_mean),
-                scaler.transform_value("rain_total", r.rain_total),
-                math.sin(angle),
-                math.cos(angle),
-            ]
-        )
-    return np.array(rows, dtype=np.float64)
+    climate = scaler.transform([[getattr(r, c) for c in scaler.ranges] for r in records])
+    angles = [2.0 * math.pi * (r.month[1] - 1) / 12.0 for r in records]
+    return np.hstack([climate, [[math.sin(a), math.cos(a)] for a in angles]])
 
 
 def impute_larval(records, cfg):

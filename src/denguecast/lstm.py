@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import dataprep
 from .dataprep import CLIMATE_FEATURES, Scaler, window_columns
 from .errors import (
     DivergenceError,
@@ -54,7 +55,7 @@ from .nn_core import (
     sigmoid,
     zero_grads,
 )
-from .specs import from_json
+from .specs import from_json, read_object
 
 ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
 
@@ -391,7 +392,7 @@ def model_backward(model, cache, d_pred):
 class TrainedModel:
     spec: ModelSpec
     model: Model
-    scaler: Scaler  # fitted on the training-period records the model saw
+    scaler: Scaler  # scales the model's inputs; fitted on training-period records
     loss_history: list  # (train_mse, validation_mse) per epoch
     best_epoch: int
     train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
@@ -422,12 +423,6 @@ def carve_validation(windows, fraction):
     return list(windows[: n - n_val]), list(windows[n - n_val :])
 
 
-def windows_to_arrays(windows):
-    X = np.stack([np.asarray(w.features, dtype=np.float64) for w in windows])
-    y = np.array([w.target for w in windows], dtype=np.float64)
-    return X, y
-
-
 def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
     """Full-batch training with Adam; keeps the best-validation snapshot.
 
@@ -436,17 +431,20 @@ def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
     epoch; the returned parameters are the snapshot with the lowest
     validation MSE (no early stopping). Raises DivergenceError when a loss is
     non-finite or exceeds DIVERGENCE_FACTOR times the epoch-0 training loss.
-    The windows are already built and scaled by scaler: spec.predictors,
-    spec.variant and the scaler are only recorded, for predict to window and
-    scale new records the same way.
+    The windows are unscaled, as build_windows makes them; scaler, whose
+    ranges are in window column order, scales their features and targets
+    (dataprep.apply_scaler) and stays with the model, which learns and
+    predicts in its scaled units. spec.predictors and spec.variant are only
+    recorded, for predict to window new records the same way.
     """
     if not split.train:
         raise EmptyInput("training split is empty")
     train_w, val_w = carve_validation(split.train, validation_fraction)
     if not train_w:
         raise EmptyInput("validation carve left no training windows")
-    X_tr, y_tr = windows_to_arrays(train_w)
-    X_val, y_val = windows_to_arrays(val_w)
+    # through the module, so a wrapped dataprep.apply_scaler sees the calls
+    X_tr, y_tr = dataprep.apply_scaler(scaler, train_w)
+    X_val, y_val = dataprep.apply_scaler(scaler, val_w)
     if X_tr.shape[1] != spec.timesteps:
         raise SpecError(
             f"windows have {X_tr.shape[1]} timesteps, spec says {spec.timesteps}"
@@ -499,14 +497,15 @@ def predict_batch(trained, windows):
     """The model's output per window, in the scaled units of the targets it
     was trained on; experiments.evaluate de-scales it to counts.
 
-    Never clamped: a fitted model may emit small negative values.
+    The windows are unscaled, as build_windows makes them; the model's own
+    scaler scales them (dataprep.apply_scaler). Never clamped: a fitted model
+    may emit small negative values.
     """
-    X, _ = windows_to_arrays(windows)
-    if X.shape[1] != trained.spec.timesteps or X.shape[2] != trained.model.input_dim:
-        raise SpecError(
-            f"windows {X.shape[1:]} do not match model "
-            f"({trained.spec.timesteps}, {trained.model.input_dim})"
-        )
+    expected = (trained.spec.timesteps, trained.model.input_dim)
+    for w in windows:
+        if w.features.shape != expected:
+            raise SpecError(f"windows {w.features.shape} do not match model {expected}")
+    X, _ = dataprep.apply_scaler(trained.scaler, windows)
     pred, _ = model_forward(trained.model, X, training=False)
     return pred
 
@@ -544,8 +543,8 @@ def save_model(trained, bin_path, sidecar_path):
 
 
 def load_model(bin_path, sidecar_path):
-    with open(sidecar_path, encoding="utf-8") as f:
-        sidecar = from_json(Sidecar, json.load(f), str(sidecar_path))
+    sidecar = from_json(Sidecar, read_object(sidecar_path, "model sidecar"),
+                        str(sidecar_path))
     spec = from_json(ModelSpec, sidecar.spec, f"{sidecar_path} spec")
     train_cfg = from_json(TrainCfg, sidecar.train, f"{sidecar_path} train")
     model = Model(spec, sidecar.input_dim)

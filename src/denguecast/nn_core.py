@@ -249,21 +249,33 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read a snapshot written by save_params; returns a list of Parameters."""
-    with open(path, "rb") as f:
+    """Read a snapshot written by save_params; returns a list of Parameters.
+    A file that cannot be opened or ends early raises ValidationError."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+    def read(n):
+        data = f.read(n)
+        if len(data) < n:
+            raise ValidationError(f"{path}: snapshot ends early")
+        return data
+
+    with f:
         magic = f.read(8)
         if magic != _MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
         params = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (bias_flag,) = struct.unpack("<B", f.read(1))
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode("utf-8")
+            (bias_flag,) = struct.unpack("<B", read(1))
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
             p = Parameter(name, data.astype(np.float64), is_bias=bool(bias_flag))
             params.append(p)
     return params

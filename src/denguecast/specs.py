@@ -1,11 +1,25 @@
-"""Frozen run specs built from parsed JSON, every key and value checked."""
+"""JSON object files and the frozen run specs built from them, all checked."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import typing
 
 from .errors import ValidationError
+
+
+def read_object(path, what):
+    """The JSON object in the file at path. A file that cannot be read, is not
+    JSON or holds another value raises ValidationError naming what and path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object, got {data!r}")
+    return data
 
 
 def from_json(cls, data, where):

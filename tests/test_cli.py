@@ -359,6 +359,44 @@ def test_predict_with_sidecar_missing_key_exits_2(key, chain, tmp_path, capsys):
     assert f"model.json: missing keys ['{key}']" in capsys.readouterr().err
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_truncate, "model.bin: snapshot ends early"),
+    (lambda m: m.unlink(), "cannot read {dir}/model.bin"),
+    (lambda m: m.with_suffix(".json").unlink(),
+     "cannot read model sidecar {dir}/model.json"),
+    (lambda m: m.with_suffix(".json").write_text("{not json", encoding="utf-8"),
+     "cannot read model sidecar {dir}/model.json"),
+    (lambda m: m.with_suffix(".json").write_bytes(b"\xff\xfe"),
+     "cannot read model sidecar {dir}/model.json"),
+    (lambda m: m.with_suffix(".json").write_text("[1]", encoding="utf-8"),
+     "model sidecar {dir}/model.json must hold a JSON object"),
+], ids=["bin-truncated", "bin-missing", "sidecar-missing", "sidecar-not-json",
+        "sidecar-not-utf8", "sidecar-list"])
+def test_predict_with_bad_model_file_exits_2(edit, named, chain, tmp_path, capsys):
+    model = _copy_model(chain, tmp_path, lambda s: None)
+    edit(model)
+    code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")])
+    assert code == 2
+    assert named.format(dir=tmp_path) in capsys.readouterr().err
+
+
+def test_predict_with_reordered_sidecar_scaler(chain, tmp_path):
+    # the model reads its scaler in window column order, not in file order
+    model = _copy_model(chain, tmp_path,
+                        lambda s: s.update(scaler=dict(reversed(s["scaler"].items()))))
+    sidecar = json.loads(model.with_suffix(".json").read_text(encoding="utf-8"))
+    assert list(sidecar["scaler"])[0] == "cases"
+    assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")]) == 0
+    assert ((tmp_path / "o" / "predictions.csv").read_bytes()
+            == (chain / "pred" / "predictions.csv").read_bytes())
+
+
 def test_predict_with_sidecar_without_train_key(chain, tmp_path):
     model = _copy_model(chain, tmp_path, lambda s: s.pop("train"))
     assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -392,6 +430,40 @@ def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):
     assert sidecar["train"] == {"ratio": 0.8, "validation_fraction": 0.15, "lr": 0.01}
     assert (sidecar["spec"]["arch"], sidecar["spec"]["num_layers"],
             sidecar["spec"]["hidden"]) == ("stacked", 4, 2)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+     ":4: wrong column count"),
+    (lambda lines: lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:],
+     ":4: invalid literal for int()"),
+], ids=["short-row", "non-numeric"])
+def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, capsys):
+    src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
+    lines = src.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "reports" / src.name
+    path.parent.mkdir()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 2
+    assert f"{path}{named}" in capsys.readouterr().err
+
+
+def test_prepare_gap_report_lists_gaps_only(tmp_path):
+    # prepare builds no windows, so its report says nothing of skipped ones
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert cli.main(["synth", "--out", str(raw), "--districts", "2", "--months", "30",
+                     "--seed", "0"]) == 0
+    cases = raw / "cases.csv"
+    lines = cases.read_text(encoding="utf-8").splitlines(True)
+    cases.write_text("".join(l for l in lines if not l.startswith("D01,2016,5,")),
+                     encoding="utf-8")
+    assert cli.main([
+        "prepare", "--out", str(prep),
+        "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
+        "--larval", str(raw / "larval.csv"), "--cases", str(cases),
+    ]) == 0
+    assert (prep / "gap_report.txt").read_text(encoding="utf-8") == (
+        "D01: gap between 2016-04 and 2016-06\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
+import dataclasses
 from datetime import date
 
 import numpy as np
 import pytest
 
 from denguecast.dataprep import (
+    CLIMATE_FEATURES,
     DistrictMonthRecord,
     SupervisedWindow,
     WeeklyRainfall,
@@ -23,6 +25,7 @@ from denguecast.dataprep import (
     rain_to_monthly,
     split_dataset,
     weighted_larval_index,
+    window_columns,
     write_cases_csv,
     write_climate_csv,
     write_larval_csv,
@@ -214,13 +217,13 @@ class TestScaler:
     def test_midpoint(self):
         records = [record(month=(2018, 1), temp=0.0), record(month=(2018, 2), temp=10.0)]
         scaler = fit_scaler(records, ["temp_mean"])
-        assert scaler.transform_value("temp_mean", 5.0) == 0.5
+        assert scaler.transform([5.0], ("temp_mean",)).tolist() == [0.5]
 
     def test_constant_feature_maps_to_zero(self):
         records = [record(month=(2018, m)) for m in (1, 2)]
         scaler = fit_scaler(records, ["temp_mean"])
-        out = apply_scaler(scaler, records)
-        assert all(r.temp_mean == 0.0 for r in out)
+        out = scaler.transform([[r.temp_mean] for r in records] + [[45.0]])
+        assert out.tolist() == [[0.0], [0.0], [0.0]]
 
     def test_round_trip(self):
         rng = make_rng(8)
@@ -232,17 +235,33 @@ class TestScaler:
         ]
         features = ["temp_mean", "rh_mean", "rain_total", "cases"]
         scaler = fit_scaler(records, features)
-        scaled = apply_scaler(scaler, records)
+        scaled = scaler.transform([[getattr(r, f) for f in features] for r in records])
         for orig, s in zip(records, scaled):
-            for f in features:
-                back = scaler.invert_value(f, getattr(s, f))
+            for f, value in zip(features, s):
+                back = scaler.invert_value(f, value)
                 assert back == pytest.approx(getattr(orig, f), abs=1e-12)
 
-    def test_missing_larval_passes_through(self):
-        records = [record(larval=None), record(month=(2018, 2), larval=2.5)]
-        scaler = fit_scaler(records, ["larval_index"])
-        out = apply_scaler(scaler, records)
-        assert out[0].larval_index is None
+    def test_apply_scaler_zero_width_column_and_masked_slot(self):
+        # every count is at least 5, so a masked 0 would scale below 0
+        records = [dataclasses.replace(r, temp_mean=25.0, cases=r.cases + 5)
+                   for r in district_series(n_months=6)]
+        windows, _ = build_windows(records, 3, "I")
+        scaler = fit_scaler(records, window_columns(CLIMATE_FEATURES, "I"))
+        lo, hi = scaler.ranges["cases"]
+        assert lo >= 5
+
+        X, y = apply_scaler(scaler, windows)
+
+        assert X.shape == (4, 3, 4)
+        assert np.all(X[:, :, 0] == 0.0)  # temp_mean has zero width
+        assert np.all(X[:, -1, -1] == 0.0)  # the masked incidence slot
+        assert X[:, :-1, -1].tolist() == [
+            [(c - lo) / (hi - lo) for c in w.features[:-1, -1]] for w in windows]
+        assert y.tolist() == [(w.target - lo) / (hi - lo) for w in windows]
+        rain_lo, rain_hi = scaler.ranges["rain_total"]
+        assert X[:, :, 2].tolist() == [
+            [(v - rain_lo) / (rain_hi - rain_lo) for v in w.features[:, 2]]
+            for w in windows]
 
 
 def district_series(district="D1", n_months=12, start=(2018, 1), larval=True,
@@ -266,9 +285,9 @@ def district_series(district="D1", n_months=12, start=(2018, 1), larval=True,
 
 class TestBuildWindows:
     def test_twelve_months_ten_windows(self):
-        windows, gaps = build_windows(district_series(n_months=12), 3, "I")
+        windows, skipped = build_windows(district_series(n_months=12), 3, "I")
         assert len(windows) == 10  # 12 - 3 + 1
-        assert gaps.skipped_windows == 0
+        assert skipped == 0
 
     def test_exactly_t_months(self):
         windows, _ = build_windows(district_series(n_months=3), 3, "I")
@@ -300,10 +319,10 @@ class TestBuildWindows:
         records = district_series(n_months=8)
         # remove (2018, 4): windows targeting months 4..6 are unbuildable
         records = [r for r in records if r.month != (2018, 4)]
-        windows, gaps = build_windows(records, 3, "I")
+        windows, skipped = build_windows(records, 3, "I")
         assert len(windows) == 3  # targets (2018,3), (2018,7), (2018,8)
-        assert gaps.skipped_windows == 2  # targets (2018,5), (2018,6)
-        assert gaps.gaps == [("D1", (2018, 3), (2018, 5))]
+        assert skipped == 2  # targets (2018,5), (2018,6)
+        assert detect_gaps(records).gaps == [("D1", (2018, 3), (2018, 5))]
 
     def test_per_district_independent(self):
         records = district_series("A", 6) + district_series("B", 5, seed=2)

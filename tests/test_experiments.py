@@ -1,6 +1,7 @@
 """The experiment harness: evaluation, prediction reports, sweeps, scaling."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from denguecast.experiments import (
     PredictionRow,
     SweepSpec,
     evaluate,
+    load_prediction_csv,
     make_supervised,
     mse_table_md,
-    parse_prediction_csv,
     prediction_table_csv,
     prediction_table_md,
     round_half_away,
     run_sweep,
 )
+from denguecast.errors import ValidationError
 from denguecast.lstm import Model, ModelSpec, TrainCfg, TrainedModel
 from denguecast.nn_core import make_rng, mse
 
@@ -71,13 +73,12 @@ class TestEvaluate:
         scaler.ranges["cases"] = (0.0, 30.0)
         counts = [r.cases for r in records][2:]  # one window per month from the third
         # 31 does not survive a trip through this scaler, so a report that
-        # de-scaled the targets would not hold the counts
-        assert scaler.invert_value("cases", scaler.transform_value("cases", 31)) != 31
-        windows, _ = build_windows(apply_scaler(scaler, records), 3, "II")
+        # de-scaled the scaled targets would not hold the counts
+        assert scaler.invert_value("cases", scaler.transform([31], ("cases",)))[0] != 31
+        windows, _ = build_windows(records, 3, "II")
         trained = constant_model(SPEC, scaler, 0.25)
-        actual = {(r.district, r.month): r.cases for r in records}
 
-        scaled, raw, rows = evaluate(trained, windows, actual)
+        scaled, raw, rows = evaluate(trained, windows)
 
         assert [r.actual for r in rows] == counts
         assert all(type(r.actual) is int for r in rows)
@@ -85,7 +86,7 @@ class TestEvaluate:
         assert [(r.district, r.month) for r in rows] == [
             (w.district, w.target_month) for w in windows]
         assert raw == mse(counts, [7.5] * len(counts))
-        assert scaled == mse([w.target for w in windows], [0.25] * len(counts))
+        assert scaled == mse([(c - 0.0) / 30.0 for c in counts], [0.25] * len(counts))
 
     def test_descaling_inverts_target_scaler(self):
         # identity-ish head: prediction = b2 in scaled space
@@ -93,8 +94,7 @@ class TestEvaluate:
                          for c in window_columns(SPEC.predictors, SPEC.variant)})
         tm = constant_model(SPEC, scaler, 0.25)
         windows, _ = build_windows(make_records(districts=1, months=3), 3, "II")
-        actual = {(w.district, w.target_month): 0 for w in windows}
-        _, _, rows = evaluate(tm, windows, actual)
+        _, _, rows = evaluate(tm, windows)
         assert rows[0].predicted == pytest.approx(10.0 + 0.25 * 40.0)
 
 
@@ -106,12 +106,29 @@ class TestPredictionTables:
         PredictionRow(district="D02", month=(2014, 3), predicted=1e-17, actual=0),
     ]
 
-    def test_csv_round_trips_exactly(self):
+    def test_csv_round_trips_exactly(self, tmp_path):
         text = prediction_table_csv(list(reversed(self.ROWS)))
-        parsed = parse_prediction_csv(text)
+        path = tmp_path / "predictions.csv"
+        path.write_text(text, encoding="utf-8")
+        parsed = load_prediction_csv(path)
         assert parsed == self.ROWS
         assert [type(p.actual) for p in parsed] == [int, float, int]
         assert text.splitlines()[1] == "D01,2014,3,2.7812345678901234,3"
+
+    @pytest.mark.parametrize("line,message", [
+        ("D01,2014,3,2.5", ":3: wrong column count"),
+        ("D01,2014,3,2.5,3,9", ":3: wrong column count"),
+        ("D01,2014,3,high,3", ":3: could not convert string to float: 'high'"),
+        ("D01,2014,March,2.5,3", ":3: invalid literal for int()"),
+        ("D01,2014,3,2.5,", ":3: invalid literal for int()"),
+    ], ids=["short", "long", "bad-predicted", "bad-month", "empty-actual"])
+    def test_bad_row_names_file_and_line(self, line, message, tmp_path):
+        lines = prediction_table_csv(self.ROWS).splitlines()
+        lines[2] = line
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}{message}")):
+            load_prediction_csv(path)
 
     def test_round_half_away(self):
         assert round_half_away(2.5) == 3
@@ -161,6 +178,20 @@ class TestRunSweep:
 
 
 class TestMakeSupervised:
+    def test_windows_once(self, monkeypatch):
+        calls = []
+        build = experiments.build_windows
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_windows", counting)
+        records = make_records()
+        prepared = make_supervised(records, 3, "II", 0.5)
+        assert len(calls) == 1 and calls[0][0] is records
+        assert len(prepared.split.train) + len(prepared.split.test) == 2 * (24 - 2)
+
     def test_scaler_is_fitted_on_records_up_to_the_split_boundary(self):
         # counts grow with time, so the test period holds the largest ones
         records = make_records(districts=2, months=12,
@@ -174,7 +205,13 @@ class TestMakeSupervised:
         for c in columns:
             values = [getattr(r, c) for r in seen]
             assert prepared.scaler.ranges[c] == (min(values), max(values))
-        # test targets lie beyond the fitted range
-        assert max(w.target for w in prepared.split.test) > 1.0
-        assert max(w.target for w in prepared.split.train) == 1.0
-        assert np.all(np.array([w.target for w in prepared.split.train]) >= 0.0)
+        # the windows hold the counts; scaled, test targets lie beyond the
+        # fitted range
+        counts = {(r.district, r.month): r.cases for r in records}
+        assert all(w.target == counts[(w.district, w.target_month)]
+                   for w in prepared.split.train + prepared.split.test)
+        _, y_train = apply_scaler(prepared.scaler, prepared.split.train)
+        _, y_test = apply_scaler(prepared.scaler, prepared.split.test)
+        assert max(y_test) > 1.0
+        assert max(y_train) == 1.0
+        assert np.all(y_train >= 0.0)

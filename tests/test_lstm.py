@@ -35,7 +35,6 @@ from denguecast.lstm import (
     save_model,
     sequence_forward,
     train,
-    windows_to_arrays,
 )
 from denguecast.nn_core import (
     grad_check,
