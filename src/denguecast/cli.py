@@ -12,9 +12,10 @@ checked (specs.from_json). A value comes from the file or from a flag, never
 both: a flag for a key the file sets exits 2. Fields set by neither keep the
 defaults.
 
-Exit codes: 0 success, 2 input/validation problems (argparse also exits 2 on
-an unknown flag), 3 failed preconditions (e.g. imputation impossible), 4
-numerical divergence. Commands are idempotent: identical inputs and seed
+Exit codes: 0 success, else the exit_code of the errors class raised: 2
+ValidationError (bad input; argparse also exits 2 on an unknown flag), 3
+PreconditionError (data that cannot support the step, e.g. nothing to impute
+from), 4 DivergenceError. Commands are idempotent: identical inputs and seed
 produce byte-identical outputs, so no timestamps or wall-clock values are
 ever written to artifacts.
 """
@@ -28,13 +29,7 @@ from pathlib import Path
 
 from . import dataprep, experiments, imputation, lstm, specs
 from .dataprep import csv_text
-from .errors import (
-    DivergenceError,
-    EmptyTrain,
-    PipelineError,
-    PrecisionError,
-    ValidationError,
-)
+from .errors import PipelineError, ValidationError
 
 
 class UnreadFlag(ValidationError):
@@ -69,6 +64,11 @@ def _run_spec(args, given, where):
             specs.from_json(lstm.TrainCfg, train, where))
 
 
+def _print_skipped(n):
+    if n:
+        print(f"skipped {n} windows that span a month gap")
+
+
 def comma_ints(text):
     return tuple(int(x) for x in text.split(","))
 
@@ -81,7 +81,7 @@ def _add_model_flags(p):
     p.add_argument("--epochs", type=int)
     p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
     p.add_argument("--timesteps", type=int)
-    p.add_argument("--variant", choices=("I", "II"))
+    p.add_argument("--variant", choices=dataprep.VARIANTS)
     p.add_argument("--ratio", type=float)
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--lr", type=float)
@@ -167,6 +167,7 @@ def cmd_train(args):
     records = dataprep.load_records_csv(args.records)
     report = experiments.run_config(records, spec, cfg, label="train",
                                     report_seed=spec.seed)
+    _print_skipped(report.skipped)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lstm.save_model(report.trained, out / "model.bin", out / "model.json")
@@ -186,8 +187,10 @@ def cmd_predict(args):
     model_bin = Path(args.model)
     trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
     spec = trained.spec
-    windows, _ = dataprep.build_windows(dataprep.load_records_csv(args.records),
-                                        spec.timesteps, spec.variant, spec.predictors)
+    windows, skipped = dataprep.build_windows(dataprep.load_records_csv(args.records),
+                                              spec.timesteps, spec.variant,
+                                              spec.predictors)
+    _print_skipped(skipped)
     if not windows:
         raise ValidationError(
             f"{args.records}: no district has {spec.timesteps} consecutive months "
@@ -367,15 +370,9 @@ def main(argv=None):
         return args.func(args)
     except UnreadFlag as exc:
         parser.error(f"unrecognized arguments: {exc}")
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (EmptyTrain, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

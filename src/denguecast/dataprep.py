@@ -27,13 +27,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import (
-    DuplicateKey,
-    EmptyInput,
-    EmptyTrain,
-    PrecisionError,
-    ValidationError,
-)
+from .errors import PreconditionError, ValidationError
 
 CLIMATE_FEATURES = ("temp_mean", "rh_mean", "rain_total")
 VARIANTS = ("I", "II")
@@ -122,7 +116,7 @@ def aggregate_monthly(rows):
 
     rows are (district, (year, month), date, temperature, humidity) tuples,
     as load_climate_csv streams them. Each sum accumulates in row order, and
-    the first row out of range raises.
+    the first bad or repeated row raises (a bitmask per month marks its days).
     """
     sums = {}
     for district, month, day, temperature, humidity in rows:
@@ -137,22 +131,29 @@ def aggregate_monthly(rows):
             )
         acc = sums.get((district, month))
         if acc is None:
-            acc = sums[(district, month)] = [0.0, 0.0, 0]
+            acc = sums[(district, month)] = [0.0, 0.0, 0, 0]
+        bit = 1 << day.day
+        if acc[3] & bit:
+            raise ValidationError(
+                f"duplicate climate row for {district} on {day.isoformat()}")
         acc[0] += temperature
         acc[1] += humidity
         acc[2] += 1
+        acc[3] |= bit
     if not sums:
-        raise EmptyInput("no climate readings")
-    return {k: (t / n, h / n) for k, (t, h, n) in sums.items()}
+        raise ValidationError("no climate readings")
+    return {k: (t / n, h / n) for k, (t, h, n, _) in sums.items()}
 
 
 def rain_to_monthly(weekly):
     """Total rainfall per (district, month).
 
     Each ISO week is assigned to the month containing its Thursday, the
-    standard convention for deciding which month "owns" a week.
+    standard convention for deciding which month "owns" a week. A repeated
+    (district, iso_year, iso_week) raises.
     """
     totals = {}
+    seen = set()
     for w in weekly:
         if not 1 <= w.iso_week <= 53:
             raise ValidationError(
@@ -166,6 +167,11 @@ def rain_to_monthly(weekly):
             raise ValidationError(
                 f"invalid ISO week {w.iso_year}-W{w.iso_week:02d} for {w.district}: {exc}"
             ) from None
+        week = (w.district, w.iso_year, w.iso_week)
+        if week in seen:
+            raise ValidationError(
+                f"duplicate rain row for {w.district} in {w.iso_year}-W{w.iso_week:02d}")
+        seen.add(week)
         key = (w.district, month_of(thursday))
         totals[key] = totals.get(key, 0.0) + w.rainfall
     return totals
@@ -194,7 +200,7 @@ def _as_map(source, name):
     out = {}
     for key, value in source:
         if key in out:
-            raise DuplicateKey(f"duplicate (district, month) {key} in {name}")
+            raise ValidationError(f"duplicate (district, month) {key} in {name}")
         out[key] = value
     return out
 
@@ -314,7 +320,7 @@ class Scaler:
 def fit_scaler(records, feature_set):
     """Fit per-feature min-max ranges; fit only on training-period records."""
     if not records:
-        raise EmptyInput("cannot fit a scaler on zero records")
+        raise ValidationError("cannot fit a scaler on zero records")
     ranges = {}
     for feature in feature_set:
         values = [getattr(r, feature) for r in records]
@@ -361,18 +367,11 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     incidence; the current-month row carries a masked incidence slot fixed
     at 0 so all rows share one schema. The target is the current month's
     incidence. Windows hold the records' values unscaled. Windows that would
-    span a month gap are skipped and counted.
+    span a month gap are skipped and counted. t, variant and predictors are a
+    lstm.ModelSpec's, which checks them.
 
     Returns (windows, number of windows skipped).
     """
-    if t < 2:
-        raise ValidationError(f"timesteps must be >= 2, got {t}")
-    if variant not in VARIANTS:
-        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    for p in predictors:
-        if p not in CLIMATE_FEATURES:
-            raise ValidationError(f"unknown predictor {p!r}")
-
     by_district = {}
     for r in records:
         by_district.setdefault(r.district, []).append(r)
@@ -383,7 +382,7 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
             if any(r.larval_index is None for r in rows)
         )
         if missing:
-            raise PrecisionError(
+            raise PreconditionError(
                 "larval index missing for districts: " + ", ".join(missing)
             )
 
@@ -417,15 +416,14 @@ def split_dataset(windows, ratio):
 
     Ordering is by target month, ties broken by district name, so every test
     target month is >= every train target month. The split is deterministic.
+    ratio is a lstm.TrainCfg's, which checks it.
     """
     if not windows:
-        raise EmptyInput("no windows to split")
-    if not 0.0 < ratio < 1.0:
-        raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
+        raise ValidationError("no windows to split")
     ordered = sorted(windows, key=lambda w: (month_index(w.target_month), w.district))
     n_train = int(math.floor(ratio * len(ordered)))
     if n_train == 0:
-        raise EmptyTrain(f"ratio {ratio} leaves an empty training split")
+        raise PreconditionError(f"ratio {ratio} leaves an empty training split")
     return SplitDataset(train=ordered[:n_train], test=ordered[n_train:])
 
 

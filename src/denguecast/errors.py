@@ -1,62 +1,35 @@
-"""Exception types shared across the pipeline.
+"""Exception types, one per CLI exit code.
 
-Every error raised on purpose by this package derives from PipelineError,
-so callers (notably the CLI) can map failures to exit codes in one place.
+Every error this package raises on purpose is a PipelineError whose exit_code
+cli.main returns: ValidationError 2 (bad input), PreconditionError 3 (data
+that cannot support the step), DivergenceError 4. Nothing else tells them
+apart, bar the sweep, which records a diverged run and goes on.
 """
 
 
 class PipelineError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class EmptyInput(PipelineError):
-    """An operation received an empty collection it cannot work with."""
+    """Base of every error raised here; each subclass sets its exit_code."""
 
 
 class ValidationError(PipelineError):
-    """An input value violates a documented invariant."""
+    """A file, flag, config or model sidecar breaks a documented rule, or
+    arrays do not fit the model they are given to."""
+
+    exit_code = 2
 
 
-class DuplicateKey(PipelineError):
-    """Two rows in one source share a (district, month) key."""
+class PreconditionError(PipelineError):
+    """Valid data cannot support the step: no training examples, or a larval
+    index missing where the model reads one."""
 
-
-class EmptyTrain(PipelineError):
-    """A regressor was asked to predict with no training examples."""
-
-
-class ShapeError(PipelineError):
-    """Array shapes are inconsistent for the requested operation."""
-
-
-class StateError(PipelineError):
-    """An optimizer step or penalty ran before gradients were populated."""
-
-
-class NumericalError(PipelineError):
-    """A loss or check produced a non-finite value."""
+    exit_code = 3
 
 
 class DivergenceError(PipelineError):
-    """Training diverged at the epoch it carries.
+    """Training diverged at the epoch it carries; lstm.train says when."""
 
-    Either the training or validation loss is non-finite, or it is finite but
-    exceeds lstm.DIVERGENCE_FACTOR times the epoch-0 training loss (skipped
-    when that loss is 0). The message names the condition and the epoch.
-    """
+    exit_code = 4
 
     def __init__(self, epoch, message=None):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
-
-
-class SpecError(PipelineError):
-    """A model specification is internally inconsistent or mismatched."""
-
-
-class StaleCache(PipelineError):
-    """A backward pass was given a cache from a different forward pass."""
-
-
-class PrecisionError(PipelineError):
-    """A precondition on input completeness failed (e.g. missing larval data)."""

@@ -49,7 +49,7 @@ from .dataprep import (
     weighted_larval_index,
     window_columns,
 )
-from .errors import DivergenceError, EmptyInput, ValidationError
+from .errors import DivergenceError, ValidationError
 # model_forward is not called here: perfbench/tracing.py wraps it under this
 # module's name, as it does train, so both names stay
 from .lstm import ModelSpec, TrainCfg, carve_validation, model_forward, train
@@ -259,6 +259,7 @@ def synth_generate(spec):
 class PreparedData:
     split: SplitDataset
     scaler: dataprep.Scaler
+    skipped: int  # windows that would span a month gap
 
 
 def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
@@ -267,13 +268,13 @@ def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
     of the train split. The windows stay unscaled.
     """
     if not records:
-        raise EmptyInput("no records to prepare")
-    windows, _ = build_windows(records, t, variant, predictors)
+        raise ValidationError("no records to prepare")
+    windows, skipped = build_windows(records, t, variant, predictors)
     split = split_dataset(windows, ratio)
     boundary = max(month_index(w.target_month) for w in split.train)
     train_records = [r for r in records if month_index(r.month) <= boundary]
     scaler = fit_scaler(train_records, window_columns(predictors, variant))
-    return PreparedData(split=split, scaler=scaler)
+    return PreparedData(split=split, scaler=scaler, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,7 @@ class RunReport:
     test_mse_scaled: float
     predictions: list[PredictionRow]
     wall_clock: float
+    skipped: int  # windows that would span a month gap
     trained: object | None = None
 
 
@@ -342,6 +344,7 @@ def run_config(records, spec, cfg, label, report_seed):
         test_mse_scaled=test_scaled,
         predictions=rows,
         wall_clock=time.perf_counter() - started,
+        skipped=prepared.skipped,
         trained=trained,
     )
 
@@ -453,8 +456,9 @@ def run_sweep(sweep, records, jobs=1):
         for label, spec in sweep.cells
         for seed in sweep.seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -534,7 +538,7 @@ def prediction_table_md(predictions):
     months = sorted({p.month for p in predictions}, key=month_index)
     districts = sorted({p.district for p in predictions})
     if not months:
-        raise EmptyInput("no predictions to tabulate")
+        raise ValidationError("no predictions to tabulate")
     cell = {(p.district, p.month): p for p in predictions}
     labels = _month_labels(months)
 
@@ -628,7 +632,7 @@ def render_report(reports, sweep_result=None):
     reports/*.csv.
     """
     if not reports:
-        raise EmptyInput("no reports to render")
+        raise ValidationError("no reports to render")
     files = {}
     for report in reports:
         stem = f"predictions_{slugify(report.label)}_seed{report.seed}"

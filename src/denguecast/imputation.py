@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataprep
-from .errors import EmptyTrain, ValidationError
+from .errors import PreconditionError, ValidationError
 from .nn_core import make_rng
 
 
@@ -147,7 +147,7 @@ def _knn_mean(xs, ys, x, k, p):
 
 def _stack(train):
     if not train:
-        raise EmptyTrain("kNN regressor has no training examples")
+        raise PreconditionError("kNN regressor has no training examples")
     xs = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in train])
     ys = np.array([ex.y for ex in train], dtype=np.float64)
     return xs, ys
@@ -289,7 +289,7 @@ def coreg_impute(labeled, unlabeled, cfg):
     imputed value is always the mean of the two finished regressors.
     """
     if not labeled:
-        raise EmptyTrain("cannot co-train with zero labeled examples")
+        raise PreconditionError("cannot co-train with zero labeled examples")
     log = []
     if not unlabeled:
         return {}, log
@@ -368,7 +368,7 @@ def impute_larval(records, cfg):
         else:
             unlabeled_positions.append(i)
     if not labeled:
-        raise EmptyTrain("no observed larval indices; cannot co-train")
+        raise PreconditionError("no observed larval indices; cannot co-train")
 
     unlabeled = [feats[i] for i in unlabeled_positions]
     imputed, log = coreg_impute(labeled, unlabeled, cfg)

@@ -32,15 +32,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dataprep
-from .dataprep import CLIMATE_FEATURES, Scaler, window_columns
-from .errors import (
-    DivergenceError,
-    EmptyInput,
-    ShapeError,
-    SpecError,
-    StaleCache,
-    ValidationError,
-)
+from .dataprep import CLIMATE_FEATURES, VARIANTS, Scaler, window_columns
+from .errors import DivergenceError, ValidationError
 from .nn_core import (
     Adam,
     Parameter,
@@ -67,6 +60,7 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One model configuration; its fields are checked here and nowhere else."""
     arch: str = "stacked"
     num_layers: int = 4
     hidden: int = 32
@@ -76,29 +70,35 @@ class ModelSpec:
     timesteps: int = 3
     variant: str = "II"
     seed: int = 0
-    predictors: tuple[str, ...] = CLIMATE_FEATURES  # climate columns of each window row
+    predictors: tuple[str, ...] = CLIMATE_FEATURES  # distinct climate columns of a row
 
     def __post_init__(self):
         # a tuple, so a spec given a list compares equal to one given a tuple
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if self.arch not in ARCHITECTURES:
-            raise SpecError(f"unknown architecture {self.arch!r}")
+            raise ValidationError(f"unknown architecture {self.arch!r}")
         if self.arch in ("plain", "bidir") and self.num_layers != 1:
-            raise SpecError(f"{self.arch} requires num_layers=1, got {self.num_layers}")
+            raise ValidationError(f"{self.arch} requires num_layers=1, got {self.num_layers}")
         if self.arch in ("stacked", "bidir_stacked") and self.num_layers < 2:
-            raise SpecError(f"{self.arch} requires num_layers>=2, got {self.num_layers}")
+            raise ValidationError(f"{self.arch} requires num_layers>=2, got {self.num_layers}")
         if self.hidden < 1:
-            raise SpecError(f"hidden width must be >= 1, got {self.hidden}")
+            raise ValidationError(f"hidden width must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
-            raise SpecError(f"dropout must lie in [0, 1), got {self.dropout}")
+            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 1:
-            raise SpecError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2_lambda < 0:
-            raise SpecError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+            raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.timesteps < 2:
-            raise SpecError(f"timesteps must be >= 2, got {self.timesteps}")
-        if self.variant not in ("I", "II"):
-            raise SpecError(f"variant must be I or II, got {self.variant!r}")
+            raise ValidationError(f"timesteps must be >= 2, got {self.timesteps}")
+        if self.variant not in VARIANTS:
+            raise ValidationError(
+                f"variant must be {' or '.join(VARIANTS)}, got {self.variant!r}")
+        for i, p in enumerate(self.predictors):
+            if p not in CLIMATE_FEATURES:
+                raise ValidationError(f"unknown predictor {p!r}")
+            if p in self.predictors[:i]:
+                raise ValidationError(f"predictor {p!r} repeats")
 
     @property
     def bidirectional(self):
@@ -114,12 +114,12 @@ class TrainCfg:
 
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
-            raise SpecError(f"ratio must lie in (0, 1), got {self.ratio}")
+            raise ValidationError(f"ratio must lie in (0, 1), got {self.ratio}")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise SpecError(
+            raise ValidationError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
         if not self.lr > 0.0:
-            raise SpecError(f"lr must be > 0, got {self.lr}")
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
 
 
 GATES = ("i", "f", "g", "o")
@@ -153,9 +153,9 @@ class LstmCellParams:
 def cell_forward(x_t, h_prev, c_prev, cell):
     """One LSTM step over a batch; returns (h, c, cache for the backward pass)."""
     if x_t.ndim != 2 or x_t.shape[1] != cell.input_dim:
-        raise ShapeError(f"expected input (B, {cell.input_dim}), got {x_t.shape}")
+        raise ValidationError(f"expected input (B, {cell.input_dim}), got {x_t.shape}")
     if h_prev.shape != (x_t.shape[0], cell.hidden) or c_prev.shape != h_prev.shape:
-        raise ShapeError(
+        raise ValidationError(
             f"state shapes {h_prev.shape}/{c_prev.shape} inconsistent with "
             f"batch {x_t.shape[0]} and hidden {cell.hidden}"
         )
@@ -211,10 +211,10 @@ def sequence_forward(window, cell, direction="forward"):
     if single:
         X = X[None]
     if X.ndim != 3:
-        raise ShapeError(f"expected (B, t, F) or (t, F), got {X.shape}")
+        raise ValidationError(f"expected (B, t, F) or (t, F), got {X.shape}")
     B, t, F = X.shape
     if F != cell.input_dim:
-        raise ShapeError(f"window has {F} features, cell expects {cell.input_dim}")
+        raise ValidationError(f"window has {F} features, cell expects {cell.input_dim}")
     Xp = X[:, ::-1, :] if direction == "backward" else X
     h = np.zeros((B, cell.hidden))
     c = np.zeros((B, cell.hidden))
@@ -237,7 +237,7 @@ def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
     """
     B, t, H = d_seq.shape
     if len(caches) != t or caches[0]["x"].shape[0] != B:
-        raise StaleCache("cache does not match the gradient being propagated")
+        raise ValidationError("cache does not match the gradient being propagated")
     dp = d_seq[:, ::-1, :] if direction == "backward" else d_seq
     dh_carry = np.zeros((B, cell.hidden))
     dc_carry = np.zeros((B, cell.hidden))
@@ -299,9 +299,10 @@ def model_forward(model, window, training=False, rng=None):
     spec = model.spec
     X = np.asarray(window, dtype=np.float64)
     if X.ndim != 3:
-        raise ShapeError(f"expected (B, t, F), got {X.shape}")
+        raise ValidationError(f"expected (B, t, F), got {X.shape}")
     if X.shape[2] != model.input_dim:
-        raise ShapeError(f"window has {X.shape[2]} features, model expects {model.input_dim}")
+        raise ValidationError(
+            f"window has {X.shape[2]} features, model expects {model.input_dim}")
     if training and spec.dropout > 0.0 and rng is None:
         raise ValidationError("training with dropout requires an rng")
 
@@ -348,7 +349,7 @@ def model_backward(model, cache, d_pred):
     """Accumulate exact gradients of every parameter from d loss / d prediction."""
     d_pred = np.asarray(d_pred, dtype=np.float64).reshape(-1)
     if d_pred.shape[0] != cache["batch"]:
-        raise StaleCache(
+        raise ValidationError(
             f"cache batch {cache['batch']} does not match gradient length {d_pred.shape[0]}"
         )
     H = model.spec.hidden
@@ -430,7 +431,7 @@ def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
     is carved off for validation. Train and validation MSE are recorded every
     epoch; the returned parameters are the snapshot with the lowest
     validation MSE (no early stopping). Raises DivergenceError when a loss is
-    non-finite or exceeds DIVERGENCE_FACTOR times the epoch-0 training loss.
+    non-finite or exceeds DIVERGENCE_FACTOR times a positive epoch-0 training loss.
     The windows are unscaled, as build_windows makes them; scaler, whose
     ranges are in window column order, scales their features and targets
     (dataprep.apply_scaler) and stays with the model, which learns and
@@ -438,15 +439,13 @@ def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
     recorded, for predict to window new records the same way.
     """
     if not split.train:
-        raise EmptyInput("training split is empty")
+        raise ValidationError("training split is empty")
     train_w, val_w = carve_validation(split.train, validation_fraction)
-    if not train_w:
-        raise EmptyInput("validation carve left no training windows")
     # through the module, so a wrapped dataprep.apply_scaler sees the calls
     X_tr, y_tr = dataprep.apply_scaler(scaler, train_w)
     X_val, y_val = dataprep.apply_scaler(scaler, val_w)
     if X_tr.shape[1] != spec.timesteps:
-        raise SpecError(
+        raise ValidationError(
             f"windows have {X_tr.shape[1]} timesteps, spec says {spec.timesteps}"
         )
 
@@ -504,7 +503,7 @@ def predict_batch(trained, windows):
     expected = (trained.spec.timesteps, trained.model.input_dim)
     for w in windows:
         if w.features.shape != expected:
-            raise SpecError(f"windows {w.features.shape} do not match model {expected}")
+            raise ValidationError(f"windows {w.features.shape} do not match model {expected}")
     X, _ = dataprep.apply_scaler(trained.scaler, windows)
     pred, _ = model_forward(trained.model, X, training=False)
     return pred

@@ -14,13 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    NumericalError,
-    ShapeError,
-    StateError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 
 def make_rng(seed):
@@ -63,8 +57,6 @@ def dropout(x, rate, rng, training=True):
     so the backward pass is a plain multiply by it. At inference the result
     is the input unchanged and the mask is all ones.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValidationError(f"dropout rate must lie in [0, 1), got {rate}")
     x = np.asarray(x, dtype=np.float64)
     if not training or rate == 0.0:
         return x.copy(), np.ones_like(x)
@@ -78,9 +70,9 @@ def mse(actual, predicted):
     a = np.asarray(actual, dtype=np.float64).reshape(-1)
     p = np.asarray(predicted, dtype=np.float64).reshape(-1)
     if a.shape != p.shape:
-        raise ShapeError(f"length mismatch: {a.shape[0]} vs {p.shape[0]}")
+        raise ValidationError(f"length mismatch: {a.shape[0]} vs {p.shape[0]}")
     if a.size == 0:
-        raise EmptyInput("mse of empty vectors")
+        raise ValidationError("mse of empty vectors")
     d = a - p
     return float(d @ d / a.size)
 
@@ -118,8 +110,6 @@ def l2_penalty(params, lam):
     Biases are excluded. Returns the loss term; gradient contributions are
     accumulated in place.
     """
-    if lam < 0:
-        raise ValidationError(f"l2 lambda must be >= 0, got {lam}")
     if lam == 0:
         return 0.0
     loss = 0.0
@@ -127,7 +117,7 @@ def l2_penalty(params, lam):
         if p.is_bias:
             continue
         if p.grad is None:
-            raise StateError(f"gradient of {p.name} not initialized")
+            raise ValidationError(f"gradient of {p.name} not initialized")
         loss += lam * float(np.sum(p.value * p.value))
         p.grad += 2.0 * lam * p.value
     return loss
@@ -150,7 +140,7 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for p in params:
             if p.grad is None:
-                raise StateError(f"gradient of {p.name} not populated before step")
+                raise ValidationError(f"gradient of {p.name} not populated before step")
             m = self._m.get(p.name)
             if m is None:
                 m = np.zeros_like(p.value)
@@ -181,11 +171,11 @@ def grad_check(loss_and_grads, params, eps=1e-5, seed=0, max_coords=None):
     """
     base = float(loss_and_grads())
     if not np.isfinite(base):
-        raise NumericalError(f"non-finite loss {base} at evaluation point")
+        raise ValidationError(f"non-finite loss {base} at evaluation point")
     analytic = {}
     for p in params:
         if p.grad is None:
-            raise StateError(f"gradient of {p.name} not populated by loss_and_grads")
+            raise ValidationError(f"gradient of {p.name} not populated by loss_and_grads")
         analytic[p.name] = p.grad.copy()
 
     rng = make_rng(seed)
@@ -206,7 +196,7 @@ def grad_check(loss_and_grads, params, eps=1e-5, seed=0, max_coords=None):
             lm = float(loss_and_grads())
             flat[i] = orig
             if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NumericalError(f"non-finite loss while perturbing {p.name}[{i}]")
+                raise ValidationError(f"non-finite loss while perturbing {p.name}[{i}]")
             numeric = (lp - lm) / (2.0 * eps)
             a = grad_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)

@@ -23,13 +23,12 @@ def read_object(path, what):
 
 
 def from_json(cls, data, where):
-    """cls(**data) for a JSON object data of cls's fields, each value of its
-    field's annotated type: int (not bool), float (an int is stored as a
-    float), str, dict, or tuple[T, ...] given as a list of T. A missing field
-    without a default, an unknown key or a value of another type raises
-    ValidationError naming where and the key."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {data!r}")
+    """cls(**data) for a dict data of cls's fields (a read_object result or a
+    dict-typed field of one), each value of its field's annotated type: int
+    (not bool), float (an int is stored as a float), str, dict, or
+    tuple[T, ...] given as a list of T. A missing field without a default, an
+    unknown key or a value of another type raises ValidationError naming
+    where and the key."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:

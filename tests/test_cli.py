@@ -520,3 +520,121 @@ def test_prepare_reports_first_bad_climate_row(small_raw, tmp_path, capsys):
     assert _prepare_with_climate(small_raw, tmp_path, edit) == 2
     assert "relative humidity -1.0 outside [0, 100] for D01 on 2014-01-04" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name,named", [
+    ("climate.csv", "duplicate climate row for D01 on 2014-01-01"),
+    ("rain.csv", "duplicate rain row for D01 in 2014-W01"),
+], ids=["climate", "rain"])
+def test_prepare_rejects_a_repeated_raw_row(name, named, small_raw, tmp_path, capsys):
+    # a repeated day or week would be folded into the monthly mean or total
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for f in small_raw.iterdir():
+        (raw / f.name).write_bytes(f.read_bytes())
+    lines = (raw / name).read_text(encoding="utf-8").splitlines(True)
+    (raw / name).write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    code = cli.main([
+        "prepare", "--out", str(tmp_path / "prep"),
+        "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
+        "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv"),
+    ])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "prep").exists()
+
+
+@pytest.mark.parametrize("command,flag,config", [
+    ("train", "--config", {"predictors": ["temp_mean", "temp_mean"], "arch": "plain",
+                           "num_layers": 1, "hidden": 4, "epochs": 2}),
+    ("sweep", "--sweep-config", {
+        "kind": "predictor", "seeds": [0],
+        "base": {"arch": "plain", "num_layers": 1, "hidden": 4, "epochs": 2},
+        "grid": [{"label": "twice", "predictors": ["temp_mean", "temp_mean"]}]}),
+], ids=["train", "sweep"])
+def test_repeated_predictor_exits_2(command, flag, config, chain, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main([command, "--out", str(tmp_path / "o"),
+                     "--records", str(chain / "imp" / "imputed.csv"),
+                     flag, str(path)])
+    assert code == 2
+    assert "predictor 'temp_mean' repeats" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_and_predict_report_windows_skipped_at_a_gap(tmp_path, capsys):
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert cli.main(["synth", "--out", str(raw), "--seed", "0",
+                     "--missing-rate", "0"]) == 0
+    cases = raw / "cases.csv"
+    lines = cases.read_text(encoding="utf-8").splitlines(True)
+    cases.write_text("".join(l for l in lines if not l.startswith("D01,2016,5,")),
+                     encoding="utf-8")
+    assert cli.main([
+        "prepare", "--out", str(prep),
+        "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
+        "--larval", str(raw / "larval.csv"), "--cases", str(cases),
+    ]) == 0
+    records = str(prep / "records.csv")
+    capsys.readouterr()
+    # at t=3 the windows targeting 2016-06 and 2016-07 would span the gap
+    assert cli.main(["train", "--out", str(tmp_path / "model"), "--records", records,
+                     "--arch", "plain", "--num-layers", "1", "--hidden", "2",
+                     "--epochs", "1"]) == 0
+    assert "skipped 2 windows that span a month gap\n" in capsys.readouterr().out
+    assert cli.main(["predict", "--out", str(tmp_path / "pred"), "--records", records,
+                     "--model", str(tmp_path / "model" / "model.bin")]) == 0
+    assert "skipped 2 windows that span a month gap\n" in capsys.readouterr().out
+    # without the gapped district nothing is said
+    lines = (prep / "records.csv").read_text(encoding="utf-8").splitlines(True)
+    (tmp_path / "no_d01.csv").write_text(
+        "".join(l for l in lines if not l.startswith("D01,")), encoding="utf-8")
+    assert cli.main(["predict", "--out", str(tmp_path / "pred2"),
+                     "--records", str(tmp_path / "no_d01.csv"),
+                     "--model", str(tmp_path / "model" / "model.bin")]) == 0
+    assert "skipped" not in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def two_districts(tmp_path_factory):
+    """synth --districts 2 --months 24, prepare, impute --max-iters 2, and a
+    copy of the prepared records with every larval cell empty."""
+    root = tmp_path_factory.mktemp("two")
+    raw, prep, imp = root / "raw", root / "prep", root / "imp"
+    for argv in (
+        ["synth", "--out", str(raw), "--districts", "2", "--months", "24",
+         "--seed", "0"],
+        ["prepare", "--out", str(prep),
+         "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
+         "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv")],
+        ["impute", "--out", str(imp), "--records", str(prep / "records.csv"),
+         "--max-iters", "2"],
+    ):
+        assert cli.main(argv) == 0, argv
+    with open(prep / "records.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    with open(root / "no_larval.csv", "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([rows[0]] + [r[:6] + [""] + r[7:] for r in rows[1:]])
+    return root
+
+
+# The CLI's exit codes: 2 bad input, 3 data that cannot support the step,
+# 4 divergence.
+@pytest.mark.parametrize("argv,code,named", [
+    (["train", "--records", "prep/records.csv", "--variant", "II"], 3,
+     "larval index missing"),
+    (["impute", "--records", "no_larval.csv"], 3, "no observed larval indices"),
+    (["train", "--records", "imp/imputed.csv", "--ratio", "0.01"], 3,
+     "leaves an empty training split"),
+    (["train", "--records", "imp/imputed.csv", "--lr", "1e3", "--epochs", "50"], 4,
+     "exceeds"),
+    (["train", "--records", "imp/imputed.csv", "--timesteps", "40"], 2,
+     "no windows"),
+], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
+        "timesteps-40"])
+def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
+                            monkeypatch, capsys):
+    monkeypatch.chdir(two_districts)
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == code
+    assert named in capsys.readouterr().err

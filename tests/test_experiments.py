@@ -215,3 +215,41 @@ class TestMakeSupervised:
         assert max(y_test) > 1.0
         assert max(y_train) == 1.0
         assert np.all(y_train >= 0.0)
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize("seeds,jobs,workers", [
+        ((0,), 64, [2]),      # 2 cells x 1 seed: one worker per task
+        ((0, 1), 3, [3]),
+        ((0, 1), 2, [2]),
+    ])
+    def test_at_most_one_worker_per_task(self, seeds, jobs, workers, monkeypatch):
+        started = []
+
+        class Pool:
+            """Records max_workers and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        sweep = SweepSpec("variant", SPEC, experiments.default_grid("variant", SPEC),
+                          seeds, TrainCfg(lr=1e-2))
+        result = run_sweep(sweep, make_records(), jobs=jobs)
+        assert started == workers
+        assert len(result.reports) == 2 * len(seeds)
+
+    def test_one_task_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)  # never called
+        sweep = SweepSpec("variant", SPEC, [{"label": "Variant II", "variant": "II"}],
+                          (0,))
+        assert len(run_sweep(sweep, make_records(), jobs=64).reports) == 1

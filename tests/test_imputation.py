@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from denguecast.dataprep import DistrictMonthRecord
-from denguecast.errors import EmptyTrain, ValidationError
+from denguecast.errors import PreconditionError, ValidationError
 from denguecast.imputation import (
     CoregCfg,
     IterationEntry,
@@ -77,7 +77,7 @@ class TestKnnPredict:
         assert knn_predict(train, np.zeros(2), KnnRegressorCfg(k=1, p=2.0)) == 10.0
 
     def test_empty_train(self):
-        with pytest.raises(EmptyTrain):
+        with pytest.raises(PreconditionError, match="no training examples"):
             knn_predict([], np.zeros(2), KnnRegressorCfg())
 
 
@@ -188,7 +188,7 @@ class TestCoregImpute:
         assert log == []
 
     def test_empty_labeled(self):
-        with pytest.raises(EmptyTrain):
+        with pytest.raises(PreconditionError, match="zero labeled examples"):
             coreg_impute([], [np.zeros(2)], CoregCfg())
 
     def test_constant_labels(self):
@@ -489,5 +489,5 @@ class TestImputeLarval:
             DistrictMonthRecord("D1", (2018, m), 30.0, 70.0, 50.0, None, 2)
             for m in range(1, 7)
         ]
-        with pytest.raises(EmptyTrain):
+        with pytest.raises(PreconditionError, match="no observed larval indices"):
             impute_larval(records, CoregCfg(seed=1))

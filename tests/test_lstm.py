@@ -11,13 +11,7 @@ from denguecast.dataprep import (
     SupervisedWindow,
     window_columns,
 )
-from denguecast.errors import (
-    DivergenceError,
-    EmptyInput,
-    ShapeError,
-    SpecError,
-    StaleCache,
-)
+from denguecast.errors import DivergenceError, ValidationError
 from denguecast import lstm
 from denguecast.lstm import (
     ARCHITECTURES,
@@ -25,6 +19,7 @@ from denguecast.lstm import (
     LstmCellParams,
     Model,
     ModelSpec,
+    TrainCfg,
     carve_validation,
     cell_forward,
     count_parameters,
@@ -83,29 +78,53 @@ def naive_cell(x, h_prev, c_prev, cell):
 
 class TestModelSpec:
     def test_plain_multilayer_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="plain requires num_layers=1"):
             ModelSpec(arch="plain", num_layers=2)
 
     def test_stacked_single_layer_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="stacked requires num_layers>=2"):
             ModelSpec(arch="stacked", num_layers=1)
 
     def test_unknown_arch(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="unknown architecture"):
             ModelSpec(arch="transformer")
 
     def test_small_timesteps_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="timesteps must be >= 2"):
             ModelSpec(timesteps=1)
 
     def test_bad_variant(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="variant must be I or II, got 'III'"):
             ModelSpec(variant="III")
+
+    def test_unknown_predictor(self):
+        with pytest.raises(ValidationError, match="unknown predictor 'cases'"):
+            ModelSpec(predictors=("cases",))
+
+    def test_repeated_predictor(self):
+        with pytest.raises(ValidationError, match="predictor 'temp_mean' repeats"):
+            ModelSpec(predictors=("temp_mean", "rain_total", "temp_mean"))
+
+    def test_bad_dropout(self):
+        for rate in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValidationError, match="dropout must lie in"):
+                ModelSpec(dropout=rate)
+
+    def test_negative_l2_lambda(self):
+        with pytest.raises(ValidationError, match="l2_lambda must be >= 0"):
+            ModelSpec(l2_lambda=-0.1)
 
     def test_forget_bias_init(self):
         cell = make_cell()
         assert np.all(cell.b.value[GATES.index("f")] == 1.0)
         assert np.all(cell.b.value[GATES.index("i")] == 0.0)
+
+
+class TestTrainCfg:
+    def test_bad_ratio(self):
+        for ratio in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="ratio must lie in"):
+                TrainCfg(ratio=ratio)
 
 
 class TestCellForward:
@@ -138,10 +157,10 @@ class TestCellForward:
 
     def test_shape_errors(self):
         cell = make_cell()
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=f"expected input \\(B, {F}\\)"):
             cell_forward(np.zeros((1, F + 1)), np.zeros((1, H)), np.zeros((1, H)),
                          cell)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="state shapes .* inconsistent"):
             cell_forward(np.zeros((1, F)), np.zeros((2, H)), np.zeros((1, H)), cell)
 
 
@@ -205,7 +224,7 @@ class TestModelForward:
 
     def test_wrong_feature_count(self):
         _, model, X, _ = model_and_data("plain", 1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=f"window has {F - 1} features"):
             model_forward(model, X[:, :, :-1])
 
 
@@ -251,7 +270,7 @@ class TestModelBackward:
         _, model, X, y = model_and_data("plain", 1)
         zero_grads(model.parameters())
         _, cache = model_forward(model, X)
-        with pytest.raises(StaleCache):
+        with pytest.raises(ValidationError, match="does not match gradient length"):
             model_backward(model, cache, np.zeros(len(y) + 1))
 
 
@@ -448,7 +467,7 @@ class TestTrain:
 
     def test_empty_split(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, epochs=1, timesteps=T)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValidationError, match="training split is empty"):
             train(spec, SplitDataset(train=[], test=[]), scaler=unit_scaler(spec))
 
     def test_best_snapshot_recorded(self):
@@ -512,9 +531,9 @@ class TestPredict:
 
     def test_schema_mismatch(self):
         tm, _ = self._trained_constant()
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="do not match model"):
             predict_one(tm, np.zeros((T + 1, F)))
-        with pytest.raises(SpecError):
+        with pytest.raises(ValidationError, match="do not match model"):
             predict_one(tm, np.zeros((T, F + 2)))
 
 

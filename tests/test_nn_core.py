@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from denguecast.errors import (
-    EmptyInput,
-    NumericalError,
-    ShapeError,
-    StateError,
-    ValidationError,
-)
+from denguecast.errors import ValidationError
 from denguecast.nn_core import (
     Adam,
     Parameter,
@@ -82,11 +76,6 @@ class TestDropout:
         y, _ = dropout(x, 0.2, make_rng(4), training=True)
         assert abs(np.mean(y) - 1.0) < 0.01
 
-    def test_bad_rate(self):
-        for rate in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValidationError):
-                dropout(np.ones(3), rate, make_rng(0))
-
 
 class TestMse:
     def test_equal_vectors(self):
@@ -108,11 +97,11 @@ class TestMse:
             assert mse(rng.normal(size=8), rng.normal(size=8)) >= 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="length mismatch"):
             mse([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValidationError, match="mse of empty vectors"):
             mse([], [])
 
 
@@ -146,10 +135,6 @@ class TestL2Penalty:
 
         assert grad_check(loss_and_grads, [p], eps=1e-6) < 1e-7
 
-    def test_negative_lambda(self):
-        with pytest.raises(ValidationError):
-            l2_penalty([Parameter("w", [1.0])], -0.1)
-
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
@@ -180,7 +165,7 @@ class TestAdam:
         assert run() == run()
 
     def test_unpopulated_grad(self):
-        with pytest.raises(StateError):
+        with pytest.raises(ValidationError, match="not populated before step"):
             Adam().step([Parameter("w", [1.0])])
 
 
@@ -220,7 +205,7 @@ class TestGradCheck:
             w.zero_grad()
             return float("nan")
 
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValidationError, match="non-finite loss nan"):
             grad_check(bad, [w])
 
 
