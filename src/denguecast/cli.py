@@ -15,9 +15,10 @@ defaults.
 Exit codes: 0 success, else the exit_code of the errors class raised: 2
 ValidationError (bad input; argparse also exits 2 on an unknown flag), 3
 PreconditionError (data that cannot support the step, e.g. nothing to impute
-from), 4 DivergenceError. Commands are idempotent: identical inputs and seed
-produce byte-identical outputs, so no timestamps or wall-clock values are
-ever written to artifacts.
+from), 4 DivergenceError. A sweep records a diverged run and goes on; when
+every run diverges it still writes log.txt and the MSE summary, then exits 4.
+Commands are idempotent: identical inputs and seed produce byte-identical
+outputs, so no timestamps or wall-clock values are ever written to artifacts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from . import dataprep, experiments, imputation, lstm, specs
 from .dataprep import csv_text
-from .errors import PipelineError, ValidationError
+from .errors import DivergenceError, PipelineError, ValidationError
 
 
 class UnreadFlag(ValidationError):
@@ -54,14 +55,14 @@ def _file_or_flags(args, given, keys, where):
 
 
 def _run_spec(args, given, where):
-    """(ModelSpec, TrainCfg) from a flat object of their fields and the flags."""
+    """(the ModelSpec fields, TrainCfg) from a flat object of their fields and
+    the flags."""
     train_keys = [f.name for f in fields(lstm.TrainCfg)]
     keys = [f.name for f in fields(lstm.ModelSpec)] + train_keys
     values = _file_or_flags(args, given, keys, where)
     model = {k: v for k, v in values.items() if k not in train_keys}
     train = {k: v for k, v in values.items() if k in train_keys}
-    return (specs.from_json(lstm.ModelSpec, model, where),
-            specs.from_json(lstm.TrainCfg, train, where))
+    return model, specs.from_json(lstm.TrainCfg, train, where)
 
 
 def _print_skipped(n):
@@ -140,8 +141,7 @@ def cmd_prepare(args):
 def cmd_impute(args):
     records = dataprep.load_records_csv(args.records)
     cfg = imputation.CoregCfg(
-        cfg1=imputation.KnnRegressorCfg(k=args.k, p=args.p1),
-        cfg2=imputation.KnnRegressorCfg(k=args.k, p=args.p2),
+        k=args.k, p1=args.p1, p2=args.p2,
         max_iters=args.max_iters,
         pool_size=args.pool_size,
         seed=0 if args.seed is None else args.seed,
@@ -163,7 +163,8 @@ def cmd_impute(args):
 
 def cmd_train(args):
     given = specs.read_object(args.config, "config") if args.config else {}
-    spec, cfg = _run_spec(args, given, args.config)
+    model, cfg = _run_spec(args, given, args.config)
+    spec = specs.from_json(lstm.ModelSpec, model, args.config)
     records = dataprep.load_records_csv(args.records)
     report = experiments.run_config(records, spec, cfg, label="train",
                                     report_seed=spec.seed)
@@ -225,13 +226,9 @@ def _sweep_spec(args):
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
     if args.grid is not None and (kind != "timestep" or "grid" in top):
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
-    base = top.get("base", {})
-    # each run's seed is derived from its seed in seeds and the cell label
-    if "seed" in base:
-        raise ValidationError(f"{path} base: unknown keys ['seed']")
-    spec, train_cfg = _run_spec(args, base, f"{path} base")
-    grid = top["grid"] if "grid" in top else experiments.default_grid(kind, spec, args.grid)
-    return experiments.SweepSpec(kind, spec, grid, top.get("seeds", (0, 1, 2)),
+    base, train_cfg = _run_spec(args, top.get("base", {}), f"{path} base")
+    grid = top.get("grid") if args.grid is None else experiments.timestep_grid(args.grid)
+    return experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)),
                                  train_cfg)
 
 
@@ -242,8 +239,7 @@ def cmd_sweep(args):
     records = dataprep.load_records_csv(args.records)
     result = experiments.run_sweep(sweep, records, jobs=args.jobs)
     out = Path(args.out)
-    files = experiments.render_report(result.reports, sweep_result=result)
-    for rel, text in sorted(files.items()):
+    for rel, text in sorted(experiments.render_report(result).items()):
         _write(out / rel, text)
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -260,7 +256,9 @@ def cmd_sweep(args):
         log_lines.append(f"{label} seed={seed} DIVERGED: {message}")
     log_lines.append(f"argmin: {result.argmin_label}")
     _write(out / "log.txt", "\n".join(log_lines) + "\n")
-    print(f"swept {len(sweep.grid)} configs x {len(sweep.seeds)} seeds; "
+    if not result.reports:
+        raise DivergenceError(None, f"every run diverged; see {out / 'log.txt'}")
+    print(f"swept {len(sweep.cells)} configs x {len(sweep.seeds)} seeds; "
           f"best: {result.argmin_label}")
     return 0
 

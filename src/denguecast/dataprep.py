@@ -56,6 +56,8 @@ class LarvalSurvey:
 
 @dataclass(frozen=True)
 class DistrictMonthRecord:
+    """One district-month. Its rules are checked here, so they hold however
+    the record is built: assembled from raw files or read from records.csv."""
     district: str
     month: tuple[int, int]
     temp_mean: float
@@ -63,6 +65,20 @@ class DistrictMonthRecord:
     rain_total: float
     larval_index: float | None
     cases: float
+
+    def __post_init__(self):
+        for name in CLIMATE_FEATURES:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"non-finite {name} for {self._key()}")
+        if not 0 <= self.cases < math.inf:
+            raise ValidationError(f"case count {self.cases} for {self._key()} is "
+                                  "not a finite number >= 0")
+        if self.larval_index is not None and not 1.0 <= self.larval_index <= 3.0:
+            raise ValidationError(
+                f"larval index {self.larval_index} outside [1, 3] for {self._key()}")
+
+    def _key(self):
+        return f"{self.district} {self.month[0]:04d}-{self.month[1]:02d}"
 
 
 @dataclass
@@ -223,28 +239,16 @@ def assemble_records(climate, rain, larval, cases):
             continue
         district, month = key
         temp_mean, rh_mean = climate[key]
-        rain_total = rain[key]
-        n_cases = cases[key]
         larval_index = larval.get(key)
-        for label, v in (("temp_mean", temp_mean), ("rh_mean", rh_mean),
-                         ("rain_total", rain_total)):
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite {label} for {key}")
-        if n_cases < 0:
-            raise ValidationError(f"negative case count for {key}")
-        if larval_index is not None and not 1.0 <= larval_index <= 3.0:
-            raise ValidationError(
-                f"larval index {larval_index} outside [1, 3] for {key}"
-            )
         records.append(
             DistrictMonthRecord(
                 district=district,
                 month=month,
                 temp_mean=float(temp_mean),
                 rh_mean=float(rh_mean),
-                rain_total=float(rain_total),
+                rain_total=float(rain[key]),
                 larval_index=None if larval_index is None else float(larval_index),
-                cases=n_cases,
+                cases=cases[key],
             )
         )
     records.sort(key=lambda r: (r.district, month_index(r.month)))
@@ -652,23 +656,27 @@ def parse_count(text):
 
 
 def load_records_csv(path):
-    """Read records.csv, or imputed.csv with its trailing provenance column."""
+    """Read records.csv, or imputed.csv with its trailing provenance column.
+    A row that breaks a DistrictMonthRecord rule or repeats a (district,
+    month) raises ValidationError naming path:line."""
     records = []
+    seen = set()
     headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
     for lineno, row in read_rows(path, *headers):
         try:
-            cases = parse_count(row[7])
-            records.append(
-                DistrictMonthRecord(
-                    district=row[0],
-                    month=(int(row[1]), int(row[2])),
-                    temp_mean=float(row[3]),
-                    rh_mean=float(row[4]),
-                    rain_total=float(row[5]),
-                    larval_index=float(row[6]) if row[6] != "" else None,
-                    cases=cases,
-                )
+            record = DistrictMonthRecord(
+                district=row[0],
+                month=(int(row[1]), int(row[2])),
+                temp_mean=float(row[3]),
+                rh_mean=float(row[4]),
+                rain_total=float(row[5]),
+                larval_index=float(row[6]) if row[6] != "" else None,
+                cases=parse_count(row[7]),
             )
-        except ValueError as exc:
+            if (record.district, record.month) in seen:
+                raise ValidationError(f"duplicate (district, month) {record._key()}")
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        seen.add((record.district, record.month))
+        records.append(record)
     return records

@@ -26,7 +26,8 @@ class PreconditionError(PipelineError):
 
 
 class DivergenceError(PipelineError):
-    """Training diverged at the epoch it carries; lstm.train says when."""
+    """Training diverged at the epoch it carries; lstm.train says when. A
+    sweep in which every run diverged carries None."""
 
     exit_code = 4
 

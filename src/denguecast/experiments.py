@@ -28,7 +28,7 @@ import calendar
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -351,11 +351,13 @@ def run_config(records, spec, cfg, label, report_seed):
 
 @dataclass
 class SweepSpec:
-    """A grid cell is a label and the ModelSpec fields the cell changes from
-    base; each cell's spec is built and checked here, before any training."""
+    """base holds the ModelSpec fields the sweep changes from the defaults, and
+    a grid cell a label and the fields the cell changes from base; grid None
+    is the default grid of kind. Every spec is built and checked here, before
+    any training."""
     kind: str
-    base: ModelSpec
-    grid: list[dict]
+    base: dict
+    grid: list[dict] | None
     seeds: tuple[int, ...]
     train_cfg: TrainCfg = TrainCfg()
     cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
@@ -363,7 +365,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}")
-        if not self.grid:
+        base = from_json(ModelSpec, self.base, "sweep base")
+        grid = default_grid(self.kind, base) if self.grid is None else self.grid
+        if not grid:
             raise ValidationError("sweep grid must be non-empty")
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
@@ -371,7 +375,7 @@ class SweepSpec:
             raise ValidationError(f"sweep seeds repeat: {list(self.seeds)}")
         self.cells = []
         by_slug = {}  # output files are named by the slug of the label
-        for overrides in map(dict, self.grid):
+        for overrides in map(dict, grid):
             label = overrides.pop("label", None)
             if not isinstance(label, str):
                 raise ValidationError(f"grid cell label must be a str, got {label!r}")
@@ -379,17 +383,22 @@ class SweepSpec:
             if slug in by_slug:
                 raise ValidationError(f"grid cells {by_slug[slug]!r} and {label!r} share files")
             by_slug[slug] = label
-            # each cell's seed is derived from the run seed and its label
-            if "seed" in overrides:
-                raise ValidationError(f"grid cell {label!r}: unknown keys ['seed']")
-            spec = from_json(ModelSpec, asdict(self.base) | overrides, f"grid cell {label!r}")
-            self.cells.append((label, spec))
+            values = self.base | overrides
+            # each run's seed is derived from its seed in seeds and the cell label
+            if "seed" in values:
+                where = "sweep base" if "seed" in self.base else f"grid cell {label!r}"
+                raise ValidationError(f"{where}: unknown keys ['seed']")
+            self.cells.append((label, from_json(ModelSpec, values, f"grid cell {label!r}")))
 
 
-def default_grid(kind, base, timesteps=None):
+def timestep_grid(timesteps=(2, 3, 4, 5)):
+    return [{"label": f"t = {t}", "timesteps": int(t)} for t in timesteps]
+
+
+def default_grid(kind, base):
+    """The grid of a sweep kind, one of SWEEP_KINDS, over a base ModelSpec."""
     if kind == "timestep":
-        return [{"label": f"t = {t}", "timesteps": int(t)}
-                for t in timesteps or (2, 3, 4, 5)]
+        return timestep_grid()
     if kind == "predictor":
         return [
             {"label": "Temperature", "predictors": ("temp_mean",)},
@@ -406,12 +415,10 @@ def default_grid(kind, base, timesteps=None):
             {"label": "Bidirectional Stacked LSTM", "arch": "bidir_stacked",
              "num_layers": deep},
         ]
-    if kind == "variant":
-        return [
-            {"label": "Variant I", "variant": "I"},
-            {"label": "Variant II", "variant": "II"},
-        ]
-    raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}")
+    return [  # variant
+        {"label": "Variant I", "variant": "I"},
+        {"label": "Variant II", "variant": "II"},
+    ]
 
 
 @dataclass
@@ -625,20 +632,14 @@ def mse_table_csv(result):
     )
 
 
-def render_report(reports, sweep_result=None):
-    """Render prediction tables (and optionally the MSE table) to file texts.
-
-    Returns a mapping of relative path -> content covering tables/*.md and
-    reports/*.csv.
-    """
-    if not reports:
-        raise ValidationError("no reports to render")
-    files = {}
-    for report in reports:
+def render_report(result):
+    """File texts of a SweepResult, keyed by relative path: the MSE summary
+    (tables/mse_summary.md, reports/mse_summary.csv) and the predictions of
+    every trained run (tables/*.md, reports/*.csv)."""
+    files = {"tables/mse_summary.md": mse_table_md(result),
+             "reports/mse_summary.csv": mse_table_csv(result)}
+    for report in result.reports:
         stem = f"predictions_{slugify(report.label)}_seed{report.seed}"
         files[f"tables/{stem}.md"] = prediction_table_md(report.predictions)
         files[f"reports/{stem}.csv"] = prediction_table_csv(report.predictions)
-    if sweep_result is not None:
-        files["tables/mse_summary.md"] = mse_table_md(sweep_result)
-        files["reports/mse_summary.csv"] = mse_table_csv(sweep_result)
     return files

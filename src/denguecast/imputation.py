@@ -1,12 +1,17 @@
 """Semi-supervised imputation of missing larval indices.
 
-Co-training regression (COREG): two kNN regressors with different Minkowski
-distance orders teach each other. Each iteration both regressors scan a
-seeded random pool of unlabeled points, self-label them, and the point whose
-tentative addition most reduces local squared error (largest positive delta)
-is transferred, with its predicted label, into the peer's training set. On
-termination every originally-unlabeled point gets the mean of the two
-regressors' predictions.
+Co-training regression (COREG, Zhou & Li, IJCAI 2005): two kNN regressors
+with different Minkowski distance orders teach each other. Each iteration
+both regressors scan a seeded random pool of unlabeled points, self-label
+them, and the point whose tentative addition most reduces local squared error
+(largest positive delta) is transferred, with its predicted label, into the
+peer's training set. On termination every originally-unlabeled point gets the
+mean of the two regressors' predictions.
+
+Everything works on arrays of feature rows (imputation_features, one per
+record). coreg_impute takes the labeled rows xs (n, d), their larval indices
+ys (n,) and the unlabeled rows (m, d); it returns one value per unlabeled
+row, in row order, and the iteration log, which names a row by its index.
 
 The scan is incremental, and its results are bit-identical to re-running
 every kNN query from scratch:
@@ -46,44 +51,32 @@ from .errors import PreconditionError, ValidationError
 from .nn_core import make_rng
 
 
-@dataclass
-class LabeledExample:
-    x: np.ndarray
-    y: float
-
-
-@dataclass(frozen=True)
-class KnnRegressorCfg:
-    k: int = 3
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.p < 1:
-            raise ValidationError(f"Minkowski order must be >= 1, got {self.p}")
-
-
 @dataclass(frozen=True)
 class CoregCfg:
-    cfg1: KnnRegressorCfg = KnnRegressorCfg(k=3, p=2.0)
-    cfg2: KnnRegressorCfg = KnnRegressorCfg(k=3, p=5.0)
+    """The impute flags: both regressors use k neighbours, the first Minkowski
+    order p1 and the second p2."""
+    k: int = 3
+    p1: float = 2.0
+    p2: float = 5.0
     max_iters: int = 100
     pool_size: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.cfg1.p == self.cfg2.p:
+        if self.k < 2:
+            raise ValidationError(
+                f"co-training needs k >= 2, got k={self.k}: with k=1 each "
+                "training point is its own nearest neighbour, so every "
+                "confidence delta is 0 and nothing is ever picked"
+            )
+        for name in ("p1", "p2"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"Minkowski order {name} must be >= 1, got {getattr(self, name)}")
+        if self.p1 == self.p2:
             raise ValidationError(
                 "the two regressors must use different Minkowski orders"
             )
-        for cfg in (self.cfg1, self.cfg2):
-            if cfg.k < 2:
-                raise ValidationError(
-                    f"co-training needs k >= 2, got k={cfg.k}: with k=1 each "
-                    "training point is its own nearest neighbour, so every "
-                    "confidence delta is 0 and nothing is ever picked"
-                )
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.pool_size < 1:
@@ -92,7 +85,7 @@ class CoregCfg:
 
 @dataclass
 class PickInfo:
-    index: int  # position in the original unlabeled list
+    index: int  # row of the point in unlabeled
     label: float
     delta: float
 
@@ -117,8 +110,7 @@ class IterationEntry:
 
 
 # ---------------------------------------------------------------------------
-# kNN core. Internal helpers work on stacked arrays; the public ops accept
-# LabeledExample lists.
+# kNN core
 
 
 def _minkowski(xs, x, p):
@@ -143,24 +135,6 @@ def _nearest(dist, k):
 
 def _knn_mean(xs, ys, x, k, p):
     return float(np.mean(ys[_nearest(_minkowski(xs, x, p), k)]))
-
-
-def _stack(train):
-    if not train:
-        raise PreconditionError("kNN regressor has no training examples")
-    xs = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in train])
-    ys = np.array([ex.y for ex in train], dtype=np.float64)
-    return xs, ys
-
-
-def knn_predict(train, x, cfg):
-    """Mean label of the k nearest neighbors under Minkowski-p distance.
-
-    Distance ties are broken by earlier training-set index; k larger than
-    the training set falls back to all examples.
-    """
-    xs, ys = _stack(train)
-    return _knn_mean(xs, ys, np.asarray(x, dtype=np.float64), cfg.k, cfg.p)
 
 
 class _Neighbourhood:
@@ -191,11 +165,11 @@ class _Regressor:
     neighbourhood and is kept exact as the training set grows.
     """
 
-    def __init__(self, xs, ys, cfg):
+    def __init__(self, xs, ys, k, p):
         self.xs = xs
         self.ys = ys
-        self.k = cfg.k
-        self.p = cfg.p
+        self.k = k
+        self.p = p
         self._cache = {}
 
     def query(self, x):
@@ -250,13 +224,6 @@ def _confidence(reg, dist, omega, cand_y):
     return float(delta)
 
 
-def coreg_confidence(regressor_train, candidate_x, candidate_y, cfg):
-    """Confidence of labeling candidate_x as candidate_y, per local error change."""
-    reg = _Regressor(*_stack(regressor_train), cfg)
-    dist, omega = reg.query(np.asarray(candidate_x, dtype=np.float64))
-    return _confidence(reg, dist, omega, candidate_y)
-
-
 # ---------------------------------------------------------------------------
 # the co-training loop
 
@@ -280,23 +247,19 @@ def _best_candidate(reg, unlabeled, pool, taken):
     return best
 
 
-def coreg_impute(labeled, unlabeled, cfg):
-    """Run the co-training loop and impute every unlabeled point.
+def coreg_impute(xs, ys, unlabeled, cfg):
+    """Run the co-training loop and impute every unlabeled row.
 
-    labeled: list of LabeledExample; unlabeled: list of feature vectors.
-    Returns (mapping from unlabeled index to imputed value, iteration log).
-    Transferred pseudo-labeled points leave the pool permanently; the final
-    imputed value is always the mean of the two finished regressors.
+    xs (n, d) holds the labeled rows and ys (n,) their labels; unlabeled
+    (m, d) the rows to fill. Returns (a list of m imputed values, in row
+    order, iteration log). Transferred pseudo-labeled points leave the pool
+    permanently; the final imputed value is always the mean of the two
+    finished regressors.
     """
-    if not labeled:
-        raise PreconditionError("cannot co-train with zero labeled examples")
+    if len(ys) == 0:
+        raise PreconditionError("no observed larval indices; cannot co-train")
     log = []
-    if not unlabeled:
-        return {}, log
-
-    xs0, ys0 = _stack(labeled)
-    unlabeled = [np.asarray(x, dtype=np.float64) for x in unlabeled]
-    sides = [_Regressor(xs0, ys0, cfg.cfg1), _Regressor(xs0, ys0, cfg.cfg2)]
+    sides = [_Regressor(xs, ys, cfg.k, cfg.p1), _Regressor(xs, ys, cfg.k, cfg.p2)]
     remaining = list(range(len(unlabeled)))
     rng = make_rng(cfg.seed)
 
@@ -330,10 +293,10 @@ def coreg_impute(labeled, unlabeled, cfg):
         if picks[0] is None and picks[1] is None:
             break
 
-    imputed = {}
-    for i, x in enumerate(unlabeled):
+    imputed = []
+    for x in unlabeled:
         y1, y2 = (_knn_mean(s.xs, s.ys, x, s.k, s.p) for s in sides)
-        imputed[i] = 0.5 * (y1 + y2)
+        imputed.append(0.5 * (y1 + y2))
     return imputed, log
 
 
@@ -360,26 +323,18 @@ def impute_larval(records, cfg):
     "imputed" per record, iteration log).
     """
     feats = imputation_features(records)
-    labeled = []
-    unlabeled_positions = []
-    for i, r in enumerate(records):
-        if r.larval_index is not None:
-            labeled.append(LabeledExample(x=feats[i], y=float(r.larval_index)))
-        else:
-            unlabeled_positions.append(i)
-    if not labeled:
-        raise PreconditionError("no observed larval indices; cannot co-train")
-
-    unlabeled = [feats[i] for i in unlabeled_positions]
-    imputed, log = coreg_impute(labeled, unlabeled, cfg)
+    observed = np.array([r.larval_index is not None for r in records])
+    ys = np.array([r.larval_index for r in records if r.larval_index is not None],
+                  dtype=np.float64)
+    imputed, log = coreg_impute(feats[observed], ys, feats[~observed], cfg)
 
     out = []
     provenance = []
-    fill = {unlabeled_positions[j]: v for j, v in imputed.items()}
-    for i, r in enumerate(records):
-        if i in fill:
+    fill = iter(imputed)
+    for r in records:
+        if r.larval_index is None:
             # kNN means stay inside the labeled range, but clamp defensively
-            value = min(3.0, max(1.0, fill[i]))
+            value = min(3.0, max(1.0, next(fill)))
             out.append(dataclasses.replace(r, larval_index=value))
             provenance.append("imputed")
         else:

@@ -197,24 +197,16 @@ def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
     return dx, dh_prev, dct * f
 
 
-def sequence_forward(window, cell, direction="forward"):
-    """Run a cell over a window (or batch of windows) from zero initial state.
+def sequence_forward(X, cell, direction="forward"):
+    """Run a cell over a batch of windows X (B, t, F) from zero initial state.
 
     The backward direction iterates rows t-1..0 and the output is re-reversed,
     so row s of the result always corresponds to input row s. Returns
-    (hidden sequence, per-step caches in processing order).
+    (hidden sequence (B, t, H), per-step caches in processing order).
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"direction must be forward or backward, got {direction!r}")
-    X = np.asarray(window, dtype=np.float64)
-    single = X.ndim == 2
-    if single:
-        X = X[None]
-    if X.ndim != 3:
-        raise ValidationError(f"expected (B, t, F) or (t, F), got {X.shape}")
-    B, t, F = X.shape
-    if F != cell.input_dim:
-        raise ValidationError(f"window has {F} features, cell expects {cell.input_dim}")
+    B, t, _ = X.shape  # model_forward checks X, cell_forward each step's shapes
     Xp = X[:, ::-1, :] if direction == "backward" else X
     h = np.zeros((B, cell.hidden))
     c = np.zeros((B, cell.hidden))
@@ -227,7 +219,7 @@ def sequence_forward(window, cell, direction="forward"):
     seq = np.stack(hs, axis=1)
     if direction == "backward":
         seq = seq[:, ::-1, :]
-    return (seq[0] if single else seq), caches
+    return seq, caches
 
 
 def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
@@ -235,9 +227,7 @@ def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
 
     Returns the gradient w.r.t. the input rows, or None unless need_dx.
     """
-    B, t, H = d_seq.shape
-    if len(caches) != t or caches[0]["x"].shape[0] != B:
-        raise ValidationError("cache does not match the gradient being propagated")
+    B, t, _ = d_seq.shape  # model_backward checks the batch against the cache
     dp = d_seq[:, ::-1, :] if direction == "backward" else d_seq
     dh_carry = np.zeros((B, cell.hidden))
     dc_carry = np.zeros((B, cell.hidden))

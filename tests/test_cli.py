@@ -288,8 +288,13 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     # both labels would write models/a_seed0.*
     ({"kind": "timestep", "grid": [{"label": "a", "timesteps": 2},
                                    {"label": "A", "timesteps": 3}]}, "'a' and 'A'"),
-    # each run's seed comes from seeds, so a base seed would be ignored
+    # each run's seed comes from seeds, so a base or cell seed would be ignored
     ({"kind": "variant", "base": {"seed": 7}}, "base: unknown keys ['seed']"),
+    ({"kind": "variant", "grid": [{"label": "a", "variant": "I", "seed": 7}]},
+     "grid cell 'a': unknown keys ['seed']"),
+    ({"kind": "daily"}, "sweep kind must be one of"),
+    ({"kind": "daily", "grid": [{"label": "a", "timesteps": 2}]},
+     "sweep kind must be one of"),
 ])
 def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -598,8 +603,9 @@ def test_train_and_predict_report_windows_skipped_at_a_gap(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def two_districts(tmp_path_factory):
-    """synth --districts 2 --months 24, prepare, impute --max-iters 2, and a
-    copy of the prepared records with every larval cell empty."""
+    """synth --districts 2 --months 24, prepare, impute --max-iters 2, a copy
+    of the prepared records with every larval cell empty, and diverge.json, a
+    one-run sweep at a learning rate that diverges."""
     root = tmp_path_factory.mktemp("two")
     raw, prep, imp = root / "raw", root / "prep", root / "imp"
     for argv in (
@@ -616,6 +622,11 @@ def two_districts(tmp_path_factory):
         rows = list(csv.reader(f))
     with open(root / "no_larval.csv", "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows([rows[0]] + [r[:6] + [""] + r[7:] for r in rows[1:]])
+    (root / "diverge.json").write_text(json.dumps({
+        "kind": "timestep", "seeds": [0],
+        "base": {"lr": 1000.0, "epochs": 50, "variant": "I"},
+        "grid": [{"label": "t = 3", "timesteps": 3}],
+    }), encoding="utf-8")
     return root
 
 
@@ -631,10 +642,40 @@ def two_districts(tmp_path_factory):
      "exceeds"),
     (["train", "--records", "imp/imputed.csv", "--timesteps", "40"], 2,
      "no windows"),
+    (["sweep", "--records", "prep/records.csv", "--sweep-config", "diverge.json"], 4,
+     "every run diverged"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
-        "timesteps-40"])
+        "timesteps-40", "sweep-all-diverged"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == code
     assert named in capsys.readouterr().err
+
+
+def test_sweep_in_which_every_run_diverges_writes_its_log(two_districts, tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--out", str(out),
+                     "--records", str(two_districts / "prep" / "records.csv"),
+                     "--sweep-config", str(two_districts / "diverge.json")]) == 4
+    log = (out / "log.txt").read_text(encoding="utf-8").splitlines()
+    assert log[0].startswith("t = 3 seed=0 DIVERGED: ")
+    assert "| t = 3 (seed 0) | diverged | diverged |" in (
+        out / "tables" / "mse_summary.md").read_text(encoding="utf-8")
+    assert _csv_rows(out / "reports" / "mse_summary.csv") == []
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda lines: lines + lines[1:2], ":50: duplicate (district, month) D01 2014-01"),
+    (_set_row(5, {3: "nan"}), ":5: non-finite temp_mean for D01 2014-04"),
+    (_set_row(3, {6: "7.5"}), ":3: larval index 7.5 outside [1, 3] for D01 2014-02"),
+], ids=["repeated-month", "nan-temperature", "larval-7.5"])
+def test_records_csv_is_read_by_the_record_rules(edit, named, two_districts, tmp_path,
+                                                  capsys):
+    # the rules assemble_records applies in prepare, wherever records.csv came from
+    text = (two_districts / "prep" / "records.csv").read_text(encoding="utf-8")
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(edit(text.splitlines())) + "\n", encoding="utf-8")
+    assert cli.main(["impute", "--out", str(tmp_path / "o"), "--records", str(path)]) == 2
+    assert f"{path}{named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -32,8 +32,9 @@ from denguecast.errors import ValidationError
 from denguecast.lstm import Model, ModelSpec, TrainCfg, TrainedModel
 from denguecast.nn_core import make_rng, mse
 
-SPEC = ModelSpec(arch="plain", num_layers=1, hidden=2, dropout=0.0, epochs=3,
-                 timesteps=3)
+BASE = {"arch": "plain", "num_layers": 1, "hidden": 2, "dropout": 0.0, "epochs": 3,
+        "timesteps": 3}
+SPEC = ModelSpec(**BASE)
 
 
 def make_records(districts=2, months=24, seed=0, cases=None):
@@ -163,8 +164,7 @@ class TestRunSweep:
             return run_config(records, spec, cfg, label, report_seed)
 
         monkeypatch.setattr(experiments, "run_config", lr_1e3_for_variant_i)
-        sweep = SweepSpec("variant", SPEC, experiments.default_grid("variant", SPEC),
-                          (0,), TrainCfg(lr=1e-2))
+        sweep = SweepSpec("variant", BASE, None, (0,), TrainCfg(lr=1e-2))
         result = run_sweep(sweep, make_records())
         assert [(label, seed) for label, seed, _ in result.failures] == [
             ("Variant I", 0)]
@@ -242,14 +242,13 @@ class TestSweepWorkers:
                 return map(fn, tasks)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
-        sweep = SweepSpec("variant", SPEC, experiments.default_grid("variant", SPEC),
-                          seeds, TrainCfg(lr=1e-2))
+        sweep = SweepSpec("variant", BASE, None, seeds, TrainCfg(lr=1e-2))
         result = run_sweep(sweep, make_records(), jobs=jobs)
         assert started == workers
         assert len(result.reports) == 2 * len(seeds)
 
     def test_one_task_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)  # never called
-        sweep = SweepSpec("variant", SPEC, [{"label": "Variant II", "variant": "II"}],
+        sweep = SweepSpec("variant", BASE, [{"label": "Variant II", "variant": "II"}],
                           (0,))
         assert len(run_sweep(sweep, make_records(), jobs=64).reports) == 1

@@ -8,108 +8,101 @@ from denguecast.errors import PreconditionError, ValidationError
 from denguecast.imputation import (
     CoregCfg,
     IterationEntry,
-    KnnRegressorCfg,
-    LabeledExample,
     PickInfo,
+    _confidence,
+    _knn_mean,
     _nearest,
-    coreg_confidence,
+    _Regressor,
     coreg_impute,
     impute_larval,
-    knn_predict,
 )
 from denguecast.nn_core import make_rng
 
 
-def brute_force_knn(train, x, k, p):
+def brute_force_knn(xs, ys, x, k, p):
     """Independent oracle: exhaustive distance computation + stable sort."""
     dists = []
-    for idx, ex in enumerate(train):
-        d = sum(abs(a - b) ** p for a, b in zip(ex.x, x)) ** (1.0 / p)
+    for idx, row in enumerate(xs):
+        d = sum(abs(a - b) ** p for a, b in zip(row, x)) ** (1.0 / p)
         dists.append((d, idx))
     dists.sort(key=lambda t: (t[0], t[1]))
-    chosen = dists[: min(k, len(train))]
-    return sum(train[i].y for _, i in chosen) / len(chosen)
+    chosen = dists[: min(k, len(xs))]
+    return sum(ys[i] for _, i in chosen) / len(chosen)
 
 
 def seeded_examples(n, dim=4, seed=0):
+    """(xs, ys): n rows of normal features, labels uniform in [1, 3]."""
     rng = make_rng(seed)
-    return [
-        LabeledExample(x=rng.normal(size=dim), y=float(rng.uniform(1, 3)))
-        for _ in range(n)
-    ]
+    rows, labels = [], []
+    for _ in range(n):
+        rows.append(rng.normal(size=dim))
+        labels.append(float(rng.uniform(1, 3)))
+    return np.stack(rows), np.array(labels)
 
 
 class TestKnnPredict:
     def test_exact_match_k1(self):
-        train = seeded_examples(10)
-        cfg = KnnRegressorCfg(k=1, p=2.0)
-        assert knn_predict(train, train[4].x, cfg) == train[4].y
+        xs, ys = seeded_examples(10)
+        assert _knn_mean(xs, ys, xs[4], 1, 2.0) == ys[4]
 
     def test_k_equals_train_size_is_global_mean(self):
-        train = seeded_examples(7)
-        cfg = KnnRegressorCfg(k=7, p=2.0)
-        expected = sum(ex.y for ex in train) / 7
-        assert knn_predict(train, np.zeros(4), cfg) == pytest.approx(expected, abs=1e-12)
+        xs, ys = seeded_examples(7)
+        expected = sum(ys) / 7
+        assert _knn_mean(xs, ys, np.zeros(4), 7, 2.0) == pytest.approx(expected,
+                                                                        abs=1e-12)
 
     def test_k_larger_than_train_uses_all(self):
-        train = seeded_examples(5)
-        cfg = KnnRegressorCfg(k=50, p=2.0)
-        expected = sum(ex.y for ex in train) / 5
-        assert knn_predict(train, np.ones(4), cfg) == pytest.approx(expected, abs=1e-12)
+        xs, ys = seeded_examples(5)
+        expected = sum(ys) / 5
+        assert _knn_mean(xs, ys, np.ones(4), 50, 2.0) == pytest.approx(expected,
+                                                                        abs=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 5.0, 1.0])
     def test_against_brute_force(self, p):
-        train = seeded_examples(50, seed=13)
+        xs, ys = seeded_examples(50, seed=13)
         rng = make_rng(14)
-        cfg = KnnRegressorCfg(k=3, p=p)
         for _ in range(20):
             x = rng.normal(size=4)
-            assert knn_predict(train, x, cfg) == pytest.approx(
-                brute_force_knn(train, x, 3, p), abs=1e-12
+            assert _knn_mean(xs, ys, x, 3, p) == pytest.approx(
+                brute_force_knn(xs, ys, x, 3, p), abs=1e-12
             )
 
     def test_tie_break_earlier_index(self):
-        train = [
-            LabeledExample(x=np.array([1.0, 0.0]), y=10.0),
-            LabeledExample(x=np.array([-1.0, 0.0]), y=20.0),
-        ]
+        xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        ys = np.array([10.0, 20.0])
         # both at distance 1; earlier index wins
-        assert knn_predict(train, np.zeros(2), KnnRegressorCfg(k=1, p=2.0)) == 10.0
-
-    def test_empty_train(self):
-        with pytest.raises(PreconditionError, match="no training examples"):
-            knn_predict([], np.zeros(2), KnnRegressorCfg())
+        assert _knn_mean(xs, ys, np.zeros(2), 1, 2.0) == 10.0
 
 
 class TestCfgValidation:
     def test_bad_k(self):
         with pytest.raises(ValidationError):
-            KnnRegressorCfg(k=0)
+            CoregCfg(k=0)
 
     def test_bad_p(self):
-        with pytest.raises(ValidationError):
-            KnnRegressorCfg(p=0.5)
+        for orders in ({"p1": 0.5}, {"p2": 0.5}):
+            with pytest.raises(ValidationError, match="order p. must be >= 1"):
+                CoregCfg(**orders)
 
     def test_equal_orders_rejected(self):
         with pytest.raises(ValidationError):
-            CoregCfg(cfg1=KnnRegressorCfg(p=2.0), cfg2=KnnRegressorCfg(p=2.0))
+            CoregCfg(p1=2.0, p2=2.0)
 
     def test_degenerate_equal_config_regressors_agree(self):
         # sanity check behind the CoregCfg rejection: same k and p means the
         # two would-be regressors are indistinguishable
-        train = seeded_examples(30, seed=5)
-        cfg = KnnRegressorCfg(k=3, p=2.0)
+        xs, ys = seeded_examples(30, seed=5)
+        sides = [_Regressor(xs, ys, 3, 2.0), _Regressor(xs.copy(), ys.copy(), 3, 2.0)]
         rng = make_rng(6)
         for _ in range(10):
             x = rng.normal(size=4)
-            assert knn_predict(train, x, cfg) == knn_predict(list(train), x, cfg)
+            (d1, near1), (d2, near2) = (side.query(x) for side in sides)
+            assert d1.tolist() == d2.tolist() and near1.tolist() == near2.tolist()
 
     def test_k1_rejected(self):
         # each training point would be its own nearest neighbour: no picks
-        for k1, k2 in ((1, 3), (3, 1)):
-            with pytest.raises(ValidationError, match="k >= 2"):
-                CoregCfg(cfg1=KnnRegressorCfg(k=k1, p=2.0),
-                         cfg2=KnnRegressorCfg(k=k2, p=5.0))
+        with pytest.raises(ValidationError, match="k >= 2"):
+            CoregCfg(k=1)
 
     def test_bad_iters_and_pool(self):
         with pytest.raises(ValidationError):
@@ -119,126 +112,126 @@ class TestCfgValidation:
 
 
 def smooth_dataset(n=40, seed=3):
-    """y varies smoothly with x so confidence deltas behave predictably."""
+    """(xs, ys): y varies smoothly with x so confidence deltas behave
+    predictably."""
     rng = make_rng(seed)
-    out = []
-    for _ in range(n):
-        x = rng.uniform(0, 1, size=2)
-        out.append(LabeledExample(x=x, y=float(2.0 + 0.8 * math.sin(x[0] * 3))))
-    return out
+    xs = np.stack([rng.uniform(0, 1, size=2) for _ in range(n)])
+    return xs, 2.0 + 0.8 * np.sin(xs[:, 0] * 3)
 
 
-def brute_force_delta(train, cand_x, cand_y, k, p):
+def brute_force_delta(xs, ys, cand_x, cand_y, k, p):
     """Recompute the confidence from scratch using the brute-force kNN."""
     dists = sorted(
-        (sum(abs(a - b) ** p for a, b in zip(ex.x, cand_x)) ** (1.0 / p), i)
-        for i, ex in enumerate(train)
+        (sum(abs(a - b) ** p for a, b in zip(row, cand_x)) ** (1.0 / p), i)
+        for i, row in enumerate(xs)
     )
-    omega = [i for _, i in dists[: min(k, len(train))]]
-    augmented = list(train) + [LabeledExample(x=np.asarray(cand_x), y=cand_y)]
+    omega = [i for _, i in dists[: min(k, len(xs))]]
+    xs_aug = np.vstack([xs, np.asarray(cand_x)[None, :]])
+    ys_aug = np.append(ys, cand_y)
     delta = 0.0
     for i in omega:
-        before = train[i].y - brute_force_knn(train, train[i].x, k, p)
-        after = train[i].y - brute_force_knn(augmented, train[i].x, k, p)
+        before = ys[i] - brute_force_knn(xs, ys, xs[i], k, p)
+        after = ys[i] - brute_force_knn(xs_aug, ys_aug, xs[i], k, p)
         delta += before**2 - after**2
     return delta
 
 
+def confidence(xs, ys, cand_x, cand_y, k, p):
+    """The scan's confidence of labeling cand_x as cand_y, on a fresh regressor."""
+    reg = _Regressor(xs, ys, k, p)
+    dist, omega = reg.query(cand_x)
+    return _confidence(reg, dist, omega, cand_y)
+
+
 class TestCoregConfidence:
     def test_duplicate_candidate_k1_is_zero(self):
-        train = smooth_dataset()
-        cfg = KnnRegressorCfg(k=1, p=2.0)
-        delta = coreg_confidence(train, train[3].x, train[3].y, cfg)
-        assert delta == 0.0
+        xs, ys = smooth_dataset()
+        assert confidence(xs, ys, xs[3], ys[3], 1, 2.0) == 0.0
 
     def test_duplicate_candidate_nonnegative(self):
-        train = smooth_dataset()
-        cfg = KnnRegressorCfg(k=3, p=2.0)
+        xs, ys = smooth_dataset()
         for i in (0, 7, 19):
-            delta = coreg_confidence(train, train[i].x, train[i].y, cfg)
-            oracle = brute_force_delta(train, train[i].x, train[i].y, 3, 2.0)
+            delta = confidence(xs, ys, xs[i], ys[i], 3, 2.0)
+            oracle = brute_force_delta(xs, ys, xs[i], ys[i], 3, 2.0)
             assert delta == pytest.approx(oracle, abs=1e-12)
             assert delta >= 0.0
 
     def test_wild_label_negative_delta(self):
-        train = smooth_dataset()
-        cfg = KnnRegressorCfg(k=3, p=2.0)
+        xs, ys = smooth_dataset()
         x = np.array([0.5, 0.5])
-        delta = coreg_confidence(train, x, 50.0, cfg)
-        oracle = brute_force_delta(train, x, 50.0, 3, 2.0)
+        delta = confidence(xs, ys, x, 50.0, 3, 2.0)
+        oracle = brute_force_delta(xs, ys, x, 50.0, 3, 2.0)
         assert delta == pytest.approx(oracle, abs=1e-10)
         assert delta < 0.0
 
     def test_matches_oracle_on_random_candidates(self):
-        train = smooth_dataset(seed=11)
+        xs, ys = smooth_dataset(seed=11)
         rng = make_rng(12)
-        cfg = KnnRegressorCfg(k=3, p=5.0)
         for _ in range(15):
             x = rng.uniform(0, 1, size=2)
             y = float(rng.uniform(1, 3))
-            assert coreg_confidence(train, x, y, cfg) == pytest.approx(
-                brute_force_delta(train, x, y, 3, 5.0), abs=1e-10
+            assert confidence(xs, ys, x, y, 3, 5.0) == pytest.approx(
+                brute_force_delta(xs, ys, x, y, 3, 5.0), abs=1e-10
             )
 
 
 class TestCoregImpute:
     def test_empty_unlabeled(self):
-        imputed, log = coreg_impute(smooth_dataset(), [], CoregCfg())
-        assert imputed == {}
+        xs, ys = smooth_dataset()
+        imputed, log = coreg_impute(xs, ys, np.empty((0, 2)), CoregCfg())
+        assert imputed == []
         assert log == []
 
     def test_empty_labeled(self):
-        with pytest.raises(PreconditionError, match="zero labeled examples"):
-            coreg_impute([], [np.zeros(2)], CoregCfg())
+        with pytest.raises(PreconditionError, match="no observed larval indices"):
+            coreg_impute(np.empty((0, 2)), np.empty(0), np.zeros((1, 2)), CoregCfg())
 
     def test_constant_labels(self):
         rng = make_rng(2)
-        labeled = [LabeledExample(x=rng.normal(size=3), y=1.7) for _ in range(20)]
-        unlabeled = [rng.normal(size=3) for _ in range(8)]
-        imputed, _ = coreg_impute(labeled, unlabeled, CoregCfg(seed=4))
-        assert set(imputed) == set(range(8))
-        assert all(v == pytest.approx(1.7, abs=1e-12) for v in imputed.values())
+        xs = np.stack([rng.normal(size=3) for _ in range(20)])
+        unlabeled = np.stack([rng.normal(size=3) for _ in range(8)])
+        imputed, _ = coreg_impute(xs, np.full(20, 1.7), unlabeled, CoregCfg(seed=4))
+        assert len(imputed) == 8
+        assert all(v == pytest.approx(1.7, abs=1e-12) for v in imputed)
 
     def test_deterministic_log(self):
-        labeled = smooth_dataset(seed=21)
+        xs, ys = smooth_dataset(seed=21)
         rng = make_rng(22)
-        unlabeled = [rng.uniform(0, 1, size=2) for _ in range(25)]
+        unlabeled = np.stack([rng.uniform(0, 1, size=2) for _ in range(25)])
         cfg = CoregCfg(max_iters=10, pool_size=10, seed=5)
-        im1, log1 = coreg_impute(labeled, unlabeled, cfg)
-        im2, log2 = coreg_impute(labeled, unlabeled, cfg)
+        im1, log1 = coreg_impute(xs, ys, unlabeled, cfg)
+        im2, log2 = coreg_impute(xs, ys, unlabeled, cfg)
         assert im1 == im2
         assert log1 == log2
         assert [e.line() for e in log1] == [e.line() for e in log2]
 
     def test_imputed_within_label_range(self):
-        labeled = smooth_dataset(seed=31)
+        xs, ys = smooth_dataset(seed=31)
         rng = make_rng(32)
-        unlabeled = [rng.uniform(0, 1, size=2) for _ in range(30)]
-        imputed, _ = coreg_impute(labeled, unlabeled, CoregCfg(seed=6))
-        lo = min(ex.y for ex in labeled)
-        hi = max(ex.y for ex in labeled)
-        for v in imputed.values():
-            assert lo - 1e-12 <= v <= hi + 1e-12
+        unlabeled = np.stack([rng.uniform(0, 1, size=2) for _ in range(30)])
+        imputed, _ = coreg_impute(xs, ys, unlabeled, CoregCfg(seed=6))
+        for v in imputed:
+            assert min(ys) - 1e-12 <= v <= max(ys) + 1e-12
 
     def test_growth_bounded_and_terminates(self):
-        labeled = smooth_dataset(seed=41)
+        xs, ys = smooth_dataset(seed=41)
         rng = make_rng(42)
-        unlabeled = [rng.uniform(0, 1, size=2) for _ in range(30)]
+        unlabeled = np.stack([rng.uniform(0, 1, size=2) for _ in range(30)])
         cfg = CoregCfg(max_iters=12, pool_size=8, seed=7)
-        _, log = coreg_impute(labeled, unlabeled, cfg)
+        _, log = coreg_impute(xs, ys, unlabeled, cfg)
         assert len(log) <= 12
-        prev = (len(labeled), len(labeled))
+        prev = (len(ys), len(ys))
         for entry in log:
             n1, n2 = entry.train_sizes
             assert n1 + n2 <= prev[0] + prev[1] + 2
             prev = (n1, n2)
 
     def test_pool_points_not_reselected(self):
-        labeled = smooth_dataset(seed=51)
+        xs, ys = smooth_dataset(seed=51)
         rng = make_rng(52)
-        unlabeled = [rng.uniform(0, 1, size=2) for _ in range(20)]
-        _, log = coreg_impute(labeled, unlabeled, CoregCfg(max_iters=20, pool_size=20,
-                                                           seed=8))
+        unlabeled = np.stack([rng.uniform(0, 1, size=2) for _ in range(20)])
+        _, log = coreg_impute(xs, ys, unlabeled,
+                              CoregCfg(max_iters=20, pool_size=20, seed=8))
         seen = []
         for entry in log:
             for pick in entry.picks:
@@ -260,23 +253,16 @@ class TestCoregImpute:
                               float(rng.uniform(0, 1))])
                 xs.append(x)
                 ys.append(math.sin(angle) + float(rng.normal(0, 0.1)))
+            xs, ys = np.stack(xs), np.array(ys)
             mask = rng.random(120) < 0.3
-            labeled = [LabeledExample(x=xs[i], y=ys[i])
-                       for i in range(120) if not mask[i]]
-            unlabeled_idx = [i for i in range(120) if mask[i]]
-            unlabeled = [xs[i] for i in unlabeled_idx]
-            truth = [xs[i][0] for i in unlabeled_idx]  # noise-free signal
+            truth = xs[mask, 0]  # noise-free signal
             imputed, _ = coreg_impute(
-                labeled, unlabeled,
+                xs[~mask], ys[~mask], xs[mask],
                 CoregCfg(max_iters=25, pool_size=40, seed=seed),
             )
-            mean_label = np.mean([ex.y for ex in labeled])
-            rmse_coreg = math.sqrt(
-                np.mean([(imputed[j] - truth[j]) ** 2 for j in range(len(unlabeled))])
-            )
-            rmse_mean = math.sqrt(
-                np.mean([(mean_label - truth[j]) ** 2 for j in range(len(unlabeled))])
-            )
+            mean_label = np.mean(ys[~mask])
+            rmse_coreg = math.sqrt(np.mean((np.array(imputed) - truth) ** 2))
+            rmse_mean = math.sqrt(np.mean((mean_label - truth) ** 2))
             wins += rmse_coreg < rmse_mean
         assert wins == len(list(seeds))
 
@@ -328,12 +314,10 @@ def _ref_best_candidate(xs, ys, unlabeled, pool, taken, k, p):
     return best
 
 
-def _ref_coreg_impute(labeled, unlabeled, cfg):
-    xs0 = np.stack([ex.x for ex in labeled])
-    ys0 = np.array([ex.y for ex in labeled])
+def _ref_coreg_impute(xs, ys, unlabeled, cfg):
     sides = [
-        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg1},
-        {"xs": xs0.copy(), "ys": ys0.copy(), "cfg": cfg.cfg2},
+        {"xs": xs.copy(), "ys": ys.copy(), "p": cfg.p1},
+        {"xs": xs.copy(), "ys": ys.copy(), "p": cfg.p2},
     ]
     remaining = list(range(len(unlabeled)))
     rng = make_rng(cfg.seed)
@@ -348,8 +332,7 @@ def _ref_coreg_impute(labeled, unlabeled, cfg):
         taken = set()
         for side in sides:
             pick = _ref_best_candidate(
-                side["xs"], side["ys"], unlabeled, pool, taken,
-                side["cfg"].k, side["cfg"].p,
+                side["xs"], side["ys"], unlabeled, pool, taken, cfg.k, side["p"],
             )
             picks.append(pick)
             if pick is not None:
@@ -365,11 +348,11 @@ def _ref_coreg_impute(labeled, unlabeled, cfg):
                                   (len(sides[0]["ys"]), len(sides[1]["ys"]))))
         if picks[0] is None and picks[1] is None:
             break
-    imputed = {}
-    for i, x in enumerate(unlabeled):
-        y1 = _ref_knn_mean(sides[0]["xs"], sides[0]["ys"], x, cfg.cfg1.k, cfg.cfg1.p)
-        y2 = _ref_knn_mean(sides[1]["xs"], sides[1]["ys"], x, cfg.cfg2.k, cfg.cfg2.p)
-        imputed[i] = 0.5 * (y1 + y2)
+    imputed = []
+    for x in unlabeled:
+        y1, y2 = (_ref_knn_mean(side["xs"], side["ys"], x, cfg.k, side["p"])
+                  for side in sides)
+        imputed.append(0.5 * (y1 + y2))
     return imputed, log
 
 
@@ -383,12 +366,13 @@ def _coreg_problem(n_labeled, n_unlabeled, grid, seed):
             return rng.integers(0, 5, size=2).astype(np.float64)
         return rng.uniform(0, 1, size=2)
 
-    labeled = []
+    rows, labels = [], []
     for _ in range(n_labeled):
         x = draw()
-        labeled.append(LabeledExample(
-            x=x, y=float(2.0 + 0.3 * x[0] - 0.2 * x[1] + rng.normal(0, 0.1))))
-    return labeled, [draw() for _ in range(n_unlabeled)]
+        rows.append(x)
+        labels.append(float(2.0 + 0.3 * x[0] - 0.2 * x[1] + rng.normal(0, 0.1)))
+    unlabeled = np.stack([draw() for _ in range(n_unlabeled)])
+    return np.stack(rows), np.array(labels), unlabeled
 
 
 class TestIncrementalScanMatchesReference:
@@ -412,13 +396,10 @@ class TestIncrementalScanMatchesReference:
                              [case for case in CASES if case[0] > 1])
     def test_log_and_imputed_values_identical(self, k, p1, p2, n_labeled, grid,
                                               seed, min_picks):
-        labeled, unlabeled = _coreg_problem(n_labeled, 40, grid, seed)
-        cfg = CoregCfg(
-            cfg1=KnnRegressorCfg(k=k, p=p1), cfg2=KnnRegressorCfg(k=k, p=p2),
-            max_iters=25, pool_size=12, seed=k,
-        )
-        imputed, log = coreg_impute(labeled, unlabeled, cfg)
-        ref_imputed, ref_log = _ref_coreg_impute(labeled, unlabeled, cfg)
+        xs, ys, unlabeled = _coreg_problem(n_labeled, 40, grid, seed)
+        cfg = CoregCfg(k=k, p1=p1, p2=p2, max_iters=25, pool_size=12, seed=k)
+        imputed, log = coreg_impute(xs, ys, unlabeled, cfg)
+        ref_imputed, ref_log = _ref_coreg_impute(xs, ys, unlabeled, cfg)
         assert [e.line() for e in log] == [e.line() for e in ref_log]
         assert imputed == ref_imputed
         assert sum(p is not None for e in log for p in e.picks) >= min_picks
@@ -426,13 +407,10 @@ class TestIncrementalScanMatchesReference:
     @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
     def test_confidence_identical(self, k, p1, p2, n_labeled, grid, seed,
                                   min_picks):
-        labeled, candidates = _coreg_problem(n_labeled, 10, grid, seed + 1)
-        xs = np.stack([ex.x for ex in labeled])
-        ys = np.array([ex.y for ex in labeled])
-        cfg = KnnRegressorCfg(k=k, p=p1)
+        xs, ys, candidates = _coreg_problem(n_labeled, 10, grid, seed + 1)
         for j, x in enumerate(candidates):
             y = 1.5 + 0.1 * j
-            assert coreg_confidence(labeled, x, y, cfg) == _ref_confidence(
+            assert confidence(xs, ys, x, y, k, p1) == _ref_confidence(
                 xs, ys, x, y, k, p1)
 
 

@@ -32,7 +32,6 @@ from denguecast.lstm import (
     train,
 )
 from denguecast.nn_core import (
-    grad_check,
     l2_penalty,
     load_params,
     make_rng,
@@ -40,6 +39,8 @@ from denguecast.nn_core import (
     sigmoid,
     zero_grads,
 )
+
+from gradcheck import grad_check
 
 H, T, F = 4, 3, 5
 
@@ -168,17 +169,17 @@ class TestSequenceForward:
     def test_t1_degenerate_equals_cell(self):
         cell = make_cell(seed=3)
         x = make_rng(4).normal(size=(1, F))
-        seq, _ = sequence_forward(x, cell)
+        seq, _ = sequence_forward(x[None], cell)  # one window of one step
         h, _, _ = cell_forward(x, np.zeros((1, H)), np.zeros((1, H)), cell)
-        np.testing.assert_allclose(seq, h, atol=1e-15)
+        np.testing.assert_allclose(seq[0], h, atol=1e-15)
 
     def test_backward_equals_forward_on_reversed_input(self):
         cell = make_cell(seed=5)
-        X = make_rng(6).normal(size=(T, F))
-        fwd_on_reversed, _ = sequence_forward(X[::-1], cell, "forward")
+        X = make_rng(6).normal(size=(1, T, F))
+        fwd_on_reversed, _ = sequence_forward(X[:, ::-1], cell, "forward")
         bwd, _ = sequence_forward(X, cell, "backward")
         # re-reversed backward output row i corresponds to input row i
-        np.testing.assert_allclose(bwd, fwd_on_reversed[::-1], atol=1e-12)
+        np.testing.assert_allclose(bwd, fwd_on_reversed[:, ::-1], atol=1e-12)
 
     def test_zero_input_zero_params(self):
         cell = make_cell()

@@ -7,7 +7,6 @@ from denguecast.nn_core import (
     Parameter,
     derive_seed,
     dropout,
-    grad_check,
     l2_penalty,
     load_params,
     make_rng,
@@ -17,6 +16,8 @@ from denguecast.nn_core import (
     sigmoid,
     zero_grads,
 )
+
+from gradcheck import grad_check
 
 
 def _ref_sigmoid(x):

@@ -1,0 +1,42 @@
+"""Checks on the source tree itself."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "denguecast"
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _named(tree):
+    """Every name a module uses: identifiers, attributes, imported names, and
+    string constants that spell a (dotted) name, as perfbench's tables do.
+    Definitions, docstrings and comments name nothing."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.extend(node.value.split("."))
+    return out
+
+
+def test_every_module_level_name_in_src_is_used_by_src_or_perfbench():
+    # code that only tests call belongs in tests/
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in files:
+        used.update(_named(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in used):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
