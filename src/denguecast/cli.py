@@ -105,9 +105,9 @@ def cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataprep.write_climate_csv(bundle.climate, out / "climate.csv")
-    dataprep.write_rain_csv(bundle.rain, out / "rain.csv")
-    dataprep.write_larval_csv(bundle.larval, out / "larval.csv")
-    dataprep.write_cases_csv(bundle.cases, out / "cases.csv")
+    dataprep.write_csv(out / "rain.csv", dataprep.RAIN_HEADER, bundle.rain)
+    dataprep.write_csv(out / "larval.csv", dataprep.LARVAL_HEADER, bundle.larval)
+    dataprep.write_csv(out / "cases.csv", dataprep.CASES_HEADER, bundle.cases)
     dataprep.write_larval_truth_csv(bundle.truth, out / "larval_truth.csv")
     print(f"wrote {len(bundle.cases)} case rows for {spec.districts} districts "
           f"x {spec.months} months to {out}")
@@ -117,17 +117,10 @@ def cmd_synth(args):
 def cmd_prepare(args):
     # the climate table streams from the file into its monthly means
     climate = dataprep.aggregate_monthly(dataprep.load_climate_csv(args.climate))
-    weeks = dataprep.load_rain_csv(args.rain)
-    surveys = dataprep.load_larval_csv(args.larval)
-    case_pairs = dataprep.load_cases_csv(args.cases)
-
-    rain = dataprep.rain_to_monthly(weeks)
-    larval_pairs = []
-    for s in surveys:
-        idx = dataprep.weighted_larval_index(s.n_low, s.n_mid, s.n_high)
-        if idx is not None:
-            larval_pairs.append(((s.district, s.month), idx))
-    records = dataprep.assemble_records(climate, rain, larval_pairs, case_pairs)
+    rain = dataprep.rain_to_monthly(dataprep.load_rain_csv(args.rain))
+    larval = dataprep.load_larval_csv(args.larval)
+    cases = dataprep.load_cases_csv(args.cases)
+    records = dataprep.assemble_records(climate, rain, larval, cases)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,10 +7,12 @@ features) supervised samples and split chronologically. Records and windows
 hold values as read: apply_scaler, the one scaler of model inputs, min-max
 scales the stacked arrays of a window list with a model's Scaler.
 
-The daily climate table is the only large one, so it is never held as one
-object per day: load_climate_csv streams its rows as plain tuples straight
-into aggregate_monthly, and write_climate_csv writes it from per-month arrays.
-Each CSV file has one loader and one writer here, sharing its header.
+A raw row is a tuple in header order. Each loader parses its rows through
+read_rows, the one place a bad row is named (path:line), and returns what
+prepare joins. The daily climate table is the only large one, so it is never
+held as one object per day: load_climate_csv streams its rows straight into
+aggregate_monthly, which checks them, and write_climate_csv writes it from
+per-month arrays.
 
 Months are (year, month) tuples everywhere. All functions apart from the CSV
 loaders and writers are pure.
@@ -35,23 +37,6 @@ VARIANTS = ("I", "II")
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class WeeklyRainfall:
-    district: str
-    iso_year: int
-    iso_week: int
-    rainfall: float
-
-
-@dataclass(frozen=True)
-class LarvalSurvey:
-    district: str
-    month: tuple[int, int]
-    n_low: int
-    n_mid: int
-    n_high: int
 
 
 @dataclass(frozen=True)
@@ -161,35 +146,12 @@ def aggregate_monthly(rows):
     return {k: (t / n, h / n) for k, (t, h, n, _) in sums.items()}
 
 
-def rain_to_monthly(weekly):
-    """Total rainfall per (district, month).
-
-    Each ISO week is assigned to the month containing its Thursday, the
-    standard convention for deciding which month "owns" a week. A repeated
-    (district, iso_year, iso_week) raises.
-    """
+def rain_to_monthly(rows):
+    """Total rainfall per (district, month) of load_rain_csv's rows, each
+    total summed in row order."""
     totals = {}
-    seen = set()
-    for w in weekly:
-        if not 1 <= w.iso_week <= 53:
-            raise ValidationError(
-                f"iso_week {w.iso_week} outside [1, 53] for {w.district}"
-            )
-        if w.rainfall < 0:
-            raise ValidationError(f"negative rainfall for {w.district}")
-        try:
-            thursday = date.fromisocalendar(w.iso_year, w.iso_week, 4)
-        except ValueError as exc:
-            raise ValidationError(
-                f"invalid ISO week {w.iso_year}-W{w.iso_week:02d} for {w.district}: {exc}"
-            ) from None
-        week = (w.district, w.iso_year, w.iso_week)
-        if week in seen:
-            raise ValidationError(
-                f"duplicate rain row for {w.district} in {w.iso_year}-W{w.iso_week:02d}")
-        seen.add(week)
-        key = (w.district, month_of(thursday))
-        totals[key] = totals.get(key, 0.0) + w.rainfall
+    for district, month, rainfall in rows:
+        totals[(district, month)] = totals.get((district, month), 0.0) + rainfall
     return totals
 
 
@@ -209,30 +171,13 @@ def weighted_larval_index(n_low, n_mid, n_high):
     return (n_low * 1 + n_mid * 2 + n_high * 3) / total
 
 
-def _as_map(source, name):
-    """Normalize a dict or (key, value) iterable; reject duplicate keys."""
-    if isinstance(source, dict):
-        return source
-    out = {}
-    for key, value in source:
-        if key in out:
-            raise ValidationError(f"duplicate (district, month) {key} in {name}")
-        out[key] = value
-    return out
-
-
 def assemble_records(climate, rain, larval, cases):
     """Inner-join climate, rainfall and cases; attach larval index if surveyed.
 
-    Inputs are keyed by (district, (year, month)); dicts or (key, value)
-    iterables are accepted, the latter checked for duplicate keys. Output is
-    sorted by district then month.
+    The four dicts are keyed by (district, (year, month)), as
+    aggregate_monthly, rain_to_monthly, load_larval_csv and load_cases_csv
+    return them. Output is sorted by district then month.
     """
-    climate = _as_map(climate, "climate")
-    rain = _as_map(rain, "rain")
-    larval = _as_map(larval, "larval")
-    cases = _as_map(cases, "cases")
-
     records = []
     for key in cases:
         if key not in climate or key not in rain:
@@ -443,6 +388,12 @@ def split_dataset(windows, ratio):
 #                   (larval_index cell empty when missing)
 #
 # The raw files end each line in a bare newline, records.csv in "\r\n".
+#
+# A raw row is a tuple in header order, as synth writes it (write_csv). Each
+# loader passes read_rows a parse of one row; a ValueError or ValidationError
+# it raises is named path:line there. A raw loader returns what prepare joins:
+# climate rows for aggregate_monthly, rain rows for rain_to_monthly, and the
+# larval and cases maps for assemble_records.
 
 CLIMATE_HEADER = ("district", "date", "temp_c", "rh_pct")
 RAIN_HEADER = ("district", "iso_year", "iso_week", "rain_mm")
@@ -460,7 +411,7 @@ def csv_text(header, rows):
     return buf.getvalue()
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     """Stream csv_text(header, rows) into the file at path."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -468,11 +419,12 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def read_rows(path, *headers):
-    """Yield (line number, cells) for each non-blank row after the header.
+def read_rows(path, parse, *headers):
+    """Yield parse(cells) for each non-blank row after the header.
 
-    The header must equal one of headers, and every row must have as many
-    cells as it.
+    The header must equal one of headers. A row with another number of cells,
+    or one whose parse raises ValueError or ValidationError, raises
+    ValidationError naming path:line; no loader names a row itself.
     """
     try:
         f = open(path, newline="", encoding="utf-8")
@@ -491,34 +443,57 @@ def read_rows(path, *headers):
                 f"got {','.join(header)}"
             )
         width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
                 continue
-            if len(row) != width:
-                raise ValidationError(f"{path}:{lineno}: wrong column count")
-            yield lineno, row
+            try:
+                if len(cells) != width:
+                    raise ValidationError("wrong column count")
+                row = parse(cells)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            yield row
+
+
+def parse_month(year_text, month_text):
+    """(year, month) of a row's year and month cells; a month outside 1-12
+    raises."""
+    year, month = int(year_text), int(month_text)
+    if not 1 <= month <= 12:
+        raise ValidationError(f"month {month} outside [1, 12]")
+    return year, month
+
+
+def new_key(seen, district, month):
+    """(district, month), added to the set seen; a key already in it raises,
+    so a file holds each district-month once. Loaders check a row's cells
+    first, so a bad cell is reported before a repeat."""
+    key = (district, month)
+    if key in seen:
+        raise ValidationError(
+            f"duplicate (district, month) {district} {month[0]:04d}-{month[1]:02d}")
+    seen.add(key)
+    return key
 
 
 def load_climate_csv(path):
     """Stream climate.csv as (district, (year, month), date, temperature,
-    humidity) tuples for aggregate_monthly.
+    humidity) tuples for aggregate_monthly, which checks their values.
 
     Nothing is read until the stream is. Each distinct date text is parsed
     once; the rows of one date share its date and month objects.
     """
     days = {}
-    for lineno, (district, day_text, temp_text, rh_text) in read_rows(
-        path, CLIMATE_HEADER
-    ):
-        try:
-            day = days.get(day_text)
-            if day is None:
-                d = date.fromisoformat(day_text)
-                day = days[day_text] = ((d.year, d.month), d)
-            temperature, humidity = float(temp_text), float(rh_text)
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        yield district, day[0], day[1], temperature, humidity
+
+    def parse(cells):
+        district, day_text, temp_text, rh_text = cells
+        day = days.get(day_text)
+        if day is None:
+            d = date.fromisoformat(day_text)
+            day = days[day_text] = ((d.year, d.month), d)
+        return district, day[0], day[1], float(temp_text), float(rh_text)
+
+    return read_rows(path, parse, CLIMATE_HEADER)
 
 
 def write_climate_csv(blocks, path):
@@ -536,75 +511,70 @@ def write_climate_csv(blocks, path):
             yield from zip(itertools.repeat(district), texts,
                            temps.tolist(), hums.tolist())
 
-    _write_csv(path, CLIMATE_HEADER, rows())
+    write_csv(path, CLIMATE_HEADER, rows())
 
 
 def load_rain_csv(path):
-    weeks = []
-    for lineno, row in read_rows(path, RAIN_HEADER):
+    """rain.csv as (district, (year, month), rainfall) rows for
+    rain_to_monthly, in file order.
+
+    Each ISO week is assigned to the month containing its Thursday, the
+    standard convention for deciding which month "owns" a week. A week that
+    does not exist, a negative rainfall or a repeated (district, iso_year,
+    iso_week) raises.
+    """
+    seen = set()
+
+    def parse(cells):
+        district, year_text, week_text, rain_text = cells
+        year, week, rainfall = int(year_text), int(week_text), float(rain_text)
         try:
-            weeks.append(
-                WeeklyRainfall(
-                    district=row[0],
-                    iso_year=int(row[1]),
-                    iso_week=int(row[2]),
-                    rainfall=float(row[3]),
-                )
-            )
+            thursday = date.fromisocalendar(year, week, 4)
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return weeks
+            raise ValidationError(
+                f"invalid ISO week {year}-W{week:02d} for {district}: {exc}") from None
+        if rainfall < 0:
+            raise ValidationError(f"negative rainfall for {district}")
+        if (district, year, week) in seen:
+            raise ValidationError(
+                f"duplicate rain row for {district} in {year}-W{week:02d}")
+        seen.add((district, year, week))
+        return district, month_of(thursday), rainfall
 
-
-def write_rain_csv(weeks, path):
-    _write_csv(path, RAIN_HEADER,
-               ((w.district, w.iso_year, w.iso_week, w.rainfall) for w in weeks))
+    return list(read_rows(path, parse, RAIN_HEADER))
 
 
 def load_larval_csv(path):
-    surveys = []
-    for lineno, row in read_rows(path, LARVAL_HEADER):
-        try:
-            surveys.append(
-                LarvalSurvey(
-                    district=row[0],
-                    month=(int(row[1]), int(row[2])),
-                    n_low=int(row[3]),
-                    n_mid=int(row[4]),
-                    n_high=int(row[5]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return surveys
+    """larval.csv as {(district, (year, month)): weighted larval index} for
+    the surveyed months; a month whose survey inspected no house is left out."""
+    seen = set()
 
+    def parse(cells):
+        district, year, month, n_low, n_mid, n_high = cells
+        month = parse_month(year, month)
+        index = weighted_larval_index(int(n_low), int(n_mid), int(n_high))
+        return new_key(seen, district, month), index
 
-def write_larval_csv(surveys, path):
-    _write_csv(path, LARVAL_HEADER, (
-        (s.district, s.month[0], s.month[1], s.n_low, s.n_mid, s.n_high)
-        for s in surveys
-    ))
+    return {key: index for key, index in read_rows(path, parse, LARVAL_HEADER)
+            if index is not None}
 
 
 def load_cases_csv(path):
-    """Returns ((district, (year, month)), cases) pairs, duplicates included."""
-    pairs = []
-    for lineno, row in read_rows(path, CASES_HEADER):
-        try:
-            pairs.append(((row[0], (int(row[1]), int(row[2]))), int(row[3])))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return pairs
+    """cases.csv as {(district, (year, month)): count}, in file order."""
+    seen = set()
 
+    def parse(cells):
+        district, year, month, count = cells
+        month, count = parse_month(year, month), int(count)
+        return new_key(seen, district, month), count
 
-def write_cases_csv(pairs, path):
-    _write_csv(path, CASES_HEADER, ((d, m[0], m[1], n) for (d, m), n in pairs))
+    return dict(read_rows(path, parse, CASES_HEADER))
 
 
 def write_larval_truth_csv(truth, path):
     """larval_truth.csv from a (district, (year, month)) -> index map, sorted."""
-    _write_csv(path, LARVAL_TRUTH_HEADER,
-               ((d, m[0], m[1], v) for (d, m), v in sorted(truth.items())))
+    write_csv(path, LARVAL_TRUTH_HEADER,
+              ((d, m[0], m[1], v) for (d, m), v in sorted(truth.items())))
 
 
 RECORDS_HEADER = (
@@ -658,25 +628,22 @@ def parse_count(text):
 def load_records_csv(path):
     """Read records.csv, or imputed.csv with its trailing provenance column.
     A row that breaks a DistrictMonthRecord rule or repeats a (district,
-    month) raises ValidationError naming path:line."""
-    records = []
+    month) raises."""
     seen = set()
+
+    def parse(cells):
+        district, year, month, temp_mean, rh_mean, rain_total, larval, cases = cells[:8]
+        record = DistrictMonthRecord(
+            district=district,
+            month=parse_month(year, month),
+            temp_mean=float(temp_mean),
+            rh_mean=float(rh_mean),
+            rain_total=float(rain_total),
+            larval_index=float(larval) if larval != "" else None,
+            cases=parse_count(cases),
+        )
+        new_key(seen, district, record.month)
+        return record
+
     headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
-    for lineno, row in read_rows(path, *headers):
-        try:
-            record = DistrictMonthRecord(
-                district=row[0],
-                month=(int(row[1]), int(row[2])),
-                temp_mean=float(row[3]),
-                rh_mean=float(row[4]),
-                rain_total=float(row[5]),
-                larval_index=float(row[6]) if row[6] != "" else None,
-                cases=parse_count(row[7]),
-            )
-            if (record.district, record.month) in seen:
-                raise ValidationError(f"duplicate (district, month) {record._key()}")
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        seen.add((record.district, record.month))
-        records.append(record)
-    return records
+    return list(read_rows(path, parse, *headers))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import calendar
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 
@@ -36,15 +35,15 @@ import numpy as np
 from . import dataprep, lstm
 from .dataprep import (
     CLIMATE_FEATURES,
-    LarvalSurvey,
     SplitDataset,
-    WeeklyRainfall,
     apply_scaler,  # not called here: perfbench/tracing.py wraps it under this name
     build_windows,
     csv_text,
     fit_scaler,
     month_index,
+    new_key,
     parse_count,
+    parse_month,
     split_dataset,
     weighted_larval_index,
     window_columns,
@@ -105,9 +104,10 @@ class SynthSpec:
 @dataclass
 class SynthBundle:
     climate: list  # (district, (year, month), temperatures, humidities) per month
-    rain: list[WeeklyRainfall]
-    larval: list[LarvalSurvey]
-    cases: list  # ((district, (year, month)), count) pairs
+    # the other raw files' rows, as tuples in the order of their headers
+    rain: list  # dataprep.RAIN_HEADER
+    larval: list  # dataprep.LARVAL_HEADER
+    cases: list  # dataprep.CASES_HEADER
     truth: dict  # (district, (year, month)) -> pre-masking larval index
 
 
@@ -209,18 +209,13 @@ def synth_generate(spec):
             )
             rate = math.exp(min(log_rate, math.log(500.0)))
             n_cases = int(rng_month.poisson(rate))
-            cases.append(((district, (y, m)), n_cases))
+            cases.append((district, y, m, n_cases))
 
             n_low, n_mid, n_high = _survey_counts(larval_latent[mi], SURVEY_HOUSES)
             achieved = weighted_larval_index(n_low, n_mid, n_high)
             truth[(district, (y, m))] = achieved
             if rng_mask.random() >= spec.missing_rate:
-                larval.append(
-                    LarvalSurvey(
-                        district=district, month=(y, m),
-                        n_low=n_low, n_mid=n_mid, n_high=n_high,
-                    )
-                )
+                larval.append((district, y, m, n_low, n_mid, n_high))
 
             # one draw per day and variable, temperature first, as (temp, rh) pairs
             n_days = calendar.monthrange(y, m)[1]
@@ -240,12 +235,7 @@ def synth_generate(spec):
                 continue
             share = rain_total[mi] / len(weeks)
             for iso_year, iso_week in weeks:
-                rain.append(
-                    WeeklyRainfall(
-                        district=district, iso_year=iso_year,
-                        iso_week=iso_week, rainfall=float(share),
-                    )
-                )
+                rain.append((district, iso_year, iso_week, float(share)))
 
     return SynthBundle(climate=climate, rain=rain, larval=larval, cases=cases,
                        truth=truth)
@@ -465,6 +455,10 @@ def run_sweep(sweep, records, jobs=1):
     ]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
+        # imported here, not at the top: every CLI command imports this
+        # module, and only a sweep with --jobs > 1 starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
@@ -593,17 +587,18 @@ def prediction_table_csv(rows):
 
 def load_prediction_csv(path):
     """The PredictionRows of a file prediction_table_csv wrote; a bad header,
-    row or cell raises ValidationError naming the file (and line)."""
-    rows = []
-    for lineno, row in dataprep.read_rows(path, PREDICTION_HEADER):
-        try:
-            rows.append(PredictionRow(
-                district=row[0], month=(int(row[1]), int(row[2])),
-                predicted=float(row[3]), actual=parse_count(row[4]),
-            ))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return rows
+    row or cell, or a repeated (district, month), raises ValidationError
+    naming the file (and line)."""
+    seen = set()
+
+    def parse(cells):
+        district, year, month, predicted, actual = cells
+        row = PredictionRow(district=district, month=parse_month(year, month),
+                            predicted=float(predicted), actual=parse_count(actual))
+        new_key(seen, district, row.month)
+        return row
+
+    return list(dataprep.read_rows(path, parse, PREDICTION_HEADER))
 
 
 def mse_table_md(result):

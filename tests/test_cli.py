@@ -3,6 +3,11 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -437,12 +442,26 @@ def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):
             sidecar["spec"]["hidden"]) == ("stacked", 4, 2)
 
 
+def _set_row(line_number, cells):
+    """An edit that sets the given cells of one line (1-based, header is 1)."""
+    def edit(lines):
+        row = lines[line_number - 1].split(",")
+        for i, text in cells.items():
+            row[i] = text
+        lines[line_number - 1] = ",".join(row)
+        return lines
+    return edit
+
+
 @pytest.mark.parametrize("edit,named", [
     (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
      ":4: wrong column count"),
     (lambda lines: lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:],
      ":4: invalid literal for int()"),
-], ids=["short-row", "non-numeric"])
+    (_set_row(4, {2: "13"}), ":4: month 13 outside [1, 12]"),
+    (lambda lines: lines[:3] + lines[1:2] + lines[3:],
+     ":4: duplicate (district, month) "),
+], ids=["short-row", "non-numeric", "month-13", "repeated-month"])
 def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, capsys):
     src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -492,17 +511,6 @@ def _prepare_with_climate(small_raw, tmp_path, edit):
     ])
 
 
-def _set_row(line_number, cells):
-    """An edit that sets the given cells of one line (1-based, header is 1)."""
-    def edit(lines):
-        row = lines[line_number - 1].split(",")
-        for i, text in cells.items():
-            row[i] = text
-        lines[line_number - 1] = ",".join(row)
-        return lines
-    return edit
-
-
 @pytest.mark.parametrize("edit,message", [
     (_set_row(170, {1: "2014-02-30"}), "climate.csv:170: day is out of range"),
     (_set_row(9, {1: "2014-01-08,extra"}), "climate.csv:9: wrong column count"),
@@ -530,9 +538,12 @@ def test_prepare_reports_first_bad_climate_row(small_raw, tmp_path, capsys):
 @pytest.mark.parametrize("name,named", [
     ("climate.csv", "duplicate climate row for D01 on 2014-01-01"),
     ("rain.csv", "duplicate rain row for D01 in 2014-W01"),
-], ids=["climate", "rain"])
+    ("cases.csv", "cases.csv:8: duplicate (district, month) D01 2014-01"),
+    ("larval.csv", "larval.csv:6: duplicate (district, month) D01 2014-01"),
+], ids=["climate", "rain", "cases", "larval"])
 def test_prepare_rejects_a_repeated_raw_row(name, named, small_raw, tmp_path, capsys):
-    # a repeated day or week would be folded into the monthly mean or total
+    # a repeated day or week would be folded into the monthly mean or total,
+    # and a repeated month would leave one of its two rows unread
     raw = tmp_path / "raw"
     raw.mkdir()
     for f in small_raw.iterdir():
@@ -679,3 +690,36 @@ def test_records_csv_is_read_by_the_record_rules(edit, named, two_districts, tmp
     assert cli.main(["impute", "--out", str(tmp_path / "o"), "--records", str(path)]) == 2
     assert f"{path}{named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,line", [
+    ("raw/cases.csv", 13), ("raw/larval.csv", 2), ("prep/records.csv", 13),
+], ids=["cases", "larval", "records"])
+def test_a_month_outside_1_to_12_exits_2(name, line, two_districts, tmp_path, capsys):
+    # 2014-13 would pass for 2015-01, or be dropped as a month with no climate
+    for rel in ("raw", "prep"):
+        shutil.copytree(two_districts / rel, tmp_path / rel)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(_set_row(line, {2: "13"})(lines)) + "\n",
+                    encoding="utf-8")
+    raw, out = tmp_path / "raw", tmp_path / "o"
+    if name == "prep/records.csv":
+        argv = ["impute", "--records", str(path)]
+    else:
+        argv = ["prepare", "--climate", str(raw / "climate.csv"),
+                "--rain", str(raw / "rain.csv"), "--larval", str(raw / "larval.csv"),
+                "--cases", str(raw / "cases.csv")]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"{path}:{line}: month 13 outside [1, 12]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_defers_the_process_pool():
+    # every command imports cli; only a sweep with --jobs > 1 needs the pool
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, denguecast.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60, check=True)
+    assert done.stdout == "False\n"

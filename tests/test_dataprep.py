@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from denguecast.dataprep import (
+    CASES_HEADER,
     CLIMATE_FEATURES,
+    LARVAL_HEADER,
+    RAIN_HEADER,
     DistrictMonthRecord,
     SupervisedWindow,
-    WeeklyRainfall,
     aggregate_monthly,
     apply_scaler,
     assemble_records,
     build_windows,
     detect_gaps,
     fit_scaler,
-    LarvalSurvey,
     load_cases_csv,
     load_climate_csv,
     load_larval_csv,
@@ -26,11 +27,9 @@ from denguecast.dataprep import (
     split_dataset,
     weighted_larval_index,
     window_columns,
-    write_cases_csv,
     write_climate_csv,
-    write_larval_csv,
+    write_csv,
     write_larval_truth_csv,
-    write_rain_csv,
     write_records_csv,
 )
 from denguecast.errors import PreconditionError, ValidationError
@@ -91,40 +90,46 @@ class TestAggregateMonthly:
 
 
 class TestRainToMonthly:
-    def test_week_inside_march(self):
+    """load_rain_csv assigns each week of a rain.csv to a month, and
+    rain_to_monthly sums the weeks of each month."""
+
+    def monthly(self, tmp_path, rows):
+        path = tmp_path / "rain.csv"
+        write_csv(path, RAIN_HEADER, rows)
+        return rain_to_monthly(load_rain_csv(path))
+
+    def test_week_inside_march(self, tmp_path):
         # 2018-W10's Thursday is 2018-03-08
-        weeks = [WeeklyRainfall("D1", 2018, 10, 10.0)]
-        out = rain_to_monthly(weeks)
+        out = self.monthly(tmp_path, [("D1", 2018, 10, 10.0)])
         assert out[("D1", (2018, 3))] == 10.0
 
-    def test_absent_month(self):
-        out = rain_to_monthly([WeeklyRainfall("D1", 2018, 10, 10.0)])
+    def test_absent_month(self, tmp_path):
+        out = self.monthly(tmp_path, [("D1", 2018, 10, 10.0)])
         assert ("D1", (2018, 4)) not in out
 
-    def test_against_thursday_oracle(self):
+    def test_against_thursday_oracle(self, tmp_path):
         rng = make_rng(23)
-        weeks = [
-            WeeklyRainfall("D1", 2019, w, float(rng.uniform(0, 80)))
-            for w in range(1, 53)
-        ]
-        out = rain_to_monthly(weeks)
+        weeks = [("D1", 2019, w, float(rng.uniform(0, 80))) for w in range(1, 53)]
+        out = self.monthly(tmp_path, weeks)
         oracle = {}
-        for w in weeks:
-            th = date.fromisocalendar(w.iso_year, w.iso_week, 4)
-            key = ("D1", (th.year, th.month))
-            oracle[key] = oracle.get(key, 0.0) + w.rainfall
+        for district, iso_year, iso_week, rainfall in weeks:
+            th = date.fromisocalendar(iso_year, iso_week, 4)
+            key = (district, (th.year, th.month))
+            oracle[key] = oracle.get(key, 0.0) + rainfall
         assert set(out) == set(oracle)
         for key in oracle:
             assert out[key] == pytest.approx(oracle[key], abs=1e-12)
 
-    def test_week_out_of_range(self):
-        with pytest.raises(ValidationError):
-            rain_to_monthly([WeeklyRainfall("D1", 2018, 54, 1.0)])
+    def test_week_out_of_range(self, tmp_path):
+        with pytest.raises(ValidationError, match="rain.csv:2: invalid ISO week "
+                                                  "2018-W54 for D1"):
+            self.monthly(tmp_path, [("D1", 2018, 54, 1.0)])
 
-    def test_nonexistent_week_53(self):
+    def test_nonexistent_week_53(self, tmp_path):
         # 2018 has 52 ISO weeks
-        with pytest.raises(ValidationError):
-            rain_to_monthly([WeeklyRainfall("D1", 2018, 53, 1.0)])
+        with pytest.raises(ValidationError, match="rain.csv:3: invalid ISO week "
+                                                  "2018-W53 for D1"):
+            self.monthly(tmp_path, [("D1", 2018, 52, 1.0), ("D1", 2018, 53, 1.0)])
 
 
 class TestWeightedLarvalIndex:
@@ -182,12 +187,6 @@ class TestAssembleRecords:
         del climate[("D1", (2018, 3))]
         records = assemble_records(climate, rain, larval, cases)
         assert [r.month for r in records] == [(2018, 1), (2018, 2)]
-
-    def test_duplicate_key(self):
-        climate, rain, larval, cases = self._maps(["D1"], [(2018, 1)])
-        case_pairs = [(k, v) for k, v in cases.items()] * 2
-        with pytest.raises(ValidationError, match=r"duplicate \(district, month\).*D1"):
-            assemble_records(climate, rain, larval, case_pairs)
 
     def test_missing_larval_kept_as_none(self):
         climate, rain, larval, cases = self._maps(["D1"], [(2018, 1)])
@@ -443,15 +442,34 @@ class TestRawCsv:
             next(rows)
 
     def test_rain_larval_cases_round_trip(self, tmp_path):
-        weeks = [WeeklyRainfall("D1", 2018, 1, 12.5), WeeklyRainfall("D2", 2020, 53, 0.1)]
-        surveys = [LarvalSurvey("D1", (2018, 1), 90, 10, 0)]
-        cases = [(("D1", (2018, 1)), 4), (("D1", (2018, 1)), 5)]
-        write_rain_csv(weeks, tmp_path / "rain.csv")
-        write_larval_csv(surveys, tmp_path / "larval.csv")
-        write_cases_csv(cases, tmp_path / "cases.csv")
-        assert load_rain_csv(tmp_path / "rain.csv") == weeks
-        assert load_larval_csv(tmp_path / "larval.csv") == surveys
-        assert load_cases_csv(tmp_path / "cases.csv") == cases
+        # rows as synth writes them, read back as prepare joins them
+        for name, header, rows in (
+            ("rain.csv", RAIN_HEADER, [("D1", 2018, 1, 12.5), ("D2", 2020, 53, 0.1)]),
+            ("larval.csv", LARVAL_HEADER, [("D1", 2018, 1, 90, 10, 0),
+                                           ("D1", 2018, 2, 0, 0, 0)]),
+            ("cases.csv", CASES_HEADER, [("D1", 2018, 2, 5), ("D1", 2018, 1, 4)]),
+        ):
+            write_csv(tmp_path / name, header, rows)
+        assert (tmp_path / "rain.csv").read_text(encoding="utf-8") == (
+            "district,iso_year,iso_week,rain_mm\nD1,2018,1,12.5\nD2,2020,53,0.1\n")
+        # each week in the month of its Thursday: 2018-01-04 and 2020-12-31
+        assert load_rain_csv(tmp_path / "rain.csv") == [
+            ("D1", (2018, 1), 12.5), ("D2", (2020, 12), 0.1)]
+        # a survey of no house leaves its month out
+        assert load_larval_csv(tmp_path / "larval.csv") == {("D1", (2018, 1)): 1.1}
+        assert list(load_cases_csv(tmp_path / "cases.csv").items()) == [
+            (("D1", (2018, 2)), 5), (("D1", (2018, 1)), 4)]
+
+    @pytest.mark.parametrize("load,header,row", [
+        (load_cases_csv, CASES_HEADER, ("D1", 2018, 1, 4)),
+        (load_larval_csv, LARVAL_HEADER, ("D1", 2018, 1, 90, 10, 0)),
+    ], ids=["cases", "larval"])
+    def test_duplicate_key(self, load, header, row, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_csv(path, header, [row, row])
+        with pytest.raises(ValidationError,
+                           match=r"raw.csv:3: duplicate \(district, month\) D1 2018-01$"):
+            load(path)
 
     def test_larval_truth_sorted(self, tmp_path):
         path = tmp_path / "larval_truth.csv"

@@ -1,5 +1,6 @@
 """The experiment harness: evaluation, prediction reports, sweeps, scaling."""
 
+import concurrent.futures
 import dataclasses
 import re
 
@@ -241,14 +242,14 @@ class TestSweepWorkers:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         sweep = SweepSpec("variant", BASE, None, seeds, TrainCfg(lr=1e-2))
         result = run_sweep(sweep, make_records(), jobs=jobs)
         assert started == workers
         assert len(result.reports) == 2 * len(seeds)
 
     def test_one_task_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)  # never called
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never called
         sweep = SweepSpec("variant", BASE, [{"label": "Variant II", "variant": "II"}],
                           (0,))
         assert len(run_sweep(sweep, make_records(), jobs=64).reports) == 1

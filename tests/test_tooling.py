@@ -40,3 +40,22 @@ def test_every_module_level_name_in_src_is_used_by_src_or_perfbench():
                     and node.name not in used):
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+# a "{path}:{lineno}" prefix in an f-string, whatever the names
+ROW_PREFIX = re.compile(r"\{[^{}]+\}:\{[^{}]*line[^{}]*\}")
+
+
+def test_a_bad_row_is_named_only_in_read_rows():
+    # every loader parses its rows through dataprep.read_rows, the one place
+    # that turns a row's error into "path:line: ..."
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.JoinedStr)
+                        and ROW_PREFIX.search(ast.unparse(node))):
+                    sites.append(f"{path.stem}.{func.name}")
+    assert sites == ["dataprep.read_rows"]
