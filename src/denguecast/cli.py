@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Commands: synth -> prepare -> impute -> train -> predict, and sweep -> report.
-Each command accepts only the flags it reads, spelled out in full.
+Each command accepts only the flags it reads, spelled out in full. sweep
+writes log.txt, tables/mse_summary.md, reports/mse_summary.csv, and per
+trained run reports/predictions_*.csv and models/*.bin with their .json
+sidecars; report reads those prediction CSVs and is the one writer of
+tables/predictions_*.md.
 
 Config files: `train --config` reads one flat JSON object of lstm.ModelSpec
 and lstm.TrainCfg fields, e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}.
@@ -125,8 +129,7 @@ def cmd_prepare(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataprep.write_records_csv(records, out / "records.csv")
-    gaps = dataprep.detect_gaps(records)
-    _write(out / "gap_report.txt", "\n".join(gaps.lines()) + "\n")
+    _write(out / "gap_report.txt", "\n".join(dataprep.gap_lines(records)) + "\n")
     print(f"wrote {len(records)} records to {out / 'records.csv'}")
     return 0
 

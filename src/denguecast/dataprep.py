@@ -10,11 +10,15 @@ scales the stacked arrays of a window list with a model's Scaler.
 A raw row is a tuple in header order. Each loader parses its rows through
 read_rows, the one place a bad row is named (path:line), and returns what
 prepare joins. The daily climate table is the only large one, so it is never
-held as one object per day: load_climate_csv streams its rows straight into
-aggregate_monthly, which checks them, and write_climate_csv writes it from
+held as one object per day: load_climate_csv checks its rows as it streams
+them straight into aggregate_monthly, and write_climate_csv writes it from
 per-month arrays.
 
-Months are (year, month) tuples everywhere. All functions apart from the CSV
+Months are (year, month) tuples everywhere; the calendar section holds their
+arithmetic and their "YYYY-MM" text. month_spans is the one gap scan: it
+yields each run of t records in a district's month order and says whether
+their months are consecutive, and both gap_report.txt (gap_lines) and the
+windows (build_windows) are read from it. All functions apart from the CSV
 loaders and writers are pure.
 """
 
@@ -63,7 +67,7 @@ class DistrictMonthRecord:
                 f"larval index {self.larval_index} outside [1, 3] for {self._key()}")
 
     def _key(self):
-        return f"{self.district} {self.month[0]:04d}-{self.month[1]:02d}"
+        return f"{self.district} {month_text(self.month)}"
 
 
 @dataclass
@@ -80,22 +84,8 @@ class SplitDataset:
     test: list[SupervisedWindow]
 
 
-@dataclass
-class GapReport:
-    """Month-sequence discontinuities of an assembled record list."""
-
-    gaps: list[tuple[str, tuple[int, int], tuple[int, int]]]
-
-    def lines(self):
-        if not self.gaps:
-            return ["no gaps"]
-        out = []
-        for district, before, after in self.gaps:
-            out.append(
-                f"{district}: gap between {before[0]:04d}-{before[1]:02d} "
-                f"and {after[0]:04d}-{after[1]:02d}"
-            )
-        return out
+# ---------------------------------------------------------------------------
+# calendar
 
 
 def month_index(month):
@@ -104,8 +94,42 @@ def month_index(month):
     return year * 12 + (m - 1)
 
 
-def month_of(d: date):
-    return (d.year, d.month)
+def month_at(index):
+    """The (year, month) of a month_index."""
+    year, m = divmod(index, 12)
+    return year, m + 1
+
+
+def month_text(month):
+    """A month as "YYYY-MM", the one way messages and reports write it."""
+    return f"{month[0]:04d}-{month[1]:02d}"
+
+
+def month_spans(records, t):
+    """(district, span, whole) for every t records that follow one another in
+    a district's month order, districts sorted; whole says whether the span's
+    months are t consecutive months.
+
+    This is the one gap scan: gap_lines and build_windows both read it, and
+    no other code compares neighbouring months. A district's months are
+    distinct, as assemble_records and load_records_csv guarantee.
+    """
+    by_district = {}
+    for r in records:
+        by_district.setdefault(r.district, []).append(r)
+    for district in sorted(by_district):
+        rows = sorted(by_district[district], key=lambda r: month_index(r.month))
+        idx = [month_index(r.month) for r in rows]
+        for i in range(t - 1, len(rows)):
+            yield district, rows[i - t + 1 : i + 1], idx[i] - idx[i - t + 1] == t - 1
+
+
+def gap_lines(records):
+    """The lines of gap_report.txt: one per pair of neighbouring records of a
+    district whose months are not consecutive, or "no gaps"."""
+    return [f"{district}: gap between {month_text(a.month)} and {month_text(b.month)}"
+            for district, (a, b), whole in month_spans(records, 2)
+            if not whole] or ["no gaps"]
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +140,12 @@ def aggregate_monthly(rows):
     """Arithmetic mean of daily temperature/humidity per (district, month).
 
     rows are (district, (year, month), date, temperature, humidity) tuples,
-    as load_climate_csv streams them. Each sum accumulates in row order, and
-    the first bad or repeated row raises (a bitmask per month marks its days).
+    as load_climate_csv streams and checks them. Each sum accumulates in row
+    order, and the first repeated row raises (a bitmask per month marks its
+    days).
     """
     sums = {}
     for district, month, day, temperature, humidity in rows:
-        if not math.isfinite(temperature):
-            raise ValidationError(
-                f"non-finite temperature for {district} on {day.isoformat()}"
-            )
-        if not (0.0 <= humidity <= 100.0):
-            raise ValidationError(
-                f"relative humidity {humidity} outside [0, 100] "
-                f"for {district} on {day.isoformat()}"
-            )
         acc = sums.get((district, month))
         if acc is None:
             acc = sums[(district, month)] = [0.0, 0.0, 0, 0]
@@ -200,20 +216,6 @@ def assemble_records(climate, rain, larval, cases):
     return records
 
 
-def detect_gaps(records):
-    """Month-coverage gaps per district in an assembled record list."""
-    by_district = {}
-    for r in records:
-        by_district.setdefault(r.district, []).append(r.month)
-    gaps = []
-    for district in sorted(by_district):
-        months = sorted(by_district[district], key=month_index)
-        for a, b in zip(months, months[1:]):
-            if month_index(b) - month_index(a) > 1:
-                gaps.append((district, a, b))
-    return GapReport(gaps=gaps)
-
-
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -267,18 +269,13 @@ class Scaler:
 
 
 def fit_scaler(records, feature_set):
-    """Fit per-feature min-max ranges; fit only on training-period records."""
-    if not records:
-        raise ValidationError("cannot fit a scaler on zero records")
-    ranges = {}
-    for feature in feature_set:
-        values = [getattr(r, feature) for r in records]
-        values = [v for v in values if v is not None]
-        if not values:
-            ranges[feature] = (0.0, 0.0)
-        else:
-            ranges[feature] = (float(min(values)), float(max(values)))
-    return Scaler(ranges=ranges)
+    """Fit per-feature min-max ranges; fit only on training-period records.
+
+    records is not empty (load_records_csv refuses a file without any) and
+    sets every feature (build_windows refuses a missing larval index).
+    """
+    values = {f: [getattr(r, f) for r in records] for f in feature_set}
+    return Scaler(ranges={f: (float(min(v)), float(max(v))) for f, v in values.items()})
 
 
 def apply_scaler(scaler, windows):
@@ -315,21 +312,14 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     index under variant II). Rows for past months also carry the observed
     incidence; the current-month row carries a masked incidence slot fixed
     at 0 so all rows share one schema. The target is the current month's
-    incidence. Windows hold the records' values unscaled. Windows that would
-    span a month gap are skipped and counted. t, variant and predictors are a
-    lstm.ModelSpec's, which checks them.
+    incidence. Windows hold the records' values unscaled. A span of
+    month_spans that crosses a month gap is skipped and counted. t, variant
+    and predictors are a lstm.ModelSpec's, which checks them.
 
     Returns (windows, number of windows skipped).
     """
-    by_district = {}
-    for r in records:
-        by_district.setdefault(r.district, []).append(r)
-
     if variant == "II":
-        missing = sorted(
-            d for d, rows in by_district.items()
-            if any(r.larval_index is None for r in rows)
-        )
+        missing = sorted({r.district for r in records if r.larval_index is None})
         if missing:
             raise PreconditionError(
                 "larval index missing for districts: " + ", ".join(missing)
@@ -338,25 +328,21 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     columns = window_columns(predictors, variant)
     windows = []
     skipped = 0
-    for district in sorted(by_district):
-        rows = sorted(by_district[district], key=lambda r: month_index(r.month))
-        idx = [month_index(r.month) for r in rows]
-        for i in range(t - 1, len(rows)):
-            if idx[i] - idx[i - t + 1] != t - 1:
-                skipped += 1
-                continue
-            span = rows[i - t + 1 : i + 1]
-            mat = np.array([[getattr(r, c) for c in columns] for r in span],
-                           dtype=np.float64)
-            mat[-1, -1] = 0.0  # the current month's incidence is masked
-            windows.append(
-                SupervisedWindow(
-                    features=mat,
-                    target=span[-1].cases,
-                    district=district,
-                    target_month=span[-1].month,
-                )
+    for district, span, whole in month_spans(records, t):
+        if not whole:
+            skipped += 1
+            continue
+        mat = np.array([[getattr(r, c) for c in columns] for r in span],
+                       dtype=np.float64)
+        mat[-1, -1] = 0.0  # the current month's incidence is masked
+        windows.append(
+            SupervisedWindow(
+                features=mat,
+                target=span[-1].cases,
+                district=district,
+                target_month=span[-1].month,
             )
+        )
     return windows, skipped
 
 
@@ -470,15 +456,15 @@ def new_key(seen, district, month):
     first, so a bad cell is reported before a repeat."""
     key = (district, month)
     if key in seen:
-        raise ValidationError(
-            f"duplicate (district, month) {district} {month[0]:04d}-{month[1]:02d}")
+        raise ValidationError(f"duplicate (district, month) {district} {month_text(month)}")
     seen.add(key)
     return key
 
 
 def load_climate_csv(path):
     """Stream climate.csv as (district, (year, month), date, temperature,
-    humidity) tuples for aggregate_monthly, which checks their values.
+    humidity) tuples for aggregate_monthly. A non-finite temperature or a
+    humidity outside [0, 100] raises.
 
     Nothing is read until the stream is. Each distinct date text is parsed
     once; the rows of one date share its date and month objects.
@@ -491,7 +477,15 @@ def load_climate_csv(path):
         if day is None:
             d = date.fromisoformat(day_text)
             day = days[day_text] = ((d.year, d.month), d)
-        return district, day[0], day[1], float(temp_text), float(rh_text)
+        temperature, humidity = float(temp_text), float(rh_text)
+        if not math.isfinite(temperature):
+            raise ValidationError(
+                f"non-finite temperature for {district} on {day[1].isoformat()}")
+        if not 0.0 <= humidity <= 100.0:
+            raise ValidationError(
+                f"relative humidity {humidity} outside [0, 100] "
+                f"for {district} on {day[1].isoformat()}")
+        return district, day[0], day[1], temperature, humidity
 
     return read_rows(path, parse, CLIMATE_HEADER)
 
@@ -520,8 +514,8 @@ def load_rain_csv(path):
 
     Each ISO week is assigned to the month containing its Thursday, the
     standard convention for deciding which month "owns" a week. A week that
-    does not exist, a negative rainfall or a repeated (district, iso_year,
-    iso_week) raises.
+    does not exist, a rainfall that is not a finite number >= 0 or a repeated
+    (district, iso_year, iso_week) raises.
     """
     seen = set()
 
@@ -533,13 +527,14 @@ def load_rain_csv(path):
         except ValueError as exc:
             raise ValidationError(
                 f"invalid ISO week {year}-W{week:02d} for {district}: {exc}") from None
-        if rainfall < 0:
-            raise ValidationError(f"negative rainfall for {district}")
+        if not 0 <= rainfall < math.inf:
+            raise ValidationError(
+                f"rainfall {rainfall} for {district} is not a finite number >= 0")
         if (district, year, week) in seen:
             raise ValidationError(
                 f"duplicate rain row for {district} in {year}-W{week:02d}")
         seen.add((district, year, week))
-        return district, month_of(thursday), rainfall
+        return district, (thursday.year, thursday.month), rainfall
 
     return list(read_rows(path, parse, RAIN_HEADER))
 
@@ -560,12 +555,15 @@ def load_larval_csv(path):
 
 
 def load_cases_csv(path):
-    """cases.csv as {(district, (year, month)): count}, in file order."""
+    """cases.csv as {(district, (year, month)): count}, in file order; a
+    negative count raises."""
     seen = set()
 
     def parse(cells):
         district, year, month, count = cells
         month, count = parse_month(year, month), int(count)
+        if count < 0:
+            raise ValidationError(f"case count {count} for {district} is not >= 0")
         return new_key(seen, district, month), count
 
     return dict(read_rows(path, parse, CASES_HEADER))
@@ -628,7 +626,7 @@ def parse_count(text):
 def load_records_csv(path):
     """Read records.csv, or imputed.csv with its trailing provenance column.
     A row that breaks a DistrictMonthRecord rule or repeats a (district,
-    month) raises."""
+    month) raises, and so does a file without records."""
     seen = set()
 
     def parse(cells):
@@ -646,4 +644,7 @@ def load_records_csv(path):
         return record
 
     headers = (RECORDS_HEADER, RECORDS_HEADER + ("provenance",))
-    return list(read_rows(path, parse, *headers))
+    records = list(read_rows(path, parse, *headers))
+    if not records:
+        raise ValidationError(f"{path}: no records")
+    return records

@@ -40,7 +40,9 @@ from .dataprep import (
     build_windows,
     csv_text,
     fit_scaler,
+    month_at,
     month_index,
+    month_text,
     new_key,
     parse_count,
     parse_month,
@@ -111,17 +113,6 @@ class SynthBundle:
     truth: dict  # (district, (year, month)) -> pre-masking larval index
 
 
-def _month_range(start_year, start_month, months):
-    out = []
-    y, m = start_year, start_month
-    for _ in range(months):
-        out.append((y, m))
-        m += 1
-        if m > 12:
-            y, m = y + 1, 1
-    return out
-
-
 def _survey_counts(index, houses):
     """Integer band counts whose weighted index approximates the latent one."""
     if index <= 2.0:
@@ -146,7 +137,7 @@ def synth_generate(spec):
     amp_rh = 8.0 + rng_params.uniform(0.0, 4.0, spec.districts)
     base_rain = 90.0 + rng_params.uniform(0.0, 20.0, spec.districts)
 
-    months = _month_range(*SYNTH_START, spec.months)
+    months = [month_at(month_index(SYNTH_START) + i) for i in range(spec.months)]
 
     # every ISO week belongs to the month containing its Thursday
     first = date(months[0][0], months[0][1], 1)
@@ -257,8 +248,6 @@ def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
     only on records up to the split's boundary month, the last target month
     of the train split. The windows stay unscaled.
     """
-    if not records:
-        raise ValidationError("no records to prepare")
     windows, skipped = build_windows(records, t, variant, predictors)
     split = split_dataset(windows, ratio)
     boundary = max(month_index(w.target_month) for w in split.train)
@@ -526,7 +515,7 @@ def _month_labels(months):
     by_moy = {m[1] for m in months}
     if len(by_moy) == len(months):
         return {m: MONTH_ABBREV[m[1] - 1] for m in months}
-    return {m: f"{m[0]:04d}-{m[1]:02d}" for m in months}
+    return {m: month_text(m) for m in months}
 
 
 def prediction_table_md(predictions):
@@ -630,11 +619,11 @@ def mse_table_csv(result):
 def render_report(result):
     """File texts of a SweepResult, keyed by relative path: the MSE summary
     (tables/mse_summary.md, reports/mse_summary.csv) and the predictions of
-    every trained run (tables/*.md, reports/*.csv)."""
+    every trained run (reports/predictions_*.csv), from which the report
+    command renders tables/predictions_*.md."""
     files = {"tables/mse_summary.md": mse_table_md(result),
              "reports/mse_summary.csv": mse_table_csv(result)}
     for report in result.reports:
         stem = f"predictions_{slugify(report.label)}_seed{report.seed}"
-        files[f"tables/{stem}.md"] = prediction_table_md(report.predictions)
         files[f"reports/{stem}.csv"] = prediction_table_csv(report.predictions)
     return files

@@ -333,9 +333,8 @@ def impute_larval(records, cfg):
     fill = iter(imputed)
     for r in records:
         if r.larval_index is None:
-            # kNN means stay inside the labeled range, but clamp defensively
-            value = min(3.0, max(1.0, next(fill)))
-            out.append(dataclasses.replace(r, larval_index=value))
+            # a mean of labels in [1, 3]; replace checks the range again
+            out.append(dataclasses.replace(r, larval_index=next(fill)))
             provenance.append("imputed")
         else:
             out.append(r)

@@ -414,7 +414,7 @@ def carve_validation(windows, fraction):
     return list(windows[: n - n_val]), list(windows[n - n_val :])
 
 
-def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
+def train(spec, split, validation_fraction, *, scaler, lr):
     """Full-batch training with Adam; keeps the best-validation snapshot.
 
     The last validation_fraction of the (chronologically ordered) train split
@@ -441,7 +441,7 @@ def train(spec, split, validation_fraction=0.15, *, scaler, lr=1e-3):
 
     model = Model(spec, X_tr.shape[2])
     params = model.parameters()
-    opt = Adam(lr=lr)
+    opt = Adam(lr)
     drop_rng = make_rng(derive_seed(spec.seed, "dropout"))
 
     history = []

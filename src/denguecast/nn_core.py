@@ -120,21 +120,24 @@ def l2_penalty(params, lam):
     return loss
 
 
-class Adam:
-    """Adam with bias correction; moment state persists across steps."""
+ADAM_BETA1 = 0.9    # decay of the gradient's running mean
+ADAM_BETA2 = 0.999  # decay of the squared gradient's running mean
+ADAM_EPS = 1e-8     # added to the root of the second moment
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction; moment state persists across steps. The
+    learning rate is a lstm.TrainCfg's."""
+
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {}
         self._v = {}
 
     def step(self, params):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p in params:
             if p.grad is None:
                 raise ValidationError(f"gradient of {p.name} not populated before step")
@@ -150,7 +153,7 @@ class Adam:
             v += (1.0 - b2) * p.grad * p.grad
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

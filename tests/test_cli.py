@@ -249,6 +249,26 @@ def test_sweep_config_misspelt_key_exits_2(config, key, tmp_path, capsys):
     assert "unknown" in err and f"['{key}']" in err
 
 
+def test_sweep_writes_prediction_csvs_and_report_their_tables(chain, tmp_path):
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--out", str(out),
+                     "--records", str(chain / "imp" / "imputed.csv"),
+                     "--kind", "timestep", "--grid", "3", "--seeds", "0",
+                     "--arch", "plain", "--num-layers", "1", "--hidden", "2",
+                     "--epochs", "1"]) == 0
+
+    def written():
+        return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file())
+
+    swept = ["log.txt", "models/t-3_seed0.bin", "models/t-3_seed0.json",
+             "reports/mse_summary.csv", "reports/predictions_t-3_seed0.csv",
+             "tables/mse_summary.md"]
+    assert written() == swept
+    assert cli.main(["report", "--run", str(out)]) == 0
+    assert written() == sorted(swept + ["tables/predictions_t-3_seed0.md"])
+
+
 def test_sweep_reads_grid_and_flags_the_config_leaves_open(chain, tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"base": {"hidden": 2}, "seeds": [0]}),
@@ -415,7 +435,7 @@ def test_predict_with_sidecar_without_train_key(chain, tmp_path):
             == (chain / "pred" / "predictions.csv").read_bytes())
 
 
-@pytest.mark.parametrize("keep", [1, 3], ids=["header-only", "two-months"])
+@pytest.mark.parametrize("keep", [3], ids=["two-months"])
 def test_predict_without_a_complete_window_exits_2(keep, chain, tmp_path, capsys):
     # the chain's model reads 3-month windows
     lines = (chain / "imp" / "imputed.csv").read_text(encoding="utf-8").splitlines(True)
@@ -426,6 +446,21 @@ def test_predict_without_a_complete_window_exits_2(keep, chain, tmp_path, capsys
                      "--records", str(records)])
     assert code == 2
     assert f"{records}: no district has 3 consecutive months" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["impute", "train", "predict", "sweep"])
+def test_a_records_file_without_records_exits_2(command, chain, tmp_path, capsys):
+    # load_records_csv refuses it, before any command's own step
+    header = (chain / "imp" / "imputed.csv").read_text(encoding="utf-8").splitlines(True)[0]
+    records = tmp_path / "records.csv"
+    records.write_text(header, encoding="utf-8")
+    extra = {"predict": ["--model", str(chain / "model" / "model.bin")],
+             "sweep": ["--kind", "architecture"]}.get(command, [])
+    code = cli.main([command, "--out", str(tmp_path / "o"), "--records", str(records),
+                     *extra])
+    assert code == 2
+    assert f"{records}: no records" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -499,15 +534,18 @@ def small_raw(tmp_path_factory):
     return raw
 
 
-def _prepare_with_climate(small_raw, tmp_path, edit):
-    """Run prepare on small_raw with climate.csv's lines passed through edit."""
-    lines = (small_raw / "climate.csv").read_text(encoding="utf-8").splitlines()
-    climate = tmp_path / "climate.csv"
-    climate.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+def _prepare_with_edit(small_raw, tmp_path, name, edit):
+    """Run prepare on small_raw with the lines of its file name passed
+    through edit."""
+    raw = {n: small_raw / n for n in ("climate.csv", "rain.csv", "larval.csv",
+                                      "cases.csv")}
+    lines = raw[name].read_text(encoding="utf-8").splitlines()
+    raw[name] = tmp_path / name
+    raw[name].write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     return cli.main([
-        "prepare", "--out", str(tmp_path / "prep"), "--climate", str(climate),
-        "--rain", str(small_raw / "rain.csv"), "--larval", str(small_raw / "larval.csv"),
-        "--cases", str(small_raw / "cases.csv"),
+        "prepare", "--out", str(tmp_path / "prep"), "--climate", str(raw["climate.csv"]),
+        "--rain", str(raw["rain.csv"]), "--larval", str(raw["larval.csv"]),
+        "--cases", str(raw["cases.csv"]),
     ])
 
 
@@ -515,13 +553,13 @@ def _prepare_with_climate(small_raw, tmp_path, edit):
     (_set_row(170, {1: "2014-02-30"}), "climate.csv:170: day is out of range"),
     (_set_row(9, {1: "2014-01-08,extra"}), "climate.csv:9: wrong column count"),
     (_set_row(40, {0: "D02", 1: "2014-02-10", 3: "140.0"}),
-     "relative humidity 140.0 outside [0, 100] for D02 on 2014-02-10"),
-    (_set_row(3, {2: "inf"}), "non-finite temperature for D01 on 2014-01-02"),
+     "climate.csv:40: relative humidity 140.0 outside [0, 100] for D02 on 2014-02-10"),
+    (_set_row(3, {2: "inf"}), "climate.csv:3: non-finite temperature for D01 on 2014-01-02"),
     (lambda lines: lines[:1], "no climate readings"),
 ], ids=["late-bad-date", "column-count", "humidity-140", "inf-temperature",
         "header-only"])
 def test_prepare_rejects_bad_climate_row(edit, message, small_raw, tmp_path, capsys):
-    assert _prepare_with_climate(small_raw, tmp_path, edit) == 2
+    assert _prepare_with_edit(small_raw, tmp_path, "climate.csv", edit) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "prep").exists()
 
@@ -530,7 +568,7 @@ def test_prepare_reports_first_bad_climate_row(small_raw, tmp_path, capsys):
     # a bad humidity on line 5 comes before an unparsable date on line 100
     def edit(lines):
         return _set_row(100, {1: "not-a-date"})(_set_row(5, {3: "-1.0"})(lines))
-    assert _prepare_with_climate(small_raw, tmp_path, edit) == 2
+    assert _prepare_with_edit(small_raw, tmp_path, "climate.csv", edit) == 2
     assert "relative humidity -1.0 outside [0, 100] for D01 on 2014-01-04" in (
         capsys.readouterr().err)
 
@@ -544,18 +582,21 @@ def test_prepare_reports_first_bad_climate_row(small_raw, tmp_path, capsys):
 def test_prepare_rejects_a_repeated_raw_row(name, named, small_raw, tmp_path, capsys):
     # a repeated day or week would be folded into the monthly mean or total,
     # and a repeated month would leave one of its two rows unread
-    raw = tmp_path / "raw"
-    raw.mkdir()
-    for f in small_raw.iterdir():
-        (raw / f.name).write_bytes(f.read_bytes())
-    lines = (raw / name).read_text(encoding="utf-8").splitlines(True)
-    (raw / name).write_text("".join(lines + lines[1:2]), encoding="utf-8")
-    code = cli.main([
-        "prepare", "--out", str(tmp_path / "prep"),
-        "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
-        "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv"),
-    ])
+    code = _prepare_with_edit(small_raw, tmp_path, name, lambda lines: lines + lines[1:2])
     assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "prep").exists()
+
+
+@pytest.mark.parametrize("name,line,value,named", [
+    ("cases.csv", 3, "-1", "cases.csv:3: case count -1 for D01 is not >= 0"),
+    ("rain.csv", 2, "nan", "rain.csv:2: rainfall nan for D01 is not a finite number >= 0"),
+    ("rain.csv", 2, "inf", "rain.csv:2: rainfall inf for D01 is not a finite number >= 0"),
+], ids=["cases-minus-1", "rain-nan", "rain-inf"])
+def test_prepare_names_the_row_of_a_bad_raw_value(name, line, value, named, small_raw,
+                                                  tmp_path, capsys):
+    # the record rules catch these too, but after reading, where no line is known
+    assert _prepare_with_edit(small_raw, tmp_path, name, _set_row(line, {3: value})) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "prep").exists()
 

@@ -7,6 +7,7 @@ import pytest
 from denguecast.dataprep import (
     CASES_HEADER,
     CLIMATE_FEATURES,
+    CLIMATE_HEADER,
     LARVAL_HEADER,
     RAIN_HEADER,
     DistrictMonthRecord,
@@ -15,8 +16,8 @@ from denguecast.dataprep import (
     apply_scaler,
     assemble_records,
     build_windows,
-    detect_gaps,
     fit_scaler,
+    gap_lines,
     load_cases_csv,
     load_climate_csv,
     load_larval_csv,
@@ -79,14 +80,20 @@ class TestAggregateMonthly:
         with pytest.raises(ValidationError, match="no climate readings"):
             aggregate_monthly([])
 
-    def test_invalid_humidity_names_row(self):
-        bad = reading(district="D7", day=date(2019, 2, 3), rh=140.0)
-        with pytest.raises(ValidationError, match="D7.*2019-02-03"):
-            aggregate_monthly([bad])
+    # load_climate_csv checks each row's values as aggregate_monthly reads it
+    def read(self, tmp_path, rows):
+        path = tmp_path / "climate.csv"
+        write_csv(path, CLIMATE_HEADER, rows)
+        return aggregate_monthly(load_climate_csv(path))
 
-    def test_nonfinite_temperature(self):
-        with pytest.raises(ValidationError):
-            aggregate_monthly([reading(temp=float("inf"))])
+    def test_invalid_humidity_names_row(self, tmp_path):
+        rows = [("D7", "2019-02-02", 30.0, 70.0), ("D7", "2019-02-03", 30.0, 140.0)]
+        with pytest.raises(ValidationError, match="climate.csv:3: .*D7.*2019-02-03"):
+            self.read(tmp_path, rows)
+
+    def test_nonfinite_temperature(self, tmp_path):
+        with pytest.raises(ValidationError, match="climate.csv:2: "):
+            self.read(tmp_path, [("D1", "2018-01-05", float("inf"), 70.0)])
 
 
 class TestRainToMonthly:
@@ -315,13 +322,37 @@ class TestBuildWindows:
         windows, skipped = build_windows(records, 3, "I")
         assert len(windows) == 3  # targets (2018,3), (2018,7), (2018,8)
         assert skipped == 2  # targets (2018,5), (2018,6)
-        assert detect_gaps(records).gaps == [("D1", (2018, 3), (2018, 5))]
+        assert gap_lines(records) == ["D1: gap between 2018-03 and 2018-05"]
 
     def test_per_district_independent(self):
         records = district_series("A", 6) + district_series("B", 5, seed=2)
         windows, _ = build_windows(records, 3, "I")
         assert sum(1 for w in windows if w.district == "A") == 4
         assert sum(1 for w in windows if w.district == "B") == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_windows_and_gap_lines_follow_random_gaps(self, seed):
+        # each district keeps a random subset of 30 months, often none or one
+        rng = make_rng(seed)
+        records = []
+        for d in range(4):
+            series = district_series(f"D{d}", 30, start=(2017, 11), seed=seed + d)
+            records += [r for r in series if rng.random() < 0.7]
+        rng.shuffle(records)
+        months = {}
+        for r in records:
+            months.setdefault(r.district, []).append(month_index(r.month))
+        for t in range(2, 6):
+            windows, skipped = build_windows(records, t, "II")
+            assert len(windows) + skipped == sum(
+                max(0, len(m) - t + 1) for m in months.values())
+        expected = []
+        for district in sorted(months):
+            idx = sorted(months[district])
+            expected += [f"{district}: gap between {a // 12:04d}-{a % 12 + 1:02d} "
+                         f"and {b // 12:04d}-{b % 12 + 1:02d}"
+                         for a, b in zip(idx, idx[1:]) if b - a > 1]
+        assert gap_lines(records) == (expected or ["no gaps"])
 
     def test_variant_ii_missing_larval(self):
         records = district_series("D9", 6, larval=False)
@@ -388,8 +419,7 @@ class TestRecordsCsv:
 
     def test_gap_detection(self):
         records = [r for r in district_series(n_months=6) if r.month != (2018, 3)]
-        report = detect_gaps(records)
-        assert report.gaps == [("D1", (2018, 2), (2018, 4))]
+        assert gap_lines(records) == ["D1: gap between 2018-02 and 2018-04"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "records.csv"

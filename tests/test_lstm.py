@@ -363,9 +363,9 @@ class TestMatchesPerGateReference:
         spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
                          epochs=3, timesteps=T, seed=24)
         split = as_split(linear_dynamics_windows(n=40))
-        got = train(spec, split, scaler=unit_scaler(spec)).loss_history
+        got = fit(spec, split, scaler=unit_scaler(spec)).loss_history
         use_reference_cell(monkeypatch)
-        assert got == train(spec, split, scaler=unit_scaler(spec)).loss_history
+        assert got == fit(spec, split, scaler=unit_scaler(spec)).loss_history
 
 
 class TestParameterCount:
@@ -409,11 +409,19 @@ def unit_scaler(spec, hi=1.0):
     return Scaler({c: (0.0, hi) for c in window_columns(spec.predictors, spec.variant)})
 
 
+DEFAULT_CFG = TrainCfg()
+
+
+def fit(spec, split, *, scaler, lr=DEFAULT_CFG.lr):
+    """lstm.train with TrainCfg()'s validation carve and, unless given, its rate."""
+    return train(spec, split, DEFAULT_CFG.validation_fraction, scaler=scaler, lr=lr)
+
+
 class TestTrain:
     def test_one_epoch_history(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=1)
-        tm = train(spec, as_split(linear_dynamics_windows()), scaler=unit_scaler(spec))
+        tm = fit(spec, as_split(linear_dynamics_windows()), scaler=unit_scaler(spec))
         assert len(tm.loss_history) == 1
 
     def test_learns_linear_dynamics(self):
@@ -421,7 +429,7 @@ class TestTrain:
                          epochs=400, timesteps=T, seed=2)
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
-        tm = train(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
+        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
         targets = np.array([w.target for w in windows])
         final_train_mse = tm.loss_history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
@@ -430,8 +438,8 @@ class TestTrain:
         spec = ModelSpec(arch="stacked", num_layers=2, hidden=4, dropout=0.2,
                          epochs=30, timesteps=T, seed=3)
         split = as_split(linear_dynamics_windows(n=40))
-        h1 = train(spec, split, scaler=unit_scaler(spec)).loss_history
-        h2 = train(spec, split, scaler=unit_scaler(spec)).loss_history
+        h1 = fit(spec, split, scaler=unit_scaler(spec)).loss_history
+        h2 = fit(spec, split, scaler=unit_scaler(spec)).loss_history
         assert h1 == h2  # bit-identical
 
     def test_constant_targets_converge(self):
@@ -444,7 +452,7 @@ class TestTrain:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=500, timesteps=T, seed=5)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
-        tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
+        tm = fit(spec, SplitDataset(train=windows, test=windows[:1]),
                    scaler=unit_scaler(spec), lr=1e-2)
         assert tm.loss_history[-1][0] < 1e-4
 
@@ -452,14 +460,14 @@ class TestTrain:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6)
         with pytest.raises(DivergenceError) as err:
-            train(spec, as_split(linear_dynamics_windows(n=30)),
+            fit(spec, as_split(linear_dynamics_windows(n=30)),
                   scaler=unit_scaler(spec), lr=1e12)
         assert err.value.epoch >= 0
 
     def test_loss_spike_that_recovers_is_not_divergence(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6)
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
                    scaler=unit_scaler(spec), lr=1.0)
         loss0 = tm.loss_history[0][0]
         peak = max(max(tr, va) for tr, va in tm.loss_history)
@@ -469,12 +477,12 @@ class TestTrain:
     def test_empty_split(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, epochs=1, timesteps=T)
         with pytest.raises(ValidationError, match="training split is empty"):
-            train(spec, SplitDataset(train=[], test=[]), scaler=unit_scaler(spec))
+            fit(spec, SplitDataset(train=[], test=[]), scaler=unit_scaler(spec))
 
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=100, timesteps=T, seed=7)
-        tm = train(spec, as_split(linear_dynamics_windows(n=50)),
+        tm = fit(spec, as_split(linear_dynamics_windows(n=50)),
                    scaler=unit_scaler(spec))
         vals = [v for _, v in tm.loss_history]
         assert tm.best_epoch == int(np.argmin(vals))
@@ -508,7 +516,7 @@ class TestPredict:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=400, timesteps=T, seed=9)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
-        tm = train(spec, SplitDataset(train=windows, test=windows[:1]),
+        tm = fit(spec, SplitDataset(train=windows, test=windows[:1]),
                    scaler=unit_scaler(spec), lr=1e-2)
         return tm, windows
 
@@ -543,7 +551,7 @@ class TestPersistence:
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=10)
         windows = linear_dynamics_windows(n=30)
-        tm = train(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
+        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert loaded.spec == tm.spec
@@ -556,7 +564,7 @@ class TestPersistence:
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
         assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
                    scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         assert load_model(tmp_path / "m.bin", tmp_path / "m.json").spec == spec
@@ -570,7 +578,7 @@ class TestPersistence:
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=14)
-        tm = train(spec, as_split(linear_dynamics_windows(n=30)),
+        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
                    scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
         stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
@@ -591,7 +599,7 @@ class TestPersistence:
                          epochs=10, timesteps=T, seed=11)
         split = as_split(linear_dynamics_windows(n=30))
         for name in ("a", "b"):
-            tm = train(spec, split, scaler=unit_scaler(spec))
+            tm = fit(spec, split, scaler=unit_scaler(spec))
             save_model(tm, tmp_path / f"{name}.bin", tmp_path / f"{name}.json")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
@@ -600,7 +608,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
-        tm = train(spec, as_split(windows), scaler=unit_scaler(spec))
+        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec))
         # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]

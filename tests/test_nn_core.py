@@ -167,7 +167,7 @@ class TestAdam:
 
     def test_unpopulated_grad(self):
         with pytest.raises(ValidationError, match="not populated before step"):
-            Adam().step([Parameter("w", [1.0])])
+            Adam(lr=0.1).step([Parameter("w", [1.0])])
 
 
 class TestGradCheck:

@@ -42,6 +42,18 @@ def test_every_module_level_name_in_src_is_used_by_src_or_perfbench():
     assert unused == []
 
 
+def _fstring_sites(pattern):
+    """module.name of each top-level definition (or <module>) per f-string in
+    src that matches pattern."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.JoinedStr) and pattern.search(ast.unparse(node)):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return sites
+
+
 # a "{path}:{lineno}" prefix in an f-string, whatever the names
 ROW_PREFIX = re.compile(r"\{[^{}]+\}:\{[^{}]*line[^{}]*\}")
 
@@ -49,13 +61,13 @@ ROW_PREFIX = re.compile(r"\{[^{}]+\}:\{[^{}]*line[^{}]*\}")
 def test_a_bad_row_is_named_only_in_read_rows():
     # every loader parses its rows through dataprep.read_rows, the one place
     # that turns a row's error into "path:line: ..."
-    sites = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for func in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for node in ast.walk(func):
-                if (isinstance(node, ast.JoinedStr)
-                        and ROW_PREFIX.search(ast.unparse(node))):
-                    sites.append(f"{path.stem}.{func.name}")
-    assert sites == ["dataprep.read_rows"]
+    assert _fstring_sites(ROW_PREFIX) == ["dataprep.read_rows"]
+
+
+# a "{year:04d}-{month:02d}" month text in an f-string, whatever the names
+MONTH_TEXT = re.compile(r"\{[^{}]+:04d\}-\{[^{}]+:02d\}")
+
+
+def test_a_month_is_written_only_by_month_text():
+    # dataprep.month_text is the one place a month becomes "YYYY-MM"
+    assert _fstring_sites(MONTH_TEXT) == ["dataprep.month_text"]
