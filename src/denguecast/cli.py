@@ -183,7 +183,7 @@ def cmd_train(args):
 def cmd_predict(args):
     model_bin = Path(args.model)
     trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
-    spec = trained.spec
+    spec = trained.model.spec
     windows, skipped = dataprep.build_windows(dataprep.load_records_csv(args.records),
                                               spec.timesteps, spec.variant,
                                               spec.predictors)
@@ -265,10 +265,11 @@ def cmd_report(args):
     csvs = sorted(reports_dir.glob("predictions_*.csv")) if reports_dir.is_dir() else []
     if not csvs:
         raise ValidationError(f"no prediction reports under {run_dir}")
+    # every file is read before any table is written, so a bad one writes none
+    loaded = {path.stem: experiments.load_prediction_csv(path) for path in csvs}
     tables_dir = run_dir / "tables"
-    for path in csvs:
-        rows = experiments.load_prediction_csv(path)
-        _write(tables_dir / f"{path.stem}.md", experiments.prediction_table_md(rows))
+    for stem, rows in loaded.items():
+        _write(tables_dir / f"{stem}.md", experiments.prediction_table_md(rows))
     print(f"rendered {len(csvs)} prediction tables to {tables_dir}")
     return 0
 

@@ -192,7 +192,9 @@ def assemble_records(climate, rain, larval, cases):
 
     The four dicts are keyed by (district, (year, month)), as
     aggregate_monthly, rain_to_monthly, load_larval_csv and load_cases_csv
-    return them. Output is sorted by district then month.
+    return them. Output is sorted by district then month. Files that share
+    no (district, month) across climate, rain and cases raise
+    PreconditionError: each may be valid, but nothing can be prepared.
     """
     records = []
     for key in cases:
@@ -212,6 +214,9 @@ def assemble_records(climate, rain, larval, cases):
                 cases=cases[key],
             )
         )
+    if not records:
+        raise PreconditionError(
+            "no (district, month) has climate, rain and cases together")
     records.sort(key=lambda r: (r.district, month_index(r.month)))
     return records
 

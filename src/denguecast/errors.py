@@ -12,15 +12,15 @@ class PipelineError(Exception):
 
 
 class ValidationError(PipelineError):
-    """A file, flag, config or model sidecar breaks a documented rule, or
-    arrays do not fit the model they are given to."""
+    """A file, flag, config or model sidecar breaks a documented rule."""
 
     exit_code = 2
 
 
 class PreconditionError(PipelineError):
-    """Valid data cannot support the step: no training examples, or a larval
-    index missing where the model reads one."""
+    """Valid data cannot support the step: raw files that share no
+    district-month, no training examples, or a larval index missing where the
+    model reads one."""
 
     exit_code = 3
 

@@ -408,7 +408,6 @@ class SweepRow:
     validation_mse_scaled: float
     test_mse_scaled: float
     n_seeds: int
-    best: bool = False
 
 
 @dataclass
@@ -470,14 +469,9 @@ def run_sweep(sweep, records, jobs=1):
                  for name in ("validation_mse", "test_mse",
                               "validation_mse_scaled", "test_mse_scaled")}
         rows.append(SweepRow(label=label, n_seeds=len(cell_reports), **means))
-    argmin_label = None
-    if rows:
-        best_row = min(rows, key=lambda r: r.validation_mse)
-        best_row.best = True
-        argmin_label = best_row.label
     return SweepResult(
         kind=sweep.kind, rows=rows, reports=reports, failures=failures,
-        argmin_label=argmin_label,
+        argmin_label=min(rows, key=lambda r: r.validation_mse).label if rows else None,
     )
 
 
@@ -527,8 +521,6 @@ def prediction_table_md(predictions):
     """
     months = sorted({p.month for p in predictions}, key=month_index)
     districts = sorted({p.district for p in predictions})
-    if not months:
-        raise ValidationError("no predictions to tabulate")
     cell = {(p.district, p.month): p for p in predictions}
     labels = _month_labels(months)
 
@@ -576,8 +568,8 @@ def prediction_table_csv(rows):
 
 def load_prediction_csv(path):
     """The PredictionRows of a file prediction_table_csv wrote; a bad header,
-    row or cell, or a repeated (district, month), raises ValidationError
-    naming the file (and line)."""
+    row or cell, a repeated (district, month), or no row at all raises
+    ValidationError naming the file (and line)."""
     seen = set()
 
     def parse(cells):
@@ -587,7 +579,10 @@ def load_prediction_csv(path):
         new_key(seen, district, row.month)
         return row
 
-    return list(dataprep.read_rows(path, parse, PREDICTION_HEADER))
+    rows = list(dataprep.read_rows(path, parse, PREDICTION_HEADER))
+    if not rows:
+        raise ValidationError(f"{path}: no predictions")
+    return rows
 
 
 def mse_table_md(result):
@@ -598,7 +593,7 @@ def mse_table_md(result):
         "| --- | --- | --- |",
     ]
     for row in result.rows:
-        label = row.label + (" *" if row.best else "")
+        label = row.label + (" *" if row.label == result.argmin_label else "")
         lines.append(f"| {label} | {row.validation_mse:.5f} | {row.test_mse:.5f} |")
     for label, seed, message in result.failures:
         lines.append(f"| {label} (seed {seed}) | diverged | diverged |")
@@ -611,7 +606,7 @@ def mse_table_csv(result):
          "validation_mse_scaled", "test_mse_scaled", "n_seeds", "best"],
         [[row.label, repr(row.validation_mse), repr(row.test_mse),
           repr(row.validation_mse_scaled), repr(row.test_mse_scaled),
-          row.n_seeds, int(row.best)]
+          row.n_seeds, int(row.label == result.argmin_label)]
          for row in result.rows],
     )
 

@@ -21,6 +21,12 @@ between layers and before the head during training.
 All tensors are batched: a batch of windows is (B, t, F). Saved models keep
 the PSNAPv01 per-gate parameter names (layerN.dir.W_i, .U_i, .b_i, ...): see
 snapshot_slots.
+
+Each model rule is checked once, where a model, a sidecar or a window list
+enters: ModelSpec and TrainCfg check their fields; dataprep.build_windows,
+given the spec's timesteps, variant and predictors, shapes every window to
+(timesteps, input_dim); load_model checks a sidecar against its spec. The
+kernels (cell, sequence, model forward and backward) trust their callers.
 """
 
 from __future__ import annotations
@@ -152,13 +158,6 @@ class LstmCellParams:
 
 def cell_forward(x_t, h_prev, c_prev, cell):
     """One LSTM step over a batch; returns (h, c, cache for the backward pass)."""
-    if x_t.ndim != 2 or x_t.shape[1] != cell.input_dim:
-        raise ValidationError(f"expected input (B, {cell.input_dim}), got {x_t.shape}")
-    if h_prev.shape != (x_t.shape[0], cell.hidden) or c_prev.shape != h_prev.shape:
-        raise ValidationError(
-            f"state shapes {h_prev.shape}/{c_prev.shape} inconsistent with "
-            f"batch {x_t.shape[0]} and hidden {cell.hidden}"
-        )
     a = np.matmul(x_t, cell.Wx.value.transpose(0, 2, 1))  # (4, B, H)
     a += np.matmul(h_prev, cell.Wh.value.transpose(0, 2, 1))
     a += cell.b.value[:, None, :]
@@ -204,9 +203,7 @@ def sequence_forward(X, cell, direction="forward"):
     so row s of the result always corresponds to input row s. Returns
     (hidden sequence (B, t, H), per-step caches in processing order).
     """
-    if direction not in ("forward", "backward"):
-        raise ValidationError(f"direction must be forward or backward, got {direction!r}")
-    B, t, _ = X.shape  # model_forward checks X, cell_forward each step's shapes
+    B, t, _ = X.shape
     Xp = X[:, ::-1, :] if direction == "backward" else X
     h = np.zeros((B, cell.hidden))
     c = np.zeros((B, cell.hidden))
@@ -227,7 +224,7 @@ def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
 
     Returns the gradient w.r.t. the input rows, or None unless need_dx.
     """
-    B, t, _ = d_seq.shape  # model_backward checks the batch against the cache
+    B, t, _ = d_seq.shape
     dp = d_seq[:, ::-1, :] if direction == "backward" else d_seq
     dh_carry = np.zeros((B, cell.hidden))
     dc_carry = np.zeros((B, cell.hidden))
@@ -285,18 +282,10 @@ def count_parameters(model):
 
 
 def model_forward(model, window, training=False, rng=None):
-    """Scalar prediction per window; returns (predictions (B,), cache)."""
+    """Scalar prediction per window of a (B, t, input_dim) float64 batch;
+    returns (predictions (B,), cache). Training draws dropout masks from rng."""
     spec = model.spec
-    X = np.asarray(window, dtype=np.float64)
-    if X.ndim != 3:
-        raise ValidationError(f"expected (B, t, F), got {X.shape}")
-    if X.shape[2] != model.input_dim:
-        raise ValidationError(
-            f"window has {X.shape[2]} features, model expects {model.input_dim}")
-    if training and spec.dropout > 0.0 and rng is None:
-        raise ValidationError("training with dropout requires an rng")
-
-    seq = X
+    seq = window
     layer_caches = []
     feature = None
     last = len(model.layers) - 1
@@ -324,8 +313,8 @@ def model_forward(model, window, training=False, rng=None):
     z1 = relu(a1)
     pred = (z1 @ model.head_w2.value.T + model.head_b2.value)[:, 0]
     cache = {
-        "batch": X.shape[0],
-        "timesteps": X.shape[1],
+        "batch": window.shape[0],
+        "timesteps": window.shape[1],
         "layers": layer_caches,
         "feat_dropped": feat_dropped,
         "feat_mask": feat_mask,
@@ -336,12 +325,8 @@ def model_forward(model, window, training=False, rng=None):
 
 
 def model_backward(model, cache, d_pred):
-    """Accumulate exact gradients of every parameter from d loss / d prediction."""
-    d_pred = np.asarray(d_pred, dtype=np.float64).reshape(-1)
-    if d_pred.shape[0] != cache["batch"]:
-        raise ValidationError(
-            f"cache batch {cache['batch']} does not match gradient length {d_pred.shape[0]}"
-        )
+    """Accumulate exact gradients of every parameter from d loss / d prediction,
+    a (B,) array for the batch that model_forward cached."""
     H = model.spec.hidden
 
     dp = d_pred[:, None]
@@ -381,8 +366,7 @@ def model_backward(model, cache, d_pred):
 
 @dataclass
 class TrainedModel:
-    spec: ModelSpec
-    model: Model
+    model: Model  # model.spec is the spec it was trained to
     scaler: Scaler  # scales the model's inputs; fitted on training-period records
     loss_history: list  # (train_mse, validation_mse) per epoch
     best_epoch: int
@@ -428,16 +412,10 @@ def train(spec, split, validation_fraction, *, scaler, lr):
     predicts in its scaled units. spec.predictors and spec.variant are only
     recorded, for predict to window new records the same way.
     """
-    if not split.train:
-        raise ValidationError("training split is empty")
     train_w, val_w = carve_validation(split.train, validation_fraction)
     # through the module, so a wrapped dataprep.apply_scaler sees the calls
     X_tr, y_tr = dataprep.apply_scaler(scaler, train_w)
     X_val, y_val = dataprep.apply_scaler(scaler, val_w)
-    if X_tr.shape[1] != spec.timesteps:
-        raise ValidationError(
-            f"windows have {X_tr.shape[1]} timesteps, spec says {spec.timesteps}"
-        )
 
     model = Model(spec, X_tr.shape[2])
     params = model.parameters()
@@ -477,8 +455,7 @@ def train(spec, split, validation_fraction, *, scaler, lr):
         for p, v in zip(params, best_values):
             p.value = v
     return TrainedModel(
-        spec=spec, model=model, scaler=scaler, loss_history=history,
-        best_epoch=best_epoch,
+        model=model, scaler=scaler, loss_history=history, best_epoch=best_epoch,
     )
 
 
@@ -490,10 +467,6 @@ def predict_batch(trained, windows):
     scaler scales them (dataprep.apply_scaler). Never clamped: a fitted model
     may emit small negative values.
     """
-    expected = (trained.spec.timesteps, trained.model.input_dim)
-    for w in windows:
-        if w.features.shape != expected:
-            raise ValidationError(f"windows {w.features.shape} do not match model {expected}")
     X, _ = dataprep.apply_scaler(trained.scaler, windows)
     pred, _ = model_forward(trained.model, X, training=False)
     return pred
@@ -519,7 +492,7 @@ def save_model(trained, bin_path, sidecar_path):
     slots = snapshot_slots(trained.model)
     save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
     sidecar = Sidecar(
-        spec=asdict(trained.spec),
+        spec=asdict(trained.model.spec),
         train=asdict(trained.train_cfg),
         input_dim=trained.model.input_dim,
         scaler=trained.scaler.to_dict(),
@@ -536,6 +509,11 @@ def load_model(bin_path, sidecar_path):
                         str(sidecar_path))
     spec = from_json(ModelSpec, sidecar.spec, f"{sidecar_path} spec")
     train_cfg = from_json(TrainCfg, sidecar.train, f"{sidecar_path} train")
+    columns = window_columns(spec.predictors, spec.variant)
+    if sidecar.input_dim != len(columns):
+        raise ValidationError(
+            f"{sidecar_path}: input_dim {sidecar.input_dim} does not match the "
+            f"{len(columns)} window columns {list(columns)}")
     model = Model(spec, sidecar.input_dim)
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
@@ -545,11 +523,8 @@ def load_model(bin_path, sidecar_path):
             raise ValidationError(f"snapshot shape mismatch for {name}")
         value[...] = stored[name]
     return TrainedModel(
-        spec=spec,
         model=model,
-        scaler=Scaler.from_dict(sidecar.scaler,
-                                window_columns(spec.predictors, spec.variant),
-                                str(sidecar_path)),
+        scaler=Scaler.from_dict(sidecar.scaler, columns, str(sidecar_path)),
         loss_history=list(sidecar.loss_history),
         best_epoch=sidecar.best_epoch,
         train_cfg=train_cfg,

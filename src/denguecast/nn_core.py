@@ -66,13 +66,10 @@ def dropout(x, rate, rng, training=True):
 
 
 def mse(actual, predicted):
-    """Mean squared error (1/N) * sum((actual_i - predicted_i)^2)."""
+    """Mean squared error (1/N) * sum((actual_i - predicted_i)^2) of two
+    non-empty vectors of one length N."""
     a = np.asarray(actual, dtype=np.float64).reshape(-1)
     p = np.asarray(predicted, dtype=np.float64).reshape(-1)
-    if a.shape != p.shape:
-        raise ValidationError(f"length mismatch: {a.shape[0]} vs {p.shape[0]}")
-    if a.size == 0:
-        raise ValidationError("mse of empty vectors")
     d = a - p
     return float(d @ d / a.size)
 
@@ -105,7 +102,7 @@ def l2_penalty(params, lam):
     """Add lambda*sum(w^2) to the loss and 2*lambda*w to each weight gradient.
 
     Biases are excluded. Returns the loss term; gradient contributions are
-    accumulated in place.
+    accumulated in place, so zero_grads must have run first.
     """
     if lam == 0:
         return 0.0
@@ -113,8 +110,6 @@ def l2_penalty(params, lam):
     for p in params:
         if p.is_bias:
             continue
-        if p.grad is None:
-            raise ValidationError(f"gradient of {p.name} not initialized")
         loss += lam * float(np.sum(p.value * p.value))
         p.grad += 2.0 * lam * p.value
     return loss
@@ -127,7 +122,8 @@ ADAM_EPS = 1e-8     # added to the root of the second moment
 
 class Adam:
     """Adam with bias correction; moment state persists across steps. The
-    learning rate is a lstm.TrainCfg's."""
+    learning rate is a lstm.TrainCfg's. step reads each parameter's gradient,
+    so zero_grads and the backward pass must have run first."""
 
     def __init__(self, lr):
         self.lr = lr
@@ -139,8 +135,6 @@ class Adam:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p in params:
-            if p.grad is None:
-                raise ValidationError(f"gradient of {p.name} not populated before step")
             m = self._m.get(p.name)
             if m is None:
                 m = np.zeros_like(p.value)

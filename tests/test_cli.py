@@ -368,9 +368,12 @@ def _copy_model(chain, tmp_path, edit):
     # the model reads temp_mean, so raw temperatures must not reach it unscaled
     (lambda s: s["scaler"].pop("temp_mean"), "missing ['temp_mean']"),
     (lambda s: s["scaler"].update(wind=[0.0, 1.0]), "unknown ['wind']"),
+    # the chain's model reads variant II windows of the three climate columns
+    (lambda s: s.update(input_dim=6),
+     "model.json: input_dim 6 does not match the 5 window columns"),
 ], ids=["hidden-str", "unknown-key", "scaler-null", "scaler-not-pair",
         "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
-        "scaler-missing-column", "scaler-extra-column"])
+        "scaler-missing-column", "scaler-extra-column", "input-dim"])
 def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, edit)
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -496,7 +499,8 @@ def _set_row(line_number, cells):
     (_set_row(4, {2: "13"}), ":4: month 13 outside [1, 12]"),
     (lambda lines: lines[:3] + lines[1:2] + lines[3:],
      ":4: duplicate (district, month) "),
-], ids=["short-row", "non-numeric", "month-13", "repeated-month"])
+    (lambda lines: lines[:1], ": no predictions"),
+], ids=["short-row", "non-numeric", "month-13", "repeated-month", "header-only"])
 def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, capsys):
     src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -505,6 +509,19 @@ def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, ca
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     assert cli.main(["report", "--run", str(tmp_path)]) == 2
     assert f"{path}{named}" in capsys.readouterr().err
+
+
+def test_report_writes_no_table_when_a_later_file_is_bad(chain, tmp_path, capsys):
+    src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "predictions_a_seed0.csv").write_bytes(src.read_bytes())
+    bad = reports / "predictions_b_seed0.csv"
+    bad.write_text(src.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                   encoding="utf-8")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 2
+    assert f"{bad}: no predictions" in capsys.readouterr().err
+    assert not (tmp_path / "tables").exists()
 
 
 def test_prepare_gap_report_lists_gaps_only(tmp_path):
@@ -585,6 +602,18 @@ def test_prepare_rejects_a_repeated_raw_row(name, named, small_raw, tmp_path, ca
     code = _prepare_with_edit(small_raw, tmp_path, name, lambda lines: lines + lines[1:2])
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "prep").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:1],
+    lambda lines: lines[:1] + ["X" + line for line in lines[1:]],
+], ids=["header-only", "renamed-districts"])
+def test_prepare_refuses_an_empty_join(edit, small_raw, tmp_path, capsys):
+    # each file passes its own rules, but no district-month is in all of them
+    assert _prepare_with_edit(small_raw, tmp_path, "cases.csv", edit) == 3
+    assert "no (district, month) has climate, rain and cases together" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "prep").exists()
 
 

@@ -186,7 +186,8 @@ class TestAssembleRecords:
 
     def test_empty_cases(self):
         climate, rain, larval, _ = self._maps(["D1"], [(2018, 1)])
-        assert assemble_records(climate, rain, larval, {}) == []
+        with pytest.raises(PreconditionError, match="no \\(district, month\\) has"):
+            assemble_records(climate, rain, larval, {})
 
     def test_inner_join_drops_missing_climate(self):
         months = [(2018, 1), (2018, 2), (2018, 3)]

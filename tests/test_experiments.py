@@ -62,7 +62,7 @@ def constant_model(spec, scaler, output):
     for p in model.parameters():
         p.value[...] = 0.0
     model.head_b2.value[0] = output
-    return TrainedModel(spec=spec, model=model, scaler=scaler,
+    return TrainedModel(model=model, scaler=scaler,
                         loss_history=[(0.0, 0.0)], best_epoch=0)
 
 
@@ -172,7 +172,7 @@ class TestRunSweep:
         assert "exceeds" in result.failures[0][2]
         assert [r.label for r in result.rows] == ["Variant II"]
         assert [r.label for r in result.reports] == ["Variant II"]
-        assert result.argmin_label == "Variant II" and result.rows[0].best
+        assert result.argmin_label == result.rows[0].label == "Variant II"
         table = mse_table_md(result)
         assert "| Variant I (seed 0) | diverged | diverged |" in table
         assert "| Variant II * |" in table

@@ -97,14 +97,6 @@ class TestMse:
         for _ in range(20):
             assert mse(rng.normal(size=8), rng.normal(size=8)) >= 0.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="length mismatch"):
-            mse([1.0], [1.0, 2.0])
-
-    def test_empty(self):
-        with pytest.raises(ValidationError, match="mse of empty vectors"):
-            mse([], [])
-
 
 class TestL2Penalty:
     def test_zero_lambda_untouched(self):
@@ -164,10 +156,6 @@ class TestAdam:
             return p.value.tobytes()
 
         assert run() == run()
-
-    def test_unpopulated_grad(self):
-        with pytest.raises(ValidationError, match="not populated before step"):
-            Adam(lr=0.1).step([Parameter("w", [1.0])])
 
 
 class TestGradCheck:

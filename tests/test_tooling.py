@@ -71,3 +71,16 @@ MONTH_TEXT = re.compile(r"\{[^{}]+:04d\}-\{[^{}]+:02d\}")
 def test_a_month_is_written_only_by_month_text():
     # dataprep.month_text is the one place a month becomes "YYYY-MM"
     assert _fstring_sites(MONTH_TEXT) == ["dataprep.month_text"]
+
+
+def test_the_numeric_core_raises_only_where_data_enters():
+    # a spec or config, a model file, or a diverging loss; the kernels trust
+    # the shapes their callers build
+    raising = []
+    for name in ("lstm", "nn_core"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if any(isinstance(node, ast.Raise) for node in ast.walk(top)):
+                raising.append(f"{name}.{getattr(top, 'name', '<module>')}")
+    assert raising == ["lstm.ModelSpec", "lstm.TrainCfg", "lstm.train",
+                       "lstm.load_model", "nn_core.load_params"]
