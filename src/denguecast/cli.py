@@ -32,7 +32,9 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import dataprep, experiments, imputation, lstm, specs
+# experiments, imputation and lstm are imported by the commands that run them,
+# so that prepare and impute do not load the LSTM stack
+from . import dataprep, specs
 from .dataprep import csv_text
 from .errors import DivergenceError, PipelineError, ValidationError
 
@@ -61,6 +63,8 @@ def _file_or_flags(args, given, keys, where):
 def _run_spec(args, given, where):
     """(the ModelSpec fields, TrainCfg) from a flat object of their fields and
     the flags."""
+    from . import lstm
+
     train_keys = [f.name for f in fields(lstm.TrainCfg)]
     keys = [f.name for f in fields(lstm.ModelSpec)] + train_keys
     values = _file_or_flags(args, given, keys, where)
@@ -79,7 +83,9 @@ def comma_ints(text):
 
 
 def _add_model_flags(p):
-    p.add_argument("--arch", choices=lstm.ARCHITECTURES)
+    # --arch (and sweep's --kind) take any string: the spec built from it is
+    # the one check of its value
+    p.add_argument("--arch")
     p.add_argument("--num-layers", dest="num_layers", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--dropout", type=float)
@@ -97,6 +103,8 @@ def _add_model_flags(p):
 
 
 def cmd_synth(args):
+    from . import experiments
+
     spec = experiments.SynthSpec(
         districts=args.districts,
         months=args.months,
@@ -135,6 +143,8 @@ def cmd_prepare(args):
 
 
 def cmd_impute(args):
+    from . import imputation
+
     records = dataprep.load_records_csv(args.records)
     cfg = imputation.CoregCfg(
         k=args.k, p1=args.p1, p2=args.p2,
@@ -158,6 +168,8 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
+    from . import experiments, lstm
+
     given = specs.read_object(args.config, "config") if args.config else {}
     model, cfg = _run_spec(args, given, args.config)
     spec = specs.from_json(lstm.ModelSpec, model, args.config)
@@ -181,6 +193,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    from . import experiments, lstm
+
     model_bin = Path(args.model)
     trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
     spec = trained.model.spec
@@ -212,6 +226,8 @@ class SweepFile:
 def _sweep_spec(args):
     """SweepSpec from the --sweep-config file, if any, and the flags; --grid
     is read only by a timestep sweep whose file has no grid."""
+    from . import experiments
+
     path = args.sweep_config
     file = specs.from_json(SweepFile, specs.read_object(path, "config") if path else {},
                            path)
@@ -229,6 +245,8 @@ def _sweep_spec(args):
 
 
 def cmd_sweep(args):
+    from . import experiments, lstm
+
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     sweep = _sweep_spec(args)  # before reading data: a bad flag or cell fails at once
@@ -260,6 +278,8 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
+    from . import experiments
+
     run_dir = Path(args.run)
     reports_dir = run_dir / "reports"
     csvs = sorted(reports_dir.glob("predictions_*.csv")) if reports_dir.is_dir() else []
@@ -340,7 +360,7 @@ def build_parser():
     p = command("sweep", "run a configuration sweep")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
+    p.add_argument("--kind")
     p.add_argument("--grid", type=comma_ints,
                    help="comma-separated time steps (timestep sweeps)")
     p.add_argument("--seeds", type=comma_ints,

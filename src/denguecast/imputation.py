@@ -14,27 +14,34 @@ ys (n,) and the unlabeled rows (m, d); it returns one value per unlabeled
 row, in row order, and the iteration log, which names a row by its index.
 
 The scan is incremental, and its results are bit-identical to re-running
-every kNN query from scratch:
+every kNN query from scratch. Each regressor keeps two caches of
+_Neighbourhood, the k nearest training points of a point, nearest first, with
+their distances, training indices and labels, and the mean of those labels:
 
-- A scanned candidate costs one distance scan over the regressor's training
-  set. Its k nearest training points give both its self-label and the
-  neighbourhood Omega whose local error the confidence measures.
-- Each regressor caches, for every training point i that has appeared in
-  some Omega, the distances and labels of i's k nearest training points,
-  nearest first, and the "before" residual y_i minus the mean of those
-  labels.
-- The "after" neighbourhood of i is its cached list with the candidate
-  inserted at the candidate's distance to i, which the scan already
-  computed (|a - b| == |b - a|), then cut back to k. The mean is taken over
-  the same labels in the same order as a fresh query would use, so the bits
-  match.
-- A point transferred into a regressor's training set enters every cached
-  neighbourhood of that regressor by the same rule, after one distance scan,
-  and the changed "before" residuals are recomputed.
+- Candidates: the first scan of an unlabeled row costs one distance scan over
+  the training set. Its neighbourhood gives both its self-label (the mean)
+  and Omega, the training points whose local error the confidence measures.
+  Every later pool that draws the row reads the cached neighbourhood.
+- Training points: for every training point i that has appeared in some
+  Omega, the neighbourhood of i, whose mean gives the "before" residual y_i
+  minus that mean. The "after" neighbourhood of i is its cached list with
+  the candidate inserted at the candidate's distance to i, read from the
+  candidate's neighbourhood (|a - b| == |b - a|), then cut back to k.
+- One insertion rule keeps both caches exact. A point transferred into a
+  regressor's training set has the highest training index, so it enters a
+  neighbourhood after every equal distance (bisect_right), and the list is
+  cut back to k. Its distance to every cached point comes from one distance
+  scan per cache.
+- The final fill takes the mean over a cached row's k neighbours, rescanned,
+  and over the whole training set only for a row never scanned. Either way it
+  is the mean of the same labels in the same order as a fresh query, so the
+  bits match.
 
 Distance ties go to the earlier training index, as a stable sort orders
-them. A new point always has the highest index, so it is inserted after
-every equal distance.
+them. The training set and the unlabeled rows are held feature-major, (d, n)
+and (d, m), so a distance scan adds the d features as d vector adds (see
+_minkowski). The caches hold O((m + n) k) values per regressor: no candidate x
+training distance matrix is built.
 """
 
 from __future__ import annotations
@@ -113,11 +120,18 @@ class IterationEntry:
 # kNN core
 
 
-def _minkowski(xs, x, p):
-    d = np.abs(xs - x)
+def _minkowski(xt, x, p):
+    """Distances from x (d,) to every column of the feature-major xt (d, n).
+
+    The sum over axis 0 adds the d features left to right, one vector add per
+    feature; np.sum(axis=1) on the same points as (n, d) rows adds them in the
+    same order while d < 8 (numpy's pairwise sum starts at 8 values), so the
+    distances are bit-identical to the row-wise ones.
+    """
+    d = np.abs(xt - x[:, None])
     if p == 2.0:
-        return np.sqrt(np.sum(d * d, axis=1))
-    return np.sum(d**p, axis=1) ** (1.0 / p)
+        return np.sqrt(np.sum(d * d, axis=0))
+    return np.sum(d**p, axis=0) ** (1.0 / p)
 
 
 def _nearest(dist, k):
@@ -133,19 +147,22 @@ def _nearest(dist, k):
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
-def _knn_mean(xs, ys, x, k, p):
-    return float(np.mean(ys[_nearest(_minkowski(xs, x, p), k)]))
+def _knn_mean(ys, xt, x, k, p):
+    """Mean label of the k points nearest x among the columns of xt (d, n),
+    labelled ys (n,)."""
+    return float(np.mean(ys[_nearest(_minkowski(xt, x, p), k)]))
 
 
 class _Neighbourhood:
-    """The k nearest training points of one training point, nearest first."""
+    """The k nearest training points of one point, nearest first."""
 
-    __slots__ = ("dists", "labels", "before")
+    __slots__ = ("dists", "indices", "labels", "mean")
 
-    def __init__(self, dists, labels, before):
-        self.dists = dists    # list of distances, ascending
-        self.labels = labels  # their labels, in the same order
-        self.before = before  # the point's label minus the mean of labels
+    def __init__(self, dists, indices, labels):
+        self.dists = dists      # list of distances, ascending
+        self.indices = indices  # their training indices, in the same order
+        self.labels = labels    # their labels, in the same order
+        self.mean = float(np.mean(labels))
 
     def insert_at(self, d, k):
         """Position at which a point at distance d enters, or None if it does not.
@@ -156,65 +173,92 @@ class _Neighbourhood:
         pos = bisect.bisect_right(self.dists, d)
         return pos if pos < k else None
 
+    def insert(self, d, i, y, k):
+        """Let training point i, labelled y at distance d, in and cut back to k."""
+        pos = self.insert_at(d, k)
+        if pos is None:
+            return
+        self.dists.insert(pos, d)
+        self.indices.insert(pos, i)
+        self.labels.insert(pos, y)
+        del self.dists[k:], self.indices[k:], self.labels[k:]
+        self.mean = float(np.mean(self.labels))
+
 
 class _Regressor:
-    """One COREG kNN regressor: its training set and a neighbourhood cache.
+    """One COREG kNN regressor: its feature-major training set xt (d, n), its
+    labels ys (n,) and two caches of _Neighbourhood, kept exact as the
+    training set grows.
 
-    The cache maps a training index to its _Neighbourhood. An entry is
-    computed the first time the point appears in some candidate's
-    neighbourhood and is kept exact as the training set grows.
+    _train maps a training index to its neighbourhood, computed the first time
+    the point appears in some candidate's neighbourhood. _candidates maps a
+    column of the feature-major unlabeled rows ut (d, m) to its neighbourhood,
+    computed the first time the row is scanned.
     """
 
-    def __init__(self, xs, ys, k, p):
-        self.xs = xs
+    def __init__(self, xs, ys, ut, k, p):
+        self.xt = np.ascontiguousarray(xs.T)
         self.ys = ys
+        self.ut = ut
         self.k = k
         self.p = p
-        self._cache = {}
+        self._train = {}
+        self._candidates = {}
 
-    def query(self, x):
-        """Distances from x to every training point, and the k nearest indices."""
-        dist = _minkowski(self.xs, x, self.p)
-        return dist, _nearest(dist, self.k)
+    def _scan(self, x):
+        """The k nearest training points of x, by one distance scan."""
+        dist = _minkowski(self.xt, x, self.p)
+        near = _nearest(dist, self.k)
+        return _Neighbourhood(dist[near].tolist(), near.tolist(), self.ys[near].tolist())
 
     def neighbourhood(self, i):
-        nb = self._cache.get(i)
+        nb = self._train.get(i)
         if nb is None:
-            dist, near = self.query(self.xs[i])
-            labels = self.ys[near].tolist()
-            nb = _Neighbourhood(dist[near].tolist(), labels,
-                                self.ys[i] - float(np.mean(labels)))
-            self._cache[i] = nb
+            nb = self._train[i] = self._scan(self.xt[:, i])
         return nb
 
+    def candidate(self, u):
+        nb = self._candidates.get(u)
+        if nb is None:
+            nb = self._candidates[u] = self._scan(self.ut[:, u])
+        return nb
+
+    def fill(self, u):
+        """The regressor's prediction for unlabeled row u: the mean label of its
+        k nearest training points, rescanned over its cached neighbours only."""
+        x = self.ut[:, u]
+        nb = self._candidates.get(u)
+        if nb is None:
+            return _knn_mean(self.ys, self.xt, x, self.k, self.p)
+        near = np.array(nb.indices)
+        return _knn_mean(self.ys[near], self.xt[:, near], x, self.k, self.p)
+
     def add(self, x, y):
-        """Append (x, y) to the training set and update the cached neighbourhoods."""
-        dist = _minkowski(self.xs, x, self.p)
-        for i, nb in self._cache.items():
-            pos = nb.insert_at(dist[i], self.k)
-            if pos is None:
-                continue
-            nb.dists.insert(pos, dist[i])
-            nb.labels.insert(pos, y)
-            del nb.dists[self.k:], nb.labels[self.k:]
-            nb.before = self.ys[i] - float(np.mean(nb.labels))
-        self.xs = np.vstack([self.xs, x[None, :]])
+        """Append (x, y) to the training set and update both caches."""
+        i = len(self.ys)
+        for cache, points in ((self._train, self.xt), (self._candidates, self.ut)):
+            # |a - b| == |b - a|: the distance from each cached point to x is
+            # the distance a fresh scan of that point would find to x
+            dist = _minkowski(points, x, self.p).tolist()
+            for j, nb in cache.items():
+                nb.insert(dist[j], i, y, self.k)
+        self.xt = np.hstack([self.xt, x[:, None]])
         self.ys = np.append(self.ys, y)
 
 
-def _confidence(reg, dist, omega, cand_y):
+def _confidence(reg, cand, cand_y):
     """Delta in local squared error from tentatively adding a candidate.
 
-    dist holds the candidate's distance to every training point of reg and
-    omega its k nearest training indices. Positive means the neighborhood
-    of the candidate is predicted better after the addition.
+    cand is the candidate's neighbourhood: Omega, its k nearest training
+    points of reg, and its distance to each. Positive means Omega is
+    predicted better after the addition.
     """
     k = reg.k
     delta = 0.0
-    for i in omega.tolist():
+    for i, d in zip(cand.indices, cand.dists):
         nb = reg.neighbourhood(i)
-        before = nb.before
-        pos = nb.insert_at(dist[i], k)
+        before = reg.ys[i] - nb.mean
+        pos = nb.insert_at(d, k)
         if pos is None:
             after = before
         else:
@@ -228,7 +272,7 @@ def _confidence(reg, dist, omega, cand_y):
 # the co-training loop
 
 
-def _best_candidate(reg, unlabeled, pool, taken):
+def _best_candidate(reg, pool, taken):
     """Scan the pool and return the best positive-delta pick, or None.
 
     Selection maximizes delta; exact ties go to the smaller unlabeled index.
@@ -237,9 +281,9 @@ def _best_candidate(reg, unlabeled, pool, taken):
     for u in pool:
         if u in taken:
             continue
-        dist, omega = reg.query(unlabeled[u])
-        y_hat = float(np.mean(reg.ys[omega]))
-        delta = _confidence(reg, dist, omega, y_hat)
+        cand = reg.candidate(u)
+        y_hat = cand.mean
+        delta = _confidence(reg, cand, y_hat)
         if delta <= 0.0:
             continue
         if best is None or delta > best.delta or (delta == best.delta and u < best.index):
@@ -259,7 +303,8 @@ def coreg_impute(xs, ys, unlabeled, cfg):
     if len(ys) == 0:
         raise PreconditionError("no observed larval indices; cannot co-train")
     log = []
-    sides = [_Regressor(xs, ys, cfg.k, cfg.p1), _Regressor(xs, ys, cfg.k, cfg.p2)]
+    ut = np.ascontiguousarray(unlabeled.T)
+    sides = [_Regressor(xs, ys, ut, cfg.k, p) for p in (cfg.p1, cfg.p2)]
     remaining = list(range(len(unlabeled)))
     rng = make_rng(cfg.seed)
 
@@ -273,7 +318,7 @@ def coreg_impute(xs, ys, unlabeled, cfg):
         picks = []
         taken = set()
         for side in sides:
-            pick = _best_candidate(side, unlabeled, pool, taken)
+            pick = _best_candidate(side, pool, taken)
             picks.append(pick)
             if pick is not None:
                 taken.add(pick.index)
@@ -294,8 +339,8 @@ def coreg_impute(xs, ys, unlabeled, cfg):
             break
 
     imputed = []
-    for x in unlabeled:
-        y1, y2 = (_knn_mean(s.xs, s.ys, x, s.k, s.p) for s in sides)
+    for u in range(len(unlabeled)):
+        y1, y2 = (side.fill(u) for side in sides)
         imputed.append(0.5 * (y1 + y2))
     return imputed, log
 

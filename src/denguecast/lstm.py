@@ -82,7 +82,8 @@ class ModelSpec:
         # a tuple, so a spec given a list compares equal to one given a tuple
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if self.arch not in ARCHITECTURES:
-            raise ValidationError(f"unknown architecture {self.arch!r}")
+            raise ValidationError(
+                f"unknown architecture {self.arch!r}, not one of {ARCHITECTURES}")
         if self.arch in ("plain", "bidir") and self.num_layers != 1:
             raise ValidationError(f"{self.arch} requires num_layers=1, got {self.num_layers}")
         if self.arch in ("stacked", "bidir_stacked") and self.num_layers < 2:
@@ -518,9 +519,12 @@ def load_model(bin_path, sidecar_path):
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
         if name not in stored:
-            raise ValidationError(f"snapshot is missing parameter {name}")
+            raise ValidationError(f"{bin_path}: snapshot is missing parameter {name}")
         if stored[name].shape != value.shape:
-            raise ValidationError(f"snapshot shape mismatch for {name}")
+            raise ValidationError(
+                f"{bin_path}: snapshot shape mismatch for {name}: the spec in "
+                f"{sidecar_path} implies {value.shape}, the snapshot stores "
+                f"{stored[name].shape}")
         value[...] = stored[name]
     return TrainedModel(
         model=model,

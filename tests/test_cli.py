@@ -43,21 +43,29 @@ def test_impute_round_trip_matches_golden(tmp_path):
 
 # sha256 of the daily climate table and the records prepared from it at the
 # default size (26 districts x 84 months, the benchmark's input), recorded
-# while both sides still built one object per day.
+# while both sides still built one object per day; and of impute's artifacts
+# at --max-iters 12 on those records (666 cells to fill, the benchmark's
+# impute stage), recorded while every pool scan still re-read the whole
+# training set for each candidate.
 DEFAULT_GOLDEN = {
     "raw/climate.csv": "da64fe427f80a694511b289328b48954d5df600946de54e13815c82c82236705",
     "prep/records.csv": "0552590917d278686ceb6879357944113cb3000f344df663a152a354ee463277",
+    "imp/imputed.csv": "3d020142c8b1d31eed06e5c8229357e6271684f444d26bbe211b51b96adf6398",
+    "imp/coreg_log.txt": "438c85fa1557f59583eaf450e4367a376c9318aae67e7beaa854d12d8263967f",
 }
 
 
 def test_default_size_synth_prepare_matches_golden(tmp_path):
-    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    raw, prep, imp = tmp_path / "raw", tmp_path / "prep", tmp_path / "imp"
     assert cli.main(["synth", "--out", str(raw), "--seed", "0"]) == 0
     assert cli.main([
         "prepare", "--out", str(prep),
         "--climate", str(raw / "climate.csv"), "--rain", str(raw / "rain.csv"),
         "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv"),
     ]) == 0
+    assert cli.main(["impute", "--out", str(imp),
+                     "--records", str(prep / "records.csv"),
+                     "--max-iters", "12"]) == 0
     assert {name: _sha256(tmp_path / name) for name in DEFAULT_GOLDEN} == DEFAULT_GOLDEN
 
 
@@ -371,15 +379,22 @@ def _copy_model(chain, tmp_path, edit):
     # the chain's model reads variant II windows of the three climate columns
     (lambda s: s.update(input_dim=6),
      "model.json: input_dim 6 does not match the 5 window columns"),
+    # a spec that no longer fits the snapshot names both files and the shapes
+    (lambda s: s["spec"].update(hidden=3),
+     "{dir}/model.bin: snapshot shape mismatch for layer0.fwd.W_i: the spec in "
+     "{dir}/model.json implies (3, 5), the snapshot stores (4, 5)"),
+    (lambda s: s["spec"].update(num_layers=3),
+     "{dir}/model.bin: snapshot is missing parameter layer2.fwd.W_i"),
 ], ids=["hidden-str", "unknown-key", "scaler-null", "scaler-not-pair",
         "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
-        "scaler-missing-column", "scaler-extra-column", "input-dim"])
+        "scaler-missing-column", "scaler-extra-column", "input-dim",
+        "hidden-edited", "layers-edited"])
 def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, edit)
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
                      "--records", str(chain / "imp" / "imputed.csv")])
     assert code == 2
-    assert named in capsys.readouterr().err
+    assert named.format(dir=tmp_path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["spec", "input_dim", "scaler", "best_epoch",
@@ -783,6 +798,31 @@ def test_a_month_outside_1_to_12_exits_2(name, line, two_districts, tmp_path, ca
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert f"{path}:{line}: month 13 outside [1, 12]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_leaves_out_the_lstm_stack():
+    # prepare and impute import cli but train no model
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import sys, denguecast.cli; print(sorted("
+             "{'denguecast.lstm', 'denguecast.experiments'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--arch", "lstm"], "unknown architecture 'lstm', not one of"),
+    (["sweep", "--arch", "lstm", "--kind", "variant"],
+     "unknown architecture 'lstm', not one of"),
+    (["sweep", "--kind", "daily"], "sweep kind must be one of"),
+], ids=["train-arch", "sweep-arch", "sweep-kind"])
+def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, capsys):
+    code = cli.main([argv[0], "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"), *argv[1:]])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_defers_the_process_pool():

@@ -11,6 +11,7 @@ from denguecast.imputation import (
     PickInfo,
     _confidence,
     _knn_mean,
+    _minkowski,
     _nearest,
     _Regressor,
     coreg_impute,
@@ -40,22 +41,27 @@ def seeded_examples(n, dim=4, seed=0):
     return np.stack(rows), np.array(labels)
 
 
+def knn_mean(xs, ys, x, k, p):
+    """_knn_mean over (n, d) rows, which it reads feature-major."""
+    return _knn_mean(ys, np.ascontiguousarray(xs.T), x, k, p)
+
+
 class TestKnnPredict:
     def test_exact_match_k1(self):
         xs, ys = seeded_examples(10)
-        assert _knn_mean(xs, ys, xs[4], 1, 2.0) == ys[4]
+        assert knn_mean(xs, ys, xs[4], 1, 2.0) == ys[4]
 
     def test_k_equals_train_size_is_global_mean(self):
         xs, ys = seeded_examples(7)
         expected = sum(ys) / 7
-        assert _knn_mean(xs, ys, np.zeros(4), 7, 2.0) == pytest.approx(expected,
-                                                                        abs=1e-12)
+        assert knn_mean(xs, ys, np.zeros(4), 7, 2.0) == pytest.approx(expected,
+                                                                       abs=1e-12)
 
     def test_k_larger_than_train_uses_all(self):
         xs, ys = seeded_examples(5)
         expected = sum(ys) / 5
-        assert _knn_mean(xs, ys, np.ones(4), 50, 2.0) == pytest.approx(expected,
-                                                                        abs=1e-12)
+        assert knn_mean(xs, ys, np.ones(4), 50, 2.0) == pytest.approx(expected,
+                                                                       abs=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 5.0, 1.0])
     def test_against_brute_force(self, p):
@@ -63,7 +69,7 @@ class TestKnnPredict:
         rng = make_rng(14)
         for _ in range(20):
             x = rng.normal(size=4)
-            assert _knn_mean(xs, ys, x, 3, p) == pytest.approx(
+            assert knn_mean(xs, ys, x, 3, p) == pytest.approx(
                 brute_force_knn(xs, ys, x, 3, p), abs=1e-12
             )
 
@@ -71,7 +77,7 @@ class TestKnnPredict:
         xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ys = np.array([10.0, 20.0])
         # both at distance 1; earlier index wins
-        assert _knn_mean(xs, ys, np.zeros(2), 1, 2.0) == 10.0
+        assert knn_mean(xs, ys, np.zeros(2), 1, 2.0) == 10.0
 
 
 class TestCfgValidation:
@@ -92,12 +98,15 @@ class TestCfgValidation:
         # sanity check behind the CoregCfg rejection: same k and p means the
         # two would-be regressors are indistinguishable
         xs, ys = seeded_examples(30, seed=5)
-        sides = [_Regressor(xs, ys, 3, 2.0), _Regressor(xs.copy(), ys.copy(), 3, 2.0)]
+        no_rows = np.empty((4, 0))
+        sides = [_Regressor(xs, ys, no_rows, 3, 2.0),
+                 _Regressor(xs.copy(), ys.copy(), no_rows, 3, 2.0)]
         rng = make_rng(6)
         for _ in range(10):
             x = rng.normal(size=4)
-            (d1, near1), (d2, near2) = (side.query(x) for side in sides)
-            assert d1.tolist() == d2.tolist() and near1.tolist() == near2.tolist()
+            d1, d2 = (_minkowski(side.xt, x, side.p) for side in sides)
+            near1, near2 = (side._scan(x).indices for side in sides)
+            assert d1.tolist() == d2.tolist() and near1 == near2
 
     def test_k1_rejected(self):
         # each training point would be its own nearest neighbour: no picks
@@ -138,9 +147,8 @@ def brute_force_delta(xs, ys, cand_x, cand_y, k, p):
 
 def confidence(xs, ys, cand_x, cand_y, k, p):
     """The scan's confidence of labeling cand_x as cand_y, on a fresh regressor."""
-    reg = _Regressor(xs, ys, k, p)
-    dist, omega = reg.query(cand_x)
-    return _confidence(reg, dist, omega, cand_y)
+    reg = _Regressor(xs, ys, np.asarray(cand_x)[:, None], k, p)
+    return _confidence(reg, reg.candidate(0), cand_y)
 
 
 class TestCoregConfidence:
@@ -404,6 +412,58 @@ class TestIncrementalScanMatchesReference:
         assert imputed == ref_imputed
         assert sum(p is not None for e in log for p in e.picks) >= min_picks
 
+    # pool_size >= the 40 unlabeled rows: iteration 1 scans, and so caches,
+    # every candidate of both regressors, and each pick after it updates them
+    @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks",
+                             [case for case in CASES if case[0] > 1])
+    @pytest.mark.parametrize("pool_size", [40, 60])
+    def test_identical_with_every_candidate_cached_at_once(
+            self, k, p1, p2, n_labeled, grid, seed, min_picks, pool_size):
+        xs, ys, unlabeled = _coreg_problem(n_labeled, 40, grid, seed)
+        cfg = CoregCfg(k=k, p1=p1, p2=p2, max_iters=25, pool_size=pool_size, seed=k)
+        imputed, log = coreg_impute(xs, ys, unlabeled, cfg)
+        ref_imputed, ref_log = _ref_coreg_impute(xs, ys, unlabeled, cfg)
+        assert [e.line() for e in log] == [e.line() for e in ref_log]
+        assert imputed == ref_imputed
+        assert sum(p is not None for e in log for p in e.picks) >= min_picks
+
+    def test_transferred_point_ties_a_cached_candidate_neighbour(self, monkeypatch):
+        # on the integer grid a transferred point is often exactly as far from
+        # a cached candidate as one of that candidate's k neighbours
+        ties = []
+        add = _Regressor.add
+
+        def add_counting_ties(reg, x, y):
+            dist = _minkowski(reg.ut, x, reg.p).tolist()
+            for u, nb in reg._candidates.items():
+                pos = nb.insert_at(dist[u], reg.k)
+                if pos is not None and pos > 0 and nb.dists[pos - 1] == dist[u]:
+                    ties.append(u)
+            add(reg, x, y)
+
+        monkeypatch.setattr(_Regressor, "add", add_counting_ties)
+        xs, ys, unlabeled = _coreg_problem(30, 40, True, 77)
+        cfg = CoregCfg(k=7, p1=2.0, p2=5.0, max_iters=25, pool_size=40, seed=7)
+        imputed, log = coreg_impute(xs, ys, unlabeled, cfg)
+        ref_imputed, ref_log = _ref_coreg_impute(xs, ys, unlabeled, cfg)
+        assert ties
+        assert [e.line() for e in log] == [e.line() for e in ref_log]
+        assert imputed == ref_imputed
+
+    def test_added_point_enters_a_candidate_after_equal_distances(self):
+        xs = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+        ys = np.array([1.0, 2.0, 3.0])
+        ut = np.array([[1.0], [0.0]])  # one candidate, 1 from points 0 and 1
+        reg = _Regressor(xs, ys, ut, 3, 2.0)
+        assert reg.candidate(0).indices == [0, 1, 2]
+        reg.add(np.array([1.0, 1.0]), 9.0)  # also 1 from the candidate
+        fresh = _Regressor(np.vstack([xs, [1.0, 1.0]]), np.append(ys, 9.0), ut, 3, 2.0)
+        cached, scanned = reg.candidate(0), fresh.candidate(0)
+        assert cached.indices == scanned.indices == [0, 1, 3]
+        assert cached.dists == scanned.dists == [1.0, 1.0, 1.0]
+        assert cached.labels == scanned.labels == [1.0, 2.0, 9.0]
+        assert cached.mean == scanned.mean == 4.0
+
     @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
     def test_confidence_identical(self, k, p1, p2, n_labeled, grid, seed,
                                   min_picks):
@@ -412,6 +472,21 @@ class TestIncrementalScanMatchesReference:
             y = 1.5 + 0.1 * j
             assert confidence(xs, ys, x, y, k, p1) == _ref_confidence(
                 xs, ys, x, y, k, p1)
+
+
+class TestMinkowski:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("dim", [2, 5, 7])
+    def test_feature_major_equals_row_wise(self, p, dim):
+        # the feature-major sum adds features left to right; the row-wise one
+        # does too below 8 features
+        rng = make_rng(dim)
+        spread = rng.normal(size=(200, dim)) * rng.uniform(0.1, 100, size=dim)
+        grid = rng.integers(0, 4, size=(100, dim)).astype(np.float64)  # ties
+        xs = np.vstack([spread, grid, spread[:50], grid[:50]])  # duplicate rows
+        xt = np.ascontiguousarray(xs.T)
+        for x in (*spread[:10], *grid[:10], rng.normal(size=dim)):
+            assert _minkowski(xt, x, p).tolist() == _ref_minkowski(xs, x, p).tolist()
 
 
 class TestNearest:
