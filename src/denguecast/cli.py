@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Commands: synth -> prepare -> impute -> train -> predict, and sweep -> report.
-Each command accepts only the flags it reads, spelled out in full. sweep
-writes log.txt, tables/mse_summary.md, reports/mse_summary.csv, and per
-trained run reports/predictions_*.csv and models/*.bin with their .json
-sidecars; report reads those prediction CSVs and is the one writer of
+Each command accepts only the flags it reads, spelled out in full. A trained
+run is three files: a parameter snapshot .bin, its .json sidecar of four keys
+(spec, train, scaler, best_epoch) and a loss CSV of train and validation MSE
+per epoch; train writes model.bin, model.json and loss.csv. sweep writes
+log.txt, tables/mse_summary.md, reports/mse_summary.csv, and per trained run
+reports/predictions_<stem>.csv and models/<stem>.bin, .json and _loss.csv;
+report reads those prediction CSVs and is the one writer of
 tables/predictions_*.md.
 
 Config files: `train --config` reads one flat JSON object of lstm.ModelSpec
@@ -71,6 +74,17 @@ def _run_spec(args, given, where):
     model = {k: v for k, v in values.items() if k not in train_keys}
     train = {k: v for k, v in values.items() if k in train_keys}
     return model, specs.from_json(lstm.TrainCfg, train, where)
+
+
+def _save_run(report, bin_path, loss_path):
+    """A trained run's files: the model's snapshot and sidecar, and its losses."""
+    from . import lstm
+
+    bin_path.parent.mkdir(parents=True, exist_ok=True)
+    lstm.save_model(report.trained, bin_path)
+    rows = [[epoch, repr(tr), repr(va)]
+            for epoch, (tr, va) in enumerate(report.loss_history)]
+    _write(loss_path, csv_text(["epoch", "train_mse", "validation_mse"], rows))
 
 
 def _print_skipped(n):
@@ -177,15 +191,7 @@ def cmd_train(args):
     report = experiments.run_config(records, spec, cfg, label="train",
                                     report_seed=spec.seed)
     _print_skipped(report.skipped)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lstm.save_model(report.trained, out / "model.bin", out / "model.json")
-    loss_rows = [
-        [epoch, repr(tr), repr(va)]
-        for epoch, (tr, va) in enumerate(report.trained.loss_history)
-    ]
-    _write(out / "loss.csv",
-           csv_text(["epoch", "train_mse", "validation_mse"], loss_rows))
+    _save_run(report, Path(args.out) / "model.bin", Path(args.out) / "loss.csv")
     print(f"validation MSE {report.validation_mse:.5f} "
           f"(scaled {report.validation_mse_scaled:.6f})")
     print(f"test MSE {report.test_mse:.5f} (scaled {report.test_mse_scaled:.6f})")
@@ -195,8 +201,7 @@ def cmd_train(args):
 def cmd_predict(args):
     from . import experiments, lstm
 
-    model_bin = Path(args.model)
-    trained = lstm.load_model(model_bin, model_bin.with_suffix(".json"))
+    trained = lstm.load_model(args.model)
     spec = trained.model.spec
     windows, skipped = dataprep.build_windows(dataprep.load_records_csv(args.records),
                                               spec.timesteps, spec.variant,
@@ -207,9 +212,7 @@ def cmd_predict(args):
             f"{args.records}: no district has {spec.timesteps} consecutive months "
             f"(the model's timesteps) to predict from")
     _, _, rows = experiments.evaluate(trained, windows)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "predictions.csv", experiments.prediction_table_csv(rows))
+    _write(Path(args.out) / "predictions.csv", experiments.prediction_table_csv(rows))
     print(f"wrote {len(rows)} predictions")
     return 0
 
@@ -236,16 +239,18 @@ def _sweep_spec(args):
     kind = top.get("kind")
     if kind is None:
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
-    if args.grid is not None and (kind != "timestep" or "grid" in top):
-        raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     base, train_cfg = _run_spec(args, top.get("base", {}), f"{path} base")
-    grid = top.get("grid") if args.grid is None else experiments.timestep_grid(args.grid)
-    return experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)),
-                                 train_cfg)
+    read_grid = args.grid is not None and kind == "timestep" and "grid" not in top
+    grid = experiments.timestep_grid(args.grid) if read_grid else top.get("grid")
+    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)),
+                                  train_cfg)
+    if args.grid is not None and not read_grid:
+        raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
+    return sweep
 
 
 def cmd_sweep(args):
-    from . import experiments, lstm
+    from . import experiments
 
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -256,12 +261,10 @@ def cmd_sweep(args):
     for rel, text in sorted(experiments.render_report(result).items()):
         _write(out / rel, text)
     models_dir = out / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
     log_lines = []
     for report in sorted(result.reports, key=lambda r: (r.label, r.seed)):
         stem = f"{experiments.slugify(report.label)}_seed{report.seed}"
-        lstm.save_model(report.trained, models_dir / f"{stem}.bin",
-                        models_dir / f"{stem}.json")
+        _save_run(report, models_dir / f"{stem}.bin", models_dir / f"{stem}_loss.csv")
         log_lines.append(
             f"{report.label} seed={report.seed} "
             f"validation_mse={report.validation_mse!r} test_mse={report.test_mse!r}"

@@ -57,7 +57,9 @@ from .lstm import ModelSpec, TrainCfg, carve_validation, model_forward, train
 from .nn_core import derive_seed, make_rng, mse
 from .specs import from_json
 
-SWEEP_KINDS = ("variant", "timestep", "predictor", "architecture")
+# each sweep kind and the header of its MSE table's first column
+SWEEP_KINDS = {"variant": "Variant", "timestep": "Time step",
+               "predictor": "Predictor", "architecture": "Model"}
 
 # planted effect sizes for the synthetic generator
 CASE_BASE_RATE = 8.0        # typical monthly count
@@ -279,7 +281,8 @@ class RunReport:
     predictions: list[PredictionRow]
     wall_clock: float
     skipped: int  # windows that would span a month gap
-    trained: object | None = None
+    trained: lstm.TrainedModel
+    loss_history: list  # (train_mse, validation_mse) per epoch
 
 
 def evaluate(trained, windows):
@@ -308,8 +311,8 @@ def run_config(records, spec, cfg, label, report_seed):
     started = time.perf_counter()
     prepared = make_supervised(records, spec.timesteps, spec.variant, cfg.ratio,
                                spec.predictors)
-    trained = train(spec, prepared.split, validation_fraction=cfg.validation_fraction,
-                    scaler=prepared.scaler, lr=cfg.lr)
+    trained, history = train(spec, prepared.split, cfg.validation_fraction,
+                             scaler=prepared.scaler, lr=cfg.lr)
     trained.train_cfg = cfg
     _, val_w = carve_validation(prepared.split.train, cfg.validation_fraction)
     val_scaled, val_raw, _ = evaluate(trained, val_w)
@@ -325,6 +328,7 @@ def run_config(records, spec, cfg, label, report_seed):
         wall_clock=time.perf_counter() - started,
         skipped=prepared.skipped,
         trained=trained,
+        loss_history=history,
     )
 
 
@@ -343,7 +347,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
-            raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}")
+            raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
         base = from_json(ModelSpec, self.base, "sweep base")
         grid = default_grid(self.kind, base) if self.grid is None else self.grid
         if not grid:
@@ -479,13 +483,6 @@ def run_sweep(sweep, records, jobs=1):
 # rendering
 
 
-KIND_COLUMN = {
-    "timestep": "Time step",
-    "architecture": "Model",
-    "predictor": "Predictor",
-    "variant": "Variant",
-}
-
 MONTH_ABBREV = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
@@ -587,7 +584,7 @@ def load_prediction_csv(path):
 
 def mse_table_md(result):
     """MSE comparison table: one row per configuration, argmin marked *."""
-    header = KIND_COLUMN.get(result.kind, "Config")
+    header = SWEEP_KINDS[result.kind]
     lines = [
         f"| {header} | Validation MSE | Test MSE |",
         "| --- | --- | --- |",

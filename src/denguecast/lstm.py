@@ -18,22 +18,25 @@ bidirectional combination. The head is a ReLU dense layer followed by a
 linear scalar output. Gradients are hand-derived and exact; dropout sits
 between layers and before the head during training.
 
-All tensors are batched: a batch of windows is (B, t, F). Saved models keep
-the PSNAPv01 per-gate parameter names (layerN.dir.W_i, .U_i, .b_i, ...): see
-snapshot_slots.
+All tensors are batched: a batch of windows is (B, t, F). A saved model is a
+PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
+(layerN.dir.W_i, .U_i, .b_i, ...) and a <name>.json sidecar of four keys:
+spec, train (TrainCfg), scaler and best_epoch, all that load_model restores.
 
 Each model rule is checked once, where a model, a sidecar or a window list
 enters: ModelSpec and TrainCfg check their fields; dataprep.build_windows,
 given the spec's timesteps, variant and predictors, shapes every window to
-(timesteps, input_dim); load_model checks a sidecar against its spec. The
-kernels (cell, sequence, model forward and backward) trust their callers.
+(timesteps, input_dim); load_model refuses a snapshot whose parameter names
+or shapes are not those its sidecar's spec builds. The kernels (cell,
+sequence, model forward and backward) trust their callers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -251,7 +254,6 @@ class Model:
 
     def __init__(self, spec, input_dim):
         self.spec = spec
-        self.input_dim = input_dim
         rng = make_rng(derive_seed(spec.seed, "init"))
         H = spec.hidden
         self.layers = []
@@ -369,21 +371,17 @@ def model_backward(model, cache, d_pred):
 class TrainedModel:
     model: Model  # model.spec is the spec it was trained to
     scaler: Scaler  # scales the model's inputs; fitted on training-period records
-    loss_history: list  # (train_mse, validation_mse) per epoch
     best_epoch: int
     train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class Sidecar:
     """The JSON object of a model's .json sidecar, in file order."""
     spec: dict
-    # a sidecar written before models recorded their TrainCfg has no "train"
-    train: dict = field(default_factory=dict)
-    input_dim: int
+    train: dict
     scaler: dict
     best_epoch: int
-    loss_history: tuple[tuple[float, ...], ...]  # (train_mse, validation_mse) per epoch
 
 
 def carve_validation(windows, fraction):
@@ -403,10 +401,11 @@ def train(spec, split, validation_fraction, *, scaler, lr):
     """Full-batch training with Adam; keeps the best-validation snapshot.
 
     The last validation_fraction of the (chronologically ordered) train split
-    is carved off for validation. Train and validation MSE are recorded every
-    epoch; the returned parameters are the snapshot with the lowest
-    validation MSE (no early stopping). Raises DivergenceError when a loss is
-    non-finite or exceeds DIVERGENCE_FACTOR times a positive epoch-0 training loss.
+    is carved off for validation. Returns (TrainedModel, loss history): the
+    history holds (train MSE, validation MSE) per epoch, and the model's
+    parameters are the snapshot with the lowest validation MSE (no early
+    stopping). Raises DivergenceError when a loss is non-finite or exceeds
+    DIVERGENCE_FACTOR times a positive epoch-0 training loss.
     The windows are unscaled, as build_windows makes them; scaler, whose
     ranges are in window column order, scales their features and targets
     (dataprep.apply_scaler) and stays with the model, which learns and
@@ -452,12 +451,9 @@ def train(spec, split, validation_fraction, *, scaler, lr):
             best_mse = val_mse
             best_values = [p.value.copy() for p in params]
             best_epoch = epoch
-    if best_values is not None:
-        for p, v in zip(params, best_values):
-            p.value = v
-    return TrainedModel(
-        model=model, scaler=scaler, loss_history=history, best_epoch=best_epoch,
-    )
+    for p, v in zip(params, best_values):  # epoch 0 always sets them
+        p.value = v
+    return TrainedModel(model=model, scaler=scaler, best_epoch=best_epoch), history
 
 
 def predict_batch(trained, windows):
@@ -474,7 +470,7 @@ def predict_batch(trained, windows):
 
 
 # ---------------------------------------------------------------------------
-# persistence: binary parameter snapshot + JSON sidecar
+# persistence: binary parameter snapshot + JSON sidecar of the four Sidecar keys
 
 
 def snapshot_slots(model):
@@ -489,33 +485,31 @@ def snapshot_slots(model):
         yield p.name, p.value, p.is_bias
 
 
-def save_model(trained, bin_path, sidecar_path):
+def sidecar_path(bin_path):
+    """The .json sidecar that goes with a model's .bin snapshot."""
+    return Path(bin_path).with_suffix(".json")
+
+
+def save_model(trained, bin_path):
     slots = snapshot_slots(trained.model)
     save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
-    sidecar = Sidecar(
-        spec=asdict(trained.model.spec),
-        train=asdict(trained.train_cfg),
-        input_dim=trained.model.input_dim,
-        scaler=trained.scaler.to_dict(),
-        best_epoch=trained.best_epoch,
-        loss_history=tuple(trained.loss_history),
-    )
-    with open(sidecar_path, "w", encoding="utf-8") as f:
+    sidecar = Sidecar(spec=asdict(trained.model.spec), train=asdict(trained.train_cfg),
+                      scaler=trained.scaler.to_dict(), best_epoch=trained.best_epoch)
+    with open(sidecar_path(bin_path), "w", encoding="utf-8") as f:
         json.dump(asdict(sidecar), f, indent=2)
         f.write("\n")
 
 
-def load_model(bin_path, sidecar_path):
-    sidecar = from_json(Sidecar, read_object(sidecar_path, "model sidecar"),
-                        str(sidecar_path))
-    spec = from_json(ModelSpec, sidecar.spec, f"{sidecar_path} spec")
-    train_cfg = from_json(TrainCfg, sidecar.train, f"{sidecar_path} train")
+def load_model(bin_path):
+    """The TrainedModel save_model wrote to bin_path and its sidecar; a slot
+    the snapshot leaves empty or misshapes, or a parameter the spec does not
+    name, raises ValidationError naming the files."""
+    json_path = sidecar_path(bin_path)
+    sidecar = from_json(Sidecar, read_object(json_path, "model sidecar"), str(json_path))
+    spec = from_json(ModelSpec, sidecar.spec, f"{json_path} spec")
+    train_cfg = from_json(TrainCfg, sidecar.train, f"{json_path} train")
     columns = window_columns(spec.predictors, spec.variant)
-    if sidecar.input_dim != len(columns):
-        raise ValidationError(
-            f"{sidecar_path}: input_dim {sidecar.input_dim} does not match the "
-            f"{len(columns)} window columns {list(columns)}")
-    model = Model(spec, sidecar.input_dim)
+    model = Model(spec, len(columns))
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
         if name not in stored:
@@ -523,13 +517,12 @@ def load_model(bin_path, sidecar_path):
         if stored[name].shape != value.shape:
             raise ValidationError(
                 f"{bin_path}: snapshot shape mismatch for {name}: the spec in "
-                f"{sidecar_path} implies {value.shape}, the snapshot stores "
+                f"{json_path} implies {value.shape}, the snapshot stores "
                 f"{stored[name].shape}")
-        value[...] = stored[name]
-    return TrainedModel(
-        model=model,
-        scaler=Scaler.from_dict(sidecar.scaler, columns, str(sidecar_path)),
-        loss_history=list(sidecar.loss_history),
-        best_epoch=sidecar.best_epoch,
-        train_cfg=train_cfg,
-    )
+        value[...] = stored.pop(name)
+    if stored:
+        raise ValidationError(
+            f"{bin_path}: the spec in {json_path} does not name snapshot "
+            f"parameters {', '.join(stored)}")
+    scaler = Scaler.from_dict(sidecar.scaler, columns, str(json_path))
+    return TrainedModel(model, scaler, sidecar.best_epoch, train_cfg)

@@ -10,6 +10,7 @@ a stream.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -175,40 +176,45 @@ def save_params(params, path):
             name = p.name.encode("utf-8")
             f.write(struct.pack("<H", len(name)))
             f.write(name)
-            f.write(struct.pack("<B", 1 if p.is_bias else 0))
-            f.write(struct.pack("<B", p.value.ndim))
+            f.write(struct.pack("<BB", p.is_bias, p.value.ndim))
             f.write(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
             f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
 def load_params(path):
-    """Read a snapshot written by save_params; returns a list of Parameters.
-    A file that cannot be opened or ends early raises ValidationError."""
+    """The Parameters of a snapshot written by save_params. A file that cannot
+    be read or is not exactly one snapshot (bad magic, a name that is not UTF-8
+    or repeats, an early end, bytes after the end) raises ValidationError."""
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    if data[:8] != _MAGIC:
+        raise ValidationError(f"{path}: bad magic {data[:8]!r}")
+    pos = 8
 
     def read(n):
-        data = f.read(n)
-        if len(data) < n:
+        nonlocal pos
+        if pos + n > len(data):
             raise ValidationError(f"{path}: snapshot ends early")
-        return data
+        pos += n
+        return data[pos - n:pos]
 
-    with f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", read(4))
-        params = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read(2))
+    (count,) = struct.unpack("<I", read(4))
+    params = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", read(2))
+        try:
             name = read(name_len).decode("utf-8")
-            (bias_flag,) = struct.unpack("<B", read(1))
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
-            p = Parameter(name, data.astype(np.float64), is_bias=bool(bias_flag))
-            params.append(p)
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: a parameter name is not UTF-8") from None
+        if any(p.name == name for p in params):
+            raise ValidationError(f"{path}: parameter {name} repeats")
+        bias_flag, ndim = struct.unpack("<BB", read(2))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+        values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8")
+        params.append(Parameter(name, values.reshape(shape), is_bias=bool(bias_flag)))
+    if pos < len(data):
+        raise ValidationError(f"{path}: snapshot goes on after its last parameter")
     return params

@@ -90,12 +90,16 @@ def test_synth_climate_noise_matches_golden(args, digest, tmp_path):
 # sw/reports/predictions_*.csv were re-pinned when their actual column became
 # each record's count as records.csv holds it (35, where it held 35.0, the
 # count sent through the scaler and back); their other columns are unchanged.
+# The five sidecars were re-pinned again when they dropped input_dim and
+# loss_history: each is the earlier one without those two keys. The four
+# sw/models/*_loss.csv hold what those loss_history keys held, written as
+# model/loss.csv is.
 CHAIN_GOLDEN = {
     "imp/coreg_log.txt": "2cb83b5f84dcc721279ebd910c06ab35d33f6fa99689635829a3b979d48d4b49",
     "imp/imputed.csv": "0d40be376576a1725a7383419910b4e93af107eb4ec103e96927c22393f25678",
     "model/loss.csv": "8b5a809597d2dce8444541b53b57f6836ddbd4afc8a9216b6fd7ed0873e41e35",
     "model/model.bin": "e35e64b30fda10feb813b3e062a878d829397ad051953185967570f0108ba4a5",
-    "model/model.json": "9ccada5779ff162ec85944b13f138487c1d43c047c698deac44a45b36f5abde6",
+    "model/model.json": "3550759b00933fe4de3e52471e1ed97a429ab30b6ef05957cd1d8c2c2f171bbd",
     "pred/predictions.csv": "760292e26668dc95664e4b2c3db61275430ab9a940afe5188bd97ef26c2d5562",
     "prep/gap_report.txt": "5bce280eca1d8dbd203c819037a798c09901bfdd2f43ce38a7d08bc90a1cd96a",
     "prep/records.csv": "1f858d48f9d62a7a3965847224908625606ee8fb57024c18c798316d87c8f06d",
@@ -106,13 +110,17 @@ CHAIN_GOLDEN = {
     "raw/rain.csv": "0eda4e0cca9c3a4ec2edd8263e1893cdb53f9e2cea7906740ee874178e76130a",
     "sw/log.txt": "2da380f04c17175471aa3ea2e9b6df0ac1ca7cb375f23071a6ba587af43722ba",
     "sw/models/all-three-parameters_seed0.bin": "50207a29fee362b2baff5bb8248edc5a764a36168cf3cac4c9b34487699c859f",
-    "sw/models/all-three-parameters_seed0.json": "47414217a0f52757e6a78259130f72a0ee10c14826412828bd806a288f50a2d9",
+    "sw/models/all-three-parameters_seed0.json": "6664a5f55c258517fbbc39fa9b6a347f8ac3689192845e24b8bdee9cebe68c79",
+    "sw/models/all-three-parameters_seed0_loss.csv": "b97fb2b11e4bff7b00d41cec89923f67b29363298dcf29e64bacc322051ef2ae",
     "sw/models/rainfall_seed0.bin": "cbb9ebedad6633e021d10d69e63cd43fedb853496e887d00aabf212a6faec77b",
-    "sw/models/rainfall_seed0.json": "f9337043d547feb9cfc6c2a42ba880749b51e9329c79227f7a6531c29b1d8f58",
+    "sw/models/rainfall_seed0.json": "c7c27f2651071cd492b2bab6b0c4343d7f5c7649796ebdfdcbab6fd812cc213f",
+    "sw/models/rainfall_seed0_loss.csv": "5baeed88271bc33a04e456418db8365d4669b5b90b2cbf0d12aa6773495d27ee",
     "sw/models/relative-humidity_seed0.bin": "19df4b975af621495326bdc4f9a2c3ba3fde3a017472b115b5ffe34ab774ee0a",
-    "sw/models/relative-humidity_seed0.json": "ca697122f2e15abb06bc4fd3b1b099e14e08aea31448e303e4bdc4ad48c24f62",
+    "sw/models/relative-humidity_seed0.json": "79de51a6eb8b54a45f73db0d847f75f123d322bd362131dd69d68299174a19cc",
+    "sw/models/relative-humidity_seed0_loss.csv": "9bbb12e50fac73b1c68f2119273d7bb5b9d8027552d9783d5d58b038ae631c92",
     "sw/models/temperature_seed0.bin": "53fadec0f1eca11c56533e8c9a358af2ce8bc20ce297b5a90e3563143df170f0",
-    "sw/models/temperature_seed0.json": "3c29add4831422e0c3463980534da901f000f46228daf097e0ba0eb724265320",
+    "sw/models/temperature_seed0.json": "23200290c25d7983b04fae8a98db23254ac75fb186ced379358e26049d3c95a0",
+    "sw/models/temperature_seed0_loss.csv": "afad5b08fc02a44303247c67406250b6b48a2cf28331b8e2ad3582e687128583",
     "sw/reports/mse_summary.csv": "4c782bbc18ebf883c34ffa8d270b6be819e815a662c10e6f86e4d730e3b16884",
     "sw/reports/predictions_all-three-parameters_seed0.csv": "0522f116a6a5afe6a226f12b84a409b37adb5fcec8d1d8612e9eac206d66f9b8",
     "sw/reports/predictions_rainfall_seed0.csv": "821548b18cf62cb166fa2fb21fcdee1ac0020bf5276415aabf073d3fa564c374",
@@ -270,8 +278,8 @@ def test_sweep_writes_prediction_csvs_and_report_their_tables(chain, tmp_path):
                       if p.is_file())
 
     swept = ["log.txt", "models/t-3_seed0.bin", "models/t-3_seed0.json",
-             "reports/mse_summary.csv", "reports/predictions_t-3_seed0.csv",
-             "tables/mse_summary.md"]
+             "models/t-3_seed0_loss.csv", "reports/mse_summary.csv",
+             "reports/predictions_t-3_seed0.csv", "tables/mse_summary.md"]
     assert written() == swept
     assert cli.main(["report", "--run", str(out)]) == 0
     assert written() == sorted(swept + ["tables/predictions_t-3_seed0.md"])
@@ -376,19 +384,22 @@ def _copy_model(chain, tmp_path, edit):
     # the model reads temp_mean, so raw temperatures must not reach it unscaled
     (lambda s: s["scaler"].pop("temp_mean"), "missing ['temp_mean']"),
     (lambda s: s["scaler"].update(wind=[0.0, 1.0]), "unknown ['wind']"),
-    # the chain's model reads variant II windows of the three climate columns
-    (lambda s: s.update(input_dim=6),
-     "model.json: input_dim 6 does not match the 5 window columns"),
+    # the spec fixes the input width, so a sidecar does not store it
+    (lambda s: s.update(input_dim=5), "{dir}/model.json: unknown keys ['input_dim']"),
     # a spec that no longer fits the snapshot names both files and the shapes
     (lambda s: s["spec"].update(hidden=3),
      "{dir}/model.bin: snapshot shape mismatch for layer0.fwd.W_i: the spec in "
      "{dir}/model.json implies (3, 5), the snapshot stores (4, 5)"),
     (lambda s: s["spec"].update(num_layers=3),
      "{dir}/model.bin: snapshot is missing parameter layer2.fwd.W_i"),
+    # every layer-0 and head shape still fits, but layer 1 would go unused
+    (lambda s: s["spec"].update(arch="bidir", num_layers=1),
+     "{dir}/model.bin: the spec in {dir}/model.json does not name snapshot "
+     "parameters layer1.fwd.W_i, layer1.fwd.U_i, "),
 ], ids=["hidden-str", "unknown-key", "scaler-null", "scaler-not-pair",
         "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
         "scaler-missing-column", "scaler-extra-column", "input-dim",
-        "hidden-edited", "layers-edited"])
+        "hidden-edited", "layers-edited", "layers-dropped"])
 def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, edit)
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -397,8 +408,7 @@ def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     assert named.format(dir=tmp_path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["spec", "input_dim", "scaler", "best_epoch",
-                                 "loss_history"])
+@pytest.mark.parametrize("key", ["spec", "train", "scaler", "best_epoch"])
 def test_predict_with_sidecar_missing_key_exits_2(key, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, lambda s: s.pop(key))
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
@@ -411,8 +421,21 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-5])
 
 
+def _append_byte(path):
+    path.write_bytes(path.read_bytes() + b"\x00")
+
+
+def _garble_first_name(path):
+    # the first name follows the 8-byte magic, the u32 count and its u16 length
+    data = bytearray(path.read_bytes())
+    data[14] = 0xFF
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize("edit,named", [
     (_truncate, "model.bin: snapshot ends early"),
+    (_append_byte, "{dir}/model.bin: snapshot goes on after its last parameter"),
+    (_garble_first_name, "{dir}/model.bin: a parameter name is not UTF-8"),
     (lambda m: m.unlink(), "cannot read {dir}/model.bin"),
     (lambda m: m.with_suffix(".json").unlink(),
      "cannot read model sidecar {dir}/model.json"),
@@ -422,8 +445,8 @@ def _truncate(path):
      "cannot read model sidecar {dir}/model.json"),
     (lambda m: m.with_suffix(".json").write_text("[1]", encoding="utf-8"),
      "model sidecar {dir}/model.json must hold a JSON object"),
-], ids=["bin-truncated", "bin-missing", "sidecar-missing", "sidecar-not-json",
-        "sidecar-not-utf8", "sidecar-list"])
+], ids=["bin-truncated", "bin-trailing-byte", "bin-name-not-utf8", "bin-missing",
+        "sidecar-missing", "sidecar-not-json", "sidecar-not-utf8", "sidecar-list"])
 def test_predict_with_bad_model_file_exits_2(edit, named, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, lambda s: None)
     edit(model)
@@ -439,14 +462,6 @@ def test_predict_with_reordered_sidecar_scaler(chain, tmp_path):
                         lambda s: s.update(scaler=dict(reversed(s["scaler"].items()))))
     sidecar = json.loads(model.with_suffix(".json").read_text(encoding="utf-8"))
     assert list(sidecar["scaler"])[0] == "cases"
-    assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
-                     "--records", str(chain / "imp" / "imputed.csv")]) == 0
-    assert ((tmp_path / "o" / "predictions.csv").read_bytes()
-            == (chain / "pred" / "predictions.csv").read_bytes())
-
-
-def test_predict_with_sidecar_without_train_key(chain, tmp_path):
-    model = _copy_model(chain, tmp_path, lambda s: s.pop("train"))
     assert cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
                      "--records", str(chain / "imp" / "imputed.csv")]) == 0
     assert ((tmp_path / "o" / "predictions.csv").read_bytes()
@@ -816,8 +831,15 @@ def test_cli_import_leaves_out_the_lstm_stack():
     (["sweep", "--arch", "lstm", "--kind", "variant"],
      "unknown architecture 'lstm', not one of"),
     (["sweep", "--kind", "daily"], "sweep kind must be one of"),
-], ids=["train-arch", "sweep-arch", "sweep-kind"])
-def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, capsys):
+    # the kind is checked before the rule that only a timestep sweep reads --grid
+    (["sweep", "--kind", "daily", "--grid", "3"], "sweep kind must be one of"),
+    (["sweep", "--sweep-config", "daily.json", "--grid", "3"],
+     "sweep kind must be one of"),
+], ids=["train-arch", "sweep-arch", "sweep-kind", "sweep-kind-grid",
+        "sweep-config-kind-grid"])
+def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "daily.json").write_text('{"kind": "daily"}', encoding="utf-8")
     code = cli.main([argv[0], "--out", str(tmp_path / "o"),
                      "--records", str(tmp_path / "records.csv"), *argv[1:]])
     assert code == 2

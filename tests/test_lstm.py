@@ -343,9 +343,9 @@ class TestMatchesPerGateReference:
         spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
                          epochs=3, timesteps=T, seed=24)
         split = as_split(linear_dynamics_windows(n=40))
-        got = fit(spec, split, scaler=unit_scaler(spec)).loss_history
+        got = fit(spec, split, scaler=unit_scaler(spec))[1]
         use_reference_cell(monkeypatch)
-        assert got == fit(spec, split, scaler=unit_scaler(spec)).loss_history
+        assert got == fit(spec, split, scaler=unit_scaler(spec))[1]
 
 
 class TestParameterCount:
@@ -393,7 +393,8 @@ DEFAULT_CFG = TrainCfg()
 
 
 def fit(spec, split, *, scaler, lr=DEFAULT_CFG.lr):
-    """lstm.train with TrainCfg()'s validation carve and, unless given, its rate."""
+    """lstm.train with TrainCfg()'s validation carve and, unless given, its
+    rate: (TrainedModel, loss history)."""
     return train(spec, split, DEFAULT_CFG.validation_fraction, scaler=scaler, lr=lr)
 
 
@@ -401,25 +402,26 @@ class TestTrain:
     def test_one_epoch_history(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=1)
-        tm = fit(spec, as_split(linear_dynamics_windows()), scaler=unit_scaler(spec))
-        assert len(tm.loss_history) == 1
+        _, history = fit(spec, as_split(linear_dynamics_windows()),
+                         scaler=unit_scaler(spec))
+        assert len(history) == 1
 
     def test_learns_linear_dynamics(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=400, timesteps=T, seed=2)
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
-        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
+        _, history = fit(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
         targets = np.array([w.target for w in windows])
-        final_train_mse = tm.loss_history[-1][0]
+        final_train_mse = history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
 
     def test_determinism(self):
         spec = ModelSpec(arch="stacked", num_layers=2, hidden=4, dropout=0.2,
                          epochs=30, timesteps=T, seed=3)
         split = as_split(linear_dynamics_windows(n=40))
-        h1 = fit(spec, split, scaler=unit_scaler(spec)).loss_history
-        h2 = fit(spec, split, scaler=unit_scaler(spec)).loss_history
+        h1 = fit(spec, split, scaler=unit_scaler(spec))[1]
+        h2 = fit(spec, split, scaler=unit_scaler(spec))[1]
         assert h1 == h2  # bit-identical
 
     def test_constant_targets_converge(self):
@@ -432,9 +434,9 @@ class TestTrain:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=500, timesteps=T, seed=5)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
-        tm = fit(spec, SplitDataset(train=windows, test=windows[:1]),
-                   scaler=unit_scaler(spec), lr=1e-2)
-        assert tm.loss_history[-1][0] < 1e-4
+        _, history = fit(spec, SplitDataset(train=windows, test=windows[:1]),
+                         scaler=unit_scaler(spec), lr=1e-2)
+        assert history[-1][0] < 1e-4
 
     def test_divergence_raises_with_epoch(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
@@ -447,19 +449,19 @@ class TestTrain:
     def test_loss_spike_that_recovers_is_not_divergence(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6)
-        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                   scaler=unit_scaler(spec), lr=1.0)
-        loss0 = tm.loss_history[0][0]
-        peak = max(max(tr, va) for tr, va in tm.loss_history)
+        _, history = fit(spec, as_split(linear_dynamics_windows(n=30)),
+                         scaler=unit_scaler(spec), lr=1.0)
+        loss0 = history[0][0]
+        peak = max(max(tr, va) for tr, va in history)
         assert peak > 10.0 * loss0  # a real spike, far below DIVERGENCE_FACTOR
-        assert tm.loss_history[-1][0] < loss0
+        assert history[-1][0] < loss0
 
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=100, timesteps=T, seed=7)
-        tm = fit(spec, as_split(linear_dynamics_windows(n=50)),
-                   scaler=unit_scaler(spec))
-        vals = [v for _, v in tm.loss_history]
+        tm, history = fit(spec, as_split(linear_dynamics_windows(n=50)),
+                          scaler=unit_scaler(spec))
+        vals = [v for _, v in history]
         assert tm.best_epoch == int(np.argmin(vals))
 
     def test_carve_validation(self):
@@ -491,8 +493,8 @@ class TestPredict:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=400, timesteps=T, seed=9)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
-        tm = fit(spec, SplitDataset(train=windows, test=windows[:1]),
-                   scaler=unit_scaler(spec), lr=1e-2)
+        tm, _ = fit(spec, SplitDataset(train=windows, test=windows[:1]),
+                    scaler=unit_scaler(spec), lr=1e-2)
         return tm, windows
 
     def test_constant_fit(self):
@@ -508,8 +510,7 @@ class TestPredict:
         model.head_b2.value[0] = -3.0
         from denguecast.lstm import TrainedModel
 
-        tm = TrainedModel(model=model, scaler=unit_scaler(model.spec),
-                          loss_history=[(0.0, 0.0)], best_epoch=0)
+        tm = TrainedModel(model=model, scaler=unit_scaler(model.spec), best_epoch=0)
         value = predict_one(tm, np.zeros((T, F)))
         assert value == -3.0  # negative predictions pass through untouched
 
@@ -519,36 +520,62 @@ class TestPersistence:
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=10)
         windows = linear_dynamics_windows(n=30)
-        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
-        save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
-        loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
+        tm, _ = fit(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
+        tm.train_cfg = TrainCfg(ratio=0.8, lr=0.01)
+        save_model(tm, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
         assert loaded.model.spec == tm.model.spec
-        assert loaded.loss_history == tm.loss_history
+        assert (loaded.best_epoch, loaded.train_cfg) == (tm.best_epoch, tm.train_cfg)
+        assert loaded.scaler == tm.scaler
         assert predict_batch(loaded, windows).tolist() == (
             predict_batch(tm, windows).tolist())
+
+    def test_everything_load_model_reads_it_restores(self, tmp_path):
+        # save -> load -> save writes the same bytes: the files hold no fact
+        # that load_model drops or recomputes differently
+        spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=3, dropout=0.1,
+                         epochs=4, timesteps=T, seed=15,
+                         predictors=("rh_mean", "rain_total", "temp_mean"))
+        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
+                    scaler=unit_scaler(spec, hi=7.0))
+        tm.train_cfg = TrainCfg(ratio=0.7, validation_fraction=0.2, lr=0.003)
+        save_model(tm, tmp_path / "a.bin")
+        save_model(load_model(tmp_path / "a.bin"), tmp_path / "b.bin")
+        for suffix in (".bin", ".json"):
+            assert ((tmp_path / f"a{suffix}").read_bytes()
+                    == (tmp_path / f"b{suffix}").read_bytes())
+
+    def test_sidecar_holds_exactly_four_keys(self, tmp_path):
+        spec = ModelSpec(arch="plain", num_layers=1, hidden=2, epochs=1,
+                         timesteps=T, seed=16)
+        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
+                    scaler=unit_scaler(spec))
+        save_model(tm, tmp_path / "m.bin")
+        sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        assert list(sidecar) == ["spec", "train", "scaler", "best_epoch"]
 
     def test_sidecar_without_predictors_loads_default(self, tmp_path):
         # the windows' F=5 is 3 predictors + larval index + cases (variant II)
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
         assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
-        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                   scaler=unit_scaler(spec))
-        save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
-        assert load_model(tmp_path / "m.bin", tmp_path / "m.json").model.spec == spec
+        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
+                    scaler=unit_scaler(spec))
+        save_model(tm, tmp_path / "m.bin")
+        assert load_model(tmp_path / "m.bin").model.spec == spec
         # a sidecar written before ModelSpec recorded its predictors
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         del sidecar["spec"]["predictors"]
         (tmp_path / "m.json").write_text(json.dumps(sidecar), encoding="utf-8")
-        loaded = load_model(tmp_path / "m.bin", tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.bin")
         assert loaded.model.spec.predictors == CLIMATE_FEATURES
 
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=14)
-        tm = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                   scaler=unit_scaler(spec))
-        save_model(tm, tmp_path / "m.bin", tmp_path / "m.json")
+        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
+                    scaler=unit_scaler(spec))
+        save_model(tm, tmp_path / "m.bin")
         stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
         assert list(stored) == [
             f"layer0.{d}.{w}_{g}" for d in ("fwd", "bwd") for g in GATES
@@ -567,8 +594,8 @@ class TestPersistence:
                          epochs=10, timesteps=T, seed=11)
         split = as_split(linear_dynamics_windows(n=30))
         for name in ("a", "b"):
-            tm = fit(spec, split, scaler=unit_scaler(spec))
-            save_model(tm, tmp_path / f"{name}.bin", tmp_path / f"{name}.json")
+            tm, _ = fit(spec, split, scaler=unit_scaler(spec))
+            save_model(tm, tmp_path / f"{name}.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
@@ -576,7 +603,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
-        tm = fit(spec, as_split(windows), scaler=unit_scaler(spec))
+        tm, _ = fit(spec, as_split(windows), scaler=unit_scaler(spec))
         # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]

@@ -226,6 +226,22 @@ class TestSnapshots:
         with pytest.raises(ValidationError):
             load_params(path)
 
+    def test_repeated_name(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        save_params([Parameter("w", np.zeros(2)), Parameter("w", np.ones(2))], path)
+        with pytest.raises(ValidationError, match=r"snap.bin: parameter w repeats"):
+            load_params(path)
+
+    def test_shape_beyond_the_file_ends_early(self, tmp_path):
+        # a u32 dimension of 2**32 - 1 would ask for 32 GiB of values
+        path = tmp_path / "snap.bin"
+        save_params([Parameter("w", np.zeros(2))], path)
+        data = bytearray(path.read_bytes())
+        data[17:21] = b"\xff\xff\xff\xff"  # magic 8, count 4, name 2 + 1, bias, ndim
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="snapshot ends early"):
+            load_params(path)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):

@@ -73,6 +73,20 @@ def test_a_month_is_written_only_by_month_text():
     assert _fstring_sites(MONTH_TEXT) == ["dataprep.month_text"]
 
 
+def test_only_lstm_pairs_a_model_bin_with_its_json():
+    # lstm.sidecar_path is the one place a model's .json is named after its
+    # .bin; save_model and load_model take the .bin path alone
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "with_suffix"
+                        and ast.unparse(node.args[0]) == "'.json'"):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sites == ["lstm.sidecar_path"]
+
+
 def test_the_numeric_core_raises_only_where_data_enters():
     # a spec or config, a model file, or a diverging loss; the kernels trust
     # the shapes their callers build
