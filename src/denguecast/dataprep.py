@@ -321,7 +321,8 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     month_spans that crosses a month gap is skipped and counted. t, variant
     and predictors are a lstm.ModelSpec's, which checks them.
 
-    Returns (windows, number of windows skipped).
+    Returns (windows, number of windows skipped); records in which no
+    district has t consecutive months raise ValidationError.
     """
     if variant == "II":
         missing = sorted({r.district for r in records if r.larval_index is None})
@@ -348,6 +349,10 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
                 target_month=span[-1].month,
             )
         )
+    if not windows:
+        raise ValidationError(
+            f"no district has {t} consecutive months (the model's timesteps) "
+            f"to make a window from")
     return windows, skipped
 
 
@@ -356,10 +361,9 @@ def split_dataset(windows, ratio):
 
     Ordering is by target month, ties broken by district name, so every test
     target month is >= every train target month. The split is deterministic.
-    ratio is a lstm.TrainCfg's, which checks it.
+    windows are build_windows', never empty; ratio is a lstm.TrainCfg's,
+    which checks it.
     """
-    if not windows:
-        raise ValidationError("no windows to split")
     ordered = sorted(windows, key=lambda w: (month_index(w.target_month), w.district))
     n_train = int(math.floor(ratio * len(ordered)))
     if n_train == 0:

@@ -18,6 +18,12 @@ bidirectional combination. The head is a ReLU dense layer followed by a
 linear scalar output. Gradients are hand-derived and exact; dropout sits
 between layers and before the head during training.
 
+Activation lifetime: backpropagation through time needs every cell step's
+activations, so they set the memory of training. A training forward's cache
+lives from model_forward until model_backward has consumed it; train drops
+it there, so one epoch's activations are alive at a time. An eval forward
+returns None for the cache and keeps no layer's step caches past the layer.
+
 All tensors are batched: a batch of windows is (B, t, F). A saved model is a
 PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
 (layerN.dir.W_i, .U_i, .b_i, ...) and a <name>.json sidecar of four keys:
@@ -165,13 +171,16 @@ def cell_forward(x_t, h_prev, c_prev, cell):
     a = np.matmul(x_t, cell.Wx.value.transpose(0, 2, 1))  # (4, B, H)
     a += np.matmul(h_prev, cell.Wh.value.transpose(0, 2, 1))
     a += cell.b.value[:, None, :]
-    acts = sigmoid(a)  # the g block is replaced by its tanh
-    np.tanh(a[2], out=acts[2])
-    i, f, g, o = acts
+    # the activations overwrite the pre-activations: logistic on the i, f and
+    # o blocks, tanh on the g block
+    sigmoid(a[:2], out=a[:2])
+    np.tanh(a[2], out=a[2])
+    sigmoid(a[3], out=a[3])
+    i, f, g, o = a
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": acts, "tc": tc}
+    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": a, "tc": tc}
     return h, c, cache
 
 
@@ -286,40 +295,48 @@ def count_parameters(model):
 
 def model_forward(model, window, training=False, rng=None):
     """Scalar prediction per window of a (B, t, input_dim) float64 batch;
-    returns (predictions (B,), cache). Training draws dropout masks from rng."""
+    returns (predictions (B,), cache).
+
+    A training forward draws dropout masks from rng and returns the cache
+    that model_backward reads: every cell step's activations, which live from
+    this call until model_backward has consumed them. An eval forward applies
+    no dropout, drops each layer's step caches once the layer is done and
+    returns None for the cache.
+    """
     spec = model.spec
     seq = window
     layer_caches = []
-    feature = None
     last = len(model.layers) - 1
     for li, (fwd, bwd) in enumerate(model.layers):
-        fwd_seq, fwd_caches = sequence_forward(seq, fwd, "forward")
-        lc = {"fwd_caches": fwd_caches, "bwd_caches": None, "mask": None}
+        lc = {"bwd_caches": None, "mask": None}
+        fwd_seq, lc["fwd_caches"] = sequence_forward(seq, fwd, "forward")
         if bwd is not None:
-            bwd_seq, bwd_caches = sequence_forward(seq, bwd, "backward")
-            lc["bwd_caches"] = bwd_caches
-            out_seq = np.concatenate([fwd_seq, bwd_seq], axis=2)
+            bwd_seq, lc["bwd_caches"] = sequence_forward(seq, bwd, "backward")
+            seq = np.concatenate([fwd_seq, bwd_seq], axis=2)
             # final state of each direction: forward's last row, backward's
             # first row (the backward cell ends on input row 0)
             feature = np.concatenate([fwd_seq[:, -1, :], bwd_seq[:, 0, :]], axis=1)
         else:
-            out_seq = fwd_seq
+            seq = fwd_seq
             feature = fwd_seq[:, -1, :]
-        if li < last:
-            out_seq, mask = dropout(out_seq, spec.dropout, rng, training)
-            lc["mask"] = mask
-            seq = out_seq
-        layer_caches.append(lc)
+        if training:
+            layer_caches.append(lc)
+            if li < last:
+                seq, lc["mask"] = dropout(seq, spec.dropout, rng)
+    del lc  # an eval forward frees the last layer's step caches here
 
-    feat_dropped, feat_mask = dropout(feature, spec.dropout, rng, training)
-    a1 = feat_dropped @ model.head_W1.value.T + model.head_b1.value
+    if training:
+        feature, feat_mask = dropout(feature, spec.dropout, rng)
+    a1 = feature @ model.head_W1.value.T + model.head_b1.value
     z1 = relu(a1)
     pred = (z1 @ model.head_w2.value.T + model.head_b2.value)[:, 0]
+    if not training:
+        return pred, None
     cache = {
         "batch": window.shape[0],
         "timesteps": window.shape[1],
         "layers": layer_caches,
-        "feat_dropped": feat_dropped,
+        "feat_dropped": feature,
         "feat_mask": feat_mask,
         "a1": a1,
         "z1": z1,
@@ -431,6 +448,7 @@ def train(spec, split, validation_fraction, *, scaler, lr):
         pred, cache = model_forward(model, X_tr, training=True, rng=drop_rng)
         train_mse = mse(y_tr, pred)
         model_backward(model, cache, (2.0 / y_tr.size) * (pred - y_tr))
+        del cache  # freed before the validation pass and the next epoch's forward
         l2_penalty(params, spec.l2_lambda)
         opt.step(params)
         val_pred, _ = model_forward(model, X_val, training=False)

@@ -38,28 +38,30 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Overflow-safe, branch-free logistic: with e = exp(-|x|) <= 1 it is
     where(x < 0, e, 1) / (1 + e), the numerator computed as exp(min(x, 0)).
-    In place where possible: gate-sized temporaries set the peak memory."""
+    In place where possible: gate-sized temporaries set the peak memory. The
+    result goes to out if given, which may be x itself."""
     x = np.asarray(x, dtype=np.float64)
     den = np.exp(-np.abs(x))
     den += 1.0
-    out = np.minimum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
     np.exp(out, out=out)
     out /= den
     return out
 
 
-def dropout(x, rate, rng, training=True):
-    """Inverted dropout: survivors are scaled by 1/(1-rate) at train time.
+def dropout(x, rate, rng):
+    """Inverted dropout for a training pass: survivors are scaled by
+    1/(1-rate). Inference applies no dropout and does not call this.
 
     Returns (output, mask). The mask already carries the 1/(1-rate) factor,
-    so the backward pass is a plain multiply by it. At inference the result
-    is the input unchanged and the mask is all ones.
+    so the backward pass is a plain multiply by it. At rate 0 the result is
+    the input unchanged and the mask is all ones.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x.copy(), np.ones_like(x)
     keep = rng.random(x.shape) >= rate
     mask = keep.astype(np.float64) / (1.0 - rate)

@@ -478,7 +478,9 @@ def test_predict_without_a_complete_window_exits_2(keep, chain, tmp_path, capsys
                      "--model", str(chain / "model" / "model.bin"),
                      "--records", str(records)])
     assert code == 2
-    assert f"{records}: no district has 3 consecutive months" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no district has 3 consecutive months (the model's timesteps) "
+        "to make a window from\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -752,11 +754,14 @@ def two_districts(tmp_path_factory):
     (["train", "--records", "imp/imputed.csv", "--lr", "1e3", "--epochs", "50"], 4,
      "exceeds"),
     (["train", "--records", "imp/imputed.csv", "--timesteps", "40"], 2,
-     "no windows"),
+     "no district has 40 consecutive months (the model's timesteps)"),
+    (["sweep", "--records", "imp/imputed.csv", "--kind", "timestep", "--grid", "40",
+      "--seeds", "0"], 2,
+     "no district has 40 consecutive months (the model's timesteps)"),
     (["sweep", "--records", "prep/records.csv", "--sweep-config", "diverge.json"], 4,
      "every run diverged"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
-        "timesteps-40", "sweep-all-diverged"])
+        "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
@@ -855,3 +860,29 @@ def test_cli_import_defers_the_process_pool():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
                           timeout=60, check=True)
     assert done.stdout == "False\n"
+
+
+def test_main_sets_both_malloc_thresholds(monkeypatch, tmp_path):
+    # M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1): the trim threshold alone
+    # would freeze the mmap threshold at its 128 KiB start
+    calls = []
+
+    class Libc:  # ctypes.CDLL(None) with a mallopt that records its calls
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+    assert cli.main(["synth", "--out", str(tmp_path), "--districts", "2",
+                     "--months", "24"]) == 0
+    assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+
+
+def test_a_libc_without_mallopt_still_runs_a_command(monkeypatch, tmp_path):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+    assert cli.main(["synth", "--out", str(tmp_path), "--districts", "2",
+                     "--months", "24"]) == 0
+    assert (tmp_path / "cases.csv").is_file()

@@ -355,6 +355,15 @@ class TestBuildWindows:
                          for a, b in zip(idx, idx[1:]) if b - a > 1]
         assert gap_lines(records) == (expected or ["no gaps"])
 
+    def test_no_district_with_t_consecutive_months(self):
+        # too few months in one district, and a gap in the other
+        records = district_series("A", 2) + [
+            r for r in district_series("B", 5) if r.month != (2018, 3)]
+        with pytest.raises(ValidationError, match=(
+                r"^no district has 3 consecutive months \(the model's timesteps\) "
+                r"to make a window from$")):
+            build_windows(records, 3, "I")
+
     def test_variant_ii_missing_larval(self):
         records = district_series("D9", 6, larval=False)
         with pytest.raises(PreconditionError, match="larval index missing.*D9"):
@@ -390,10 +399,6 @@ class TestSplitDataset:
     def test_single_window_rejected(self):
         with pytest.raises(PreconditionError, match="empty training split"):
             split_dataset(synthetic_windows(1), 0.85)
-
-    def test_empty(self):
-        with pytest.raises(ValidationError, match="no windows to split"):
-            split_dataset([], 0.85)
 
     def test_no_temporal_leakage(self):
         split = split_dataset(synthetic_windows(100), 0.85)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestModelBackward:
 
         def loss_and_grads():
             zero_grads(params)
-            pred, cache = model_forward(model, X)
+            pred, cache = model_forward(model, X, training=True)
             loss = mse(y, pred)
             model_backward(model, cache, (2.0 / len(y)) * (pred - y))
             return loss + l2_penalty(params, spec.l2_lambda)
@@ -235,7 +236,7 @@ class TestModelBackward:
         spec, model, X, y = model_and_data("stacked", 2, l2=0.0)
         params = model.parameters()
         zero_grads(params)
-        _, cache = model_forward(model, X)
+        _, cache = model_forward(model, X, training=True)
         model_backward(model, cache, np.zeros(len(y)))
         assert all(np.all(p.grad == 0.0) for p in params)
 
@@ -245,7 +246,7 @@ class TestModelBackward:
 
         def grads_for(scale):
             zero_grads(params)
-            pred, cache = model_forward(model, X)
+            pred, cache = model_forward(model, X, training=True)
             model_backward(model, cache, scale * (pred - y))
             return [p.grad.copy() for p in params]
 
@@ -396,6 +397,37 @@ def fit(spec, split, *, scaler, lr=DEFAULT_CFG.lr):
     """lstm.train with TrainCfg()'s validation carve and, unless given, its
     rate: (TrainedModel, loss history)."""
     return train(spec, split, DEFAULT_CFG.validation_fraction, scaler=scaler, lr=lr)
+
+
+def train_peak_bytes(epochs):
+    """tracemalloc's peak over one lstm.train of a stacked 2x16 model."""
+    spec = ModelSpec(arch="stacked", num_layers=2, hidden=16, dropout=0.2,
+                     epochs=epochs, timesteps=T, seed=25)
+    split = as_split(linear_dynamics_windows(n=1000))
+    tracemalloc.start()
+    try:
+        fit(spec, split, scaler=unit_scaler(spec))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestActivationLifetime:
+    # a training cache lives from model_forward until model_backward; an eval
+    # forward keeps none
+
+    def test_training_holds_one_epoch_of_activations(self):
+        # a second epoch's forward must not find the first one's cache alive
+        assert train_peak_bytes(3) <= 1.05 * train_peak_bytes(1)
+
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
+    def test_eval_forward_keeps_no_cache(self, arch, layers):
+        _, model, X, _ = model_and_data(arch, layers, batch=7)  # dropout 0
+        pred, cache = model_forward(model, X)
+        assert cache is None
+        train_pred, train_cache = model_forward(model, X, training=True)
+        assert train_cache is not None
+        assert pred.tobytes() == train_pred.tobytes()
 
 
 class TestTrain:

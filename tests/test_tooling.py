@@ -98,3 +98,11 @@ def test_the_numeric_core_raises_only_where_data_enters():
                 raising.append(f"{name}.{getattr(top, 'name', '<module>')}")
     assert raising == ["lstm.ModelSpec", "lstm.TrainCfg", "lstm.train",
                        "lstm.load_model", "nn_core.load_params"]
+
+
+def test_only_cli_sets_the_allocator_policy():
+    # cli.keep_freed_memory is the one place that tunes the process's malloc
+    sites = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if {"ctypes", "mallopt"} & set(_named(ast.parse(
+                 path.read_text(encoding="utf-8"))))]
+    assert sites == ["cli"]
