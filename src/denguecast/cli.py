@@ -2,21 +2,29 @@
 
 Commands: synth -> prepare -> impute -> train -> predict, and sweep -> report.
 Each command accepts only the flags it reads, spelled out in full. A trained
-run is three files: a parameter snapshot .bin, its .json sidecar of four keys
-(spec, train, scaler, best_epoch) and a loss CSV of train and validation MSE
+run is three files: a parameter snapshot .bin, its .json sidecar of three
+keys (spec, scaler, best_epoch) and a loss CSV of train and validation MSE
 per epoch; train writes model.bin, model.json and loss.csv. sweep writes
 log.txt, tables/mse_summary.md, reports/mse_summary.csv, and per trained run
 reports/predictions_<stem>.csv and models/<stem>.bin, .json and _loss.csv;
 report reads those prediction CSVs and is the one writer of
 tables/predictions_*.md.
 
-Config files: `train --config` reads one flat JSON object of lstm.ModelSpec
-and lstm.TrainCfg fields, e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}.
-`sweep --sweep-config` reads an object with optional keys kind, seeds (list of
-ints), base (an object as for train, bar seed) and grid (objects of a label
-and the ModelSpec fields the cell changes, bar seed). Keys and value types are
-checked (specs.from_json). A value comes from the file or from a flag, never
-both: a flag for a key the file sets exits 2. Fields set by neither keep the
+Run parameters: synth, impute and train each build one spec from specs.py
+(SynthSpec, CoregCfg, ModelSpec), and sweep one ModelSpec per run. Each int,
+float or str field of the spec is a flag spelled as the field with dashes for
+underscores (num_layers is --num-layers), typed by the field's annotation and
+with no default of its own, so each default and check lives in the spec
+alone. sweep has no --seed (each run's seed comes from --seeds), and the tuple
+field predictors is set in a config file only.
+
+Config files: `train --config` reads one flat JSON object of ModelSpec fields,
+e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}. `sweep --sweep-config`
+reads an object with optional keys kind, seeds (list of ints), base (an object
+as for train, bar seed) and grid (objects of a label and the ModelSpec fields
+the cell changes, bar seed). Keys and value types are checked
+(specs.from_json). A value comes from the file or from a flag, never both: a
+flag for a key the file sets exits 2. Fields set by neither keep the spec's
 defaults.
 
 Exit codes: 0 success, else the exit_code of the errors class raised: 2
@@ -46,6 +54,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -90,17 +99,11 @@ def _file_or_flags(args, given, keys, where):
     return given | flags
 
 
-def _run_spec(args, given, where):
-    """(the ModelSpec fields, TrainCfg) from a flat object of their fields and
-    the flags."""
-    from . import lstm
-
-    train_keys = [f.name for f in fields(lstm.TrainCfg)]
-    keys = [f.name for f in fields(lstm.ModelSpec)] + train_keys
-    values = _file_or_flags(args, given, keys, where)
-    model = {k: v for k, v in values.items() if k not in train_keys}
-    train = {k: v for k, v in values.items() if k in train_keys}
-    return model, specs.from_json(lstm.TrainCfg, train, where)
+def _spec(cls, args, given=None, where=None):
+    """The spec cls built from a config object of its fields (read from where)
+    and the flags of the fields the object leaves unset, each value checked."""
+    values = _file_or_flags(args, given or {}, [f.name for f in fields(cls)], where)
+    return specs.from_json(cls, values, where)
 
 
 def _save_run(report, bin_path, loss_path):
@@ -123,20 +126,12 @@ def comma_ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _add_model_flags(p):
-    # --arch (and sweep's --kind) take any string: the spec built from it is
-    # the one check of its value
-    p.add_argument("--arch")
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--variant", choices=dataprep.VARIANTS)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
-    p.add_argument("--lr", type=float)
+def _add_spec_flags(p, cls, leave_out=()):
+    # no default and no choices: the spec built from the flags is the one
+    # holder of each default and the one check of each value
+    for name, tp in typing.get_type_hints(cls).items():
+        if tp in (int, float, str) and name not in leave_out:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=tp)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +141,7 @@ def _add_model_flags(p):
 def cmd_synth(args):
     from . import experiments
 
-    spec = experiments.SynthSpec(
-        districts=args.districts,
-        months=args.months,
-        beta=args.beta,
-        noise=args.noise,
-        missing_rate=args.missing_rate,
-        seed=0 if args.seed is None else args.seed,
-    )
+    spec = _spec(specs.SynthSpec, args)
     bundle = experiments.synth_generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,12 +175,7 @@ def cmd_impute(args):
     from . import imputation
 
     records = dataprep.load_records_csv(args.records)
-    cfg = imputation.CoregCfg(
-        k=args.k, p1=args.p1, p2=args.p2,
-        max_iters=args.max_iters,
-        pool_size=args.pool_size,
-        seed=0 if args.seed is None else args.seed,
-    )
+    cfg = _spec(specs.CoregCfg, args)
     filled, provenance, log = imputation.impute_larval(records, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,14 +192,12 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
-    from . import experiments, lstm
+    from . import experiments
 
     given = specs.read_object(args.config, "config") if args.config else {}
-    model, cfg = _run_spec(args, given, args.config)
-    spec = specs.from_json(lstm.ModelSpec, model, args.config)
+    spec = _spec(specs.ModelSpec, args, given, args.config)
     records = dataprep.load_records_csv(args.records)
-    report = experiments.run_config(records, spec, cfg, label="train",
-                                    report_seed=spec.seed)
+    report = experiments.run_config(records, spec, label="train", report_seed=spec.seed)
     _print_skipped(report.skipped)
     _save_run(report, Path(args.out) / "model.bin", Path(args.out) / "loss.csv")
     print(f"validation MSE {report.validation_mse:.5f} "
@@ -262,11 +243,11 @@ def _sweep_spec(args):
     kind = top.get("kind")
     if kind is None:
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
-    base, train_cfg = _run_spec(args, top.get("base", {}), f"{path} base")
+    model_keys = [f.name for f in fields(specs.ModelSpec)]
+    base = _file_or_flags(args, top.get("base", {}), model_keys, f"{path} base")
     read_grid = args.grid is not None and kind == "timestep" and "grid" not in top
     grid = experiments.timestep_grid(args.grid) if read_grid else top.get("grid")
-    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)),
-                                  train_cfg)
+    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)))
     if args.grid is not None and not read_grid:
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     return sweep
@@ -341,12 +322,7 @@ def build_parser():
 
     p = command("synth", "generate a synthetic raw CSV bundle")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--districts", type=int, default=26)
-    p.add_argument("--months", type=int, default=84)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--missing-rate", dest="missing_rate", type=float, default=0.3)
+    _add_spec_flags(p, specs.SynthSpec)
     p.set_defaults(func=cmd_synth)
 
     p = command("prepare", "aggregate and join raw CSVs into records.csv")
@@ -359,22 +335,15 @@ def build_parser():
 
     p = command("impute", "fill missing larval indices by co-training")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--records", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--p1", type=float, default=2.0)
-    p.add_argument("--p2", type=float, default=5.0)
-    p.add_argument("--pool-size", dest="pool_size", type=int, default=100)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=100)
+    _add_spec_flags(p, specs.CoregCfg)
     p.set_defaults(func=cmd_impute)
 
     p = command("train", "train one model configuration")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON object of ModelSpec and TrainCfg fields")
+    p.add_argument("--config", default=None, help="JSON object of ModelSpec fields")
     p.add_argument("--records", required=True)
-    _add_model_flags(p)
+    _add_spec_flags(p, specs.ModelSpec)
     p.set_defaults(func=cmd_train)
 
     p = command("predict", "predict with a saved model")
@@ -394,7 +363,7 @@ def build_parser():
     p.add_argument("--sweep-config", dest="sweep_config", default=None,
                    help="JSON SweepSpec file")
     p.add_argument("--jobs", type=int, default=1)
-    _add_model_flags(p)
+    _add_spec_flags(p, specs.ModelSpec, leave_out=("seed",))
     p.set_defaults(func=cmd_sweep)
 
     p = command("report", "render tables from a sweep run directory")

@@ -319,7 +319,7 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
     at 0 so all rows share one schema. The target is the current month's
     incidence. Windows hold the records' values unscaled. A span of
     month_spans that crosses a month gap is skipped and counted. t, variant
-    and predictors are a lstm.ModelSpec's, which checks them.
+    and predictors are a specs.ModelSpec's, which checks them.
 
     Returns (windows, number of windows skipped); records in which no
     district has t consecutive months raise ValidationError.
@@ -361,7 +361,7 @@ def split_dataset(windows, ratio):
 
     Ordering is by target month, ties broken by district name, so every test
     target month is >= every train target month. The split is deterministic.
-    windows are build_windows', never empty; ratio is a lstm.TrainCfg's,
+    windows are build_windows', never empty; ratio is a specs.ModelSpec's,
     which checks it.
     """
     ordered = sorted(windows, key=lambda w: (month_index(w.target_month), w.district))

@@ -53,9 +53,9 @@ from .dataprep import (
 from .errors import DivergenceError, ValidationError
 # model_forward is not called here: perfbench/tracing.py wraps it under this
 # module's name, as it does train, so both names stay
-from .lstm import ModelSpec, TrainCfg, carve_validation, model_forward, train
+from .lstm import carve_validation, model_forward, train
 from .nn_core import derive_seed, make_rng, mse
-from .specs import from_json
+from .specs import ModelSpec, from_json
 
 # each sweep kind and the header of its MSE table's first column
 SWEEP_KINDS = {"variant": "Variant", "timestep": "Time step",
@@ -81,30 +81,6 @@ SURVEY_HOUSES = 100         # houses inspected per larval survey
 # synthetic data
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    districts: int = 26
-    months: int = 84
-    beta: float = 1.0
-    noise: float = 1.0
-    missing_rate: float = 0.3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.districts < 1:
-            raise ValidationError(f"districts must be >= 1, got {self.districts}")
-        if self.months < 3:
-            raise ValidationError(f"months must be >= 3, got {self.months}")
-        if self.beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
-        if self.noise < 0:
-            raise ValidationError(f"noise must be >= 0, got {self.noise}")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValidationError(
-                f"missing_rate must lie in [0, 1), got {self.missing_rate}"
-            )
-
-
 @dataclass
 class SynthBundle:
     climate: list  # (district, (year, month), temperatures, humidities) per month
@@ -125,7 +101,8 @@ def _survey_counts(index, houses):
 
 
 def synth_generate(spec):
-    """Generate a raw CSV bundle (climate, rain, larval, cases) plus answers."""
+    """Generate a raw CSV bundle (climate, rain, larval, cases) plus answers,
+    as a specs.SynthSpec sets it."""
     rng_params = make_rng(derive_seed(spec.seed, "synth.params"))
     rng_month = make_rng(derive_seed(spec.seed, "synth.monthly"))
     rng_daily = make_rng(derive_seed(spec.seed, "synth.daily"))
@@ -245,16 +222,18 @@ class PreparedData:
     skipped: int  # windows that would span a month gap
 
 
-def make_supervised(records, t, variant, ratio, predictors=CLIMATE_FEATURES):
-    """Window and split records, and fit a scaler without temporal leakage:
-    only on records up to the split's boundary month, the last target month
-    of the train split. The windows stay unscaled.
+def make_supervised(records, spec):
+    """Window records as a ModelSpec says (timesteps, variant, predictors),
+    split them at its ratio, and fit a scaler without temporal leakage: only
+    on records up to the split's boundary month, the last target month of the
+    train split. The windows stay unscaled.
     """
-    windows, skipped = build_windows(records, t, variant, predictors)
-    split = split_dataset(windows, ratio)
+    windows, skipped = build_windows(records, spec.timesteps, spec.variant,
+                                     spec.predictors)
+    split = split_dataset(windows, spec.ratio)
     boundary = max(month_index(w.target_month) for w in split.train)
     train_records = [r for r in records if month_index(r.month) <= boundary]
-    scaler = fit_scaler(train_records, window_columns(predictors, variant))
+    scaler = fit_scaler(train_records, window_columns(spec.predictors, spec.variant))
     return PreparedData(split=split, scaler=scaler, skipped=skipped)
 
 
@@ -306,15 +285,12 @@ def evaluate(trained, windows):
     return scaled, mse(counts, raw_pred), rows
 
 
-def run_config(records, spec, cfg, label, report_seed):
-    """Prepare data for one configuration, train it as cfg says, and report MSEs."""
+def run_config(records, spec, label, report_seed):
+    """Prepare data for one ModelSpec, train it, and report MSEs."""
     started = time.perf_counter()
-    prepared = make_supervised(records, spec.timesteps, spec.variant, cfg.ratio,
-                               spec.predictors)
-    trained, history = train(spec, prepared.split, cfg.validation_fraction,
-                             scaler=prepared.scaler, lr=cfg.lr)
-    trained.train_cfg = cfg
-    _, val_w = carve_validation(prepared.split.train, cfg.validation_fraction)
+    prepared = make_supervised(records, spec)
+    trained, history = train(spec, prepared.split, scaler=prepared.scaler)
+    _, val_w = carve_validation(prepared.split.train, spec.validation_fraction)
     val_scaled, val_raw, _ = evaluate(trained, val_w)
     test_scaled, test_raw, rows = evaluate(trained, prepared.split.test)
     return RunReport(
@@ -342,7 +318,6 @@ class SweepSpec:
     base: dict
     grid: list[dict] | None
     seeds: tuple[int, ...]
-    train_cfg: TrainCfg = TrainCfg()
     cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
 
     def __post_init__(self):
@@ -424,9 +399,9 @@ class SweepResult:
 
 
 def _sweep_task(args):
-    records, spec, cfg, label, seed = args
+    records, spec, label, seed = args
     try:
-        return ("ok", label, seed, run_config(records, spec, cfg, label, seed))
+        return ("ok", label, seed, run_config(records, spec, label, seed))
     except DivergenceError as exc:
         return ("diverged", label, seed, str(exc))
 
@@ -440,8 +415,7 @@ def run_sweep(sweep, records, jobs=1):
     argmin is chosen by mean validation MSE.
     """
     tasks = [
-        (records, replace(spec, seed=derive_seed(seed, label)), sweep.train_cfg,
-         label, seed)
+        (records, replace(spec, seed=derive_seed(seed, label)), label, seed)
         for label, spec in sweep.cells
         for seed in sweep.seeds
     ]

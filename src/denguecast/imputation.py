@@ -54,40 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataprep
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .nn_core import make_rng
-
-
-@dataclass(frozen=True)
-class CoregCfg:
-    """The impute flags: both regressors use k neighbours, the first Minkowski
-    order p1 and the second p2."""
-    k: int = 3
-    p1: float = 2.0
-    p2: float = 5.0
-    max_iters: int = 100
-    pool_size: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError(
-                f"co-training needs k >= 2, got k={self.k}: with k=1 each "
-                "training point is its own nearest neighbour, so every "
-                "confidence delta is 0 and nothing is ever picked"
-            )
-        for name in ("p1", "p2"):
-            if getattr(self, name) < 1:
-                raise ValidationError(
-                    f"Minkowski order {name} must be >= 1, got {getattr(self, name)}")
-        if self.p1 == self.p2:
-            raise ValidationError(
-                "the two regressors must use different Minkowski orders"
-            )
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.pool_size < 1:
-            raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
 
 
 @dataclass
@@ -295,10 +263,10 @@ def coreg_impute(xs, ys, unlabeled, cfg):
     """Run the co-training loop and impute every unlabeled row.
 
     xs (n, d) holds the labeled rows and ys (n,) their labels; unlabeled
-    (m, d) the rows to fill. Returns (a list of m imputed values, in row
-    order, iteration log). Transferred pseudo-labeled points leave the pool
-    permanently; the final imputed value is always the mean of the two
-    finished regressors.
+    (m, d) the rows to fill; cfg is a specs.CoregCfg. Returns (a list of m
+    imputed values, in row order, iteration log). Transferred pseudo-labeled
+    points leave the pool permanently; the final imputed value is always the
+    mean of the two finished regressors.
     """
     if len(ys) == 0:
         raise PreconditionError("no observed larval indices; cannot co-train")

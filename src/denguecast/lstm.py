@@ -26,11 +26,12 @@ returns None for the cache and keeps no layer's step caches past the layer.
 
 All tensors are batched: a batch of windows is (B, t, F). A saved model is a
 PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
-(layerN.dir.W_i, .U_i, .b_i, ...) and a <name>.json sidecar of four keys:
-spec, train (TrainCfg), scaler and best_epoch, all that load_model restores.
+(layerN.dir.W_i, .U_i, .b_i, ...) and a <name>.json sidecar of three keys:
+spec (the ModelSpec, training settings included), scaler and best_epoch, all
+that load_model restores.
 
 Each model rule is checked once, where a model, a sidecar or a window list
-enters: ModelSpec and TrainCfg check their fields; dataprep.build_windows,
+enters: specs.ModelSpec checks its fields; dataprep.build_windows,
 given the spec's timesteps, variant and predictors, shapes every window to
 (timesteps, input_dim); load_model refuses a snapshot whose parameter names
 or shapes are not those its sidecar's spec builds. The kernels (cell,
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataprep
-from .dataprep import CLIMATE_FEATURES, VARIANTS, Scaler, window_columns
+from .dataprep import Scaler, window_columns
 from .errors import DivergenceError, ValidationError
 from .nn_core import (
     Adam,
@@ -63,79 +64,12 @@ from .nn_core import (
     sigmoid,
     zero_grads,
 )
-from .specs import from_json, read_object
-
-ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
+from .specs import ModelSpec, from_json, read_object
 
 # Training has diverged once a finite train or validation loss exceeds this
 # multiple of the epoch-0 training loss. Adam moves each weight by about lr per
 # step, so a runaway rate grows the loss without ever overflowing float64.
 DIVERGENCE_FACTOR = 1e6
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One model configuration; its fields are checked here and nowhere else."""
-    arch: str = "stacked"
-    num_layers: int = 4
-    hidden: int = 32
-    dropout: float = 0.2
-    epochs: int = 3000
-    l2_lambda: float = 0.0
-    timesteps: int = 3
-    variant: str = "II"
-    seed: int = 0
-    predictors: tuple[str, ...] = CLIMATE_FEATURES  # distinct climate columns of a row
-
-    def __post_init__(self):
-        # a tuple, so a spec given a list compares equal to one given a tuple
-        object.__setattr__(self, "predictors", tuple(self.predictors))
-        if self.arch not in ARCHITECTURES:
-            raise ValidationError(
-                f"unknown architecture {self.arch!r}, not one of {ARCHITECTURES}")
-        if self.arch in ("plain", "bidir") and self.num_layers != 1:
-            raise ValidationError(f"{self.arch} requires num_layers=1, got {self.num_layers}")
-        if self.arch in ("stacked", "bidir_stacked") and self.num_layers < 2:
-            raise ValidationError(f"{self.arch} requires num_layers>=2, got {self.num_layers}")
-        if self.hidden < 1:
-            raise ValidationError(f"hidden width must be >= 1, got {self.hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2_lambda < 0:
-            raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.timesteps < 2:
-            raise ValidationError(f"timesteps must be >= 2, got {self.timesteps}")
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"variant must be {' or '.join(VARIANTS)}, got {self.variant!r}")
-        for i, p in enumerate(self.predictors):
-            if p not in CLIMATE_FEATURES:
-                raise ValidationError(f"unknown predictor {p!r}")
-            if p in self.predictors[:i]:
-                raise ValidationError(f"predictor {p!r} repeats")
-
-    @property
-    def bidirectional(self):
-        return self.arch in ("bidir", "bidir_stacked")
-
-
-@dataclass(frozen=True)
-class TrainCfg:
-    """Train share of the chronological split, validation carve, Adam's rate."""
-    ratio: float = 0.85
-    validation_fraction: float = 0.15
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise ValidationError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValidationError(
-                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
-        if not self.lr > 0.0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
 
 
 GATES = ("i", "f", "g", "o")
@@ -389,14 +323,12 @@ class TrainedModel:
     model: Model  # model.spec is the spec it was trained to
     scaler: Scaler  # scales the model's inputs; fitted on training-period records
     best_epoch: int
-    train_cfg: TrainCfg = TrainCfg()  # experiments.run_config records its own
 
 
 @dataclass(frozen=True)
 class Sidecar:
     """The JSON object of a model's .json sidecar, in file order."""
     spec: dict
-    train: dict
     scaler: dict
     best_epoch: int
 
@@ -414,12 +346,13 @@ def carve_validation(windows, fraction):
     return list(windows[: n - n_val]), list(windows[n - n_val :])
 
 
-def train(spec, split, validation_fraction, *, scaler, lr):
-    """Full-batch training with Adam; keeps the best-validation snapshot.
+def train(spec, split, *, scaler):
+    """Full-batch training with Adam at spec.lr; keeps the best-validation
+    snapshot.
 
-    The last validation_fraction of the (chronologically ordered) train split
-    is carved off for validation. Returns (TrainedModel, loss history): the
-    history holds (train MSE, validation MSE) per epoch, and the model's
+    The last spec.validation_fraction of the (chronologically ordered) train
+    split is carved off for validation. Returns (TrainedModel, loss history):
+    the history holds (train MSE, validation MSE) per epoch, and the model's
     parameters are the snapshot with the lowest validation MSE (no early
     stopping). Raises DivergenceError when a loss is non-finite or exceeds
     DIVERGENCE_FACTOR times a positive epoch-0 training loss.
@@ -427,16 +360,17 @@ def train(spec, split, validation_fraction, *, scaler, lr):
     ranges are in window column order, scales their features and targets
     (dataprep.apply_scaler) and stays with the model, which learns and
     predicts in its scaled units. spec.predictors and spec.variant are only
-    recorded, for predict to window new records the same way.
+    recorded, for predict to window new records the same way, and spec.ratio
+    as the split the windows came from (experiments.make_supervised).
     """
-    train_w, val_w = carve_validation(split.train, validation_fraction)
+    train_w, val_w = carve_validation(split.train, spec.validation_fraction)
     # through the module, so a wrapped dataprep.apply_scaler sees the calls
     X_tr, y_tr = dataprep.apply_scaler(scaler, train_w)
     X_val, y_val = dataprep.apply_scaler(scaler, val_w)
 
     model = Model(spec, X_tr.shape[2])
     params = model.parameters()
-    opt = Adam(lr)
+    opt = Adam(spec.lr)
     drop_rng = make_rng(derive_seed(spec.seed, "dropout"))
 
     history = []
@@ -488,7 +422,7 @@ def predict_batch(trained, windows):
 
 
 # ---------------------------------------------------------------------------
-# persistence: binary parameter snapshot + JSON sidecar of the four Sidecar keys
+# persistence: binary parameter snapshot + JSON sidecar of the three Sidecar keys
 
 
 def snapshot_slots(model):
@@ -511,8 +445,8 @@ def sidecar_path(bin_path):
 def save_model(trained, bin_path):
     slots = snapshot_slots(trained.model)
     save_params([Parameter(name, v, is_bias) for name, v, is_bias in slots], bin_path)
-    sidecar = Sidecar(spec=asdict(trained.model.spec), train=asdict(trained.train_cfg),
-                      scaler=trained.scaler.to_dict(), best_epoch=trained.best_epoch)
+    sidecar = Sidecar(spec=asdict(trained.model.spec), scaler=trained.scaler.to_dict(),
+                      best_epoch=trained.best_epoch)
     with open(sidecar_path(bin_path), "w", encoding="utf-8") as f:
         json.dump(asdict(sidecar), f, indent=2)
         f.write("\n")
@@ -525,7 +459,6 @@ def load_model(bin_path):
     json_path = sidecar_path(bin_path)
     sidecar = from_json(Sidecar, read_object(json_path, "model sidecar"), str(json_path))
     spec = from_json(ModelSpec, sidecar.spec, f"{json_path} spec")
-    train_cfg = from_json(TrainCfg, sidecar.train, f"{json_path} train")
     columns = window_columns(spec.predictors, spec.variant)
     model = Model(spec, len(columns))
     stored = {p.name: p.value for p in load_params(bin_path)}
@@ -543,4 +476,4 @@ def load_model(bin_path):
             f"{bin_path}: the spec in {json_path} does not name snapshot "
             f"parameters {', '.join(stored)}")
     scaler = Scaler.from_dict(sidecar.scaler, columns, str(json_path))
-    return TrainedModel(model, scaler, sidecar.best_epoch, train_cfg)
+    return TrainedModel(model, scaler, sidecar.best_epoch)

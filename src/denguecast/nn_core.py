@@ -125,7 +125,7 @@ ADAM_EPS = 1e-8     # added to the root of the second moment
 
 class Adam:
     """Adam with bias correction; moment state persists across steps. The
-    learning rate is a lstm.TrainCfg's. step reads each parameter's gradient,
+    learning rate is a specs.ModelSpec's. step reads each parameter's gradient,
     so zero_grads and the backward pass must have run first."""
 
     def __init__(self, lr):

@@ -1,12 +1,142 @@
-"""JSON object files and the frozen run specs built from them, all checked."""
+"""The frozen run specs, one per command that runs something, and the JSON
+object files they are built from, all checked.
+
+SynthSpec sets synth, CoregCfg impute, and ModelSpec one trained model (train,
+and each run of a sweep). A spec's field is the one place a run parameter is
+declared: its name, type and default are the field's, its rule is checked in
+__post_init__, and the CLI derives its flag from it. This module imports no
+numerical module beyond dataprep, so building the parser loads no LSTM code.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import typing
+from dataclasses import dataclass
 
+from .dataprep import CLIMATE_FEATURES, VARIANTS
 from .errors import ValidationError
+
+ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """The synthetic bundle: its size, the larval effect beta on cases, the
+    noise scale and the share of larval surveys left out."""
+    districts: int = 26
+    months: int = 84
+    beta: float = 1.0
+    noise: float = 1.0
+    missing_rate: float = 0.3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.districts < 1:
+            raise ValidationError(f"districts must be >= 1, got {self.districts}")
+        if self.months < 3:
+            raise ValidationError(f"months must be >= 3, got {self.months}")
+        if self.beta < 0:
+            raise ValidationError(f"beta must be >= 0, got {self.beta}")
+        if self.noise < 0:
+            raise ValidationError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.missing_rate < 1.0:
+            raise ValidationError(
+                f"missing_rate must lie in [0, 1), got {self.missing_rate}"
+            )
+
+
+@dataclass(frozen=True)
+class CoregCfg:
+    """COREG imputation: both regressors use k neighbours, the first Minkowski
+    order p1 and the second p2."""
+    k: int = 3
+    p1: float = 2.0
+    p2: float = 5.0
+    max_iters: int = 100
+    pool_size: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValidationError(
+                f"co-training needs k >= 2, got k={self.k}: with k=1 each "
+                "training point is its own nearest neighbour, so every "
+                "confidence delta is 0 and nothing is ever picked"
+            )
+        for name in ("p1", "p2"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"Minkowski order {name} must be >= 1, got {getattr(self, name)}")
+        if self.p1 == self.p2:
+            raise ValidationError(
+                "the two regressors must use different Minkowski orders"
+            )
+        if self.max_iters < 1:
+            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.pool_size < 1:
+            raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One trained model: the network, its windows (timesteps, variant,
+    predictors), and how it is trained: the train share ratio of the
+    chronological split, the validation carve off its end and Adam's rate."""
+    arch: str = "stacked"
+    num_layers: int = 4
+    hidden: int = 32
+    dropout: float = 0.2
+    epochs: int = 3000
+    l2_lambda: float = 0.0
+    timesteps: int = 3
+    variant: str = "II"
+    seed: int = 0
+    predictors: tuple[str, ...] = CLIMATE_FEATURES  # distinct climate columns of a row
+    ratio: float = 0.85
+    validation_fraction: float = 0.15
+    lr: float = 1e-3
+
+    def __post_init__(self):
+        # a tuple, so a spec given a list compares equal to one given a tuple
+        object.__setattr__(self, "predictors", tuple(self.predictors))
+        if self.arch not in ARCHITECTURES:
+            raise ValidationError(
+                f"unknown architecture {self.arch!r}, not one of {ARCHITECTURES}")
+        if self.arch in ("plain", "bidir") and self.num_layers != 1:
+            raise ValidationError(f"{self.arch} requires num_layers=1, got {self.num_layers}")
+        if self.arch in ("stacked", "bidir_stacked") and self.num_layers < 2:
+            raise ValidationError(f"{self.arch} requires num_layers>=2, got {self.num_layers}")
+        if self.hidden < 1:
+            raise ValidationError(f"hidden width must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.l2_lambda < 0:
+            raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if self.timesteps < 2:
+            raise ValidationError(f"timesteps must be >= 2, got {self.timesteps}")
+        if self.variant not in VARIANTS:
+            raise ValidationError(
+                f"variant must be {' or '.join(VARIANTS)}, got {self.variant!r}")
+        for i, p in enumerate(self.predictors):
+            if p not in CLIMATE_FEATURES:
+                raise ValidationError(f"unknown predictor {p!r}")
+            if p in self.predictors[:i]:
+                raise ValidationError(f"predictor {p!r} repeats")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValidationError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValidationError(
+                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
+        if not self.lr > 0.0:
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
+
+    @property
+    def bidirectional(self):
+        return self.arch in ("bidir", "bidir_stacked")
 
 
 def read_object(path, what):

@@ -1,5 +1,6 @@
 """Command-line front end, run in-process through cli.main."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -7,11 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
-from denguecast import cli
+from denguecast import cli, lstm
+from denguecast.specs import CoregCfg, ModelSpec, SynthSpec
 
 # sha256 of impute's artifacts after `synth --districts 8 --seed 0`, `prepare`
 # and `impute --max-iters 20`, recorded with the COREG scan that re-ran every
@@ -93,13 +96,15 @@ def test_synth_climate_noise_matches_golden(args, digest, tmp_path):
 # The five sidecars were re-pinned again when they dropped input_dim and
 # loss_history: each is the earlier one without those two keys. The four
 # sw/models/*_loss.csv hold what those loss_history keys held, written as
-# model/loss.csv is.
+# model/loss.csv is. The five sidecars were re-pinned once more when the
+# "train" key (TrainCfg) folded into ModelSpec: each is the earlier one with
+# its "train" object merged into "spec", after predictors.
 CHAIN_GOLDEN = {
     "imp/coreg_log.txt": "2cb83b5f84dcc721279ebd910c06ab35d33f6fa99689635829a3b979d48d4b49",
     "imp/imputed.csv": "0d40be376576a1725a7383419910b4e93af107eb4ec103e96927c22393f25678",
     "model/loss.csv": "8b5a809597d2dce8444541b53b57f6836ddbd4afc8a9216b6fd7ed0873e41e35",
     "model/model.bin": "e35e64b30fda10feb813b3e062a878d829397ad051953185967570f0108ba4a5",
-    "model/model.json": "3550759b00933fe4de3e52471e1ed97a429ab30b6ef05957cd1d8c2c2f171bbd",
+    "model/model.json": "7c1d629d980e8d9c6a05d70b9e06a82c2349feb32be6c1741b2855299ae69e15",
     "pred/predictions.csv": "760292e26668dc95664e4b2c3db61275430ab9a940afe5188bd97ef26c2d5562",
     "prep/gap_report.txt": "5bce280eca1d8dbd203c819037a798c09901bfdd2f43ce38a7d08bc90a1cd96a",
     "prep/records.csv": "1f858d48f9d62a7a3965847224908625606ee8fb57024c18c798316d87c8f06d",
@@ -110,16 +115,16 @@ CHAIN_GOLDEN = {
     "raw/rain.csv": "0eda4e0cca9c3a4ec2edd8263e1893cdb53f9e2cea7906740ee874178e76130a",
     "sw/log.txt": "2da380f04c17175471aa3ea2e9b6df0ac1ca7cb375f23071a6ba587af43722ba",
     "sw/models/all-three-parameters_seed0.bin": "50207a29fee362b2baff5bb8248edc5a764a36168cf3cac4c9b34487699c859f",
-    "sw/models/all-three-parameters_seed0.json": "6664a5f55c258517fbbc39fa9b6a347f8ac3689192845e24b8bdee9cebe68c79",
+    "sw/models/all-three-parameters_seed0.json": "ab53410d030d7c5ca4d38127367cf29985d8d71c0295ae859239bc0306504efc",
     "sw/models/all-three-parameters_seed0_loss.csv": "b97fb2b11e4bff7b00d41cec89923f67b29363298dcf29e64bacc322051ef2ae",
     "sw/models/rainfall_seed0.bin": "cbb9ebedad6633e021d10d69e63cd43fedb853496e887d00aabf212a6faec77b",
-    "sw/models/rainfall_seed0.json": "c7c27f2651071cd492b2bab6b0c4343d7f5c7649796ebdfdcbab6fd812cc213f",
+    "sw/models/rainfall_seed0.json": "6a03414371c09ed3e94aba3dd70dfd65f546a3421c510c4cc82d9bda98bfbf4d",
     "sw/models/rainfall_seed0_loss.csv": "5baeed88271bc33a04e456418db8365d4669b5b90b2cbf0d12aa6773495d27ee",
     "sw/models/relative-humidity_seed0.bin": "19df4b975af621495326bdc4f9a2c3ba3fde3a017472b115b5ffe34ab774ee0a",
-    "sw/models/relative-humidity_seed0.json": "79de51a6eb8b54a45f73db0d847f75f123d322bd362131dd69d68299174a19cc",
+    "sw/models/relative-humidity_seed0.json": "158b629963fec1fba7bb8aa30025bb124bc03df44b5255d3a9037cb8b93f4242",
     "sw/models/relative-humidity_seed0_loss.csv": "9bbb12e50fac73b1c68f2119273d7bb5b9d8027552d9783d5d58b038ae631c92",
     "sw/models/temperature_seed0.bin": "53fadec0f1eca11c56533e8c9a358af2ce8bc20ce297b5a90e3563143df170f0",
-    "sw/models/temperature_seed0.json": "23200290c25d7983b04fae8a98db23254ac75fb186ced379358e26049d3c95a0",
+    "sw/models/temperature_seed0.json": "32b5bd96cf885db85e418d1f44d6639d4917c32a66146acca2bc0929d8540449",
     "sw/models/temperature_seed0_loss.csv": "afad5b08fc02a44303247c67406250b6b48a2cf28331b8e2ad3582e687128583",
     "sw/reports/mse_summary.csv": "4c782bbc18ebf883c34ffa8d270b6be819e815a662c10e6f86e4d730e3b16884",
     "sw/reports/predictions_all-three-parameters_seed0.csv": "0522f116a6a5afe6a226f12b84a409b37adb5fcec8d1d8612e9eac206d66f9b8",
@@ -408,13 +413,31 @@ def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
     assert named.format(dir=tmp_path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["spec", "train", "scaler", "best_epoch"])
+@pytest.mark.parametrize("key", ["spec", "scaler", "best_epoch"])
 def test_predict_with_sidecar_missing_key_exits_2(key, chain, tmp_path, capsys):
     model = _copy_model(chain, tmp_path, lambda s: s.pop(key))
     code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
                      "--records", str(chain / "imp" / "imputed.csv")])
     assert code == 2
     assert f"model.json: missing keys ['{key}']" in capsys.readouterr().err
+
+
+def test_predict_with_a_sidecar_that_keeps_a_train_key_exits_2(chain, tmp_path, capsys):
+    # a sidecar written while the training settings had their own "train" key
+    def split_train(sidecar):
+        spec = sidecar["spec"]
+        train = {k: spec.pop(k) for k in ("ratio", "validation_fraction", "lr")}
+        sidecar.update(spec=spec, train=train, scaler=sidecar.pop("scaler"),
+                       best_epoch=sidecar.pop("best_epoch"))
+
+    model = _copy_model(chain, tmp_path, split_train)
+    assert list(json.loads(model.with_suffix(".json").read_text(encoding="utf-8"))) == [
+        "spec", "train", "scaler", "best_epoch"]
+    code = cli.main(["predict", "--out", str(tmp_path / "o"), "--model", str(model),
+                     "--records", str(chain / "imp" / "imputed.csv")])
+    assert code == 2
+    assert f"{tmp_path}/model.json: unknown keys ['train']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _truncate(path):
@@ -507,7 +530,8 @@ def test_train_config_sets_training_and_sidecar_records_it(chain, tmp_path):
                      "--records", str(chain / "imp" / "imputed.csv"),
                      "--hidden", "2", "--epochs", "2"]) == 0
     sidecar = json.loads((out / "model.json").read_text(encoding="utf-8"))
-    assert sidecar["train"] == {"ratio": 0.8, "validation_fraction": 0.15, "lr": 0.01}
+    assert ({k: sidecar["spec"][k] for k in ("ratio", "validation_fraction", "lr")}
+            == {"ratio": 0.8, "validation_fraction": 0.15, "lr": 0.01})
     assert (sidecar["spec"]["arch"], sidecar["spec"]["num_layers"],
             sidecar["spec"]["hidden"]) == ("stacked", 4, 2)
 
@@ -835,12 +859,14 @@ def test_cli_import_leaves_out_the_lstm_stack():
     (["train", "--arch", "lstm"], "unknown architecture 'lstm', not one of"),
     (["sweep", "--arch", "lstm", "--kind", "variant"],
      "unknown architecture 'lstm', not one of"),
+    # no argparse choices either: ModelSpec is the one check of --variant
+    (["train", "--variant", "III"], "variant must be I or II, got 'III'"),
     (["sweep", "--kind", "daily"], "sweep kind must be one of"),
     # the kind is checked before the rule that only a timestep sweep reads --grid
     (["sweep", "--kind", "daily", "--grid", "3"], "sweep kind must be one of"),
     (["sweep", "--sweep-config", "daily.json", "--grid", "3"],
      "sweep kind must be one of"),
-], ids=["train-arch", "sweep-arch", "sweep-kind", "sweep-kind-grid",
+], ids=["train-arch", "sweep-arch", "train-variant", "sweep-kind", "sweep-kind-grid",
         "sweep-config-kind-grid"])
 def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -850,6 +876,85 @@ def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, monkeypatch, cap
     assert code == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# each command's option strings before its flags were derived from spec fields
+OPTION_STRINGS = {
+    "synth": ["--beta", "--districts", "--help", "--missing-rate", "--months",
+              "--noise", "--out", "--seed", "-h"],
+    "prepare": ["--cases", "--climate", "--help", "--larval", "--out", "--rain", "-h"],
+    "impute": ["--help", "--k", "--max-iters", "--out", "--p1", "--p2", "--pool-size",
+               "--records", "--seed", "-h"],
+    "train": ["--arch", "--config", "--dropout", "--epochs", "--help", "--hidden",
+              "--l2-lambda", "--lr", "--num-layers", "--out", "--ratio", "--records",
+              "--seed", "--timesteps", "--validation-fraction", "--variant", "-h"],
+    "predict": ["--help", "--model", "--out", "--records", "-h"],
+    "sweep": ["--arch", "--dropout", "--epochs", "--grid", "--help", "--hidden",
+              "--jobs", "--kind", "--l2-lambda", "--lr", "--num-layers", "--out",
+              "--ratio", "--records", "--seeds", "--sweep-config", "--timesteps",
+              "--validation-fraction", "--variant", "-h"],
+    "report": ["--help", "--run", "-h"],
+}
+
+
+def test_each_command_keeps_its_option_strings():
+    assert {name: sorted(o for a in p._actions for o in a.option_strings)
+            for name, p in _subparsers().items()} == OPTION_STRINGS
+
+
+@pytest.mark.parametrize("command,spec,leave_out", [
+    ("synth", SynthSpec, ()),
+    ("impute", CoregCfg, ()),
+    ("train", ModelSpec, ()),
+    ("sweep", ModelSpec, ("seed",)),  # each run's seed comes from --seeds
+])
+def test_each_spec_field_is_one_flag_without_a_default(command, spec, leave_out):
+    # the spec holds every default, so an unset flag leaves the field to the
+    # config file or the spec
+    actions = _subparsers()[command]._actions
+    hints = typing.get_type_hints(spec)
+    flagged = [name for name, tp in hints.items()
+               if tp in (int, float, str) and name not in leave_out]
+    assert "predictors" not in flagged
+    for name in flagged:
+        [action] = [a for a in actions if a.dest == name]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert (action.type, action.default, action.choices) == (hints[name], None, None)
+    for name in leave_out:
+        assert not [a for a in actions if a.dest == name]
+
+
+def test_sweep_grid_cell_sets_the_learning_rate(chain, tmp_path, monkeypatch):
+    rates = []
+
+    class RecordingAdam(lstm.Adam):
+        def __init__(self, lr):
+            rates.append(lr)
+            super().__init__(lr)
+
+    monkeypatch.setattr(lstm, "Adam", RecordingAdam)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "kind": "timestep", "seeds": [0],
+        "base": {"arch": "plain", "num_layers": 1, "hidden": 2, "epochs": 1},
+        "grid": [{"label": "fast", "timesteps": 3, "lr": 0.05},
+                 {"label": "default", "timesteps": 3}],
+    }), encoding="utf-8")
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--out", str(out), "--sweep-config", str(path),
+                     "--records", str(chain / "imp" / "imputed.csv")]) == 0
+    assert rates == [0.05, 0.001]
+    for stem, lr in (("fast", 0.05), ("default", 0.001)):
+        sidecar = json.loads((out / "models" / f"{stem}_seed0.json").read_text(
+            encoding="utf-8"))
+        assert sidecar["spec"]["lr"] == lr
 
 
 def test_cli_import_defers_the_process_pool():

@@ -30,8 +30,9 @@ from denguecast.experiments import (
     run_sweep,
 )
 from denguecast.errors import ValidationError
-from denguecast.lstm import Model, ModelSpec, TrainCfg, TrainedModel
+from denguecast.lstm import Model, TrainedModel
 from denguecast.nn_core import make_rng, mse
+from denguecast.specs import ModelSpec
 
 BASE = {"arch": "plain", "num_layers": 1, "hidden": 2, "dropout": 0.0, "epochs": 3,
         "timesteps": 3}
@@ -158,13 +159,13 @@ class TestRunSweep:
     def test_diverged_cell_is_a_failure_outside_rows_and_argmin(self, monkeypatch):
         run_config = experiments.run_config
 
-        def lr_1e3_for_variant_i(records, spec, cfg, label, report_seed):
+        def lr_1e3_for_variant_i(records, spec, label, report_seed):
             if label == "Variant I":
-                cfg = dataclasses.replace(cfg, lr=1e3)
-            return run_config(records, spec, cfg, label, report_seed)
+                spec = dataclasses.replace(spec, lr=1e3)
+            return run_config(records, spec, label, report_seed)
 
         monkeypatch.setattr(experiments, "run_config", lr_1e3_for_variant_i)
-        sweep = SweepSpec("variant", BASE, None, (0,), TrainCfg(lr=1e-2))
+        sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, (0,))
         result = run_sweep(sweep, make_records())
         assert [(label, seed) for label, seed, _ in result.failures] == [
             ("Variant I", 0)]
@@ -188,7 +189,7 @@ class TestMakeSupervised:
 
         monkeypatch.setattr(experiments, "build_windows", counting)
         records = make_records()
-        prepared = make_supervised(records, 3, "II", 0.5)
+        prepared = make_supervised(records, ModelSpec(timesteps=3, variant="II", ratio=0.5))
         assert len(calls) == 1 and calls[0][0] is records
         assert len(prepared.split.train) + len(prepared.split.test) == 2 * (24 - 2)
 
@@ -196,7 +197,7 @@ class TestMakeSupervised:
         # counts grow with time, so the test period holds the largest ones
         records = make_records(districts=2, months=12,
                                cases=lambda d, i: 10 * i + d)
-        prepared = make_supervised(records, 3, "II", 0.5)
+        prepared = make_supervised(records, ModelSpec(timesteps=3, variant="II", ratio=0.5))
         boundary = max(month_index(w.target_month) for w in prepared.split.train)
         assert boundary < max(month_index(r.month) for r in records)
         seen = [r for r in records if month_index(r.month) <= boundary]
@@ -242,7 +243,7 @@ class TestSweepWorkers:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        sweep = SweepSpec("variant", BASE, None, seeds, TrainCfg(lr=1e-2))
+        sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, seeds)
         result = run_sweep(sweep, make_records(), jobs=jobs)
         assert started == workers
         assert len(result.reports) == 2 * len(seeds)

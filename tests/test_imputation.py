@@ -6,7 +6,6 @@ import pytest
 from denguecast.dataprep import DistrictMonthRecord
 from denguecast.errors import PreconditionError, ValidationError
 from denguecast.imputation import (
-    CoregCfg,
     IterationEntry,
     PickInfo,
     _confidence,
@@ -18,6 +17,7 @@ from denguecast.imputation import (
     impute_larval,
 )
 from denguecast.nn_core import make_rng
+from denguecast.specs import CoregCfg
 
 
 def brute_force_knn(xs, ys, x, k, p):

@@ -15,12 +15,9 @@ from denguecast.dataprep import (
 from denguecast.errors import DivergenceError, ValidationError
 from denguecast import lstm
 from denguecast.lstm import (
-    ARCHITECTURES,
     GATES,
     LstmCellParams,
     Model,
-    ModelSpec,
-    TrainCfg,
     carve_validation,
     cell_forward,
     count_parameters,
@@ -32,6 +29,7 @@ from denguecast.lstm import (
     sequence_forward,
     train,
 )
+from denguecast.specs import ARCHITECTURES, ModelSpec
 from denguecast.nn_core import (
     l2_penalty,
     load_params,
@@ -116,17 +114,15 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="l2_lambda must be >= 0"):
             ModelSpec(l2_lambda=-0.1)
 
+    def test_bad_ratio(self):
+        for ratio in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="ratio must lie in"):
+                ModelSpec(ratio=ratio)
+
     def test_forget_bias_init(self):
         cell = make_cell()
         assert np.all(cell.b.value[GATES.index("f")] == 1.0)
         assert np.all(cell.b.value[GATES.index("i")] == 0.0)
-
-
-class TestTrainCfg:
-    def test_bad_ratio(self):
-        for ratio in (0.0, 1.0):
-            with pytest.raises(ValidationError, match="ratio must lie in"):
-                TrainCfg(ratio=ratio)
 
 
 class TestCellForward:
@@ -344,9 +340,9 @@ class TestMatchesPerGateReference:
         spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
                          epochs=3, timesteps=T, seed=24)
         split = as_split(linear_dynamics_windows(n=40))
-        got = fit(spec, split, scaler=unit_scaler(spec))[1]
+        got = train(spec, split, scaler=unit_scaler(spec))[1]
         use_reference_cell(monkeypatch)
-        assert got == fit(spec, split, scaler=unit_scaler(spec))[1]
+        assert got == train(spec, split, scaler=unit_scaler(spec))[1]
 
 
 class TestParameterCount:
@@ -390,15 +386,6 @@ def unit_scaler(spec, hi=1.0):
     return Scaler({c: (0.0, hi) for c in window_columns(spec.predictors, spec.variant)})
 
 
-DEFAULT_CFG = TrainCfg()
-
-
-def fit(spec, split, *, scaler, lr=DEFAULT_CFG.lr):
-    """lstm.train with TrainCfg()'s validation carve and, unless given, its
-    rate: (TrainedModel, loss history)."""
-    return train(spec, split, DEFAULT_CFG.validation_fraction, scaler=scaler, lr=lr)
-
-
 def train_peak_bytes(epochs):
     """tracemalloc's peak over one lstm.train of a stacked 2x16 model."""
     spec = ModelSpec(arch="stacked", num_layers=2, hidden=16, dropout=0.2,
@@ -406,7 +393,7 @@ def train_peak_bytes(epochs):
     split = as_split(linear_dynamics_windows(n=1000))
     tracemalloc.start()
     try:
-        fit(spec, split, scaler=unit_scaler(spec))
+        train(spec, split, scaler=unit_scaler(spec))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -434,16 +421,16 @@ class TestTrain:
     def test_one_epoch_history(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=1)
-        _, history = fit(spec, as_split(linear_dynamics_windows()),
-                         scaler=unit_scaler(spec))
+        _, history = train(spec, as_split(linear_dynamics_windows()),
+                           scaler=unit_scaler(spec))
         assert len(history) == 1
 
     def test_learns_linear_dynamics(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
-                         epochs=400, timesteps=T, seed=2)
+                         epochs=400, timesteps=T, seed=2, lr=1e-2)
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
-        _, history = fit(spec, as_split(windows), scaler=unit_scaler(spec), lr=1e-2)
+        _, history = train(spec, as_split(windows), scaler=unit_scaler(spec))
         targets = np.array([w.target for w in windows])
         final_train_mse = history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
@@ -452,8 +439,8 @@ class TestTrain:
         spec = ModelSpec(arch="stacked", num_layers=2, hidden=4, dropout=0.2,
                          epochs=30, timesteps=T, seed=3)
         split = as_split(linear_dynamics_windows(n=40))
-        h1 = fit(spec, split, scaler=unit_scaler(spec))[1]
-        h2 = fit(spec, split, scaler=unit_scaler(spec))[1]
+        h1 = train(spec, split, scaler=unit_scaler(spec))[1]
+        h2 = train(spec, split, scaler=unit_scaler(spec))[1]
         assert h1 == h2  # bit-identical
 
     def test_constant_targets_converge(self):
@@ -464,25 +451,24 @@ class TestTrain:
             for i in range(10)
         ]
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
-                         epochs=500, timesteps=T, seed=5)
+                         epochs=500, timesteps=T, seed=5, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
-        _, history = fit(spec, SplitDataset(train=windows, test=windows[:1]),
-                         scaler=unit_scaler(spec), lr=1e-2)
+        _, history = train(spec, SplitDataset(train=windows, test=windows[:1]),
+                           scaler=unit_scaler(spec))
         assert history[-1][0] < 1e-4
 
     def test_divergence_raises_with_epoch(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
-                         epochs=50, timesteps=T, seed=6)
+                         epochs=50, timesteps=T, seed=6, lr=1e12)
         with pytest.raises(DivergenceError) as err:
-            fit(spec, as_split(linear_dynamics_windows(n=30)),
-                  scaler=unit_scaler(spec), lr=1e12)
+            train(spec, as_split(linear_dynamics_windows(n=30)), scaler=unit_scaler(spec))
         assert err.value.epoch >= 0
 
     def test_loss_spike_that_recovers_is_not_divergence(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
-                         epochs=50, timesteps=T, seed=6)
-        _, history = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                         scaler=unit_scaler(spec), lr=1.0)
+                         epochs=50, timesteps=T, seed=6, lr=1.0)
+        _, history = train(spec, as_split(linear_dynamics_windows(n=30)),
+                           scaler=unit_scaler(spec))
         loss0 = history[0][0]
         peak = max(max(tr, va) for tr, va in history)
         assert peak > 10.0 * loss0  # a real spike, far below DIVERGENCE_FACTOR
@@ -491,8 +477,8 @@ class TestTrain:
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=100, timesteps=T, seed=7)
-        tm, history = fit(spec, as_split(linear_dynamics_windows(n=50)),
-                          scaler=unit_scaler(spec))
+        tm, history = train(spec, as_split(linear_dynamics_windows(n=50)),
+                            scaler=unit_scaler(spec))
         vals = [v for _, v in history]
         assert tm.best_epoch == int(np.argmin(vals))
 
@@ -523,10 +509,10 @@ class TestPredict:
             for i in range(10)
         ]
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
-                         epochs=400, timesteps=T, seed=9)
+                         epochs=400, timesteps=T, seed=9, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
-        tm, _ = fit(spec, SplitDataset(train=windows, test=windows[:1]),
-                    scaler=unit_scaler(spec), lr=1e-2)
+        tm, _ = train(spec, SplitDataset(train=windows, test=windows[:1]),
+                      scaler=unit_scaler(spec))
         return tm, windows
 
     def test_constant_fit(self):
@@ -550,14 +536,13 @@ class TestPredict:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=4, dropout=0.0,
-                         epochs=5, timesteps=T, seed=10)
+                         epochs=5, timesteps=T, seed=10, ratio=0.8, lr=0.01)
         windows = linear_dynamics_windows(n=30)
-        tm, _ = fit(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
-        tm.train_cfg = TrainCfg(ratio=0.8, lr=0.01)
+        tm, _ = train(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
         save_model(tm, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
         assert loaded.model.spec == tm.model.spec
-        assert (loaded.best_epoch, loaded.train_cfg) == (tm.best_epoch, tm.train_cfg)
+        assert loaded.best_epoch == tm.best_epoch
         assert loaded.scaler == tm.scaler
         assert predict_batch(loaded, windows).tolist() == (
             predict_batch(tm, windows).tolist())
@@ -567,32 +552,47 @@ class TestPersistence:
         # that load_model drops or recomputes differently
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=3, dropout=0.1,
                          epochs=4, timesteps=T, seed=15,
-                         predictors=("rh_mean", "rain_total", "temp_mean"))
-        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                    scaler=unit_scaler(spec, hi=7.0))
-        tm.train_cfg = TrainCfg(ratio=0.7, validation_fraction=0.2, lr=0.003)
+                         predictors=("rh_mean", "rain_total", "temp_mean"),
+                         ratio=0.7, validation_fraction=0.2, lr=0.003)
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
+                      scaler=unit_scaler(spec, hi=7.0))
         save_model(tm, tmp_path / "a.bin")
         save_model(load_model(tmp_path / "a.bin"), tmp_path / "b.bin")
         for suffix in (".bin", ".json"):
             assert ((tmp_path / f"a{suffix}").read_bytes()
                     == (tmp_path / f"b{suffix}").read_bytes())
 
-    def test_sidecar_holds_exactly_four_keys(self, tmp_path):
+    def test_training_settings_come_back_from_train_save_and_load(self, tmp_path):
+        # lstm.train's model carries the spec it trained with, rate and carve
+        # included, so whoever saves it records them
+        spec = ModelSpec(arch="plain", num_layers=1, hidden=2, epochs=2,
+                         timesteps=T, seed=17, ratio=0.7, validation_fraction=0.3,
+                         lr=0.02)
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
+                      scaler=unit_scaler(spec))
+        save_model(tm, tmp_path / "m.bin")
+        settings = ("ratio", "validation_fraction", "lr")
+        sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        assert [sidecar["spec"][k] for k in settings] == [0.7, 0.3, 0.02]
+        loaded = load_model(tmp_path / "m.bin").model.spec
+        assert [getattr(loaded, k) for k in settings] == [0.7, 0.3, 0.02]
+
+    def test_sidecar_holds_exactly_three_keys(self, tmp_path):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=2, epochs=1,
                          timesteps=T, seed=16)
-        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                    scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
+                      scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin")
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
-        assert list(sidecar) == ["spec", "train", "scaler", "best_epoch"]
+        assert list(sidecar) == ["spec", "scaler", "best_epoch"]
 
     def test_sidecar_without_predictors_loads_default(self, tmp_path):
         # the windows' F=5 is 3 predictors + larval index + cases (variant II)
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
         assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
-        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                    scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
+                      scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").model.spec == spec
         # a sidecar written before ModelSpec recorded its predictors
@@ -605,8 +605,8 @@ class TestPersistence:
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=14)
-        tm, _ = fit(spec, as_split(linear_dynamics_windows(n=30)),
-                    scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
+                      scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin")
         stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
         assert list(stored) == [
@@ -626,7 +626,7 @@ class TestPersistence:
                          epochs=10, timesteps=T, seed=11)
         split = as_split(linear_dynamics_windows(n=30))
         for name in ("a", "b"):
-            tm, _ = fit(spec, split, scaler=unit_scaler(spec))
+            tm, _ = train(spec, split, scaler=unit_scaler(spec))
             save_model(tm, tmp_path / f"{name}.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
@@ -635,7 +635,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
-        tm, _ = fit(spec, as_split(windows), scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(windows), scaler=unit_scaler(spec))
         # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]

@@ -88,16 +88,15 @@ def test_only_lstm_pairs_a_model_bin_with_its_json():
 
 
 def test_the_numeric_core_raises_only_where_data_enters():
-    # a spec or config, a model file, or a diverging loss; the kernels trust
-    # the shapes their callers build
+    # a model file or a diverging loss (the run specs are checked in specs);
+    # the kernels trust the shapes their callers build
     raising = []
     for name in ("lstm", "nn_core"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for top in tree.body:
             if any(isinstance(node, ast.Raise) for node in ast.walk(top)):
                 raising.append(f"{name}.{getattr(top, 'name', '<module>')}")
-    assert raising == ["lstm.ModelSpec", "lstm.TrainCfg", "lstm.train",
-                       "lstm.load_model", "nn_core.load_params"]
+    assert raising == ["lstm.train", "lstm.load_model", "nn_core.load_params"]
 
 
 def test_only_cli_sets_the_allocator_policy():
