@@ -247,7 +247,7 @@ def _sweep_spec(args):
     base = _file_or_flags(args, top.get("base", {}), model_keys, f"{path} base")
     read_grid = args.grid is not None and kind == "timestep" and "grid" not in top
     grid = experiments.timestep_grid(args.grid) if read_grid else top.get("grid")
-    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)))
+    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)), path)
     if args.grid is not None and not read_grid:
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     return sweep

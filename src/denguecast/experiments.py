@@ -25,9 +25,10 @@ rows and load_prediction_csv their one reader.
 from __future__ import annotations
 
 import calendar
+import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -102,7 +103,25 @@ def _survey_counts(index, houses):
 
 def synth_generate(spec):
     """Generate a raw CSV bundle (climate, rain, larval, cases) plus answers,
-    as a specs.SynthSpec sets it."""
+    as a specs.SynthSpec sets it.
+
+    Each district draws its streams in this order: synth.monthly gives the
+    months' rain anomalies (normal 0, 1), then their larval noise (normal 0,
+    LARVAL_NOISE_SD * noise), then their case counts (poisson); synth.mask
+    gives one uniform per month; synth.daily gives one normal per day and
+    variable, temperature first, as (temp, rh) pairs. Each stream but the
+    case counts is drawn as one array per district: a numpy Generator draws
+    an array exactly as the same number of scalar calls, so these are the
+    values of one draw per call, month by month. The case counts take one
+    scalar call per month, because poisson's array form checks its rates
+    with numpy code nothing else in synth runs; mapping it raised synth's
+    peak RSS by about 128 KB, to save about 2 ms.
+
+    The per-month terms (seasons, rates, clips) stay Python floats on math:
+    numpy's SIMD sin and exp may differ from libm in the last ulp, and a rate
+    one ulp off can change a Poisson draw. The daily arrays add and clip the
+    same float64 values, element by element, as one month at a time would.
+    """
     rng_params = make_rng(derive_seed(spec.seed, "synth.params"))
     rng_month = make_rng(derive_seed(spec.seed, "synth.monthly"))
     rng_daily = make_rng(derive_seed(spec.seed, "synth.daily"))
@@ -116,12 +135,18 @@ def synth_generate(spec):
     amp_rh = 8.0 + rng_params.uniform(0.0, 4.0, spec.districts)
     base_rain = 90.0 + rng_params.uniform(0.0, 20.0, spec.districts)
 
-    months = [month_at(month_index(SYNTH_START) + i) for i in range(spec.months)]
+    n = spec.months
+    months = [month_at(month_index(SYNTH_START) + i) for i in range(n)]
+    angles = [2.0 * math.pi * (m - 1) / 12.0 for _, m in months]
+    n_days = [calendar.monthrange(y, m)[1] for y, m in months]
+    day_starts = [0, *itertools.accumulate(n_days)]
+    day_scales = np.tile([0.8 * spec.noise, 2.0 * spec.noise], day_starts[-1])
+    log_cap = math.log(500.0)
 
     # every ISO week belongs to the month containing its Thursday
     first = date(months[0][0], months[0][1], 1)
     last_y, last_m = months[-1]
-    last = date(last_y, last_m, calendar.monthrange(last_y, last_m)[1])
+    last = date(last_y, last_m, n_days[-1])
     weeks_by_month = {}
     thursday = first + timedelta(days=(3 - first.weekday()) % 7)
     while thursday <= last:
@@ -137,38 +162,29 @@ def synth_generate(spec):
     cases = []
     truth = {}
     for di, district in enumerate(districts):
-        season_t = np.empty(spec.months)
-        rain_anom = np.empty(spec.months)
-        rain_total = np.empty(spec.months)
-        larval_latent = np.empty(spec.months)
-        for mi, (y, m) in enumerate(months):
-            ang = 2.0 * math.pi * (m - 1) / 12.0
-            season_t[mi] = math.sin(ang + phase[di])
-            anom = float(np.clip(rng_month.normal(0.0, 1.0), -2.5, 2.5))
-            rain_anom[mi] = anom
-            rain_total[mi] = max(
-                2.0,
-                base_rain[di] * (1.0 + 0.2 * math.sin(ang + phase[di] + math.pi))
-                + 0.35 * base_rain[di] * anom * spec.noise,
-            )
-        for mi, (y, m) in enumerate(months):
-            ang = 2.0 * math.pi * (m - 1) / 12.0
-            season_l = math.sin(ang + phase[di] + LARVAL_PHASE_OFFSET)
+        ph = float(phase[di])
+        br = float(base_rain[di])
+        season_t = [math.sin(a + ph) for a in angles]
+        rain_anom = [min(max(z, -2.5), 2.5)
+                     for z in rng_month.normal(0.0, 1.0, n).tolist()]
+        rain_total = [
+            max(2.0, br * (1.0 + 0.2 * math.sin(a + ph + math.pi))
+                + 0.35 * br * anom * spec.noise)
+            for a, anom in zip(angles, rain_anom)
+        ]
+        eps = rng_month.normal(0.0, LARVAL_NOISE_SD * spec.noise, n).tolist()
+        larval_latent = []
+        for mi, a in enumerate(angles):
             lag3 = max(mi - 3, 0)
-            eps = rng_month.normal(0.0, LARVAL_NOISE_SD * spec.noise)
-            larval_latent[mi] = float(
-                np.clip(
-                    2.0
-                    + LARVAL_SEASON_AMP * season_l
-                    + LARVAL_RAIN_COEF * rain_anom[lag3]
-                    + LARVAL_TEMP_COEF * season_t[lag3]
-                    + eps,
-                    1.0,
-                    3.0,
-                )
-            )
+            latent = (2.0
+                      + LARVAL_SEASON_AMP * math.sin(a + ph + LARVAL_PHASE_OFFSET)
+                      + LARVAL_RAIN_COEF * rain_anom[lag3]
+                      + LARVAL_TEMP_COEF * season_t[lag3]
+                      + eps[mi])
+            larval_latent.append(min(max(latent, 1.0), 3.0))
 
-        for mi, (y, m) in enumerate(months):
+        n_cases = []
+        for mi in range(n):
             lag1 = max(mi - 1, 0)
             lag2 = max(mi - 2, 0)
             log_rate = (
@@ -177,35 +193,33 @@ def synth_generate(spec):
                 + RAIN_LAG2_COEF * rain_anom[lag2]
                 + spec.beta * (larval_latent[lag1] - 2.0)
             )
-            rate = math.exp(min(log_rate, math.log(500.0)))
-            n_cases = int(rng_month.poisson(rate))
-            cases.append((district, y, m, n_cases))
+            rate = math.exp(min(log_rate, log_cap))
+            n_cases.append(int(rng_month.poisson(rate)))
+        # compared in Python: an array >= maps more of numpy into the peak RSS
+        kept = [u >= spec.missing_rate for u in rng_mask.random(n).tolist()]
 
-            n_low, n_mid, n_high = _survey_counts(larval_latent[mi], SURVEY_HOUSES)
-            achieved = weighted_larval_index(n_low, n_mid, n_high)
-            truth[(district, (y, m))] = achieved
-            if rng_mask.random() >= spec.missing_rate:
+        for (y, m), count, latent, keep in zip(months, n_cases, larval_latent, kept):
+            cases.append((district, y, m, count))
+            n_low, n_mid, n_high = _survey_counts(latent, SURVEY_HOUSES)
+            truth[(district, (y, m))] = weighted_larval_index(n_low, n_mid, n_high)
+            if keep:
                 larval.append((district, y, m, n_low, n_mid, n_high))
 
-            # one draw per day and variable, temperature first, as (temp, rh) pairs
-            n_days = calendar.monthrange(y, m)[1]
-            daily = rng_daily.normal(
-                0.0, np.tile([0.8 * spec.noise, 2.0 * spec.noise], n_days)
-            )
-            ang = 2.0 * math.pi * (m - 1) / 12.0
-            temp_sig = base_t[di] + amp_t[di] * season_t[mi]
-            rh_sig = base_rh[di] + amp_rh[di] * math.sin(ang + phase[di] + math.pi / 3)
-            climate.append((district, (y, m), temp_sig + daily[0::2],
-                            np.clip(rh_sig + daily[1::2], 0.0, 100.0)))
+        daily = rng_daily.normal(0.0, day_scales)
+        temp_sig = [base_t[di] + amp_t[di] * s for s in season_t]
+        rh_sig = [base_rh[di] + amp_rh[di] * math.sin(a + ph + math.pi / 3)
+                  for a in angles]
+        temps = np.repeat(temp_sig, n_days) + daily[0::2]
+        hums = np.clip(np.repeat(rh_sig, n_days) + daily[1::2], 0.0, 100.0)
+        for mi, (y, m) in enumerate(months):
+            lo, hi = day_starts[mi], day_starts[mi + 1]
+            climate.append((district, (y, m), temps[lo:hi], hums[lo:hi]))
 
         # spread each month's rainfall evenly over the ISO weeks it owns
-        for mi, (y, m) in enumerate(months):
+        for (y, m), total in zip(months, rain_total):
             weeks = weeks_by_month.get((y, m), [])
-            if not weeks:
-                continue
-            share = rain_total[mi] / len(weeks)
             for iso_year, iso_week in weeks:
-                rain.append((district, iso_year, iso_week, float(share)))
+                rain.append((district, iso_year, iso_week, total / len(weeks)))
 
     return SynthBundle(climate=climate, rain=rain, larval=larval, cases=cases,
                        truth=truth)
@@ -313,17 +327,21 @@ class SweepSpec:
     """base holds the ModelSpec fields the sweep changes from the defaults, and
     a grid cell a label and the fields the cell changes from base; grid None
     is the default grid of kind. Every spec is built and checked here, before
-    any training."""
+    any training; an error in base or a cell names where, the file they were
+    read from, if given."""
     kind: str
     base: dict
     grid: list[dict] | None
     seeds: tuple[int, ...]
+    where: InitVar[str | None] = None
     cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
 
-    def __post_init__(self):
+    def __post_init__(self, where):
         if self.kind not in SWEEP_KINDS:
             raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
-        base = from_json(ModelSpec, self.base, "sweep base")
+        base_at = f"{where} base" if where else "sweep base"
+        cell_at = f"{where} grid cell" if where else "grid cell"
+        base = from_json(ModelSpec, self.base, base_at)
         grid = default_grid(self.kind, base) if self.grid is None else self.grid
         if not grid:
             raise ValidationError("sweep grid must be non-empty")
@@ -344,9 +362,9 @@ class SweepSpec:
             values = self.base | overrides
             # each run's seed is derived from its seed in seeds and the cell label
             if "seed" in values:
-                where = "sweep base" if "seed" in self.base else f"grid cell {label!r}"
-                raise ValidationError(f"{where}: unknown keys ['seed']")
-            self.cells.append((label, from_json(ModelSpec, values, f"grid cell {label!r}")))
+                at = base_at if "seed" in self.base else f"{cell_at} {label!r}"
+                raise ValidationError(f"{at}: unknown keys ['seed']")
+            self.cells.append((label, from_json(ModelSpec, values, f"{cell_at} {label!r}")))
 
 
 def timestep_grid(timesteps=(2, 3, 4, 5)):

@@ -49,9 +49,15 @@ def test_impute_round_trip_matches_golden(tmp_path):
 # while both sides still built one object per day; and of impute's artifacts
 # at --max-iters 12 on those records (666 cells to fill, the benchmark's
 # impute stage), recorded while every pool scan still re-read the whole
-# training set for each candidate.
+# training set for each candidate. The other four synth files were pinned
+# while synth_generate still drew each random number in its own call, one
+# month at a time.
 DEFAULT_GOLDEN = {
+    "raw/cases.csv": "20dc8a659dfbda3fda616018155fff264bad5a2c111b9406d6247683f7e80c21",
     "raw/climate.csv": "da64fe427f80a694511b289328b48954d5df600946de54e13815c82c82236705",
+    "raw/larval.csv": "930b41f9f175c1a82d26211224e901ff937c370d968a5931b7d98eb9939ae676",
+    "raw/larval_truth.csv": "eef2645337f6b6a29fe62d176b80bba0afbc6ad5f21098863cafa40ac634085d",
+    "raw/rain.csv": "51253be7e0aa61eb29ca2120262e839895e4ae8213f919bbf121e7627ac7468f",
     "prep/records.csv": "0552590917d278686ceb6879357944113cb3000f344df663a152a354ee463277",
     "imp/imputed.csv": "3d020142c8b1d31eed06e5c8229357e6271684f444d26bbe211b51b96adf6398",
     "imp/coreg_log.txt": "438c85fa1557f59583eaf450e4367a376c9318aae67e7beaa854d12d8263967f",
@@ -83,6 +89,26 @@ def test_synth_climate_noise_matches_golden(args, digest, tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path), "--districts", "2",
                      "--months", "3", *args]) == 0
     assert _sha256(tmp_path / "climate.csv") == digest
+
+
+# sha256 of every synth file at a size, beta, missing rate and seed that no
+# other golden covers, recorded with the same code as the synth files of
+# DEFAULT_GOLDEN: beta 0 leaves the larval index out of the case rates, and
+# missing rate 0.8 masks most larval surveys
+SYNTH_GOLDEN = {
+    "cases.csv": "e9cc2b5e783b7236253cde5361affed5f297d9833dc8579fb70c19784f8beda7",
+    "climate.csv": "1a9a4b8703e9e20ecc9a4254cc1099a700354ac87f2829dd47c207e9d276f606",
+    "larval.csv": "5e0ed3f378633e3466616b430187b7037dcd4cbda3a390ae2693610553f09c3b",
+    "larval_truth.csv": "8177bc5b530a80a1e2b1e5bfc7fe1dbb7bd61c7b753f4a0055c6c6a796e98cd9",
+    "rain.csv": "33e590dd24554b34aac78155be6625d781e99b2324570656c9a57a01c96b74db",
+}
+
+
+def test_synth_masked_without_larval_effect_matches_golden(tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path), "--districts", "5",
+                     "--months", "30", "--beta", "0", "--missing-rate", "0.8",
+                     "--seed", "7"]) == 0
+    assert {name: _sha256(tmp_path / name) for name in SYNTH_GOLDEN} == SYNTH_GOLDEN
 
 
 # sha256 of every file the full chain writes (see chain), recorded before
@@ -328,19 +354,20 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     ({"kind": "variant", "seeds": [0.5]}, "seeds must be a list of int"),
     ({"kind": "variant", "seeds": [0, 0]}, "seeds repeat"),
     ({"kind": "timestep", "grid": [{"label": "t3", "timesteps": "3"}]},
-     "timesteps must be int"),
+     "{path} grid cell 't3': timesteps must be int"),
     ({"kind": "timestep", "grid": [{"label": 5, "timesteps": 3}]},
      "label must be a str"),
     # both labels would write models/a_seed0.*
     ({"kind": "timestep", "grid": [{"label": "a", "timesteps": 2},
                                    {"label": "A", "timesteps": 3}]}, "'a' and 'A'"),
     # each run's seed comes from seeds, so a base or cell seed would be ignored
-    ({"kind": "variant", "base": {"seed": 7}}, "base: unknown keys ['seed']"),
+    ({"kind": "variant", "base": {"seed": 7}}, "{path} base: unknown keys ['seed']"),
     ({"kind": "variant", "grid": [{"label": "a", "variant": "I", "seed": 7}]},
-     "grid cell 'a': unknown keys ['seed']"),
+     "{path} grid cell 'a': unknown keys ['seed']"),
     ({"kind": "daily"}, "sweep kind must be one of"),
     ({"kind": "daily", "grid": [{"label": "a", "timesteps": 2}]},
      "sweep kind must be one of"),
+    ({"kind": "variant", "base": {"hidden": "x"}}, "{path} base: hidden must be int"),
 ])
 def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -349,7 +376,7 @@ def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
                      "--records", str(tmp_path / "records.csv"),
                      "--sweep-config", str(path)])
     assert code == 2
-    assert named in capsys.readouterr().err
+    assert named.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 from datetime import date
 
@@ -471,6 +472,26 @@ class TestRawCsv:
             ("D1", (2016, 2)): (31.5, 100.0),
             ("D2", (2016, 2)): ((30.0 + 31.5 + 29.25) / 3, 160.0 / 3),
         }
+
+    def test_climate_writer_matches_csv_writer(self, tmp_path):
+        # floats whose repr takes an exponent, a sign, a subnormal or 17 digits
+        values = [1e-05, 1e16, -0.0, 0.0, 100.0, 5e-324, 0.1 + 0.2]
+        blocks = []
+        for month, n_days in (((2015, 2), 28), ((2016, 2), 29), ((2016, 3), 31)):
+            temps = np.resize(values, n_days)
+            hums = np.resize(values[::-1], n_days)
+            blocks.append((f"D{n_days}", month, temps, hums))
+        path, expected = tmp_path / "climate.csv", tmp_path / "expected.csv"
+        write_climate_csv(blocks, path)
+        with open(expected, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(CLIMATE_HEADER)
+            for district, (y, m), temps, hums in blocks:
+                writer.writerows(
+                    (district, date(y, m, d + 1).isoformat(), t, h)
+                    for d, (t, h) in enumerate(zip(temps.tolist(), hums.tolist())))
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 28 + 29 + 31
 
     def test_climate_loader_reads_lazily(self, tmp_path):
         rows = load_climate_csv(tmp_path / "absent.csv")

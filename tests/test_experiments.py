@@ -178,6 +178,15 @@ class TestRunSweep:
         assert "| Variant II * |" in table
 
 
+    @pytest.mark.parametrize("base,grid,message", [
+        ({"hidden": "x"}, None, "sweep base: hidden must be int"),
+        ({}, [{"label": "a", "hidden": "x"}], "grid cell 'a': hidden must be int"),
+    ])
+    def test_spec_errors_without_a_file_name_the_sweep(self, base, grid, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            SweepSpec("variant", base, grid, (0,))
+
+
 class TestMakeSupervised:
     def test_windows_once(self, monkeypatch):
         calls = []
