@@ -44,23 +44,22 @@ VARIANTS = ("I", "II")
 
 @dataclass(frozen=True)
 class DistrictMonthRecord:
-    """One district-month. Its rules are checked here, so they hold however
-    the record is built: assembled from raw files or read from records.csv."""
+    """One district-month, its case count an int. Its rules are checked here,
+    so they hold however it is built: from raw files or from records.csv."""
     district: str
     month: tuple[int, int]
     temp_mean: float
     rh_mean: float
     rain_total: float
     larval_index: float | None
-    cases: float
+    cases: int
 
     def __post_init__(self):
         for name in CLIMATE_FEATURES:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"non-finite {name} for {self._key()}")
-        if not 0 <= self.cases < math.inf:
-            raise ValidationError(f"case count {self.cases} for {self._key()} is "
-                                  "not a finite number >= 0")
+        if self.cases < 0:
+            raise ValidationError(f"case count {self.cases} for {self._key()} is not >= 0")
         if self.larval_index is not None and not 1.0 <= self.larval_index <= 3.0:
             raise ValidationError(
                 f"larval index {self.larval_index} outside [1, 3] for {self._key()}")
@@ -72,7 +71,7 @@ class DistrictMonthRecord:
 @dataclass
 class SupervisedWindow:
     features: np.ndarray  # (t, F), unscaled
-    target: int | float  # the current month's count as the record holds it
+    target: int  # the current month's case count, an int as the record holds it
     district: str
     target_month: tuple[int, int]
 
@@ -381,6 +380,8 @@ def split_dataset(windows, ratio):
 # records.csv       district,year,month,temp_mean,rh_mean,rain_total,larval_index,cases
 #                   (larval_index cell empty when missing)
 #
+# A case count is an int in every file; a count cell such as "12.5" is a bad row.
+#
 # The raw files end each line in a bare newline, records.csv in "\r\n".
 #
 # A raw row is a tuple in header order, as synth writes it (write_csv). Each
@@ -615,7 +616,7 @@ def record_row(r):
         _fmt(r.rh_mean),
         _fmt(r.rain_total),
         "" if r.larval_index is None else _fmt(r.larval_index),
-        _fmt(r.cases) if isinstance(r.cases, float) else str(r.cases),
+        str(r.cases),
     ]
 
 
@@ -629,12 +630,6 @@ def write_records_csv(records, path, extra_header=(), extra_cells=None):
             if extra_cells is not None:
                 row += list(extra_cells[i])
             writer.writerow(row)
-
-
-def parse_count(text):
-    """A case count as record_row writes it: an int, or a float when it has a
-    decimal point."""
-    return float(text) if "." in text else int(text)
 
 
 def load_records_csv(path):
@@ -652,7 +647,7 @@ def load_records_csv(path):
             rh_mean=float(rh_mean),
             rain_total=float(rain_total),
             larval_index=float(larval) if larval != "" else None,
-            cases=parse_count(cases),
+            cases=int(cases),
         )
         new_key(seen, district, record.month)
         return record

@@ -12,8 +12,8 @@ Sweeps train one configuration per grid cell per seed, aggregate mean
 validation/test MSE and mark the argmin row. Reported MSE comes in both
 raw-count and scaled flavors.
 
-Windows hold unscaled features and each target month's count as the record
-holds it. Every prediction, in train, sweep and predict alike, takes one path:
+Windows hold unscaled features and each target month's case count, an int.
+Every prediction, in train, sweep and predict alike, takes one path:
 lstm.predict_batch scales the windows with the model's own scaler
 (dataprep.apply_scaler, as lstm.train does) and gives the model's output in
 those scaled units; evaluate de-scales it, takes the scaled MSE against the
@@ -45,7 +45,6 @@ from .dataprep import (
     month_index,
     month_text,
     new_key,
-    parse_count,
     parse_month,
     split_dataset,
     weighted_larval_index,
@@ -260,7 +259,7 @@ class PredictionRow:
     district: str
     month: tuple[int, int]
     predicted: float
-    actual: int | float  # the record's count as records.csv holds it
+    actual: int  # the record's case count, an int as records.csv holds it
 
 
 @dataclass
@@ -506,7 +505,7 @@ def prediction_table_md(predictions):
 
     One row per month, one column per district; cells are predictions rounded
     half away from zero. The "Predicted Count" footer is the column sum of the
-    rounded monthly predictions, "Actual Count" the sum of the actuals.
+    rounded monthly predictions, "Actual Count" the sum of the int actuals.
     """
     months = sorted({p.month for p in predictions}, key=month_index)
     districts = sorted({p.district for p in predictions})
@@ -528,7 +527,7 @@ def prediction_table_md(predictions):
                 continue
             rounded = round_half_away(p.predicted)
             pred_sum[d] += rounded
-            actual_sum[d] += round_half_away(p.actual)
+            actual_sum[d] += p.actual
             row.append(str(rounded))
         lines.append("| " + " | ".join(row) + " |")
     lines.append(
@@ -557,14 +556,14 @@ def prediction_table_csv(rows):
 
 def load_prediction_csv(path):
     """The PredictionRows of a file prediction_table_csv wrote; a bad header,
-    row or cell, a repeated (district, month), or no row at all raises
-    ValidationError naming the file (and line)."""
+    row or cell (an actual that is not an int), a repeated (district, month),
+    or no row at all raises ValidationError naming the file (and line)."""
     seen = set()
 
     def parse(cells):
         district, year, month, predicted, actual = cells
         row = PredictionRow(district=district, month=parse_month(year, month),
-                            predicted=float(predicted), actual=parse_count(actual))
+                            predicted=float(predicted), actual=int(actual))
         new_key(seen, district, row.month)
         return row
 

@@ -32,10 +32,10 @@ their distances, training indices and labels, and the mean of those labels:
   neighbourhood after every equal distance (bisect_right), and the list is
   cut back to k. Its distance to every cached point comes from one distance
   scan per cache.
-- The final fill takes the mean over a cached row's k neighbours, rescanned,
-  and over the whole training set only for a row never scanned. Either way it
-  is the mean of the same labels in the same order as a fresh query, so the
-  bits match.
+- The final fill of a scanned row is its cached neighbourhood's mean; a row
+  never scanned takes one distance scan over the whole training set. Either
+  way it is the mean of the same labels in the same order as a fresh query,
+  so the bits match.
 
 Distance ties go to the earlier training index, as a stable sort orders
 them. The training set and the unlabeled rows are held feature-major, (d, n)
@@ -192,14 +192,12 @@ class _Regressor:
         return nb
 
     def fill(self, u):
-        """The regressor's prediction for unlabeled row u: the mean label of its
-        k nearest training points, rescanned over its cached neighbours only."""
-        x = self.ut[:, u]
+        """Mean label of unlabeled row u's k nearest training points: the mean
+        of its exact cached neighbourhood, or of one scan if it was never scanned."""
         nb = self._candidates.get(u)
         if nb is None:
-            return _knn_mean(self.ys, self.xt, x, self.k, self.p)
-        near = np.array(nb.indices)
-        return _knn_mean(self.ys[near], self.xt[:, near], x, self.k, self.p)
+            return _knn_mean(self.ys, self.xt, self.ut[:, u], self.k, self.p)
+        return nb.mean
 
     def add(self, x, y):
         """Append (x, y) to the training set and update both caches."""

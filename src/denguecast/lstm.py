@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -377,32 +377,35 @@ def train(spec, split, *, scaler):
     best_mse = math.inf
     best_values = None
     best_epoch = -1
-    for epoch in range(spec.epochs):
-        zero_grads(params)
-        pred, cache = model_forward(model, X_tr, training=True, rng=drop_rng)
-        train_mse = mse(y_tr, pred)
-        model_backward(model, cache, (2.0 / y_tr.size) * (pred - y_tr))
-        del cache  # freed before the validation pass and the next epoch's forward
-        l2_penalty(params, spec.l2_lambda)
-        opt.step(params)
-        val_pred, _ = model_forward(model, X_val, training=False)
-        val_mse = mse(y_val, val_pred)
-        if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-            raise DivergenceError(epoch)
-        if epoch == 0:
-            loss0 = train_mse
-        for name, loss in (("training", train_mse), ("validation", val_mse)):
-            if loss0 > 0.0 and loss > DIVERGENCE_FACTOR * loss0:
-                raise DivergenceError(
-                    epoch,
-                    f"{name} loss {loss:.3g} at epoch {epoch} exceeds "
-                    f"{DIVERGENCE_FACTOR:g} x the epoch-0 training loss {loss0:.3g}",
-                )
-        history.append((train_mse, val_mse))
-        if val_mse < best_mse:
-            best_mse = val_mse
-            best_values = [p.value.copy() for p in params]
-            best_epoch = epoch
+    # a blow-up reaches the loss as inf or nan, which the finiteness check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            zero_grads(params)
+            pred, cache = model_forward(model, X_tr, training=True, rng=drop_rng)
+            train_mse = mse(y_tr, pred)
+            model_backward(model, cache, (2.0 / y_tr.size) * (pred - y_tr))
+            del cache  # freed before the validation pass and the next epoch's forward
+            l2_penalty(params, spec.l2_lambda)
+            opt.step(params)
+            val_pred, _ = model_forward(model, X_val, training=False)
+            val_mse = mse(y_val, val_pred)
+            if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+                raise DivergenceError(epoch)
+            if epoch == 0:
+                loss0 = train_mse
+            for name, loss in (("training", train_mse), ("validation", val_mse)):
+                if loss0 > 0.0 and loss > DIVERGENCE_FACTOR * loss0:
+                    raise DivergenceError(
+                        epoch,
+                        f"{name} loss {loss:.3g} at epoch {epoch} exceeds "
+                        f"{DIVERGENCE_FACTOR:g} x the epoch-0 training loss "
+                        f"{loss0:.3g}",
+                    )
+            history.append((train_mse, val_mse))
+            if val_mse < best_mse:
+                best_mse = val_mse
+                best_values = [p.value.copy() for p in params]
+                best_epoch = epoch
     for p, v in zip(params, best_values):  # epoch 0 always sets them
         p.value = v
     return TrainedModel(model=model, scaler=scaler, best_epoch=best_epoch), history
@@ -453,11 +456,14 @@ def save_model(trained, bin_path):
 
 
 def load_model(bin_path):
-    """The TrainedModel save_model wrote to bin_path and its sidecar; a slot
-    the snapshot leaves empty or misshapes, or a parameter the spec does not
-    name, raises ValidationError naming the files."""
+    """The TrainedModel save_model wrote to bin_path and its sidecar; a spec
+    missing a field, a slot the snapshot leaves empty or misshapes, or a
+    parameter the spec does not name, raises ValidationError naming the files."""
     json_path = sidecar_path(bin_path)
     sidecar = from_json(Sidecar, read_object(json_path, "model sidecar"), str(json_path))
+    missing = [f.name for f in fields(ModelSpec) if f.name not in sidecar.spec]
+    if missing:  # save_model writes every field: none may fall back to a default
+        raise ValidationError(f"{json_path} spec: missing keys {missing}")
     spec = from_json(ModelSpec, sidecar.spec, f"{json_path} spec")
     columns = window_columns(spec.predictors, spec.variant)
     model = Model(spec, len(columns))

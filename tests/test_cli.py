@@ -224,6 +224,19 @@ def test_predict_with_one_predictor_sweep_model(chain, tmp_path):
         assert predicted[key] == pytest.approx(float(r["predicted"]), rel=1e-9)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--districts", "0"], "districts must be >= 1, got 0"),
+    (["--months", "2"], "months must be >= 3, got 2"),
+    (["--beta", "-1"], "beta must be >= 0, got -1.0"),
+    (["--noise", "-1"], "noise must be >= 0, got -1.0"),
+    (["--missing-rate", "1"], "missing_rate must lie in [0, 1), got 1.0"),
+], ids=["districts-0", "months-2", "beta-negative", "noise-negative", "missing-rate-1"])
+def test_synth_spec_rule_exits_2(argv, named, tmp_path, capsys):
+    assert cli.main(["synth", "--out", str(tmp_path / "o"), *argv]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_impute_k1_exits_2(chain, tmp_path, capsys):
     code = cli.main(["impute", "--out", str(tmp_path),
                      "--records", str(chain / "prep" / "records.csv"), "--k", "1"])
@@ -337,6 +350,9 @@ def test_sweep_reads_grid_and_flags_the_config_leaves_open(chain, tmp_path):
     ({"hidden": True}, "hidden must be int"),
     ({"epochs": 1.5}, "epochs must be int"),
     ({"lr": -1}, "lr must be > 0"),
+    ({"hidden": 0}, "hidden width must be >= 1, got 0"),
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"validation_fraction": 1.0}, "validation_fraction must lie in [0, 1), got 1.0"),
     ([1, 2], "must hold a JSON object"),
 ])
 def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
@@ -353,6 +369,8 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     ({"kind": "variant", "seeds": "0,1"}, "seeds must be a list of int"),
     ({"kind": "variant", "seeds": [0.5]}, "seeds must be a list of int"),
     ({"kind": "variant", "seeds": [0, 0]}, "seeds repeat"),
+    ({"kind": "variant", "seeds": []}, "sweep needs at least one seed"),
+    ({"kind": "timestep", "grid": []}, "sweep grid must be non-empty"),
     ({"kind": "timestep", "grid": [{"label": "t3", "timesteps": "3"}]},
      "{path} grid cell 't3': timesteps must be int"),
     ({"kind": "timestep", "grid": [{"label": 5, "timesteps": 3}]},
@@ -402,6 +420,11 @@ def _copy_model(chain, tmp_path, edit):
 @pytest.mark.parametrize("edit,named", [
     (lambda s: s["spec"].update(hidden="4"), "spec: hidden must be int"),
     (lambda s: s["spec"].update(hiden=4), "spec: unknown keys ['hiden']"),
+    # save_model writes every spec field, so a missing one has no default to
+    # fall back to: timesteps 3 would window the records the model was not
+    # trained on
+    (lambda s: s["spec"].pop("timesteps"),
+     "{dir}/model.json spec: missing keys ['timesteps']"),
     (lambda s: s.update(scaler=None), "scaler must be dict, got None"),
     (lambda s: s["scaler"].update(temp_mean=[1]),
      "scaler temp_mean must be a [lo, hi] pair"),
@@ -428,8 +451,8 @@ def _copy_model(chain, tmp_path, edit):
     (lambda s: s["spec"].update(arch="bidir", num_layers=1),
      "{dir}/model.bin: the spec in {dir}/model.json does not name snapshot "
      "parameters layer1.fwd.W_i, layer1.fwd.U_i, "),
-], ids=["hidden-str", "unknown-key", "scaler-null", "scaler-not-pair",
-        "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
+], ids=["hidden-str", "unknown-key", "spec-missing-timesteps", "scaler-null",
+        "scaler-not-pair", "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
         "scaler-missing-column", "scaler-extra-column", "input-dim",
         "hidden-edited", "layers-edited", "layers-dropped"])
 def test_predict_with_bad_sidecar_exits_2(edit, named, chain, tmp_path, capsys):
@@ -583,7 +606,9 @@ def _set_row(line_number, cells):
     (lambda lines: lines[:3] + lines[1:2] + lines[3:],
      ":4: duplicate (district, month) "),
     (lambda lines: lines[:1], ": no predictions"),
-], ids=["short-row", "non-numeric", "month-13", "repeated-month", "header-only"])
+    (_set_row(4, {4: "2.5"}), ":4: invalid literal for int() with base 10: '2.5'"),
+], ids=["short-row", "non-numeric", "month-13", "repeated-month", "header-only",
+        "decimal-actual"])
 def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, capsys):
     src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -592,6 +617,15 @@ def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, ca
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     assert cli.main(["report", "--run", str(tmp_path)]) == 2
     assert f"{path}{named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reports", [False, True], ids=["no-reports-dir", "empty"])
+def test_report_without_prediction_csvs_exits_2(reports, tmp_path, capsys):
+    if reports:
+        (tmp_path / "reports").mkdir()
+    assert cli.main(["report", "--run", str(tmp_path)]) == 2
+    assert f"no prediction reports under {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "tables").exists()
 
 
 def test_report_writes_no_table_when_a_later_file_is_bad(chain, tmp_path, capsys):
@@ -804,6 +838,9 @@ def two_districts(tmp_path_factory):
      "leaves an empty training split"),
     (["train", "--records", "imp/imputed.csv", "--lr", "1e3", "--epochs", "50"], 4,
      "exceeds"),
+    # the first step overflows float64: the loss check reports it, numpy does not
+    (["train", "--records", "imp/imputed.csv", "--lr", "1e300"], 4,
+     "non-finite loss at epoch 0"),
     (["train", "--records", "imp/imputed.csv", "--timesteps", "40"], 2,
      "no district has 40 consecutive months (the model's timesteps)"),
     (["sweep", "--records", "imp/imputed.csv", "--kind", "timestep", "--grid", "40",
@@ -812,12 +849,14 @@ def two_districts(tmp_path_factory):
     (["sweep", "--records", "prep/records.csv", "--sweep-config", "diverge.json"], 4,
      "every run diverged"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
-        "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged"])
+        "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == code
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert "RuntimeWarning" not in err
 
 
 def test_sweep_in_which_every_run_diverges_writes_its_log(two_districts, tmp_path):
@@ -836,7 +875,11 @@ def test_sweep_in_which_every_run_diverges_writes_its_log(two_districts, tmp_pat
     (lambda lines: lines + lines[1:2], ":50: duplicate (district, month) D01 2014-01"),
     (_set_row(5, {3: "nan"}), ":5: non-finite temp_mean for D01 2014-04"),
     (_set_row(3, {6: "7.5"}), ":3: larval index 7.5 outside [1, 3] for D01 2014-02"),
-], ids=["repeated-month", "nan-temperature", "larval-7.5"])
+    (_set_row(3, {7: "-1"}), ":3: case count -1 for D01 2014-02 is not >= 0"),
+    # a count is an int in every file, as in cases.csv
+    (_set_row(3, {7: "12.5"}), ":3: invalid literal for int() with base 10: '12.5'"),
+], ids=["repeated-month", "nan-temperature", "larval-7.5", "negative-count",
+        "decimal-count"])
 def test_records_csv_is_read_by_the_record_rules(edit, named, two_districts, tmp_path,
                                                   capsys):
     # the rules assemble_records applies in prepare, wherever records.csv came from
@@ -893,8 +936,9 @@ def test_cli_import_leaves_out_the_lstm_stack():
     (["sweep", "--kind", "daily", "--grid", "3"], "sweep kind must be one of"),
     (["sweep", "--sweep-config", "daily.json", "--grid", "3"],
      "sweep kind must be one of"),
+    (["sweep"], "sweep requires --kind or a kind in --sweep-config"),
 ], ids=["train-arch", "sweep-arch", "train-variant", "sweep-kind", "sweep-kind-grid",
-        "sweep-config-kind-grid"])
+        "sweep-config-kind-grid", "sweep-no-kind"])
 def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "daily.json").write_text('{"kind": "daily"}', encoding="utf-8")

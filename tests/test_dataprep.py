@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from datetime import date
 
 import numpy as np
@@ -437,6 +438,25 @@ class TestRecordsCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_records_csv(tmp_path / "absent.csv")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: empty file")):
+            load_records_csv(path)
+
+    def test_blank_line_is_skipped_but_counted(self, tmp_path):
+        records = district_series(n_months=3)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["\r\n"] + lines[2:]), encoding="utf-8")
+        assert load_records_csv(path) == records
+        # the row after the blank line is line 4 of the file
+        path.write_text("".join(lines[:2] + ["\r\n", "x\r\n"] + lines[2:]),
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=":4: wrong column count"):
+            load_records_csv(path)
 
     def test_wrong_cell_count(self, tmp_path):
         records = district_series(n_months=2)

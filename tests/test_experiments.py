@@ -104,7 +104,7 @@ class TestPredictionTables:
     ROWS = [
         PredictionRow(district="D01", month=(2014, 3), predicted=2.7812345678901234,
                       actual=3),
-        PredictionRow(district="D01", month=(2014, 4), predicted=-0.1, actual=4.5),
+        PredictionRow(district="D01", month=(2014, 4), predicted=-0.1, actual=4),
         PredictionRow(district="D02", month=(2014, 3), predicted=1e-17, actual=0),
     ]
 
@@ -114,7 +114,7 @@ class TestPredictionTables:
         path.write_text(text, encoding="utf-8")
         parsed = load_prediction_csv(path)
         assert parsed == self.ROWS
-        assert [type(p.actual) for p in parsed] == [int, float, int]
+        assert [type(p.actual) for p in parsed] == [int, int, int]
         assert text.splitlines()[1] == "D01,2014,3,2.7812345678901234,3"
 
     @pytest.mark.parametrize("line,message", [
@@ -123,7 +123,9 @@ class TestPredictionTables:
         ("D01,2014,3,high,3", ":3: could not convert string to float: 'high'"),
         ("D01,2014,March,2.5,3", ":3: invalid literal for int()"),
         ("D01,2014,3,2.5,", ":3: invalid literal for int()"),
-    ], ids=["short", "long", "bad-predicted", "bad-month", "empty-actual"])
+        ("D01,2014,3,2.5,4.5", ":3: invalid literal for int() with base 10: '4.5'"),
+    ], ids=["short", "long", "bad-predicted", "bad-month", "empty-actual",
+            "decimal-actual"])
     def test_bad_row_names_file_and_line(self, line, message, tmp_path):
         lines = prediction_table_csv(self.ROWS).splitlines()
         lines[2] = line
@@ -143,7 +145,7 @@ class TestPredictionTables:
             PredictionRow(district="D01", month=(2014, 1), predicted=2.5, actual=3),
             PredictionRow(district="D01", month=(2014, 2), predicted=1.4, actual=4),
             PredictionRow(district="D02", month=(2014, 1), predicted=-2.5, actual=0),
-            PredictionRow(district="D02", month=(2014, 2), predicted=0.5, actual=2.5),
+            PredictionRow(district="D02", month=(2014, 2), predicted=0.5, actual=2),
         ]
         assert prediction_table_md(rows).splitlines() == [
             "| Month | D01 | D02 |",
@@ -151,8 +153,17 @@ class TestPredictionTables:
             "| Jan | 3 | -3 |",
             "| Feb | 1 | 1 |",
             "| Predicted Count | 4 | -2 |",
-            "| Actual Count | 7 | 3 |",
+            "| Actual Count | 7 | 2 |",
         ]
+
+    def test_md_labels_months_by_year_when_a_month_of_year_repeats(self):
+        # 13 months from 2014-01: "Jan" alone would name two rows
+        rows = [PredictionRow(district="D01", month=(2014 + i // 12, i % 12 + 1),
+                              predicted=1.0, actual=2) for i in range(13)]
+        lines = prediction_table_md(rows).splitlines()
+        assert [line.split(" | ")[0] for line in lines[2:15]] == [
+            f"| 2014-{m:02d}" for m in range(1, 13)] + ["| 2015-01"]
+        assert lines[-1] == "| Actual Count | 26 |"
 
 
 class TestRunSweep:
@@ -185,6 +196,11 @@ class TestRunSweep:
     def test_spec_errors_without_a_file_name_the_sweep(self, base, grid, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             SweepSpec("variant", base, grid, (0,))
+
+    def test_default_timestep_grid(self):
+        sweep = SweepSpec("timestep", {}, None, (0,))
+        assert [(label, spec.timesteps) for label, spec in sweep.cells] == [
+            ("t = 2", 2), ("t = 3", 3), ("t = 4", 4), ("t = 5", 5)]
 
 
 class TestMakeSupervised:

@@ -1,12 +1,12 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from denguecast.dataprep import (
-    CLIMATE_FEATURES,
     Scaler,
     SplitDataset,
     SupervisedWindow,
@@ -586,7 +586,7 @@ class TestPersistence:
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         assert list(sidecar) == ["spec", "scaler", "best_epoch"]
 
-    def test_sidecar_without_predictors_loads_default(self, tmp_path):
+    def test_sidecar_without_predictors_is_refused(self, tmp_path):
         # the windows' F=5 is 3 predictors + larval index + cases (variant II)
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
@@ -595,12 +595,14 @@ class TestPersistence:
                       scaler=unit_scaler(spec))
         save_model(tm, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").model.spec == spec
-        # a sidecar written before ModelSpec recorded its predictors
+        # the default predictors would window the records in another column
+        # order than the model was trained on
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         del sidecar["spec"]["predictors"]
         (tmp_path / "m.json").write_text(json.dumps(sidecar), encoding="utf-8")
-        loaded = load_model(tmp_path / "m.bin")
-        assert loaded.model.spec.predictors == CLIMATE_FEATURES
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{tmp_path / 'm.json'} spec: missing keys ['predictors']")):
+            load_model(tmp_path / "m.bin")
 
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
