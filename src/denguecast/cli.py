@@ -5,17 +5,18 @@ Each command accepts only the flags it reads, spelled out in full. A trained
 run is three files: a parameter snapshot .bin, its .json sidecar of three
 keys (spec, scaler, best_epoch) and a loss CSV of train and validation MSE
 per epoch; train writes model.bin, model.json and loss.csv. sweep writes
-log.txt, tables/mse_summary.md, reports/mse_summary.csv, and per trained run
-reports/predictions_<stem>.csv and models/<stem>.bin, .json and _loss.csv;
-report reads those prediction CSVs and is the one writer of
-tables/predictions_*.md.
+the texts experiments.render_report gives (log.txt, the MSE summary and per
+trained run reports/predictions_<stem>.csv and models/<stem>_loss.csv), then
+each run's models/<stem>.bin and .json; report reads those prediction CSVs
+and is the one writer of tables/predictions_*.md.
 
-Run parameters: synth, impute and train each build one spec from specs.py
-(SynthSpec, CoregCfg, ModelSpec), and sweep one ModelSpec per run. Each int,
-float or str field of the spec is a flag spelled as the field with dashes for
-underscores (num_layers is --num-layers), typed by the field's annotation and
-with no default of its own, so each default and check lives in the spec
-alone. sweep has no --seed (each run's seed comes from --seeds), and the tuple
+Run parameters: synth, impute, train and sweep each build one spec from
+specs.py (SynthSpec, CoregCfg, ModelSpec, SweepSpec). Each int, float or str
+field of a spec is a flag spelled as the field with dashes for underscores
+(num_layers is --num-layers), typed by the field's annotation and with no
+default of its own, so each default and check lives in the spec alone. sweep
+also takes ModelSpec's flags for its base, bar --seed (each run's seed comes
+from --seeds), and checks its spec before it loads the LSTM stack. The tuple
 field predictors is set in a config file only.
 
 Config files: `train --config` reads one flat JSON object of ModelSpec fields,
@@ -23,7 +24,7 @@ e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}. `sweep --sweep-config`
 reads an object with optional keys kind, seeds (list of ints), base (an object
 as for train, bar seed) and grid (objects of a label and the ModelSpec fields
 the cell changes, bar seed). Keys and value types are checked
-(specs.from_json). A value comes from the file or from a flag, never both: a
+(specs.typed). A value comes from the file or from a flag, never both: a
 flag for a key the file sets exits 2. Fields set by neither keep the spec's
 defaults.
 
@@ -55,13 +56,12 @@ import argparse
 import ctypes
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 # experiments, imputation and lstm are imported by the commands that run them,
 # so that prepare and impute do not load the LSTM stack
 from . import dataprep, specs
-from .dataprep import csv_text
 from .errors import DivergenceError, PipelineError, ValidationError
 
 
@@ -103,18 +103,7 @@ def _spec(cls, args, given=None, where=None):
     """The spec cls built from a config object of its fields (read from where)
     and the flags of the fields the object leaves unset, each value checked."""
     values = _file_or_flags(args, given or {}, [f.name for f in fields(cls)], where)
-    return specs.from_json(cls, values, where)
-
-
-def _save_run(report, bin_path, loss_path):
-    """A trained run's files: the model's snapshot and sidecar, and its losses."""
-    from . import lstm
-
-    bin_path.parent.mkdir(parents=True, exist_ok=True)
-    lstm.save_model(report.trained, bin_path)
-    rows = [[epoch, repr(tr), repr(va)]
-            for epoch, (tr, va) in enumerate(report.loss_history)]
-    _write(loss_path, csv_text(["epoch", "train_mse", "validation_mse"], rows))
+    return cls(**specs.typed(cls, values, where))
 
 
 def _print_skipped(n):
@@ -174,8 +163,8 @@ def cmd_prepare(args):
 def cmd_impute(args):
     from . import imputation
 
-    records = dataprep.load_records_csv(args.records)
     cfg = _spec(specs.CoregCfg, args)
+    records = dataprep.load_records_csv(args.records)
     filled, provenance, log = imputation.impute_larval(records, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,14 +181,16 @@ def cmd_impute(args):
 
 
 def cmd_train(args):
-    from . import experiments
+    from . import experiments, lstm
 
     given = specs.read_object(args.config, "config") if args.config else {}
     spec = _spec(specs.ModelSpec, args, given, args.config)
     records = dataprep.load_records_csv(args.records)
     report = experiments.run_config(records, spec, label="train", report_seed=spec.seed)
     _print_skipped(report.skipped)
-    _save_run(report, Path(args.out) / "model.bin", Path(args.out) / "loss.csv")
+    out = Path(args.out)
+    _write(out / "loss.csv", experiments.loss_csv(report.loss_history))
+    lstm.save_model(report.trained, out / "model.bin")
     print(f"validation MSE {report.validation_mse:.5f} "
           f"(scaled {report.validation_mse_scaled:.6f})")
     print(f"test MSE {report.test_mse:.5f} (scaled {report.test_mse_scaled:.6f})")
@@ -221,62 +212,41 @@ def cmd_predict(args):
     return 0
 
 
-@dataclass(frozen=True)
-class SweepFile:
-    """A --sweep-config object; a key it leaves out is None."""
-    kind: str = None
-    seeds: tuple[int, ...] = None
-    base: dict = None
-    grid: tuple[dict, ...] = None
-
-
 def _sweep_spec(args):
     """SweepSpec from the --sweep-config file, if any, and the flags; --grid
     is read only by a timestep sweep whose file has no grid."""
-    from . import experiments
-
     path = args.sweep_config
-    file = specs.from_json(SweepFile, specs.read_object(path, "config") if path else {},
-                           path)
-    given = {k: v for k, v in vars(file).items() if v is not None}
-    top = _file_or_flags(args, given, ("kind", "seeds"), path)
-    kind = top.get("kind")
-    if kind is None:
+    given = specs.typed(specs.SweepSpec,
+                        specs.read_object(path, "config") if path else {}, path)
+    values = _file_or_flags(args, given, ("kind", "seeds"), path)
+    if "kind" not in values:
         raise ValidationError("sweep requires --kind or a kind in --sweep-config")
     model_keys = [f.name for f in fields(specs.ModelSpec)]
-    base = _file_or_flags(args, top.get("base", {}), model_keys, f"{path} base")
-    read_grid = args.grid is not None and kind == "timestep" and "grid" not in top
-    grid = experiments.timestep_grid(args.grid) if read_grid else top.get("grid")
-    sweep = experiments.SweepSpec(kind, base, grid, top.get("seeds", (0, 1, 2)), path)
+    values["base"] = _file_or_flags(args, values.get("base", {}), model_keys,
+                                    f"{path} base")
+    read_grid = (args.grid is not None and values["kind"] == "timestep"
+                 and "grid" not in values)
+    if read_grid:
+        values["grid"] = specs.timestep_grid(args.grid)
+    sweep = specs.SweepSpec(**values, where=path)
     if args.grid is not None and not read_grid:
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     return sweep
 
 
 def cmd_sweep(args):
-    from . import experiments
-
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     sweep = _sweep_spec(args)  # before reading data: a bad flag or cell fails at once
+    from . import experiments, lstm
+
     records = dataprep.load_records_csv(args.records)
     result = experiments.run_sweep(sweep, records, jobs=args.jobs)
     out = Path(args.out)
     for rel, text in sorted(experiments.render_report(result).items()):
         _write(out / rel, text)
-    models_dir = out / "models"
-    log_lines = []
-    for report in sorted(result.reports, key=lambda r: (r.label, r.seed)):
-        stem = f"{experiments.slugify(report.label)}_seed{report.seed}"
-        _save_run(report, models_dir / f"{stem}.bin", models_dir / f"{stem}_loss.csv")
-        log_lines.append(
-            f"{report.label} seed={report.seed} "
-            f"validation_mse={report.validation_mse!r} test_mse={report.test_mse!r}"
-        )
-    for label, seed, message in result.failures:
-        log_lines.append(f"{label} seed={seed} DIVERGED: {message}")
-    log_lines.append(f"argmin: {result.argmin_label}")
-    _write(out / "log.txt", "\n".join(log_lines) + "\n")
+    for report in result.reports:  # after the texts, which make models/
+        lstm.save_model(report.trained, out / "models" / f"{report.stem}.bin")
     if not result.reports:
         raise DivergenceError(None, f"every run diverged; see {out / 'log.txt'}")
     print(f"swept {len(sweep.cells)} configs x {len(sweep.seeds)} seeds; "
@@ -355,11 +325,10 @@ def build_parser():
     p = command("sweep", "run a configuration sweep")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--kind")
+    _add_spec_flags(p, specs.SweepSpec)
     p.add_argument("--grid", type=comma_ints,
                    help="comma-separated time steps (timestep sweeps)")
-    p.add_argument("--seeds", type=comma_ints,
-                   help="comma-separated run seeds (default 0,1,2)")
+    p.add_argument("--seeds", type=comma_ints, help="comma-separated run seeds")
     p.add_argument("--sweep-config", dest="sweep_config", default=None,
                    help="JSON SweepSpec file")
     p.add_argument("--jobs", type=int, default=1)

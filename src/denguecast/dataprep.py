@@ -58,6 +58,12 @@ class DistrictMonthRecord:
         for name in CLIMATE_FEATURES:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"non-finite {name} for {self._key()}")
+        if not 0.0 <= self.rh_mean <= 100.0:
+            raise ValidationError(
+                f"rh_mean {self.rh_mean} outside [0, 100] for {self._key()}")
+        if self.rain_total < 0:
+            raise ValidationError(
+                f"rain_total {self.rain_total} for {self._key()} is not >= 0")
         if self.cases < 0:
             raise ValidationError(f"case count {self.cases} for {self._key()} is not >= 0")
         if self.larval_index is not None and not 1.0 <= self.larval_index <= 3.0:

@@ -8,9 +8,10 @@ temperature season, 2-month-lagged rain anomalies and the beta-weighted
 1-month-lagged larval index. The true larval index for every district-month
 goes to an answer table so imputation quality is measurable.
 
-Sweeps train one configuration per grid cell per seed, aggregate mean
-validation/test MSE and mark the argmin row. Reported MSE comes in both
-raw-count and scaled flavors.
+A sweep trains each grid cell of a specs.SweepSpec once per seed, aggregates
+mean validation/test MSE and marks the argmin row; render_report gives every
+text file of its directory. Reported MSE comes in both raw-count and scaled
+flavors.
 
 Windows hold unscaled features and each target month's case count, an int.
 Every prediction, in train, sweep and predict alike, takes one path:
@@ -28,14 +29,13 @@ import calendar
 import itertools
 import math
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
 import numpy as np
 
 from . import dataprep, lstm
 from .dataprep import (
-    CLIMATE_FEATURES,
     SplitDataset,
     apply_scaler,  # not called here: perfbench/tracing.py wraps it under this name
     build_windows,
@@ -55,11 +55,7 @@ from .errors import DivergenceError, ValidationError
 # module's name, as it does train, so both names stay
 from .lstm import carve_validation, model_forward, train
 from .nn_core import derive_seed, make_rng, mse
-from .specs import ModelSpec, from_json
-
-# each sweep kind and the header of its MSE table's first column
-SWEEP_KINDS = {"variant": "Variant", "timestep": "Time step",
-               "predictor": "Predictor", "architecture": "Model"}
+from .specs import SWEEP_KINDS, slugify
 
 # planted effect sizes for the synthetic generator
 CASE_BASE_RATE = 8.0        # typical monthly count
@@ -276,6 +272,10 @@ class RunReport:
     trained: lstm.TrainedModel
     loss_history: list  # (train_mse, validation_mse) per epoch
 
+    @property
+    def stem(self):  # every file of the run in a sweep directory starts with it
+        return f"{slugify(self.label)}_seed{self.seed}"
+
 
 def evaluate(trained, windows):
     """(scaled MSE, raw MSE, PredictionRows) of a trained model on windows.
@@ -322,81 +322,6 @@ def run_config(records, spec, label, report_seed):
 
 
 @dataclass
-class SweepSpec:
-    """base holds the ModelSpec fields the sweep changes from the defaults, and
-    a grid cell a label and the fields the cell changes from base; grid None
-    is the default grid of kind. Every spec is built and checked here, before
-    any training; an error in base or a cell names where, the file they were
-    read from, if given."""
-    kind: str
-    base: dict
-    grid: list[dict] | None
-    seeds: tuple[int, ...]
-    where: InitVar[str | None] = None
-    cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
-
-    def __post_init__(self, where):
-        if self.kind not in SWEEP_KINDS:
-            raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
-        base_at = f"{where} base" if where else "sweep base"
-        cell_at = f"{where} grid cell" if where else "grid cell"
-        base = from_json(ModelSpec, self.base, base_at)
-        grid = default_grid(self.kind, base) if self.grid is None else self.grid
-        if not grid:
-            raise ValidationError("sweep grid must be non-empty")
-        if not self.seeds:
-            raise ValidationError("sweep needs at least one seed")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ValidationError(f"sweep seeds repeat: {list(self.seeds)}")
-        self.cells = []
-        by_slug = {}  # output files are named by the slug of the label
-        for overrides in map(dict, grid):
-            label = overrides.pop("label", None)
-            if not isinstance(label, str):
-                raise ValidationError(f"grid cell label must be a str, got {label!r}")
-            slug = slugify(label)
-            if slug in by_slug:
-                raise ValidationError(f"grid cells {by_slug[slug]!r} and {label!r} share files")
-            by_slug[slug] = label
-            values = self.base | overrides
-            # each run's seed is derived from its seed in seeds and the cell label
-            if "seed" in values:
-                at = base_at if "seed" in self.base else f"{cell_at} {label!r}"
-                raise ValidationError(f"{at}: unknown keys ['seed']")
-            self.cells.append((label, from_json(ModelSpec, values, f"{cell_at} {label!r}")))
-
-
-def timestep_grid(timesteps=(2, 3, 4, 5)):
-    return [{"label": f"t = {t}", "timesteps": int(t)} for t in timesteps]
-
-
-def default_grid(kind, base):
-    """The grid of a sweep kind, one of SWEEP_KINDS, over a base ModelSpec."""
-    if kind == "timestep":
-        return timestep_grid()
-    if kind == "predictor":
-        return [
-            {"label": "Temperature", "predictors": ("temp_mean",)},
-            {"label": "Rainfall", "predictors": ("rain_total",)},
-            {"label": "Relative Humidity", "predictors": ("rh_mean",)},
-            {"label": "All three parameters", "predictors": CLIMATE_FEATURES},
-        ]
-    if kind == "architecture":
-        deep = max(2, base.num_layers)
-        return [
-            {"label": "LSTM", "arch": "plain", "num_layers": 1},
-            {"label": "Stacked LSTM", "arch": "stacked", "num_layers": deep},
-            {"label": "Bidirectional LSTM", "arch": "bidir", "num_layers": 1},
-            {"label": "Bidirectional Stacked LSTM", "arch": "bidir_stacked",
-             "num_layers": deep},
-        ]
-    return [  # variant
-        {"label": "Variant I", "variant": "I"},
-        {"label": "Variant II", "variant": "II"},
-    ]
-
-
-@dataclass
 class SweepRow:
     label: str
     validation_mse: float
@@ -416,11 +341,11 @@ class SweepResult:
 
 
 def _sweep_task(args):
-    records, spec, label, seed = args
+    """The RunReport of one sweep task, or the message of its divergence."""
     try:
-        return ("ok", label, seed, run_config(records, spec, label, seed))
+        return run_config(*args)
     except DivergenceError as exc:
-        return ("diverged", label, seed, str(exc))
+        return str(exc)
 
 
 def run_sweep(sweep, records, jobs=1):
@@ -447,13 +372,9 @@ def run_sweep(sweep, records, jobs=1):
     else:
         outcomes = [_sweep_task(t) for t in tasks]
 
-    reports = []
-    failures = []
-    for status, label, seed, payload in outcomes:
-        if status == "ok":
-            reports.append(payload)
-        else:
-            failures.append((label, seed, payload))
+    reports = [o for o in outcomes if isinstance(o, RunReport)]
+    failures = [(label, seed, o) for (_, _, label, seed), o in zip(tasks, outcomes)
+                if isinstance(o, str)]
 
     rows = []
     for label, _ in sweep.cells:
@@ -481,16 +402,6 @@ MONTH_ABBREV = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 def round_half_away(x):
     """Round to the nearest integer, halves away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
-
-
-def slugify(label):
-    out = []
-    for ch in label.lower():
-        out.append(ch if ch.isalnum() else "-")
-    slug = "".join(out)
-    while "--" in slug:
-        slug = slug.replace("--", "-")
-    return slug.strip("-")
 
 
 def _month_labels(months):
@@ -556,14 +467,20 @@ def prediction_table_csv(rows):
 
 def load_prediction_csv(path):
     """The PredictionRows of a file prediction_table_csv wrote; a bad header,
-    row or cell (an actual that is not an int), a repeated (district, month),
-    or no row at all raises ValidationError naming the file (and line)."""
+    row or cell (a non-finite prediction, an actual that is not an int >= 0),
+    a repeated (district, month), or no row at all raises ValidationError
+    naming the file (and line)."""
     seen = set()
 
     def parse(cells):
         district, year, month, predicted, actual = cells
         row = PredictionRow(district=district, month=parse_month(year, month),
                             predicted=float(predicted), actual=int(actual))
+        key = f"{district} {month_text(row.month)}"
+        if not math.isfinite(row.predicted):
+            raise ValidationError(f"non-finite predicted for {key}")
+        if row.actual < 0:
+            raise ValidationError(f"actual {row.actual} for {key} is not >= 0")
         new_key(seen, district, row.month)
         return row
 
@@ -599,14 +516,30 @@ def mse_table_csv(result):
     )
 
 
+def loss_csv(history):
+    """A run's train and validation MSE per epoch."""
+    return csv_text(["epoch", "train_mse", "validation_mse"],
+                    [[epoch, repr(tr), repr(va)] for epoch, (tr, va) in enumerate(history)])
+
+
 def render_report(result):
-    """File texts of a SweepResult, keyed by relative path: the MSE summary
-    (tables/mse_summary.md, reports/mse_summary.csv) and the predictions of
-    every trained run (reports/predictions_*.csv), from which the report
-    command renders tables/predictions_*.md."""
+    """Every text file of a sweep directory, keyed by relative path: the MSE
+    summary (tables/mse_summary.md, reports/mse_summary.csv), log.txt, and per
+    trained run reports/predictions_<stem>.csv (which the report command
+    renders as tables/predictions_<stem>.md) and models/<stem>_loss.csv."""
     files = {"tables/mse_summary.md": mse_table_md(result),
              "reports/mse_summary.csv": mse_table_csv(result)}
-    for report in result.reports:
-        stem = f"predictions_{slugify(report.label)}_seed{report.seed}"
-        files[f"reports/{stem}.csv"] = prediction_table_csv(report.predictions)
+    log_lines = []
+    for report in sorted(result.reports, key=lambda r: (r.label, r.seed)):
+        files[f"reports/predictions_{report.stem}.csv"] = prediction_table_csv(
+            report.predictions)
+        files[f"models/{report.stem}_loss.csv"] = loss_csv(report.loss_history)
+        log_lines.append(
+            f"{report.label} seed={report.seed} "
+            f"validation_mse={report.validation_mse!r} test_mse={report.test_mse!r}"
+        )
+    for label, seed, message in result.failures:
+        log_lines.append(f"{label} seed={seed} DIVERGED: {message}")
+    log_lines.append(f"argmin: {result.argmin_label}")
+    files["log.txt"] = "\n".join(log_lines) + "\n"
     return files

@@ -64,7 +64,7 @@ from .nn_core import (
     sigmoid,
     zero_grads,
 )
-from .specs import ModelSpec, from_json, read_object
+from .specs import ModelSpec, read_object, typed
 
 # Training has diverged once a finite train or validation loss exceeds this
 # multiple of the epoch-0 training loss. Adam moves each weight by about lr per
@@ -460,11 +460,11 @@ def load_model(bin_path):
     missing a field, a slot the snapshot leaves empty or misshapes, or a
     parameter the spec does not name, raises ValidationError naming the files."""
     json_path = sidecar_path(bin_path)
-    sidecar = from_json(Sidecar, read_object(json_path, "model sidecar"), str(json_path))
+    sidecar = Sidecar(**typed(Sidecar, read_object(json_path, "model sidecar"), str(json_path)))
     missing = [f.name for f in fields(ModelSpec) if f.name not in sidecar.spec]
     if missing:  # save_model writes every field: none may fall back to a default
         raise ValidationError(f"{json_path} spec: missing keys {missing}")
-    spec = from_json(ModelSpec, sidecar.spec, f"{json_path} spec")
+    spec = ModelSpec(**typed(ModelSpec, sidecar.spec, f"{json_path} spec"))
     columns = window_columns(spec.predictors, spec.variant)
     model = Model(spec, len(columns))
     stored = {p.name: p.value for p in load_params(bin_path)}

@@ -1,11 +1,12 @@
 """The frozen run specs, one per command that runs something, and the JSON
 object files they are built from, all checked.
 
-SynthSpec sets synth, CoregCfg impute, and ModelSpec one trained model (train,
-and each run of a sweep). A spec's field is the one place a run parameter is
+SynthSpec sets synth, CoregCfg impute, ModelSpec one trained model and
+SweepSpec a sweep. A spec's field is the one place a run parameter is
 declared: its name, type and default are the field's, its rule is checked in
 __post_init__, and the CLI derives its flag from it. This module imports no
-numerical module beyond dataprep, so building the parser loads no LSTM code.
+numerical module beyond dataprep, so building the parser or a sweep's spec
+loads no LSTM code.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .dataprep import CLIMATE_FEATURES, VARIANTS
 from .errors import ValidationError
 
 ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
+
+# each sweep kind and the header of its MSE table's first column
+SWEEP_KINDS = {"variant": "Variant", "timestep": "Time step",
+               "predictor": "Predictor", "architecture": "Model"}
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,8 @@ class CoregCfg:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.pool_size < 1:
             raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,90 @@ class ModelSpec:
         return self.arch in ("bidir", "bidir_stacked")
 
 
+@dataclass(frozen=True)
+class SweepSpec:
+    """A sweep trains each cell of its grid once per seed. base holds the
+    ModelSpec fields the sweep changes from the defaults, and a grid cell a
+    label and the fields the cell changes from base; grid None is the default
+    grid of kind. Every spec is built and checked here, before any training;
+    an error in base or a cell names where, the file they were read from, if
+    given."""
+    kind: str = None  # one of SWEEP_KINDS; None (refused) leaves it to --kind
+    base: dict = field(default_factory=dict)
+    grid: tuple[dict, ...] = None
+    seeds: tuple[int, ...] = (0, 1, 2)
+    where: InitVar[str | None] = None
+    cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
+
+    def __post_init__(self, where):
+        if self.kind not in SWEEP_KINDS:
+            raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
+        base_at = f"{where} base" if where else "sweep base"
+        cell_at = f"{where} grid cell" if where else "grid cell"
+        base = ModelSpec(**typed(ModelSpec, self.base, base_at))
+        grid = default_grid(self.kind, base) if self.grid is None else self.grid
+        if not grid:
+            raise ValidationError("sweep grid must be non-empty")
+        if not self.seeds:
+            raise ValidationError("sweep needs at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValidationError(f"sweep seeds repeat: {list(self.seeds)}")
+        cells = []
+        by_slug = {}  # a run's files are named by the slug of its label
+        for overrides in map(dict, grid):
+            label = overrides.pop("label", None)
+            if not isinstance(label, str):
+                raise ValidationError(f"grid cell label must be a str, got {label!r}")
+            slug = slugify(label)
+            if slug in by_slug:
+                raise ValidationError(f"grid cells {by_slug[slug]!r} and {label!r} share files")
+            by_slug[slug] = label
+            values = self.base | overrides
+            # each run's seed is derived from its seed in seeds and the cell label
+            if "seed" in values:
+                at = base_at if "seed" in self.base else f"{cell_at} {label!r}"
+                raise ValidationError(f"{at}: unknown keys ['seed']")
+            cells.append((label, ModelSpec(**typed(ModelSpec, values, f"{cell_at} {label!r}"))))
+        object.__setattr__(self, "cells", cells)
+
+
+def slugify(label):
+    """label in lower case, each run of characters other than letters and
+    digits one dash, with none at either end."""
+    dashed = "".join(ch if ch.isalnum() else "-" for ch in label.lower())
+    return "-".join(part for part in dashed.split("-") if part)
+
+
+def timestep_grid(timesteps=(2, 3, 4, 5)):
+    return [{"label": f"t = {t}", "timesteps": int(t)} for t in timesteps]
+
+
+def default_grid(kind, base):
+    """The grid of a sweep kind, one of SWEEP_KINDS, over a base ModelSpec."""
+    if kind == "timestep":
+        return timestep_grid()
+    if kind == "predictor":
+        return [
+            {"label": "Temperature", "predictors": ("temp_mean",)},
+            {"label": "Rainfall", "predictors": ("rain_total",)},
+            {"label": "Relative Humidity", "predictors": ("rh_mean",)},
+            {"label": "All three parameters", "predictors": CLIMATE_FEATURES},
+        ]
+    if kind == "architecture":
+        deep = max(2, base.num_layers)
+        return [
+            {"label": "LSTM", "arch": "plain", "num_layers": 1},
+            {"label": "Stacked LSTM", "arch": "stacked", "num_layers": deep},
+            {"label": "Bidirectional LSTM", "arch": "bidir", "num_layers": 1},
+            {"label": "Bidirectional Stacked LSTM", "arch": "bidir_stacked",
+             "num_layers": deep},
+        ]
+    return [  # variant
+        {"label": "Variant I", "variant": "I"},
+        {"label": "Variant II", "variant": "II"},
+    ]
+
+
 def read_object(path, what):
     """The JSON object in the file at path. A file that cannot be read, is not
     JSON or holds another value raises ValidationError naming what and path."""
@@ -152,19 +243,19 @@ def read_object(path, what):
     return data
 
 
-def from_json(cls, data, where):
-    """cls(**data) for a dict data of cls's fields (a read_object result or a
-    dict-typed field of one), each value of its field's annotated type: int
+def typed(cls, data, where):
+    """The values of a dict data of cls's init fields (a read_object result
+    or a dict-typed field of one), each of its field's annotated type: int
     (not bool), float (an int is stored as a float), str, dict, or
     tuple[T, ...] given as a list of T. A missing field without a default, an
     unknown key or a value of another type raises ValidationError naming
     where and the key."""
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    unknown = sorted(set(data) - {f.name for f in init})
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
-    missing = [f.name for f in dataclasses.fields(cls)
-               if f.init and f.name not in data
+    missing = [f.name for f in init if f.name not in data
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
     if missing:
@@ -177,7 +268,7 @@ def from_json(cls, data, where):
         except TypeError:
             raise ValidationError(
                 f"{where}: {key} must be {_name(tp)}, got {value!r}") from None
-    return cls(**values)
+    return values
 
 
 def _name(tp):

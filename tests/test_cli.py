@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from denguecast import cli, lstm
-from denguecast.specs import CoregCfg, ModelSpec, SynthSpec
+from denguecast.specs import CoregCfg, ModelSpec, SweepSpec, SynthSpec
 
 # sha256 of impute's artifacts after `synth --districts 8 --seed 0`, `prepare`
 # and `impute --max-iters 20`, recorded with the COREG scan that re-ran every
@@ -607,8 +607,11 @@ def _set_row(line_number, cells):
      ":4: duplicate (district, month) "),
     (lambda lines: lines[:1], ": no predictions"),
     (_set_row(4, {4: "2.5"}), ":4: invalid literal for int() with base 10: '2.5'"),
+    (_set_row(4, {3: "nan"}), ":4: non-finite predicted for D01 2015-12"),
+    (_set_row(4, {3: "inf"}), ":4: non-finite predicted for D01 2015-12"),
+    (_set_row(4, {4: "-1"}), ":4: actual -1 for D01 2015-12 is not >= 0"),
 ], ids=["short-row", "non-numeric", "month-13", "repeated-month", "header-only",
-        "decimal-actual"])
+        "decimal-actual", "nan-predicted", "inf-predicted", "negative-actual"])
 def test_report_on_a_bad_prediction_row_exits_2(edit, named, chain, tmp_path, capsys):
     src = chain / "sw" / "reports" / "predictions_rainfall_seed0.csv"
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -848,8 +851,12 @@ def two_districts(tmp_path_factory):
      "no district has 40 consecutive months (the model's timesteps)"),
     (["sweep", "--records", "prep/records.csv", "--sweep-config", "diverge.json"], 4,
      "every run diverged"),
+    # numpy refuses a negative seed; the spec refuses it before any file is read
+    (["impute", "--records", "missing.csv", "--seed", "-1"], 2,
+     "seed must be >= 0, got -1"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
-        "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged"])
+        "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged",
+        "impute-seed-negative"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
@@ -878,8 +885,11 @@ def test_sweep_in_which_every_run_diverges_writes_its_log(two_districts, tmp_pat
     (_set_row(3, {7: "-1"}), ":3: case count -1 for D01 2014-02 is not >= 0"),
     # a count is an int in every file, as in cases.csv
     (_set_row(3, {7: "12.5"}), ":3: invalid literal for int() with base 10: '12.5'"),
+    # the raw loaders' rules on humidity and rainfall, for the monthly values
+    (_set_row(3, {4: "150.0"}), ":3: rh_mean 150.0 outside [0, 100] for D01 2014-02"),
+    (_set_row(3, {5: "-5.0"}), ":3: rain_total -5.0 for D01 2014-02 is not >= 0"),
 ], ids=["repeated-month", "nan-temperature", "larval-7.5", "negative-count",
-        "decimal-count"])
+        "decimal-count", "rh-150", "negative-rain"])
 def test_records_csv_is_read_by_the_record_rules(edit, named, two_districts, tmp_path,
                                                   capsys):
     # the rules assemble_records applies in prepare, wherever records.csv came from
@@ -923,6 +933,19 @@ def test_cli_import_leaves_out_the_lstm_stack():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
                           timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_a_bad_sweep_spec_exits_before_the_lstm_stack_loads(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import sys, denguecast.cli; code = denguecast.cli.main(["
+             "'sweep', '--out', 'o', '--records', 'r', '--kind', 'daily']); "
+             "print(code, sorted({'denguecast.lstm', 'denguecast.experiments'} "
+             "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          cwd=tmp_path, timeout=60, check=True)
+    assert done.stdout == "2 []\n"
+    assert "sweep kind must be one of" in done.stderr
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -985,6 +1008,7 @@ def test_each_command_keeps_its_option_strings():
     ("impute", CoregCfg, ()),
     ("train", ModelSpec, ()),
     ("sweep", ModelSpec, ("seed",)),  # each run's seed comes from --seeds
+    ("sweep", SweepSpec, ()),
 ])
 def test_each_spec_field_is_one_flag_without_a_default(command, spec, leave_out):
     # the spec holds every default, so an unset flag leaves the field to the

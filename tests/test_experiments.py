@@ -19,7 +19,6 @@ from denguecast.dataprep import (
 )
 from denguecast.experiments import (
     PredictionRow,
-    SweepSpec,
     evaluate,
     load_prediction_csv,
     make_supervised,
@@ -32,7 +31,7 @@ from denguecast.experiments import (
 from denguecast.errors import ValidationError
 from denguecast.lstm import Model, TrainedModel
 from denguecast.nn_core import make_rng, mse
-from denguecast.specs import ModelSpec
+from denguecast.specs import ModelSpec, SweepSpec
 
 BASE = {"arch": "plain", "num_layers": 1, "hidden": 2, "dropout": 0.0, "epochs": 3,
         "timesteps": 3}
