@@ -16,8 +16,13 @@ field of a spec is a flag spelled as the field with dashes for underscores
 (num_layers is --num-layers), typed by the field's annotation and with no
 default of its own, so each default and check lives in the spec alone. sweep
 also takes ModelSpec's flags for its base, bar --seed (each run's seed comes
-from --seeds), and checks its spec before it loads the LSTM stack. The tuple
-field predictors is set in a config file only.
+from --seeds), and checks its spec before it loads the LSTM stack. A base
+field that every grid cell sets would be read by no run, so it exits 2
+naming the field (and the config file): the kind's own field for a default
+grid (--variant in a variant sweep), any key every cell sets for a given
+one. Every cell's data is then prepared (windowed, split and scaled) before
+any run trains, so a cell the records cannot support exits at once, named,
+and writes nothing. The tuple field predictors is set in a config file only.
 
 Config files: `train --config` reads one flat JSON object of ModelSpec fields,
 e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}. `sweep --sweep-config`
@@ -186,8 +191,9 @@ def cmd_train(args):
     given = specs.read_object(args.config, "config") if args.config else {}
     spec = _spec(specs.ModelSpec, args, given, args.config)
     records = dataprep.load_records_csv(args.records)
-    report = experiments.run_config(records, spec, label="train", report_seed=spec.seed)
-    _print_skipped(report.skipped)
+    prepared = experiments.make_supervised(records, spec)
+    _print_skipped(prepared.skipped)
+    report = experiments.run_config(prepared, spec, "train", spec.seed)
     out = Path(args.out)
     _write(out / "loss.csv", experiments.loss_csv(report.loss_history))
     lstm.save_model(report.trained, out / "model.bin")
@@ -201,10 +207,8 @@ def cmd_predict(args):
     from . import experiments, lstm
 
     trained = lstm.load_model(args.model)
-    spec = trained.model.spec
-    windows, skipped = dataprep.build_windows(dataprep.load_records_csv(args.records),
-                                              spec.timesteps, spec.variant,
-                                              spec.predictors)
+    windows, skipped = dataprep.build_windows(
+        dataprep.load_records_csv(args.records), trained.model.spec)
     _print_skipped(skipped)
     _, _, rows = experiments.evaluate(trained, windows)
     _write(Path(args.out) / "predictions.csv", experiments.prediction_table_csv(rows))

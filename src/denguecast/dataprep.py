@@ -83,9 +83,12 @@ class SupervisedWindow:
 
 
 @dataclass
-class SplitDataset:
-    train: list[SupervisedWindow]
+class PreparedData:
+    """A run's data, as experiments.make_supervised prepares it."""
+    train: list[SupervisedWindow]  # the chronological split, train then test
     test: list[SupervisedWindow]
+    scaler: Scaler  # fitted on the training-period records
+    skipped: int  # windows that would span a month gap
 
 
 # ---------------------------------------------------------------------------
@@ -308,37 +311,31 @@ def apply_scaler(scaler, windows):
 # supervised framing
 
 
-def window_columns(predictors, variant):
-    """Record fields of one window row, in column order: the climate
-    predictors, the larval index under variant II, then the incidence."""
-    return (*predictors, *(("larval_index",) if variant == "II" else ()), "cases")
-
-
-def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
-    """Slide a t-month window over each district's chronological records.
+def build_windows(records, spec):
+    """Slide a spec.timesteps-month window over each district's records.
 
     Every row of a window carries the climate predictors (plus the larval
     index under variant II). Rows for past months also carry the observed
     incidence; the current-month row carries a masked incidence slot fixed
     at 0 so all rows share one schema. The target is the current month's
-    incidence. Windows hold the records' values unscaled. A span of
-    month_spans that crosses a month gap is skipped and counted. t, variant
-    and predictors are a specs.ModelSpec's, which checks them.
+    incidence. Windows hold the records' values unscaled, in the columns of
+    spec.columns. A span of month_spans that crosses a month gap is skipped
+    and counted. spec is a specs.ModelSpec, which checks its fields.
 
     Returns (windows, number of windows skipped); records in which no
-    district has t consecutive months raise ValidationError.
+    district has that many consecutive months raise ValidationError.
     """
-    if variant == "II":
+    if spec.variant == "II":
         missing = sorted({r.district for r in records if r.larval_index is None})
         if missing:
             raise PreconditionError(
                 "larval index missing for districts: " + ", ".join(missing)
             )
 
-    columns = window_columns(predictors, variant)
+    columns = spec.columns
     windows = []
     skipped = 0
-    for district, span, whole in month_spans(records, t):
+    for district, span, whole in month_spans(records, spec.timesteps):
         if not whole:
             skipped += 1
             continue
@@ -355,16 +352,16 @@ def build_windows(records, t, variant, predictors=CLIMATE_FEATURES):
         )
     if not windows:
         raise ValidationError(
-            f"no district has {t} consecutive months (the model's timesteps) "
-            f"to make a window from")
+            f"no district has {spec.timesteps} consecutive months (the model's "
+            "timesteps) to make a window from")
     return windows, skipped
 
 
 def split_dataset(windows, ratio):
     """Chronological split: earliest floor(ratio * n) windows become train.
 
-    Ordering is by target month, ties broken by district name, so every test
-    target month is >= every train target month. The split is deterministic.
+    Returns (train, test), ordered by target month, ties broken by district
+    name, so every test target month is >= every train target month.
     windows are build_windows', never empty; ratio is a specs.ModelSpec's,
     which checks it.
     """
@@ -372,7 +369,7 @@ def split_dataset(windows, ratio):
     n_train = int(math.floor(ratio * len(ordered)))
     if n_train == 0:
         raise PreconditionError(f"ratio {ratio} leaves an empty training split")
-    return SplitDataset(train=ordered[:n_train], test=ordered[n_train:])
+    return ordered[:n_train], ordered[n_train:]
 
 
 # ---------------------------------------------------------------------------

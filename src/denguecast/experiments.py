@@ -8,10 +8,11 @@ temperature season, 2-month-lagged rain anomalies and the beta-weighted
 1-month-lagged larval index. The true larval index for every district-month
 goes to an answer table so imputation quality is measurable.
 
-A sweep trains each grid cell of a specs.SweepSpec once per seed, aggregates
-mean validation/test MSE and marks the argmin row; render_report gives every
-text file of its directory. Reported MSE comes in both raw-count and scaled
-flavors.
+make_supervised prepares a run's data once, as one dataprep.PreparedData,
+and run_config trains on it and evaluates. A sweep prepares each grid cell of
+a specs.SweepSpec once, before any training, trains it once per seed,
+aggregates mean validation/test MSE and marks the argmin row; render_report
+gives every text file of its directory.
 
 Windows hold unscaled features and each target month's case count, an int.
 Every prediction, in train, sweep and predict alike, takes one path:
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import dataprep, lstm
 from .dataprep import (
-    SplitDataset,
     apply_scaler,  # not called here: perfbench/tracing.py wraps it under this name
     build_windows,
     csv_text,
@@ -48,9 +48,8 @@ from .dataprep import (
     parse_month,
     split_dataset,
     weighted_larval_index,
-    window_columns,
 )
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, PreconditionError, ValidationError
 # model_forward is not called here: perfbench/tracing.py wraps it under this
 # module's name, as it does train, so both names stay
 from .lstm import carve_validation, model_forward, train
@@ -224,26 +223,18 @@ def synth_generate(spec):
 # prepared supervised data
 
 
-@dataclass
-class PreparedData:
-    split: SplitDataset
-    scaler: dataprep.Scaler
-    skipped: int  # windows that would span a month gap
-
-
 def make_supervised(records, spec):
-    """Window records as a ModelSpec says (timesteps, variant, predictors),
-    split them at its ratio, and fit a scaler without temporal leakage: only
-    on records up to the split's boundary month, the last target month of the
-    train split. The windows stay unscaled.
+    """The PreparedData of a ModelSpec: records windowed as it says
+    (build_windows), split at its ratio, and a scaler fitted without temporal
+    leakage: only on records up to the split's boundary month, the last
+    target month of the train split. The windows stay unscaled.
     """
-    windows, skipped = build_windows(records, spec.timesteps, spec.variant,
-                                     spec.predictors)
-    split = split_dataset(windows, spec.ratio)
-    boundary = max(month_index(w.target_month) for w in split.train)
+    windows, skipped = build_windows(records, spec)
+    train_w, test_w = split_dataset(windows, spec.ratio)
+    boundary = max(month_index(w.target_month) for w in train_w)
     train_records = [r for r in records if month_index(r.month) <= boundary]
-    scaler = fit_scaler(train_records, window_columns(spec.predictors, spec.variant))
-    return PreparedData(split=split, scaler=scaler, skipped=skipped)
+    scaler = fit_scaler(train_records, spec.columns)
+    return dataprep.PreparedData(train_w, test_w, scaler, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +259,6 @@ class RunReport:
     test_mse_scaled: float
     predictions: list[PredictionRow]
     wall_clock: float
-    skipped: int  # windows that would span a month gap
     trained: lstm.TrainedModel
     loss_history: list  # (train_mse, validation_mse) per epoch
 
@@ -298,14 +288,13 @@ def evaluate(trained, windows):
     return scaled, mse(counts, raw_pred), rows
 
 
-def run_config(records, spec, label, report_seed):
-    """Prepare data for one ModelSpec, train it, and report MSEs."""
+def run_config(prepared, spec, label, report_seed):
+    """Train one ModelSpec on its PreparedData and report MSEs."""
     started = time.perf_counter()
-    prepared = make_supervised(records, spec)
-    trained, history = train(spec, prepared.split, scaler=prepared.scaler)
-    _, val_w = carve_validation(prepared.split.train, spec.validation_fraction)
+    trained, history = train(spec, prepared)
+    _, val_w = carve_validation(prepared.train, spec.validation_fraction)
     val_scaled, val_raw, _ = evaluate(trained, val_w)
-    test_scaled, test_raw, rows = evaluate(trained, prepared.split.test)
+    test_scaled, test_raw, rows = evaluate(trained, prepared.test)
     return RunReport(
         label=label,
         seed=report_seed,
@@ -315,7 +304,6 @@ def run_config(records, spec, label, report_seed):
         test_mse_scaled=test_scaled,
         predictions=rows,
         wall_clock=time.perf_counter() - started,
-        skipped=prepared.skipped,
         trained=trained,
         loss_history=history,
     )
@@ -351,14 +339,22 @@ def _sweep_task(args):
 def run_sweep(sweep, records, jobs=1):
     """Train every grid cell for every seed; aggregate and mark the argmin.
 
-    Each cell x seed pair derives its own seed from (seed, label), so results
-    are independent of execution order. Divergence is recorded per row and
-    the sweep continues. Rows are aggregated as the mean over seeds and the
+    Each cell is prepared once, before any task starts, and its tasks carry
+    that data; a cell that cannot be prepared fails the sweep, named. Each
+    cell x seed pair derives its own seed from (seed, label), so results are
+    independent of execution order. Divergence is recorded per row and the
+    sweep continues. Rows are aggregated as the mean over seeds and the
     argmin is chosen by mean validation MSE.
     """
+    prepared = []
+    for label, spec in sweep.cells:
+        try:
+            prepared.append(make_supervised(records, spec))
+        except (ValidationError, PreconditionError) as exc:
+            raise type(exc)(f"grid cell {label!r}: {exc}") from None
     tasks = [
-        (records, replace(spec, seed=derive_seed(seed, label)), label, seed)
-        for label, spec in sweep.cells
+        (data, replace(spec, seed=derive_seed(seed, label)), label, seed)
+        for data, (label, spec) in zip(prepared, sweep.cells)
         for seed in sweep.seeds
     ]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front

@@ -31,11 +31,11 @@ spec (the ModelSpec, training settings included), scaler and best_epoch, all
 that load_model restores.
 
 Each model rule is checked once, where a model, a sidecar or a window list
-enters: specs.ModelSpec checks its fields; dataprep.build_windows,
-given the spec's timesteps, variant and predictors, shapes every window to
-(timesteps, input_dim); load_model refuses a snapshot whose parameter names
-or shapes are not those its sidecar's spec builds. The kernels (cell,
-sequence, model forward and backward) trust their callers.
+enters: specs.ModelSpec checks its fields; dataprep.build_windows, given
+the spec, shapes every window to (timesteps, len(spec.columns)); load_model
+refuses a snapshot whose parameter names or shapes are not those its
+sidecar's spec builds. The kernels (cell, sequence, model forward and
+backward) trust their callers.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataprep
-from .dataprep import Scaler, window_columns
+from .dataprep import Scaler
 from .errors import DivergenceError, ValidationError
 from .nn_core import (
     Adam,
@@ -346,7 +346,7 @@ def carve_validation(windows, fraction):
     return list(windows[: n - n_val]), list(windows[n - n_val :])
 
 
-def train(spec, split, *, scaler):
+def train(spec, split):
     """Full-batch training with Adam at spec.lr; keeps the best-validation
     snapshot.
 
@@ -356,17 +356,17 @@ def train(spec, split, *, scaler):
     parameters are the snapshot with the lowest validation MSE (no early
     stopping). Raises DivergenceError when a loss is non-finite or exceeds
     DIVERGENCE_FACTOR times a positive epoch-0 training loss.
-    The windows are unscaled, as build_windows makes them; scaler, whose
-    ranges are in window column order, scales their features and targets
-    (dataprep.apply_scaler) and stays with the model, which learns and
-    predicts in its scaled units. spec.predictors and spec.variant are only
-    recorded, for predict to window new records the same way, and spec.ratio
-    as the split the windows came from (experiments.make_supervised).
+    split is experiments.make_supervised's dataprep.PreparedData, whose
+    scaler travels with its unscaled windows: in window column order, it
+    scales their features and targets (dataprep.apply_scaler) and stays with
+    the model, which learns and predicts in its scaled units. spec.predictors
+    and spec.variant are only recorded, for predict to window new records
+    the same way, and spec.ratio as the split the windows came from.
     """
     train_w, val_w = carve_validation(split.train, spec.validation_fraction)
     # through the module, so a wrapped dataprep.apply_scaler sees the calls
-    X_tr, y_tr = dataprep.apply_scaler(scaler, train_w)
-    X_val, y_val = dataprep.apply_scaler(scaler, val_w)
+    X_tr, y_tr = dataprep.apply_scaler(split.scaler, train_w)
+    X_val, y_val = dataprep.apply_scaler(split.scaler, val_w)
 
     model = Model(spec, X_tr.shape[2])
     params = model.parameters()
@@ -408,7 +408,7 @@ def train(spec, split, *, scaler):
                 best_epoch = epoch
     for p, v in zip(params, best_values):  # epoch 0 always sets them
         p.value = v
-    return TrainedModel(model=model, scaler=scaler, best_epoch=best_epoch), history
+    return TrainedModel(model, split.scaler, best_epoch), history
 
 
 def predict_batch(trained, windows):
@@ -465,8 +465,7 @@ def load_model(bin_path):
     if missing:  # save_model writes every field: none may fall back to a default
         raise ValidationError(f"{json_path} spec: missing keys {missing}")
     spec = ModelSpec(**typed(ModelSpec, sidecar.spec, f"{json_path} spec"))
-    columns = window_columns(spec.predictors, spec.variant)
-    model = Model(spec, len(columns))
+    model = Model(spec, len(spec.columns))
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):
         if name not in stored:
@@ -481,5 +480,5 @@ def load_model(bin_path):
         raise ValidationError(
             f"{bin_path}: the spec in {json_path} does not name snapshot "
             f"parameters {', '.join(stored)}")
-    scaler = Scaler.from_dict(sidecar.scaler, columns, str(json_path))
+    scaler = Scaler.from_dict(sidecar.scaler, spec.columns, str(json_path))
     return TrainedModel(model, scaler, sidecar.best_epoch)

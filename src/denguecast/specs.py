@@ -24,6 +24,10 @@ ARCHITECTURES = ("plain", "stacked", "bidir", "bidir_stacked")
 # each sweep kind and the header of its MSE table's first column
 SWEEP_KINDS = {"variant": "Variant", "timestep": "Time step",
                "predictor": "Predictor", "architecture": "Model"}
+# the ModelSpec field each kind's default grid sweeps; the architecture
+# grid's num_layers is not one, as its stacked cells read it from base
+KIND_FIELDS = {"variant": "variant", "timestep": "timesteps",
+               "predictor": "predictors", "architecture": "arch"}
 
 
 @dataclass(frozen=True)
@@ -145,15 +149,24 @@ class ModelSpec:
     def bidirectional(self):
         return self.arch in ("bidir", "bidir_stacked")
 
+    @property
+    def columns(self):
+        """Record fields of one window row, in column order: the climate
+        predictors, the larval index under variant II, then the incidence."""
+        larval = ("larval_index",) if self.variant == "II" else ()
+        return (*self.predictors, *larval, "cases")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep trains each cell of its grid once per seed. base holds the
     ModelSpec fields the sweep changes from the defaults, and a grid cell a
     label and the fields the cell changes from base; grid None is the default
-    grid of kind. Every spec is built and checked here, before any training;
-    an error in base or a cell names where, the file they were read from, if
-    given."""
+    grid of kind. A base field that every cell sets would be read by none, so
+    it is refused: the kind's field (KIND_FIELDS) for a default grid, any key
+    every cell sets for a given one. Every spec is built and checked here,
+    before any training; an error in base or a cell names where, the file
+    they were read from, if given."""
     kind: str = None  # one of SWEEP_KINDS; None (refused) leaves it to --kind
     base: dict = field(default_factory=dict)
     grid: tuple[dict, ...] = None
@@ -166,10 +179,19 @@ class SweepSpec:
             raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
         base_at = f"{where} base" if where else "sweep base"
         cell_at = f"{where} grid cell" if where else "grid cell"
+        if self.grid is None:
+            every_cell_sets = {KIND_FIELDS[self.kind]}
+        elif not self.grid:
+            raise ValidationError("sweep grid must be non-empty")
+        else:
+            every_cell_sets = set.intersection(*map(set, self.grid)) - {"label"}
+        unread = sorted(every_cell_sets & set(self.base))
+        if unread:
+            raise ValidationError(
+                f"{base_at}: every grid cell sets {', '.join(unread)}, "
+                "so the base value would be ignored")
         base = ModelSpec(**typed(ModelSpec, self.base, base_at))
         grid = default_grid(self.kind, base) if self.grid is None else self.grid
-        if not grid:
-            raise ValidationError("sweep grid must be non-empty")
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
@@ -181,6 +203,9 @@ class SweepSpec:
             if not isinstance(label, str):
                 raise ValidationError(f"grid cell label must be a str, got {label!r}")
             slug = slugify(label)
+            if not slug:
+                raise ValidationError(
+                    f"grid cell label {label!r} has no letter or digit to name files by")
             if slug in by_slug:
                 raise ValidationError(f"grid cells {by_slug[slug]!r} and {label!r} share files")
             by_slug[slug] = label

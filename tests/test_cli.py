@@ -386,6 +386,15 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     ({"kind": "daily", "grid": [{"label": "a", "timesteps": 2}]},
      "sweep kind must be one of"),
     ({"kind": "variant", "base": {"hidden": "x"}}, "{path} base: hidden must be int"),
+    # the cells' values would win over base's, so base's is read by no run
+    ({"kind": "variant", "base": {"hidden": 4},
+      "grid": [{"label": "a", "hidden": 2}, {"label": "b", "hidden": 8}]},
+     "{path} base: every grid cell sets hidden"),
+    ({"kind": "predictor", "base": {"predictors": ["temp_mean"]}},
+     "{path} base: every grid cell sets predictors"),
+    # its files would be named models/_seed0.*
+    ({"kind": "timestep", "grid": [{"label": "???", "timesteps": 3}]},
+     "grid cell label '???' has no letter or digit"),
 ])
 def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -396,6 +405,38 @@ def test_sweep_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     assert code == 2
     assert named.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--kind", "variant", "--variant", "I"], "variant"),
+    (["--kind", "timestep", "--timesteps", "5"], "timesteps"),
+    (["--kind", "timestep", "--grid", "2,3", "--timesteps", "5"], "timesteps"),
+    # checked before the base spec, which would refuse bidir with 4 layers
+    (["--kind", "architecture", "--arch", "bidir"], "arch"),
+], ids=["variant", "timestep", "timestep-grid", "architecture"])
+def test_sweep_base_flag_every_cell_sets_exits_2(flags, field, tmp_path, capsys):
+    code = cli.main(["sweep", "--out", str(tmp_path / "o"),
+                     "--records", str(tmp_path / "records.csv"), *flags])
+    assert code == 2
+    assert (f"error: sweep base: every grid cell sets {field}, so the base value "
+            "would be ignored") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_cell_without_windows_exits_2_before_training(jobs, chain, tmp_path,
+                                                            capsys):
+    # 24 months hold no 30-month window; the cell is named, and fails the
+    # sweep before a worker trains any other cell
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "--out", str(out),
+                     "--records", str(chain / "imp" / "imputed.csv"),
+                     "--kind", "timestep", "--grid", "30,2,3,4", "--seeds", "0,1",
+                     "--epochs", "300", "--jobs", jobs])
+    assert code == 2
+    assert ("error: grid cell 't = 30': no district has 30 consecutive months"
+            in capsys.readouterr().err)
+    assert not (out / "models").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -851,12 +892,14 @@ def two_districts(tmp_path_factory):
      "no district has 40 consecutive months (the model's timesteps)"),
     (["sweep", "--records", "prep/records.csv", "--sweep-config", "diverge.json"], 4,
      "every run diverged"),
+    (["sweep", "--records", "no_larval.csv", "--kind", "variant", "--seeds", "0"], 3,
+     "grid cell 'Variant II': larval index missing"),
     # numpy refuses a negative seed; the spec refuses it before any file is read
     (["impute", "--records", "missing.csv", "--seed", "-1"], 2,
      "seed must be >= 0, got -1"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
         "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged",
-        "impute-seed-negative"])
+        "sweep-variant-ii-unimputed", "impute-seed-negative"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)

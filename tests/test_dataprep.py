@@ -8,7 +8,6 @@ import pytest
 
 from denguecast.dataprep import (
     CASES_HEADER,
-    CLIMATE_FEATURES,
     CLIMATE_HEADER,
     LARVAL_HEADER,
     RAIN_HEADER,
@@ -29,7 +28,6 @@ from denguecast.dataprep import (
     rain_to_monthly,
     split_dataset,
     weighted_larval_index,
-    window_columns,
     write_climate_csv,
     write_csv,
     write_larval_truth_csv,
@@ -37,6 +35,11 @@ from denguecast.dataprep import (
 )
 from denguecast.errors import PreconditionError, ValidationError
 from denguecast.nn_core import make_rng
+from denguecast.specs import ModelSpec
+
+# the window specs of t = 3 under variants I and II
+T3_I = ModelSpec(timesteps=3, variant="I")
+T3_II = ModelSpec(timesteps=3, variant="II")
 
 
 def reading(district="D1", day=date(2018, 1, 5), temp=30.0, rh=70.0):
@@ -248,8 +251,8 @@ class TestScaler:
         # every count is at least 5, so a masked 0 would scale below 0
         records = [dataclasses.replace(r, temp_mean=25.0, cases=r.cases + 5)
                    for r in district_series(n_months=6)]
-        windows, _ = build_windows(records, 3, "I")
-        scaler = fit_scaler(records, window_columns(CLIMATE_FEATURES, "I"))
+        windows, _ = build_windows(records, T3_I)
+        scaler = fit_scaler(records, T3_I.columns)
         lo, hi = scaler.ranges["cases"]
         assert lo >= 5
 
@@ -288,24 +291,24 @@ def district_series(district="D1", n_months=12, start=(2018, 1), larval=True,
 
 class TestBuildWindows:
     def test_twelve_months_ten_windows(self):
-        windows, skipped = build_windows(district_series(n_months=12), 3, "I")
+        windows, skipped = build_windows(district_series(n_months=12), T3_I)
         assert len(windows) == 10  # 12 - 3 + 1
         assert skipped == 0
 
     def test_exactly_t_months(self):
-        windows, _ = build_windows(district_series(n_months=3), 3, "I")
+        windows, _ = build_windows(district_series(n_months=3), T3_I)
         assert len(windows) == 1
 
     def test_variant_column_counts(self):
         records = district_series(n_months=6)
-        w1, _ = build_windows(records, 3, "I")
-        w2, _ = build_windows(records, 3, "II")
+        w1, _ = build_windows(records, T3_I)
+        w2, _ = build_windows(records, T3_II)
         assert w2[0].features.shape[1] == w1[0].features.shape[1] + 1
         assert w1[0].features.shape == (3, 4)
 
     def test_rows_are_consecutive_months_and_masked_slot(self):
         records = district_series(n_months=8, seed=5)
-        windows, _ = build_windows(records, 3, "II")
+        windows, _ = build_windows(records, T3_II)
         by_month = {r.month: r for r in records}
         for w in windows:
             assert w.features[-1, -1] == 0.0  # masked current-month incidence
@@ -322,14 +325,14 @@ class TestBuildWindows:
         records = district_series(n_months=8)
         # remove (2018, 4): windows targeting months 4..6 are unbuildable
         records = [r for r in records if r.month != (2018, 4)]
-        windows, skipped = build_windows(records, 3, "I")
+        windows, skipped = build_windows(records, T3_I)
         assert len(windows) == 3  # targets (2018,3), (2018,7), (2018,8)
         assert skipped == 2  # targets (2018,5), (2018,6)
         assert gap_lines(records) == ["D1: gap between 2018-03 and 2018-05"]
 
     def test_per_district_independent(self):
         records = district_series("A", 6) + district_series("B", 5, seed=2)
-        windows, _ = build_windows(records, 3, "I")
+        windows, _ = build_windows(records, T3_I)
         assert sum(1 for w in windows if w.district == "A") == 4
         assert sum(1 for w in windows if w.district == "B") == 3
 
@@ -346,7 +349,8 @@ class TestBuildWindows:
         for r in records:
             months.setdefault(r.district, []).append(month_index(r.month))
         for t in range(2, 6):
-            windows, skipped = build_windows(records, t, "II")
+            spec = ModelSpec(timesteps=t, variant="II")
+            windows, skipped = build_windows(records, spec)
             assert len(windows) + skipped == sum(
                 max(0, len(m) - t + 1) for m in months.values())
         expected = []
@@ -364,12 +368,12 @@ class TestBuildWindows:
         with pytest.raises(ValidationError, match=(
                 r"^no district has 3 consecutive months \(the model's timesteps\) "
                 r"to make a window from$")):
-            build_windows(records, 3, "I")
+            build_windows(records, T3_I)
 
     def test_variant_ii_missing_larval(self):
         records = district_series("D9", 6, larval=False)
         with pytest.raises(PreconditionError, match="larval index missing.*D9"):
-            build_windows(records, 3, "II")
+            build_windows(records, T3_II)
 
 
 def synthetic_windows(n, start=(2014, 1)):
@@ -390,30 +394,30 @@ def synthetic_windows(n, start=(2014, 1)):
 
 class TestSplitDataset:
     def test_floor_arithmetic_2184(self):
-        split = split_dataset(synthetic_windows(2184), 0.85)
-        assert len(split.train) == 1856  # floor(0.85 * 2184)
-        assert len(split.test) == 328
+        train, test = split_dataset(synthetic_windows(2184), 0.85)
+        assert len(train) == 1856  # floor(0.85 * 2184)
+        assert len(test) == 328
 
     def test_twenty_windows(self):
-        split = split_dataset(synthetic_windows(20), 0.85)
-        assert (len(split.train), len(split.test)) == (17, 3)
+        train, test = split_dataset(synthetic_windows(20), 0.85)
+        assert (len(train), len(test)) == (17, 3)
 
     def test_single_window_rejected(self):
         with pytest.raises(PreconditionError, match="empty training split"):
             split_dataset(synthetic_windows(1), 0.85)
 
     def test_no_temporal_leakage(self):
-        split = split_dataset(synthetic_windows(100), 0.85)
-        max_train = max(month_index(w.target_month) for w in split.train)
-        min_test = min(month_index(w.target_month) for w in split.test)
+        train, test = split_dataset(synthetic_windows(100), 0.85)
+        max_train = max(month_index(w.target_month) for w in train)
+        min_test = min(month_index(w.target_month) for w in test)
         assert min_test >= max_train
 
     def test_partition(self):
         windows = synthetic_windows(50)
-        split = split_dataset(windows, 0.6)
-        ids = sorted(id(w) for w in split.train + split.test)
+        train, test = split_dataset(windows, 0.6)
+        ids = sorted(id(w) for w in train + test)
         assert ids == sorted(id(w) for w in windows)
-        assert not set(map(id, split.train)) & set(map(id, split.test))
+        assert not set(map(id, train)) & set(map(id, test))
 
 
 class TestRecordsCsv:

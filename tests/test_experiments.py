@@ -15,7 +15,6 @@ from denguecast.dataprep import (
     build_windows,
     fit_scaler,
     month_index,
-    window_columns,
 )
 from denguecast.experiments import (
     PredictionRow,
@@ -28,7 +27,7 @@ from denguecast.experiments import (
     round_half_away,
     run_sweep,
 )
-from denguecast.errors import ValidationError
+from denguecast.errors import PreconditionError, ValidationError
 from denguecast.lstm import Model, TrainedModel
 from denguecast.nn_core import make_rng, mse
 from denguecast.specs import ModelSpec, SweepSpec
@@ -58,7 +57,7 @@ def make_records(districts=2, months=24, seed=0, cases=None):
 
 def constant_model(spec, scaler, output):
     """A model whose every prediction is output, in scaled units."""
-    model = Model(spec, len(window_columns(spec.predictors, spec.variant)))
+    model = Model(spec, len(spec.columns))
     for p in model.parameters():
         p.value[...] = 0.0
     model.head_b2.value[0] = output
@@ -69,14 +68,13 @@ class TestEvaluate:
     def test_actual_is_the_record_count_and_raw_mse_uses_it(self):
         records = make_records(districts=1, months=8,
                                cases=lambda d, i: [3, 31, 7, 31, 12, 0, 31, 5][i])
-        columns = window_columns(SPEC.predictors, SPEC.variant)
-        scaler = fit_scaler(records, columns)
+        scaler = fit_scaler(records, SPEC.columns)
         scaler.ranges["cases"] = (0.0, 30.0)
         counts = [r.cases for r in records][2:]  # one window per month from the third
         # 31 does not survive a trip through this scaler, so a report that
         # de-scaled the scaled targets would not hold the counts
         assert scaler.invert_value("cases", scaler.transform([31], ("cases",)))[0] != 31
-        windows, _ = build_windows(records, 3, "II")
+        windows, _ = build_windows(records, SPEC)
         trained = constant_model(SPEC, scaler, 0.25)
 
         scaled, raw, rows = evaluate(trained, windows)
@@ -91,10 +89,9 @@ class TestEvaluate:
 
     def test_descaling_inverts_target_scaler(self):
         # identity-ish head: prediction = b2 in scaled space
-        scaler = Scaler({c: (10.0, 50.0)
-                         for c in window_columns(SPEC.predictors, SPEC.variant)})
+        scaler = Scaler({c: (10.0, 50.0) for c in SPEC.columns})
         tm = constant_model(SPEC, scaler, 0.25)
-        windows, _ = build_windows(make_records(districts=1, months=3), 3, "II")
+        windows, _ = build_windows(make_records(districts=1, months=3), SPEC)
         _, _, rows = evaluate(tm, windows)
         assert rows[0].predicted == pytest.approx(10.0 + 0.25 * 40.0)
 
@@ -169,10 +166,10 @@ class TestRunSweep:
     def test_diverged_cell_is_a_failure_outside_rows_and_argmin(self, monkeypatch):
         run_config = experiments.run_config
 
-        def lr_1e3_for_variant_i(records, spec, label, report_seed):
+        def lr_1e3_for_variant_i(prepared, spec, label, report_seed):
             if label == "Variant I":
                 spec = dataclasses.replace(spec, lr=1e3)
-            return run_config(records, spec, label, report_seed)
+            return run_config(prepared, spec, label, report_seed)
 
         monkeypatch.setattr(experiments, "run_config", lr_1e3_for_variant_i)
         sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, (0,))
@@ -201,6 +198,56 @@ class TestRunSweep:
         assert [(label, spec.timesteps) for label, spec in sweep.cells] == [
             ("t = 2", 2), ("t = 3", 3), ("t = 4", 4), ("t = 5", 5)]
 
+    def test_each_cell_is_prepared_once_before_any_training(self, monkeypatch):
+        events = []
+        make = experiments.make_supervised
+        run = experiments.run_config
+
+        def preparing(records, spec):
+            events.append(("prepare", spec.timesteps))
+            return make(records, spec)
+
+        def training(prepared, spec, label, report_seed):
+            events.append(("train", spec.timesteps))
+            return run(prepared, spec, label, report_seed)
+
+        monkeypatch.setattr(experiments, "make_supervised", preparing)
+        monkeypatch.setattr(experiments, "run_config", training)
+        base = {k: v for k, v in BASE.items() if k != "timesteps"}
+        grid = ({"label": "t = 2", "timesteps": 2}, {"label": "t = 3", "timesteps": 3})
+        result = run_sweep(SweepSpec("timestep", base, grid, (0, 1, 2)), make_records())
+        assert events[:2] == [("prepare", 2), ("prepare", 3)]
+        assert events[2:] == [("train", 2)] * 3 + [("train", 3)] * 3
+        assert len(result.reports) == 6
+
+    def test_a_base_field_some_cells_leave_open_is_read(self):
+        grid = [{"label": "a", "hidden": 2}, {"label": "b", "timesteps": 4}]
+        sweep = SweepSpec("timestep", {"hidden": 4}, grid, (0,))
+        assert [spec.hidden for _, spec in sweep.cells] == [2, 4]
+
+    def test_architecture_cells_read_the_base_layer_count(self):
+        sweep = SweepSpec("architecture", {"num_layers": 3}, None, (0,))
+        assert [spec.num_layers for _, spec in sweep.cells] == [1, 3, 1, 3]
+
+    @pytest.mark.parametrize("kind,grid,records,error,named", [
+        ("timestep",
+         [{"label": "t = 2", "timesteps": 2}, {"label": "t = 5", "timesteps": 5}],
+         make_records(months=4), ValidationError,
+         "grid cell 't = 5': no district has 5 consecutive months"),
+        ("variant", None,
+         [dataclasses.replace(r, larval_index=None) for r in make_records()],
+         PreconditionError, "grid cell 'Variant II': larval index missing"),
+    ], ids=["no-windows", "no-larval-index"])
+    def test_a_cell_that_cannot_be_prepared_is_named_before_any_training(
+            self, kind, grid, records, error, named, monkeypatch):
+        def training(*args):
+            raise AssertionError("a run trained")
+
+        monkeypatch.setattr(experiments, "run_config", training)
+        base = {k: v for k, v in BASE.items() if k != "timesteps"}
+        with pytest.raises(error, match="^" + re.escape(named)):
+            run_sweep(SweepSpec(kind, base, grid, (0,)), records, jobs=2)
+
 
 class TestMakeSupervised:
     def test_windows_once(self, monkeypatch):
@@ -215,17 +262,18 @@ class TestMakeSupervised:
         records = make_records()
         prepared = make_supervised(records, ModelSpec(timesteps=3, variant="II", ratio=0.5))
         assert len(calls) == 1 and calls[0][0] is records
-        assert len(prepared.split.train) + len(prepared.split.test) == 2 * (24 - 2)
+        assert len(prepared.train) + len(prepared.test) == 2 * (24 - 2)
 
     def test_scaler_is_fitted_on_records_up_to_the_split_boundary(self):
         # counts grow with time, so the test period holds the largest ones
         records = make_records(districts=2, months=12,
                                cases=lambda d, i: 10 * i + d)
         prepared = make_supervised(records, ModelSpec(timesteps=3, variant="II", ratio=0.5))
-        boundary = max(month_index(w.target_month) for w in prepared.split.train)
+        boundary = max(month_index(w.target_month) for w in prepared.train)
         assert boundary < max(month_index(r.month) for r in records)
         seen = [r for r in records if month_index(r.month) <= boundary]
-        columns = window_columns(("temp_mean", "rh_mean", "rain_total"), "II")
+        columns = ModelSpec(predictors=("temp_mean", "rh_mean", "rain_total"),
+                            variant="II").columns
         assert list(prepared.scaler.ranges) == list(columns)
         for c in columns:
             values = [getattr(r, c) for r in seen]
@@ -234,9 +282,9 @@ class TestMakeSupervised:
         # fitted range
         counts = {(r.district, r.month): r.cases for r in records}
         assert all(w.target == counts[(w.district, w.target_month)]
-                   for w in prepared.split.train + prepared.split.test)
-        _, y_train = apply_scaler(prepared.scaler, prepared.split.train)
-        _, y_test = apply_scaler(prepared.scaler, prepared.split.test)
+                   for w in prepared.train + prepared.test)
+        _, y_train = apply_scaler(prepared.scaler, prepared.train)
+        _, y_test = apply_scaler(prepared.scaler, prepared.test)
         assert max(y_test) > 1.0
         assert max(y_train) == 1.0
         assert np.all(y_train >= 0.0)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from denguecast.dataprep import (
+    PreparedData,
     Scaler,
-    SplitDataset,
     SupervisedWindow,
-    window_columns,
 )
 from denguecast.errors import DivergenceError, ValidationError
 from denguecast import lstm
@@ -339,10 +338,10 @@ class TestMatchesPerGateReference:
     def test_loss_history_identical(self, arch, layers, monkeypatch):
         spec = ModelSpec(arch=arch, num_layers=layers, hidden=8, dropout=0.2,
                          epochs=3, timesteps=T, seed=24)
-        split = as_split(linear_dynamics_windows(n=40))
-        got = train(spec, split, scaler=unit_scaler(spec))[1]
+        split = as_split(linear_dynamics_windows(n=40), unit_scaler(spec))
+        got = train(spec, split)[1]
         use_reference_cell(monkeypatch)
-        assert got == train(spec, split, scaler=unit_scaler(spec))[1]
+        assert got == train(spec, split)[1]
 
 
 class TestParameterCount:
@@ -376,24 +375,24 @@ def linear_dynamics_windows(n=60, seed=9, noise=0.02):
     return out
 
 
-def as_split(windows, ratio=0.85):
+def as_split(windows, scaler, ratio=0.85):
     n_train = int(len(windows) * ratio)
-    return SplitDataset(train=windows[:n_train], test=windows[n_train:])
+    return PreparedData(windows[:n_train], windows[n_train:], scaler, 0)
 
 
 def unit_scaler(spec, hi=1.0):
     """A complete scaler for spec's window columns, each ranging [0, hi]."""
-    return Scaler({c: (0.0, hi) for c in window_columns(spec.predictors, spec.variant)})
+    return Scaler({c: (0.0, hi) for c in spec.columns})
 
 
 def train_peak_bytes(epochs):
     """tracemalloc's peak over one lstm.train of a stacked 2x16 model."""
     spec = ModelSpec(arch="stacked", num_layers=2, hidden=16, dropout=0.2,
                      epochs=epochs, timesteps=T, seed=25)
-    split = as_split(linear_dynamics_windows(n=1000))
+    split = as_split(linear_dynamics_windows(n=1000), unit_scaler(spec))
     tracemalloc.start()
     try:
-        train(spec, split, scaler=unit_scaler(spec))
+        train(spec, split)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,8 +420,7 @@ class TestTrain:
     def test_one_epoch_history(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=1)
-        _, history = train(spec, as_split(linear_dynamics_windows()),
-                           scaler=unit_scaler(spec))
+        _, history = train(spec, as_split(linear_dynamics_windows(), unit_scaler(spec)))
         assert len(history) == 1
 
     def test_learns_linear_dynamics(self):
@@ -430,7 +428,7 @@ class TestTrain:
                          epochs=400, timesteps=T, seed=2, lr=1e-2)
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
-        _, history = train(spec, as_split(windows), scaler=unit_scaler(spec))
+        _, history = train(spec, as_split(windows, unit_scaler(spec)))
         targets = np.array([w.target for w in windows])
         final_train_mse = history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
@@ -438,9 +436,9 @@ class TestTrain:
     def test_determinism(self):
         spec = ModelSpec(arch="stacked", num_layers=2, hidden=4, dropout=0.2,
                          epochs=30, timesteps=T, seed=3)
-        split = as_split(linear_dynamics_windows(n=40))
-        h1 = train(spec, split, scaler=unit_scaler(spec))[1]
-        h2 = train(spec, split, scaler=unit_scaler(spec))[1]
+        split = as_split(linear_dynamics_windows(n=40), unit_scaler(spec))
+        h1 = train(spec, split)[1]
+        h2 = train(spec, split)[1]
         assert h1 == h2  # bit-identical
 
     def test_constant_targets_converge(self):
@@ -453,22 +451,22 @@ class TestTrain:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=500, timesteps=T, seed=5, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
-        _, history = train(spec, SplitDataset(train=windows, test=windows[:1]),
-                           scaler=unit_scaler(spec))
+        _, history = train(spec, PreparedData(windows, windows[:1],
+                                              unit_scaler(spec), 0))
         assert history[-1][0] < 1e-4
 
     def test_divergence_raises_with_epoch(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6, lr=1e12)
         with pytest.raises(DivergenceError) as err:
-            train(spec, as_split(linear_dynamics_windows(n=30)), scaler=unit_scaler(spec))
+            train(spec, as_split(linear_dynamics_windows(n=30), unit_scaler(spec)))
         assert err.value.epoch >= 0
 
     def test_loss_spike_that_recovers_is_not_divergence(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=50, timesteps=T, seed=6, lr=1.0)
-        _, history = train(spec, as_split(linear_dynamics_windows(n=30)),
-                           scaler=unit_scaler(spec))
+        _, history = train(spec, as_split(linear_dynamics_windows(n=30),
+                                          unit_scaler(spec)))
         loss0 = history[0][0]
         peak = max(max(tr, va) for tr, va in history)
         assert peak > 10.0 * loss0  # a real spike, far below DIVERGENCE_FACTOR
@@ -477,8 +475,8 @@ class TestTrain:
     def test_best_snapshot_recorded(self):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=8, dropout=0.0,
                          epochs=100, timesteps=T, seed=7)
-        tm, history = train(spec, as_split(linear_dynamics_windows(n=50)),
-                            scaler=unit_scaler(spec))
+        tm, history = train(spec, as_split(linear_dynamics_windows(n=50),
+                                           unit_scaler(spec)))
         vals = [v for _, v in history]
         assert tm.best_epoch == int(np.argmin(vals))
 
@@ -511,8 +509,7 @@ class TestPredict:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=400, timesteps=T, seed=9, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
-        tm, _ = train(spec, SplitDataset(train=windows, test=windows[:1]),
-                      scaler=unit_scaler(spec))
+        tm, _ = train(spec, PreparedData(windows, windows[:1], unit_scaler(spec), 0))
         return tm, windows
 
     def test_constant_fit(self):
@@ -538,7 +535,7 @@ class TestPersistence:
         spec = ModelSpec(arch="bidir_stacked", num_layers=2, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=10, ratio=0.8, lr=0.01)
         windows = linear_dynamics_windows(n=30)
-        tm, _ = train(spec, as_split(windows), scaler=unit_scaler(spec, hi=9.0))
+        tm, _ = train(spec, as_split(windows, unit_scaler(spec, hi=9.0)))
         save_model(tm, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
         assert loaded.model.spec == tm.model.spec
@@ -554,8 +551,8 @@ class TestPersistence:
                          epochs=4, timesteps=T, seed=15,
                          predictors=("rh_mean", "rain_total", "temp_mean"),
                          ratio=0.7, validation_fraction=0.2, lr=0.003)
-        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
-                      scaler=unit_scaler(spec, hi=7.0))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30),
+                                     unit_scaler(spec, hi=7.0)))
         save_model(tm, tmp_path / "a.bin")
         save_model(load_model(tmp_path / "a.bin"), tmp_path / "b.bin")
         for suffix in (".bin", ".json"):
@@ -568,8 +565,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=2, epochs=2,
                          timesteps=T, seed=17, ratio=0.7, validation_fraction=0.3,
                          lr=0.02)
-        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
-                      scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30), unit_scaler(spec)))
         save_model(tm, tmp_path / "m.bin")
         settings = ("ratio", "validation_fraction", "lr")
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
@@ -580,8 +576,7 @@ class TestPersistence:
     def test_sidecar_holds_exactly_three_keys(self, tmp_path):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=2, epochs=1,
                          timesteps=T, seed=16)
-        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
-                      scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30), unit_scaler(spec)))
         save_model(tm, tmp_path / "m.bin")
         sidecar = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         assert list(sidecar) == ["spec", "scaler", "best_epoch"]
@@ -591,8 +586,7 @@ class TestPersistence:
         spec = ModelSpec(hidden=2, epochs=1, timesteps=T, seed=13,
                          predictors=["rain_total", "temp_mean", "rh_mean"])
         assert spec.predictors == ("rain_total", "temp_mean", "rh_mean")
-        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
-                      scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30), unit_scaler(spec)))
         save_model(tm, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").model.spec == spec
         # the default predictors would window the records in another column
@@ -607,8 +601,7 @@ class TestPersistence:
     def test_snapshot_keeps_v01_gate_names(self, tmp_path):
         spec = ModelSpec(arch="bidir", num_layers=1, hidden=4, dropout=0.0,
                          epochs=1, timesteps=T, seed=14)
-        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30)),
-                      scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(linear_dynamics_windows(n=30), unit_scaler(spec)))
         save_model(tm, tmp_path / "m.bin")
         stored = {p.name: p for p in load_params(tmp_path / "m.bin")}
         assert list(stored) == [
@@ -626,9 +619,9 @@ class TestPersistence:
     def test_deterministic_bytes(self, tmp_path):
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.2,
                          epochs=10, timesteps=T, seed=11)
-        split = as_split(linear_dynamics_windows(n=30))
+        split = as_split(linear_dynamics_windows(n=30), unit_scaler(spec))
         for name in ("a", "b"):
-            tm, _ = train(spec, split, scaler=unit_scaler(spec))
+            tm, _ = train(spec, split)
             save_model(tm, tmp_path / f"{name}.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
@@ -637,7 +630,7 @@ class TestPersistence:
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=5, timesteps=T, seed=12)
         windows = linear_dynamics_windows(n=30)
-        tm, _ = train(spec, as_split(windows), scaler=unit_scaler(spec))
+        tm, _ = train(spec, as_split(windows, unit_scaler(spec)))
         # one batch of five against five batches of one
         batch = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]
