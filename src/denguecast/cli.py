@@ -28,10 +28,10 @@ Config files: `train --config` reads one flat JSON object of ModelSpec fields,
 e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}. `sweep --sweep-config`
 reads an object with optional keys kind, seeds (list of ints), base (an object
 as for train, bar seed) and grid (objects of a label and the ModelSpec fields
-the cell changes, bar seed). Keys and value types are checked
-(specs.typed). A value comes from the file or from a flag, never both: a
-flag for a key the file sets exits 2. Fields set by neither keep the spec's
-defaults.
+the cell changes, bar seed). Keys, value types and rules are checked
+(specs.build), and an error names the file. A value comes from the file or
+from a flag, never both: a flag for a key the file sets exits 2. Fields set
+by neither keep the spec's defaults.
 
 Exit codes: 0 success, else the exit_code of the errors class raised: 2
 ValidationError (bad input; argparse also exits 2 on an unknown flag), 3
@@ -108,7 +108,7 @@ def _spec(cls, args, given=None, where=None):
     """The spec cls built from a config object of its fields (read from where)
     and the flags of the fields the object leaves unset, each value checked."""
     values = _file_or_flags(args, given or {}, [f.name for f in fields(cls)], where)
-    return cls(**specs.typed(cls, values, where))
+    return specs.build(cls, values, where)
 
 
 def _print_skipped(n):

@@ -11,12 +11,14 @@ so one batched matmul over the gate axis computes all four gates:
     c = f * c_prev + i * g
     h = o * tanh(c)
 
-Architectures: plain (one layer, last hidden state to the head), stacked
-(each layer consumes the full hidden sequence of the one below),
-bidirectional (forward and reversed passes concatenated), and the stacked
-bidirectional combination. The head is a ReLU dense layer followed by a
-linear scalar output. Gradients are hand-derived and exact; dropout sits
-between layers and before the head during training.
+A layer is the list of its cells: [fwd], or [fwd, bwd] when bidirectional.
+Cell d reads the layer's input rows in _reading_order(rows, d), the one
+place that knows the backward cell reads them reversed, and a cell's final
+state is the last row it read. plain and bidir have one layer; stacked and
+bidir_stacked feed each layer's output sequence to the next. The head, a
+ReLU dense layer then a linear scalar output, reads the final state of each
+top-layer cell. Gradients are hand-derived and exact; dropout sits between
+layers and before the head during training.
 
 Activation lifetime: backpropagation through time needs every cell step's
 activations, so they set the memory of training. A training forward's cache
@@ -64,7 +66,7 @@ from .nn_core import (
     sigmoid,
     zero_grads,
 )
-from .specs import ModelSpec, read_object, typed
+from .specs import ModelSpec, build, read_object
 
 # Training has diverged once a finite train or validation loss exceeds this
 # multiple of the epoch-0 training loss. Adam moves each weight by about lr per
@@ -143,49 +145,45 @@ def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
     return dx, dh_prev, dct * f
 
 
-def sequence_forward(X, cell, direction="forward"):
-    """Run a cell over a batch of windows X (B, t, F) from zero initial state.
+def _reading_order(rows, d):
+    """The rows (B, t, ...) in the order cell d of a layer reads them: the
+    forward cell (d = 0) as given, the backward cell (d = 1) reversed. Its own
+    inverse, so it also puts a cell's outputs and gradients back in row order."""
+    return rows[:, ::-1] if d else rows
 
-    The backward direction iterates rows t-1..0 and the output is re-reversed,
-    so row s of the result always corresponds to input row s. Returns
-    (hidden sequence (B, t, H), per-step caches in processing order).
-    """
+
+def _join(parts, axis):
+    """The parts concatenated along axis; a single part passes on uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def sequence_forward(X, cell):
+    """Run a cell over a batch of windows X (B, t, F) from zero initial state,
+    reading rows 0..t-1. Returns (hidden sequence (B, t, H), per-step caches)."""
     B, t, _ = X.shape
-    Xp = X[:, ::-1, :] if direction == "backward" else X
-    h = np.zeros((B, cell.hidden))
-    c = np.zeros((B, cell.hidden))
-    hs = []
-    caches = []
+    h = c = np.zeros((B, cell.hidden))  # one zero state: cell_forward writes neither
+    hs, caches = [], []
     for s in range(t):
-        h, c, cache = cell_forward(Xp[:, s, :], h, c, cell)
+        h, c, cache = cell_forward(X[:, s, :], h, c, cell)
         hs.append(h)
         caches.append(cache)
-    seq = np.stack(hs, axis=1)
-    if direction == "backward":
-        seq = seq[:, ::-1, :]
-    return seq, caches
+    return np.stack(hs, axis=1), caches
 
 
-def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
-    """Backward through a whole sequence; d_seq is indexed like the input rows.
-
-    Returns the gradient w.r.t. the input rows, or None unless need_dx.
-    """
+def sequence_backward(d_seq, caches, cell, need_dx=True):
+    """Backward through a whole sequence; d_seq is indexed like the rows read,
+    and so is the gradient w.r.t. them that it returns (None unless need_dx)."""
     B, t, _ = d_seq.shape
-    dp = d_seq[:, ::-1, :] if direction == "backward" else d_seq
-    dh_carry = np.zeros((B, cell.hidden))
-    dc_carry = np.zeros((B, cell.hidden))
-    dXp = np.empty((B, t, cell.input_dim)) if need_dx else None
+    dh_carry = dc_carry = np.zeros((B, cell.hidden))  # cell_backward writes neither
+    dX = np.empty((B, t, cell.input_dim)) if need_dx else None
     for s in reversed(range(t)):
         dx, dh_carry, dc_carry = cell_backward(
-            dp[:, s, :] + dh_carry, dc_carry, caches[s], cell,
+            d_seq[:, s, :] + dh_carry, dc_carry, caches[s], cell,
             need_dx=need_dx, first_step=s == 0,
         )
         if need_dx:
-            dXp[:, s, :] = dx
-    if not need_dx:
-        return None
-    return dXp[:, ::-1, :] if direction == "backward" else dXp
+            dX[:, s, :] = dx
+    return dX
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +191,25 @@ def sequence_backward(d_seq, caches, cell, direction="forward", need_dx=True):
 
 
 class Model:
-    """Parameters of one configured network: LSTM layers plus the dense head."""
+    """Parameters of one configured network: LSTM layers plus the dense head.
+
+    A layer is the list of its cells: [fwd], or [fwd, bwd] when bidirectional.
+    Cell d reads the layer's input rows in _reading_order(rows, d); output row
+    s of the layer joins its cells' hidden states at input row s, and the head
+    reads each top-layer cell's final state, the last row that cell read.
+    """
 
     def __init__(self, spec, input_dim):
         self.spec = spec
         rng = make_rng(derive_seed(spec.seed, "init"))
         H = spec.hidden
+        directions = ("fwd", "bwd") if spec.bidirectional else ("fwd",)
         self.layers = []
         dim = input_dim
         for li in range(spec.num_layers):
-            fwd = LstmCellParams(f"layer{li}.fwd", dim, H, rng)
-            bwd = (LstmCellParams(f"layer{li}.bwd", dim, H, rng)
-                   if spec.bidirectional else None)
-            self.layers.append((fwd, bwd))
-            dim = 2 * H if spec.bidirectional else H
+            self.layers.append([LstmCellParams(f"layer{li}.{d}", dim, H, rng)
+                                for d in directions])
+            dim = len(directions) * H
         lim1 = math.sqrt(1.0 / dim)  # dim is now the head's feature width
         lim2 = math.sqrt(1.0 / H)
         self.head_W1 = Parameter("head.W1", rng.uniform(-lim1, lim1, (H, dim)))
@@ -217,7 +220,7 @@ class Model:
 
     def cells(self):
         """LSTM cells in layer order, each forward cell before its backward one."""
-        return [cell for layer in self.layers for cell in layer if cell is not None]
+        return [cell for layer in self.layers for cell in layer]
 
     def parameters(self):
         return [p for cell in self.cells() for p in cell.parameters()] + self.head
@@ -241,18 +244,12 @@ def model_forward(model, window, training=False, rng=None):
     seq = window
     layer_caches = []
     last = len(model.layers) - 1
-    for li, (fwd, bwd) in enumerate(model.layers):
-        lc = {"bwd_caches": None, "mask": None}
-        fwd_seq, lc["fwd_caches"] = sequence_forward(seq, fwd, "forward")
-        if bwd is not None:
-            bwd_seq, lc["bwd_caches"] = sequence_forward(seq, bwd, "backward")
-            seq = np.concatenate([fwd_seq, bwd_seq], axis=2)
-            # final state of each direction: forward's last row, backward's
-            # first row (the backward cell ends on input row 0)
-            feature = np.concatenate([fwd_seq[:, -1, :], bwd_seq[:, 0, :]], axis=1)
-        else:
-            seq = fwd_seq
-            feature = fwd_seq[:, -1, :]
+    for li, layer in enumerate(model.layers):
+        lc = {"mask": None}
+        outs, lc["steps"] = zip(*(sequence_forward(_reading_order(seq, d), cell)
+                                  for d, cell in enumerate(layer)))
+        seq = _join([_reading_order(out, d) for d, out in enumerate(outs)], axis=2)
+        feature = _join([out[:, -1, :] for out in outs], axis=1)
         if training:
             layer_caches.append(lc)
             if li < last:
@@ -266,16 +263,8 @@ def model_forward(model, window, training=False, rng=None):
     pred = (z1 @ model.head_w2.value.T + model.head_b2.value)[:, 0]
     if not training:
         return pred, None
-    cache = {
-        "batch": window.shape[0],
-        "timesteps": window.shape[1],
-        "layers": layer_caches,
-        "feat_dropped": feature,
-        "feat_mask": feat_mask,
-        "a1": a1,
-        "z1": z1,
-    }
-    return pred, cache
+    return pred, {"layers": layer_caches, "feat_dropped": feature,
+                  "feat_mask": feat_mask, "a1": a1, "z1": z1}
 
 
 def model_backward(model, cache, d_pred):
@@ -295,23 +284,22 @@ def model_backward(model, cache, d_pred):
     d_above = None  # gradient w.r.t. the (dropped) output sequence of the layer
     last = len(model.layers) - 1
     for li in range(last, -1, -1):
-        fwd, bwd = model.layers[li]
         lc = cache["layers"][li]
-        if li == last:
-            # the feature is forward's last row and backward's first row
-            d_out = np.zeros((cache["batch"], cache["timesteps"], d_feature.shape[1]))
-            d_out[:, -1, :H] = d_feature[:, :H]
-            d_out[:, 0, H:] = d_feature[:, H:]
-        else:
-            d_out = d_above * lc["mask"]
+        d_out = d_above * lc["mask"] if li < last else None
         need_dx = li > 0  # nothing reads the gradient w.r.t. the input windows
-        d_above = sequence_backward(d_out[:, :, :H], lc["fwd_caches"], fwd,
-                                    "forward", need_dx=need_dx)
-        if bwd is not None:
-            d_bwd = sequence_backward(d_out[:, :, H:], lc["bwd_caches"], bwd,
-                                      "backward", need_dx=need_dx)
+        d_rows = []
+        for d, (cell, steps) in enumerate(zip(model.layers[li], lc["steps"])):
+            cols = slice(d * H, (d + 1) * H)
+            if li == last:  # the head read the last row each cell read
+                d_read = np.zeros((len(d_pred), len(steps), H))
+                d_read[:, -1, :] = d_feature[:, cols]
+            else:
+                d_read = _reading_order(d_out[:, :, cols], d)
+            d_x = sequence_backward(d_read, steps, cell, need_dx=need_dx)
             if need_dx:
-                d_above = d_above + d_bwd
+                d_rows.append(_reading_order(d_x, d))
+        if need_dx:  # a one-cell layer's gradient passes on uncopied
+            d_above = sum(d_rows[1:], d_rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +448,11 @@ def load_model(bin_path):
     missing a field, a slot the snapshot leaves empty or misshapes, or a
     parameter the spec does not name, raises ValidationError naming the files."""
     json_path = sidecar_path(bin_path)
-    sidecar = Sidecar(**typed(Sidecar, read_object(json_path, "model sidecar"), str(json_path)))
+    sidecar = build(Sidecar, read_object(json_path, "model sidecar"), str(json_path))
     missing = [f.name for f in fields(ModelSpec) if f.name not in sidecar.spec]
     if missing:  # save_model writes every field: none may fall back to a default
         raise ValidationError(f"{json_path} spec: missing keys {missing}")
-    spec = ModelSpec(**typed(ModelSpec, sidecar.spec, f"{json_path} spec"))
+    spec = build(ModelSpec, sidecar.spec, f"{json_path} spec")
     model = Model(spec, len(spec.columns))
     stored = {p.name: p.value for p in load_params(bin_path)}
     for name, value, _ in snapshot_slots(model):

@@ -34,7 +34,6 @@ def derive_seed(base_seed, label):
 
 
 def relu(x):
-    x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0)
 
 
@@ -43,7 +42,6 @@ def sigmoid(x, out=None):
     where(x < 0, e, 1) / (1 + e), the numerator computed as exp(min(x, 0)).
     In place where possible: gate-sized temporaries set the peak memory. The
     result goes to out if given, which may be x itself."""
-    x = np.asarray(x, dtype=np.float64)
     den = np.exp(-np.abs(x))
     den += 1.0
     out = np.minimum(x, 0.0, out=out)
@@ -60,7 +58,6 @@ def dropout(x, rate, rng):
     so the backward pass is a plain multiply by it. At rate 0 the result is
     the input unchanged and the mask is all ones.
     """
-    x = np.asarray(x, dtype=np.float64)
     if rate == 0.0:
         return x.copy(), np.ones_like(x)
     keep = rng.random(x.shape) >= rate

@@ -190,7 +190,7 @@ class SweepSpec:
             raise ValidationError(
                 f"{base_at}: every grid cell sets {', '.join(unread)}, "
                 "so the base value would be ignored")
-        base = ModelSpec(**typed(ModelSpec, self.base, base_at))
+        base = build(ModelSpec, self.base, base_at)
         grid = default_grid(self.kind, base) if self.grid is None else self.grid
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
@@ -214,7 +214,7 @@ class SweepSpec:
             if "seed" in values:
                 at = base_at if "seed" in self.base else f"{cell_at} {label!r}"
                 raise ValidationError(f"{at}: unknown keys ['seed']")
-            cells.append((label, ModelSpec(**typed(ModelSpec, values, f"{cell_at} {label!r}"))))
+            cells.append((label, build(ModelSpec, values, f"{cell_at} {label!r}")))
         object.__setattr__(self, "cells", cells)
 
 
@@ -294,6 +294,16 @@ def typed(cls, data, where):
             raise ValidationError(
                 f"{where}: {key} must be {_name(tp)}, got {value!r}") from None
     return values
+
+
+def build(cls, data, where):
+    """cls(**typed(cls, data, where)); a rule of cls that a value breaks
+    raises ValidationError prefixed with where, if given (flags give none)."""
+    values = typed(cls, data, where)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def _name(tp):

@@ -349,10 +349,12 @@ def test_sweep_reads_grid_and_flags_the_config_leaves_open(chain, tmp_path):
     ({"hidden": "4"}, "hidden must be int"),
     ({"hidden": True}, "hidden must be int"),
     ({"epochs": 1.5}, "epochs must be int"),
-    ({"lr": -1}, "lr must be > 0"),
-    ({"hidden": 0}, "hidden width must be >= 1, got 0"),
-    ({"epochs": 0}, "epochs must be >= 1, got 0"),
-    ({"validation_fraction": 1.0}, "validation_fraction must lie in [0, 1), got 1.0"),
+    # a broken rule names the file, as a wrong type does
+    ({"lr": -1}, "{path}: lr must be > 0"),
+    ({"hidden": 0}, "{path}: hidden width must be >= 1, got 0"),
+    ({"epochs": 0}, "{path}: epochs must be >= 1, got 0"),
+    ({"validation_fraction": 1.0},
+     "{path}: validation_fraction must lie in [0, 1), got 1.0"),
     ([1, 2], "must hold a JSON object"),
 ])
 def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
@@ -362,7 +364,7 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
                      "--records", str(tmp_path / "records.csv"),
                      "--config", str(path)])
     assert code == 2
-    assert named in capsys.readouterr().err
+    assert named.format(path=path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config,named", [
@@ -373,6 +375,8 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
     ({"kind": "timestep", "grid": []}, "sweep grid must be non-empty"),
     ({"kind": "timestep", "grid": [{"label": "t3", "timesteps": "3"}]},
      "{path} grid cell 't3': timesteps must be int"),
+    ({"kind": "timestep", "grid": [{"label": "b", "timesteps": 1}]},
+     "{path} grid cell 'b': timesteps must be >= 2, got 1"),
     ({"kind": "timestep", "grid": [{"label": 5, "timesteps": 3}]},
      "label must be a str"),
     # both labels would write models/a_seed0.*
@@ -466,6 +470,8 @@ def _copy_model(chain, tmp_path, edit):
     # trained on
     (lambda s: s["spec"].pop("timesteps"),
      "{dir}/model.json spec: missing keys ['timesteps']"),
+    (lambda s: s["spec"].update(dropout=1.5),
+     "{dir}/model.json spec: dropout must lie in [0, 1), got 1.5"),
     (lambda s: s.update(scaler=None), "scaler must be dict, got None"),
     (lambda s: s["scaler"].update(temp_mean=[1]),
      "scaler temp_mean must be a [lo, hi] pair"),
@@ -492,7 +498,7 @@ def _copy_model(chain, tmp_path, edit):
     (lambda s: s["spec"].update(arch="bidir", num_layers=1),
      "{dir}/model.bin: the spec in {dir}/model.json does not name snapshot "
      "parameters layer1.fwd.W_i, layer1.fwd.U_i, "),
-], ids=["hidden-str", "unknown-key", "spec-missing-timesteps", "scaler-null",
+], ids=["hidden-str", "unknown-key", "spec-missing-timesteps", "dropout-1.5", "scaler-null",
         "scaler-not-pair", "scaler-strings", "scaler-lo-above-hi", "scaler-inf", "scaler-nan",
         "scaler-missing-column", "scaler-extra-column", "input-dim",
         "hidden-edited", "layers-edited", "layers-dropped"])
@@ -897,9 +903,12 @@ def two_districts(tmp_path_factory):
     # numpy refuses a negative seed; the spec refuses it before any file is read
     (["impute", "--records", "missing.csv", "--seed", "-1"], 2,
      "seed must be >= 0, got -1"),
+    # the default base arch is stacked; the base is named before any file is read
+    (["sweep", "--records", "missing.csv", "--kind", "architecture",
+      "--num-layers", "1"], 2, "error: sweep base: stacked requires num_layers>=2, got 1"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
         "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged",
-        "sweep-variant-ii-unimputed", "impute-seed-negative"])
+        "sweep-variant-ii-unimputed", "impute-seed-negative", "sweep-base-num-layers-1"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
@@ -919,6 +928,54 @@ def test_sweep_in_which_every_run_diverges_writes_its_log(two_districts, tmp_pat
     assert "| t = 3 (seed 0) | diverged | diverged |" in (
         out / "tables" / "mse_summary.md").read_text(encoding="utf-8")
     assert _csv_rows(out / "reports" / "mse_summary.csv") == []
+
+
+# sha256 of train's files and predict's predictions.csv for each architecture
+# on two_districts' imputed records, hidden 3, 4 epochs and the default
+# dropout 0.2, recorded while a layer still held a None backward cell: each
+# layer's cells must read their rows and feed the head as they did then
+ARCH_GOLDEN = {
+    "plain": {
+        "model.bin": "19cf8180ba0174b2aeeaf228cbab82cba255e7efee22cf20289e4564690be9b2",
+        "model.json": "7a5a030f81496ac5efb4ce1894d7d3e99a35b122640d55eca32fd073726bf400",
+        "loss.csv": "23318bb50fb031afde8e39cd39acdb08707423bb5cf2782c3c7e73172d882369",
+        "predictions.csv": "c44496ad28d6965e7bccaff89cbfb7ab8f136ec832f41522637e52ca44ad10f6",
+    },
+    "stacked": {
+        "model.bin": "e3e794371cd0808b04ab4e0b5e950da801604772769bf97642446308fa476b22",
+        "model.json": "5edd0c3a9799b901b810dc74dc8dfb1ab14436740c743183ee6db9ea69c28921",
+        "loss.csv": "463c921593a896446ccea12c269897011ea82e5798afed229130bae6afbc8f4c",
+        "predictions.csv": "3bad38a7ede37a63c2ac5bca9f1c6d317f55372468b86cb84dbb62c0257d1695",
+    },
+    "bidir": {
+        "model.bin": "34441161c6d035ceb8a6362179b437bab4d90c129765b4e1e637030209565871",
+        "model.json": "784c85e391ce466ed7916160d7e418d42dc12f58cb8395ff0186fbafce6493cc",
+        "loss.csv": "a84a8dc0c6a6d56b3f5009dd3eb5d079a8501e31b26cc7f906a3f962ae898f32",
+        "predictions.csv": "258d0d7914d62f53b8e927c433f6694806cfe2dc3589b29ee595e04806a96a77",
+    },
+    "bidir_stacked": {
+        "model.bin": "331b90aec2faacaca8a1021451ea1d81b17959a98c83a691a6334c4445fdeae8",
+        "model.json": "5bae59e77807d9b54ae77c7ec3c11753299235e23e8f7d599de5add71b2180e4",
+        "loss.csv": "106aada9a63d096143d232bcb4521c79d5b6b44207ba623557a65ef89dd59377",
+        "predictions.csv": "67c6bde5415eebc2072725b756d1f563a0a4839bb7f58911f2c749485302d133",
+    },
+}
+
+
+@pytest.mark.parametrize("arch,layers", [("plain", "1"), ("stacked", "2"),
+                                         ("bidir", "1"), ("bidir_stacked", "2")])
+def test_train_and_predict_match_golden_for_each_architecture(arch, layers,
+                                                              two_districts, tmp_path):
+    records = str(two_districts / "imp" / "imputed.csv")
+    model = tmp_path / "model"
+    assert cli.main(["train", "--out", str(model), "--records", records,
+                     "--arch", arch, "--num-layers", layers, "--hidden", "3",
+                     "--epochs", "4"]) == 0
+    assert cli.main(["predict", "--out", str(tmp_path / "pred"),
+                     "--model", str(model / "model.bin"), "--records", records]) == 0
+    written = {name: _sha256(model / name) for name in ("model.bin", "model.json", "loss.csv")}
+    written["predictions.csv"] = _sha256(tmp_path / "pred" / "predictions.csv")
+    assert written == ARCH_GOLDEN[arch]
 
 
 @pytest.mark.parametrize("edit,named", [

@@ -34,6 +34,7 @@ from denguecast.nn_core import (
     load_params,
     make_rng,
     mse,
+    relu,
     sigmoid,
     zero_grads,
 )
@@ -161,14 +162,6 @@ class TestSequenceForward:
         h, _, _ = cell_forward(x, np.zeros((1, H)), np.zeros((1, H)), cell)
         np.testing.assert_allclose(seq[0], h, atol=1e-15)
 
-    def test_backward_equals_forward_on_reversed_input(self):
-        cell = make_cell(seed=5)
-        X = make_rng(6).normal(size=(1, T, F))
-        fwd_on_reversed, _ = sequence_forward(X[:, ::-1], cell, "forward")
-        bwd, _ = sequence_forward(X, cell, "backward")
-        # re-reversed backward output row i corresponds to input row i
-        np.testing.assert_allclose(bwd, fwd_on_reversed[:, ::-1], atol=1e-12)
-
     def test_zero_input_zero_params(self):
         cell = make_cell()
         set_all(cell, 0.0)
@@ -206,10 +199,32 @@ class TestModelForward:
         row = make_rng(12).normal(size=F)
         X = np.stack([row, make_rng(13).normal(size=F), row])  # palindromic in time
         X = np.stack([X])
-        fwd_seq, _ = sequence_forward(X, fwd, "forward")
-        bwd_seq, _ = sequence_forward(X, bwd, "backward")
+        fwd_seq, _ = sequence_forward(X, fwd)
+        bwd_seq, _ = sequence_forward(X[:, ::-1], bwd)
         # with tied parameters the two directions end in the same state
-        np.testing.assert_allclose(fwd_seq[:, -1, :], bwd_seq[:, 0, :], atol=1e-12)
+        np.testing.assert_allclose(fwd_seq[:, -1, :], bwd_seq[:, -1, :], atol=1e-12)
+
+    @pytest.mark.parametrize("arch,layers", [("bidir", 1), ("bidir_stacked", 2)])
+    def test_bidir_forward_is_two_cells_and_the_head(self, arch, layers):
+        # stepped by hand: the forward cell reads rows 0..t-1, the backward
+        # cell rows t-1..0; output row s holds both cells' states at row s,
+        # and the head reads forward's state at row t-1 and backward's at row 0
+        _, model, X, _ = model_and_data(arch, layers)
+        seq = X
+        for fwd, bwd in model.layers:
+            out = np.empty((len(X), T, 2 * H))
+            for cell, rows, cols in ((fwd, range(T), slice(0, H)),
+                                     (bwd, range(T - 1, -1, -1), slice(H, 2 * H))):
+                h = c = np.zeros((len(X), H))
+                for s in rows:
+                    h, c, _ = cell_forward(seq[:, s], h, c, cell)
+                    out[:, s, cols] = h
+            seq = out
+        feature = np.concatenate([seq[:, -1, :H], seq[:, 0, H:]], axis=1)
+        z1 = relu(feature @ model.head_W1.value.T + model.head_b1.value)
+        want = (z1 @ model.head_w2.value.T + model.head_b2.value)[:, 0]
+        pred, _ = model_forward(model, X)
+        np.testing.assert_allclose(pred, want, atol=1e-12)
 
 
 class TestModelBackward:

@@ -73,6 +73,22 @@ def test_a_month_is_written_only_by_month_text():
     assert _fstring_sites(MONTH_TEXT) == ["dataprep.month_text"]
 
 
+# the slice of a "[:, ::-1]" reversed-rows subscript, whatever axes follow
+REVERSED_ROWS = re.compile(r"\(:, ::-1[,)]")
+
+
+def test_only_the_reading_order_reverses_rows_in_lstm():
+    # lstm._reading_order is the one place that knows a bidirectional
+    # layer's backward cell reads its rows reversed
+    sites = []
+    for top in ast.parse((PACKAGE / "lstm.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Subscript)
+                    and REVERSED_ROWS.match(ast.unparse(node.slice))):
+                sites.append(f"lstm.{getattr(top, 'name', '<module>')}")
+    assert sites == ["lstm._reading_order"]
+
+
 def test_only_lstm_pairs_a_model_bin_with_its_json():
     # lstm.sidecar_path is the one place a model's .json is named after its
     # .bin; save_model and load_model take the .bin path alone
