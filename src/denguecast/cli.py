@@ -28,10 +28,12 @@ Config files: `train --config` reads one flat JSON object of ModelSpec fields,
 e.g. {"arch": "bidir", "num_layers": 1, "lr": 0.01}. `sweep --sweep-config`
 reads an object with optional keys kind, seeds (list of ints), base (an object
 as for train, bar seed) and grid (objects of a label and the ModelSpec fields
-the cell changes, bar seed). Keys, value types and rules are checked
-(specs.build), and an error names the file. A value comes from the file or
-from a flag, never both: a flag for a key the file sets exits 2. Fields set
-by neither keep the spec's defaults.
+the cell changes, bar seed). A value comes from the file or from a flag,
+never both: a flag for a key the file sets exits 2. Fields set by neither
+keep the spec's defaults. Keys, types and rules are checked (specs.build).
+An error names the file and then the flags that fill in what it leaves
+unset (`c.json --hidden: hidden width must be >= 1, got 0`), nothing for
+flags alone, and then a sweep's base or cell (`s.json: sweep base: ...`).
 
 Exit codes: 0 success, else the exit_code of the errors class raised: 2
 ValidationError (bad input; argparse also exits 2 on an unknown flag), 3
@@ -94,21 +96,23 @@ def _write(path, text):
 
 
 def _file_or_flags(args, given, keys, where):
-    """The values of a config object plus the flags among keys that are set;
-    a key set by both is an UnreadFlag."""
+    """The values of a config object plus the flags among keys that are set,
+    and those flags' names; a key set by both is an UnreadFlag."""
     flags = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     clash = [k for k in flags if k in given]
     if clash:
         names = " ".join("--" + k.replace("_", "-") for k in clash)
         raise UnreadFlag(f"{names} ({where} sets {', '.join(clash)})")
-    return given | flags
+    return given | flags, ["--" + k.replace("_", "-") for k in flags]
 
 
-def _spec(cls, args, given=None, where=None):
-    """The spec cls built from a config object of its fields (read from where)
-    and the flags of the fields the object leaves unset, each value checked."""
-    values = _file_or_flags(args, given or {}, [f.name for f in fields(cls)], where)
-    return specs.build(cls, values, where)
+def _spec(cls, args, given=None, path=None):
+    """The spec cls from a config object of its fields read from path and the
+    flags of the fields it leaves unset; a key or type error names the file,
+    a rule's error the file and those flags (nothing for flags alone)."""
+    given = specs.typed(cls, given or {}, path)
+    values, flags = _file_or_flags(args, given, [f.name for f in fields(cls)], path)
+    return specs.build(cls, values, path and " ".join([path, *flags]))
 
 
 def _print_skipped(n):
@@ -222,17 +226,17 @@ def _sweep_spec(args):
     path = args.sweep_config
     given = specs.typed(specs.SweepSpec,
                         specs.read_object(path, "config") if path else {}, path)
-    values = _file_or_flags(args, given, ("kind", "seeds"), path)
-    if "kind" not in values:
-        raise ValidationError("sweep requires --kind or a kind in --sweep-config")
+    values, flags = _file_or_flags(args, given, ("kind", "seeds"), path)
     model_keys = [f.name for f in fields(specs.ModelSpec)]
-    values["base"] = _file_or_flags(args, values.get("base", {}), model_keys,
-                                    f"{path} base")
-    read_grid = (args.grid is not None and values["kind"] == "timestep"
+    values["base"], base_flags = _file_or_flags(
+        args, values.get("base", {}), model_keys, f"{path} base")
+    read_grid = (args.grid is not None and values.get("kind") == "timestep"
                  and "grid" not in values)
     if read_grid:
         values["grid"] = specs.timestep_grid(args.grid)
-    sweep = specs.SweepSpec(**values, where=path)
+        flags.append("--grid")
+    sweep = specs.build(specs.SweepSpec, values,
+                        path and " ".join([path, *flags, *base_flags]))
     if args.grid is not None and not read_grid:
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     return sweep

@@ -4,8 +4,8 @@ Raw inputs are daily climate readings, weekly rainfall, monthly larval
 surveys and monthly case counts. They are aggregated to district-month
 resolution, joined into DistrictMonthRecord rows, windowed into (timesteps x
 features) supervised samples and split chronologically. Records and windows
-hold values as read: apply_scaler, the one scaler of model inputs, min-max
-scales the stacked arrays of a window list with a model's Scaler.
+hold values as read: apply_scaler, the one scaler of model inputs and
+targets, min-max scales a window list's stacked arrays with a model's Scaler.
 
 A raw row is a tuple in header order. Each loader parses its rows through
 read_rows, the one place a bad row is named (path:line), and returns what
@@ -296,10 +296,10 @@ def apply_scaler(scaler, windows):
     model's scaler, whose ranges are in window column order (incidence last).
     The masked current-month incidence slot stays 0.
 
-    This is the one place model inputs are scaled; lstm.train and
-    lstm.predict_batch call it, so a model learns and predicts in scaled
-    units, and experiments.evaluate maps predictions back to counts
-    (Scaler.invert_value on "cases").
+    This is the one place model inputs and targets are scaled; lstm.train
+    and lstm.predict_batch call it, so a model learns and predicts in scaled
+    units, experiments.evaluate takes the scaled MSE against this y and maps
+    predictions back to counts (Scaler.invert_value on "cases").
     """
     X = scaler.transform(np.stack([w.features for w in windows]))
     X[:, -1, -1] = 0.0  # zero after scaling: a scaled 0 count need not be 0

@@ -16,12 +16,12 @@ gives every text file of its directory.
 
 Windows hold unscaled features and each target month's case count, an int.
 Every prediction, in train, sweep and predict alike, takes one path:
-lstm.predict_batch scales the windows with the model's own scaler
-(dataprep.apply_scaler, as lstm.train does) and gives the model's output in
-those scaled units; evaluate de-scales it, takes the scaled MSE against the
-scaled targets and the raw MSE against the counts, and builds PredictionRows
-whose actual is the count; prediction_table_csv is the one writer of those
-rows and load_prediction_csv their one reader.
+lstm.predict_batch scales the windows' features and targets once, with the
+model's scaler (dataprep.apply_scaler, as lstm.train does), and gives the
+model's output and the targets in those units; evaluate takes the scaled MSE
+of the two, de-scales the output for the raw MSE against the counts, and
+builds PredictionRows whose actual is the count; prediction_table_csv is the
+one writer of those rows and load_prediction_csv their one reader.
 """
 
 from __future__ import annotations
@@ -270,22 +270,21 @@ class RunReport:
 def evaluate(trained, windows):
     """(scaled MSE, raw MSE, PredictionRows) of a trained model on windows.
 
-    The scaled MSE is taken against the windows' targets scaled by the
-    model's scaler; the predictions are then de-scaled and the raw MSE is
-    taken against the targets as the windows hold them, which each row
-    carries as its actual.
+    The scaled MSE is taken against the scaled targets that predict_batch
+    gives with its predictions, so targets are scaled once; the predictions
+    are then de-scaled and the raw MSE is taken against the targets as the
+    windows hold them, which each row carries as its actual.
     """
     # through the module, so a wrapped lstm.predict_batch sees the call
-    pred = lstm.predict_batch(trained, windows)
+    pred, y = lstm.predict_batch(trained, windows)
     counts = [w.target for w in windows]
-    scaled = mse(trained.scaler.transform(counts, ("cases",)), pred)
     raw_pred = trained.scaler.invert_value("cases", pred)
     rows = [
         PredictionRow(district=w.district, month=w.target_month,
                       predicted=float(p), actual=w.target)
         for w, p in zip(windows, raw_pred)
     ]
-    return scaled, mse(counts, raw_pred), rows
+    return mse(y, pred), mse(counts, raw_pred), rows
 
 
 def run_config(prepared, spec, label, report_seed):

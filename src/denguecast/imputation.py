@@ -97,8 +97,6 @@ def _minkowski(xt, x, p):
     distances are bit-identical to the row-wise ones.
     """
     d = np.abs(xt - x[:, None])
-    if p == 2.0:
-        return np.sqrt(np.sum(d * d, axis=0))
     return np.sum(d**p, axis=0) ** (1.0 / p)
 
 

@@ -400,16 +400,17 @@ def train(spec, split):
 
 
 def predict_batch(trained, windows):
-    """The model's output per window, in the scaled units of the targets it
-    was trained on; experiments.evaluate de-scales it to counts.
+    """(pred, y): the model's output per window and the windows' targets,
+    both in the scaled units it was trained on; experiments.evaluate
+    de-scales pred to counts.
 
     The windows are unscaled, as build_windows makes them; the model's own
-    scaler scales them (dataprep.apply_scaler). Never clamped: a fitted model
-    may emit small negative values.
+    scaler scales their features and targets once (dataprep.apply_scaler).
+    Never clamped: a fitted model may emit small negative values.
     """
-    X, _ = dataprep.apply_scaler(trained.scaler, windows)
+    X, y = dataprep.apply_scaler(trained.scaler, windows)
     pred, _ = model_forward(trained.model, X, training=False)
-    return pred
+    return pred, y
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .dataprep import CLIMATE_FEATURES, VARIANTS
 from .errors import ValidationError
@@ -165,20 +165,17 @@ class SweepSpec:
     grid of kind. A base field that every cell sets would be read by none, so
     it is refused: the kind's field (KIND_FIELDS) for a default grid, any key
     every cell sets for a given one. Every spec is built and checked here,
-    before any training; an error in base or a cell names where, the file
-    they were read from, if given."""
-    kind: str = None  # one of SWEEP_KINDS; None (refused) leaves it to --kind
+    before any training; an error in base or a cell names the part, and the
+    build of the SweepSpec itself (specs.build) names its source."""
+    kind: str = None  # one of SWEEP_KINDS; None (no kind given) is refused
     base: dict = field(default_factory=dict)
     grid: tuple[dict, ...] = None
     seeds: tuple[int, ...] = (0, 1, 2)
-    where: InitVar[str | None] = None
     cells: list = field(init=False, repr=False)  # (label, ModelSpec) per grid cell
 
-    def __post_init__(self, where):
+    def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValidationError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
-        base_at = f"{where} base" if where else "sweep base"
-        cell_at = f"{where} grid cell" if where else "grid cell"
         if self.grid is None:
             every_cell_sets = {KIND_FIELDS[self.kind]}
         elif not self.grid:
@@ -188,9 +185,9 @@ class SweepSpec:
         unread = sorted(every_cell_sets & set(self.base))
         if unread:
             raise ValidationError(
-                f"{base_at}: every grid cell sets {', '.join(unread)}, "
+                f"sweep base: every grid cell sets {', '.join(unread)}, "
                 "so the base value would be ignored")
-        base = build(ModelSpec, self.base, base_at)
+        base = build(ModelSpec, self.base, "sweep base")
         grid = default_grid(self.kind, base) if self.grid is None else self.grid
         if not self.seeds:
             raise ValidationError("sweep needs at least one seed")
@@ -212,9 +209,9 @@ class SweepSpec:
             values = self.base | overrides
             # each run's seed is derived from its seed in seeds and the cell label
             if "seed" in values:
-                at = base_at if "seed" in self.base else f"{cell_at} {label!r}"
+                at = "sweep base" if "seed" in self.base else f"grid cell {label!r}"
                 raise ValidationError(f"{at}: unknown keys ['seed']")
-            cells.append((label, build(ModelSpec, values, f"{cell_at} {label!r}")))
+            cells.append((label, build(ModelSpec, values, f"grid cell {label!r}")))
         object.__setattr__(self, "cells", cells)
 
 

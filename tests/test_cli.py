@@ -370,32 +370,35 @@ def test_train_config_of_wrong_type_exits_2(config, named, tmp_path, capsys):
 @pytest.mark.parametrize("config,named", [
     ({"kind": "variant", "seeds": "0,1"}, "seeds must be a list of int"),
     ({"kind": "variant", "seeds": [0.5]}, "seeds must be a list of int"),
-    ({"kind": "variant", "seeds": [0, 0]}, "seeds repeat"),
-    ({"kind": "variant", "seeds": []}, "sweep needs at least one seed"),
-    ({"kind": "timestep", "grid": []}, "sweep grid must be non-empty"),
+    # a rule of the sweep itself names the file, as a base or cell rule does
+    ({"kind": "variant", "seeds": [0, 0]}, "{path}: sweep seeds repeat: [0, 0]"),
+    ({"kind": "variant", "seeds": []}, "{path}: sweep needs at least one seed"),
+    ({"kind": "timestep", "grid": []}, "{path}: sweep grid must be non-empty"),
     ({"kind": "timestep", "grid": [{"label": "t3", "timesteps": "3"}]},
-     "{path} grid cell 't3': timesteps must be int"),
+     "{path}: grid cell 't3': timesteps must be int"),
     ({"kind": "timestep", "grid": [{"label": "b", "timesteps": 1}]},
-     "{path} grid cell 'b': timesteps must be >= 2, got 1"),
+     "{path}: grid cell 'b': timesteps must be >= 2, got 1"),
     ({"kind": "timestep", "grid": [{"label": 5, "timesteps": 3}]},
-     "label must be a str"),
+     "{path}: grid cell label must be a str, got 5"),
     # both labels would write models/a_seed0.*
     ({"kind": "timestep", "grid": [{"label": "a", "timesteps": 2},
                                    {"label": "A", "timesteps": 3}]}, "'a' and 'A'"),
     # each run's seed comes from seeds, so a base or cell seed would be ignored
-    ({"kind": "variant", "base": {"seed": 7}}, "{path} base: unknown keys ['seed']"),
+    ({"kind": "variant", "base": {"seed": 7}},
+     "{path}: sweep base: unknown keys ['seed']"),
     ({"kind": "variant", "grid": [{"label": "a", "variant": "I", "seed": 7}]},
-     "{path} grid cell 'a': unknown keys ['seed']"),
-    ({"kind": "daily"}, "sweep kind must be one of"),
+     "{path}: grid cell 'a': unknown keys ['seed']"),
+    ({"kind": "daily"}, "{path}: sweep kind must be one of"),
     ({"kind": "daily", "grid": [{"label": "a", "timesteps": 2}]},
-     "sweep kind must be one of"),
-    ({"kind": "variant", "base": {"hidden": "x"}}, "{path} base: hidden must be int"),
+     "{path}: sweep kind must be one of"),
+    ({"kind": "variant", "base": {"hidden": "x"}},
+     "{path}: sweep base: hidden must be int"),
     # the cells' values would win over base's, so base's is read by no run
     ({"kind": "variant", "base": {"hidden": 4},
       "grid": [{"label": "a", "hidden": 2}, {"label": "b", "hidden": 8}]},
-     "{path} base: every grid cell sets hidden"),
+     "{path}: sweep base: every grid cell sets hidden"),
     ({"kind": "predictor", "base": {"predictors": ["temp_mean"]}},
-     "{path} base: every grid cell sets predictors"),
+     "{path}: sweep base: every grid cell sets predictors"),
     # its files would be named models/_seed0.*
     ({"kind": "timestep", "grid": [{"label": "???", "timesteps": 3}]},
      "grid cell label '???' has no letter or digit"),
@@ -852,8 +855,9 @@ def test_train_and_predict_report_windows_skipped_at_a_gap(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def two_districts(tmp_path_factory):
     """synth --districts 2 --months 24, prepare, impute --max-iters 2, a copy
-    of the prepared records with every larval cell empty, and diverge.json, a
-    one-run sweep at a learning rate that diverges."""
+    of the prepared records with every larval cell empty, diverge.json, a
+    one-run sweep at a learning rate that diverges, and lr.json, a train
+    config that sets only the learning rate."""
     root = tmp_path_factory.mktemp("two")
     raw, prep, imp = root / "raw", root / "prep", root / "imp"
     for argv in (
@@ -875,6 +879,7 @@ def two_districts(tmp_path_factory):
         "base": {"lr": 1000.0, "epochs": 50, "variant": "I"},
         "grid": [{"label": "t = 3", "timesteps": 3}],
     }), encoding="utf-8")
+    (root / "lr.json").write_text(json.dumps({"lr": 0.01}), encoding="utf-8")
     return root
 
 
@@ -906,9 +911,19 @@ def two_districts(tmp_path_factory):
     # the default base arch is stacked; the base is named before any file is read
     (["sweep", "--records", "missing.csv", "--kind", "architecture",
       "--num-layers", "1"], 2, "error: sweep base: stacked requires num_layers>=2, got 1"),
+    # a value a flag fills in next to a config file names both
+    (["train", "--records", "missing.csv", "--config", "lr.json", "--hidden", "0"], 2,
+     "error: lr.json --hidden: hidden width must be >= 1, got 0"),
+    (["sweep", "--records", "missing.csv", "--sweep-config", "diverge.json",
+      "--num-layers", "1"], 2,
+     "error: diverge.json --num-layers: sweep base: stacked requires num_layers>=2"),
+    # only the file can hold an unknown key or a wrong type
+    (["train", "--records", "missing.csv", "--config", "diverge.json", "--hidden", "4"],
+     2, "error: diverge.json: unknown keys ['base', 'grid', 'kind', 'seeds']"),
 ], ids=["variant-ii-unimputed", "impute-no-larval", "ratio-0.01", "lr-1e3",
         "lr-1e300", "timesteps-40", "sweep-timesteps-40", "sweep-all-diverged",
-        "sweep-variant-ii-unimputed", "impute-seed-negative", "sweep-base-num-layers-1"])
+        "sweep-variant-ii-unimputed", "impute-seed-negative", "sweep-base-num-layers-1",
+        "train-config-and-flag", "sweep-config-and-flag", "train-config-key-and-flag"])
 def test_exit_code_contract(argv, code, named, two_districts, tmp_path,
                             monkeypatch, capsys):
     monkeypatch.chdir(two_districts)
@@ -1059,7 +1074,7 @@ def test_a_bad_sweep_spec_exits_before_the_lstm_stack_loads(tmp_path):
     (["sweep", "--kind", "daily", "--grid", "3"], "sweep kind must be one of"),
     (["sweep", "--sweep-config", "daily.json", "--grid", "3"],
      "sweep kind must be one of"),
-    (["sweep"], "sweep requires --kind or a kind in --sweep-config"),
+    (["sweep"], "error: sweep kind must be one of"),
 ], ids=["train-arch", "sweep-arch", "train-variant", "sweep-kind", "sweep-kind-grid",
         "sweep-config-kind-grid", "sweep-no-kind"])
 def test_an_unknown_arch_or_kind_exits_2(argv, named, tmp_path, monkeypatch, capsys):

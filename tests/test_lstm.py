@@ -510,7 +510,8 @@ def window(features):
 
 def predict_one(trained, features):
     """The model's (scaled) prediction for one (t, F) feature matrix."""
-    return float(predict_batch(trained, [window(features)])[0])
+    pred, _ = predict_batch(trained, [window(features)])
+    return float(pred[0])
 
 
 class TestPredict:
@@ -556,8 +557,8 @@ class TestPersistence:
         assert loaded.model.spec == tm.model.spec
         assert loaded.best_epoch == tm.best_epoch
         assert loaded.scaler == tm.scaler
-        assert predict_batch(loaded, windows).tolist() == (
-            predict_batch(tm, windows).tolist())
+        assert predict_batch(loaded, windows)[0].tolist() == (
+            predict_batch(tm, windows)[0].tolist())
 
     def test_everything_load_model_reads_it_restores(self, tmp_path):
         # save -> load -> save writes the same bytes: the files hold no fact
@@ -647,6 +648,6 @@ class TestPersistence:
         windows = linear_dynamics_windows(n=30)
         tm, _ = train(spec, as_split(windows, unit_scaler(spec)))
         # one batch of five against five batches of one
-        batch = predict_batch(tm, windows[:5])
+        batch, _ = predict_batch(tm, windows[:5])
         singles = [predict_one(tm, w.features) for w in windows[:5]]
         np.testing.assert_allclose(batch, singles, atol=1e-12)

@@ -73,6 +73,22 @@ def test_a_month_is_written_only_by_month_text():
     assert _fstring_sites(MONTH_TEXT) == ["dataprep.month_text"]
 
 
+SPECS = {"SynthSpec", "CoregCfg", "ModelSpec", "SweepSpec"}
+
+
+def test_a_spec_is_made_only_by_specs_build():
+    # specs.build, which calls the class it is given, is the one maker of a
+    # run spec: it types the values and names their source in any error
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).rsplit(".", 1)[-1] in SPECS):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sites == []
+
+
 # the slice of a "[:, ::-1]" reversed-rows subscript, whatever axes follow
 REVERSED_ROWS = re.compile(r"\(:, ::-1[,)]")
 
