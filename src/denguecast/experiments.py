@@ -9,10 +9,10 @@ temperature season, 2-month-lagged rain anomalies and the beta-weighted
 goes to an answer table so imputation quality is measurable.
 
 make_supervised prepares a run's data once, as one dataprep.PreparedData,
-and run_config trains on it and evaluates. A sweep prepares each grid cell of
-a specs.SweepSpec once, before any training, trains it once per seed,
-aggregates mean validation/test MSE and marks the argmin row; render_report
-gives every text file of its directory.
+and run_config trains on it and evaluates. A sweep prepares each distinct
+dataset of a specs.SweepSpec's grid once, before any training, trains each
+grid cell once per seed, aggregates mean validation/test MSE and marks the
+argmin row; render_report gives every text file of its directory.
 
 Windows hold unscaled features and each target month's case count, an int.
 Every prediction, in train, sweep and predict alike, takes one path:
@@ -327,33 +327,58 @@ class SweepResult:
     argmin_label: str | None
 
 
-def _sweep_task(args):
-    """The RunReport of one sweep task, or the message of its divergence."""
+# the prepared datasets of the sweep this process runs tasks of; set by
+# _use_prepared, in a pool worker by its initializer
+_prepared = None
+
+
+def _use_prepared(prepared):
+    global _prepared
+    _prepared = prepared
+
+
+def _sweep_task(task):
+    """The RunReport of one sweep task, or the message of its divergence. The
+    task is (index into the prepared datasets, spec, label, report seed)."""
+    index, spec, label, seed = task
     try:
-        return run_config(*args)
+        return run_config(_prepared[index], spec, label, seed)
     except DivergenceError as exc:
         return str(exc)
+
+
+def _dataset_key(spec):
+    """All of a ModelSpec that make_supervised reads; columns encodes the
+    variant and the predictors."""
+    return spec.columns, spec.timesteps, spec.ratio
 
 
 def run_sweep(sweep, records, jobs=1):
     """Train every grid cell for every seed; aggregate and mark the argmin.
 
-    Each cell is prepared once, before any task starts, and its tasks carry
-    that data; a cell that cannot be prepared fails the sweep, named. Each
-    cell x seed pair derives its own seed from (seed, label), so results are
-    independent of execution order. Divergence is recorded per row and the
-    sweep continues. Rows are aggregated as the mean over seeds and the
+    Each distinct dataset of the grid is prepared once, before any task
+    starts; a dataset that cannot be prepared fails the sweep, naming the
+    first cell that reads it. A task carries the index of its dataset, and a
+    pool passes the datasets to each worker once, through its initializer.
+    Each cell x seed pair derives its own seed from (seed, label), so results
+    are independent of execution order. Divergence is recorded per row and
+    the sweep continues. Rows are aggregated as the mean over seeds and the
     argmin is chosen by mean validation MSE.
     """
-    prepared = []
+    prepared, index = [], {}
     for label, spec in sweep.cells:
+        key = _dataset_key(spec)
+        if key in index:
+            continue
         try:
             prepared.append(make_supervised(records, spec))
         except (ValidationError, PreconditionError) as exc:
             raise type(exc)(f"grid cell {label!r}: {exc}") from None
+        index[key] = len(prepared) - 1
     tasks = [
-        (data, replace(spec, seed=derive_seed(seed, label)), label, seed)
-        for data, (label, spec) in zip(prepared, sweep.cells)
+        (index[_dataset_key(spec)], replace(spec, seed=derive_seed(seed, label)),
+         label, seed)
+        for label, spec in sweep.cells
         for seed in sweep.seeds
     ]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
@@ -362,10 +387,15 @@ def run_sweep(sweep, records, jobs=1):
         # module, and only a sweep with --jobs > 1 starts a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_use_prepared,
+                                 initargs=(prepared,)) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
-        outcomes = [_sweep_task(t) for t in tasks]
+        _use_prepared(prepared)
+        try:
+            outcomes = [_sweep_task(t) for t in tasks]
+        finally:
+            _use_prepared(None)
 
     reports = [o for o in outcomes if isinstance(o, RunReport)]
     failures = [(label, seed, o) for (_, _, label, seed), o in zip(tasks, outcomes)

@@ -21,10 +21,17 @@ top-layer cell. Gradients are hand-derived and exact; dropout sits between
 layers and before the head during training.
 
 Activation lifetime: backpropagation through time needs every cell step's
-activations, so they set the memory of training. A training forward's cache
-lives from model_forward until model_backward has consumed it; train drops
-it there, so one epoch's activations are alive at a time. An eval forward
-returns None for the cache and keeps no layer's step caches past the layer.
+activations, so they set the memory of training, and a cache holds only what
+the backward pass reads. A step's cache holds its input row x (a view), h_prev,
+c_prev, the four gate activations and c; c_prev and h_prev are the previous
+step's c and h, and cell_backward recomputes tanh(c) rather than storing it.
+Below the top layer, a layer's cache adds the boolean keep of the dropout on
+its output, and the next layer's steps hold views of the dropped output. A
+training forward's cache lives from model_forward until model_backward,
+which consumes it: it pops each layer, top first, and sequence_backward pops
+each step as it reads it, so the memory falls as backward walks down and
+only one epoch's activations are ever alive. An eval forward keeps no step
+caches and returns None for the cache.
 
 All tensors are batched: a batch of windows is (B, t, F). A saved model is a
 PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
@@ -57,6 +64,7 @@ from .nn_core import (
     Parameter,
     derive_seed,
     dropout,
+    dropout_mask,
     l2_penalty,
     load_params,
     make_rng,
@@ -114,9 +122,10 @@ def cell_forward(x_t, h_prev, c_prev, cell):
     sigmoid(a[3], out=a[3])
     i, f, g, o = a
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": a, "tc": tc}
+    h = o * np.tanh(c)
+    # c, not tanh(c): c lives on as the next step's c_prev, and cell_backward
+    # recomputes tanh(c) to the same bits
+    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": a, "c": c}
     return h, c, cache
 
 
@@ -125,8 +134,9 @@ def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
     Returns (dx, dh_prev, dc_prev); dx is None unless need_dx. A first step
     started from the zero state: it skips Wh, whose gradient term there is
     zero, and returns None for dh_prev and dc_prev."""
-    acts, tc = cache["acts"], cache["tc"]
+    acts = cache["acts"]
     i, f, g, o = acts
+    tc = np.tanh(cache["c"])
     dct = dc_carry + dh * o * (1.0 - tc * tc)
     da = np.empty_like(acts)
     da[0] = dct * g * i * (1.0 - i)
@@ -136,13 +146,20 @@ def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
     da_t = da.transpose(0, 2, 1)
     cell.Wx.grad += np.matmul(da_t, cache["x"])
     cell.b.grad += da.sum(axis=1)
-    # summing over axis 0 adds the gates in GATES order
-    dx = np.matmul(da, cell.Wx.value).sum(axis=0) if need_dx else None
+    dx = gate_sum(da, cell.Wx.value) if need_dx else None
     if first_step:
         return dx, None, None
     cell.Wh.grad += np.matmul(da_t, cache["h_prev"])
-    dh_prev = np.matmul(da, cell.Wh.value).sum(axis=0)
-    return dx, dh_prev, dct * f
+    return dx, gate_sum(da, cell.Wh.value), dct * f
+
+
+def gate_sum(da, W):
+    """The sum over gates k of da[k] @ W[k], added in GATES order: the bits of
+    np.matmul(da, W).sum(axis=0) without its (4, B, ...) temporary."""
+    out = da[0] @ W[0]
+    for k in range(1, len(GATES)):
+        out += da[k] @ W[k]
+    return out
 
 
 def _reading_order(rows, d):
@@ -157,28 +174,34 @@ def _join(parts, axis):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def sequence_forward(X, cell):
+def sequence_forward(X, cell, *, training=False):
     """Run a cell over a batch of windows X (B, t, F) from zero initial state,
-    reading rows 0..t-1. Returns (hidden sequence (B, t, H), per-step caches)."""
+    reading rows 0..t-1. Returns (hidden sequence (B, t, H), per-step caches);
+    only a training forward keeps the caches, an eval forward returns None."""
     B, t, _ = X.shape
     h = c = np.zeros((B, cell.hidden))  # one zero state: cell_forward writes neither
-    hs, caches = [], []
+    hs = []
+    caches = [] if training else None
     for s in range(t):
         h, c, cache = cell_forward(X[:, s, :], h, c, cell)
         hs.append(h)
-        caches.append(cache)
+        if training:
+            caches.append(cache)
+        del cache  # an eval forward frees the step's activations before the next step
     return np.stack(hs, axis=1), caches
 
 
 def sequence_backward(d_seq, caches, cell, need_dx=True):
     """Backward through a whole sequence; d_seq is indexed like the rows read,
-    and so is the gradient w.r.t. them that it returns (None unless need_dx)."""
+    and so is the gradient w.r.t. them that it returns (None unless need_dx).
+    Consumes caches: each step's cache is popped as it is read, and the list
+    is empty on return."""
     B, t, _ = d_seq.shape
     dh_carry = dc_carry = np.zeros((B, cell.hidden))  # cell_backward writes neither
     dX = np.empty((B, t, cell.input_dim)) if need_dx else None
     for s in reversed(range(t)):
         dx, dh_carry, dc_carry = cell_backward(
-            d_seq[:, s, :] + dh_carry, dc_carry, caches[s], cell,
+            d_seq[:, s, :] + dh_carry, dc_carry, caches.pop(), cell,
             need_dx=need_dx, first_step=s == 0,
         )
         if need_dx:
@@ -235,42 +258,48 @@ def model_forward(model, window, training=False, rng=None):
     returns (predictions (B,), cache).
 
     A training forward draws dropout masks from rng and returns the cache
-    that model_backward reads: every cell step's activations, which live from
-    this call until model_backward has consumed them. An eval forward applies
-    no dropout, drops each layer's step caches once the layer is done and
-    returns None for the cache.
+    that model_backward reads: each layer's step caches and, below the top
+    layer, the dropout keep of its output; then the head's dropped input,
+    its keep, a1 and z1. It lives from this call until model_backward has
+    consumed it. An eval forward applies no dropout, keeps
+    no step caches and returns None for the cache.
     """
     spec = model.spec
     seq = window
     layer_caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        lc = {"mask": None}
-        outs, lc["steps"] = zip(*(sequence_forward(_reading_order(seq, d), cell)
-                                  for d, cell in enumerate(layer)))
+        outs, steps = zip(*(sequence_forward(_reading_order(seq, d), cell,
+                                             training=training)
+                            for d, cell in enumerate(layer)))
         seq = _join([_reading_order(out, d) for d, out in enumerate(outs)], axis=2)
         feature = _join([out[:, -1, :] for out in outs], axis=1)
         if training:
+            lc = {"steps": steps, "keep": None}
             layer_caches.append(lc)
             if li < last:
-                seq, lc["mask"] = dropout(seq, spec.dropout, rng)
-    del lc  # an eval forward frees the last layer's step caches here
+                seq, lc["keep"] = dropout(seq, spec.dropout, rng)
 
     if training:
-        feature, feat_mask = dropout(feature, spec.dropout, rng)
+        feature, feat_keep = dropout(feature, spec.dropout, rng)
     a1 = feature @ model.head_W1.value.T + model.head_b1.value
     z1 = relu(a1)
     pred = (z1 @ model.head_w2.value.T + model.head_b2.value)[:, 0]
     if not training:
         return pred, None
     return pred, {"layers": layer_caches, "feat_dropped": feature,
-                  "feat_mask": feat_mask, "a1": a1, "z1": z1}
+                  "feat_keep": feat_keep, "a1": a1, "z1": z1}
 
 
 def model_backward(model, cache, d_pred):
     """Accumulate exact gradients of every parameter from d loss / d prediction,
-    a (B,) array for the batch that model_forward cached."""
+    a (B,) array for the batch that model_forward cached.
+
+    Consumes the cache's layers: each is popped, top layer first, and its
+    step caches as sequence_backward reads them, so the activations are freed
+    as the pass walks down and no step is left once it returns."""
     H = model.spec.hidden
+    rate = model.spec.dropout
 
     dp = d_pred[:, None]
     model.head_w2.grad += dp.T @ cache["z1"]
@@ -279,13 +308,13 @@ def model_backward(model, cache, d_pred):
     da1 = dz1 * (cache["a1"] > 0.0)
     model.head_W1.grad += da1.T @ cache["feat_dropped"]
     model.head_b1.grad += da1.sum(axis=0)
-    d_feature = (da1 @ model.head_W1.value) * cache["feat_mask"]
+    d_feature = (da1 @ model.head_W1.value) * dropout_mask(cache["feat_keep"], rate)
 
     d_above = None  # gradient w.r.t. the (dropped) output sequence of the layer
     last = len(model.layers) - 1
     for li in range(last, -1, -1):
-        lc = cache["layers"][li]
-        d_out = d_above * lc["mask"] if li < last else None
+        lc = cache["layers"].pop()
+        d_out = d_above * dropout_mask(lc["keep"], rate) if li < last else None
         need_dx = li > 0  # nothing reads the gradient w.r.t. the input windows
         d_rows = []
         for d, (cell, steps) in enumerate(zip(model.layers[li], lc["steps"])):

@@ -54,15 +54,21 @@ def dropout(x, rate, rng):
     """Inverted dropout for a training pass: survivors are scaled by
     1/(1-rate). Inference applies no dropout and does not call this.
 
-    Returns (output, mask). The mask already carries the 1/(1-rate) factor,
-    so the backward pass is a plain multiply by it. At rate 0 the result is
-    the input unchanged and the mask is all ones.
+    Returns (output, keep): keep is the boolean array of survivors, an eighth
+    of the float mask's bytes, and the backward pass multiplies by
+    dropout_mask(keep, rate), the mask the output was made with. At rate 0
+    the result is the input unchanged, keep is all True and no random number
+    is drawn.
     """
     if rate == 0.0:
-        return x.copy(), np.ones_like(x)
+        return x.copy(), np.ones(x.shape, dtype=bool)
     keep = rng.random(x.shape) >= rate
-    mask = keep.astype(np.float64) / (1.0 - rate)
-    return x * mask, mask
+    return x * dropout_mask(keep, rate), keep
+
+
+def dropout_mask(keep, rate):
+    """The float mask of a dropout keep array: 1/(1-rate) where kept, else 0."""
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def mse(actual, predicted):

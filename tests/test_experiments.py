@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import dataclasses
+import functools
+import multiprocessing
+import pickle
 import re
 
 import numpy as np
@@ -24,6 +27,7 @@ from denguecast.experiments import (
     mse_table_md,
     prediction_table_csv,
     prediction_table_md,
+    render_report,
     round_half_away,
     run_sweep,
 )
@@ -35,6 +39,8 @@ from denguecast.specs import ModelSpec, SweepSpec
 BASE = {"arch": "plain", "num_layers": 1, "hidden": 2, "dropout": 0.0, "epochs": 3,
         "timesteps": 3}
 SPEC = ModelSpec(**BASE)
+# an architecture sweep's cells set arch; its stacked cells read num_layers
+ARCH_BASE = {k: v for k, v in BASE.items() if k != "arch"} | {"num_layers": 2}
 
 
 def make_records(districts=2, months=24, seed=0, cases=None):
@@ -220,6 +226,27 @@ class TestRunSweep:
         assert events[2:] == [("train", 2)] * 3 + [("train", 3)] * 3
         assert len(result.reports) == 6
 
+    @pytest.mark.parametrize("kind,prepared", [
+        ("architecture", 1), ("variant", 2), ("predictor", 4)])
+    def test_cells_that_read_one_dataset_share_its_preparation(
+            self, kind, prepared, monkeypatch):
+        specs = []
+        make = experiments.make_supervised
+
+        def preparing(records, spec):
+            specs.append(spec)
+            return make(records, spec)
+
+        monkeypatch.setattr(experiments, "make_supervised", preparing)
+        sweep = SweepSpec(kind, ARCH_BASE if kind == "architecture" else BASE,
+                          None, (0,))
+        result = run_sweep(sweep, make_records())
+        assert len(specs) == prepared
+        # each run still trains on its own cell's dataset
+        for (label, spec), report in zip(sweep.cells, result.reports):
+            assert report.label == label
+            assert report.trained.scaler.ranges.keys() == set(spec.columns)
+
     def test_a_base_field_some_cells_leave_open_is_read(self):
         grid = [{"label": "a", "hidden": 2}, {"label": "b", "timesteps": 4}]
         sweep = SweepSpec("timestep", {"hidden": 4}, grid, (0,))
@@ -247,6 +274,13 @@ class TestRunSweep:
         base = {k: v for k, v in BASE.items() if k != "timesteps"}
         with pytest.raises(error, match="^" + re.escape(named)):
             run_sweep(SweepSpec(kind, base, grid, (0,)), records, jobs=2)
+
+
+    def test_a_shared_dataset_that_cannot_be_prepared_names_its_first_cell(self):
+        records = [dataclasses.replace(r, larval_index=None) for r in make_records()]
+        with pytest.raises(PreconditionError,
+                           match="^" + re.escape("grid cell 'LSTM': larval index missing")):
+            run_sweep(SweepSpec("architecture", ARCH_BASE, None, (0,)), records)
 
 
 class TestMakeSupervised:
@@ -302,8 +336,9 @@ class TestSweepWorkers:
         class Pool:
             """Records max_workers and runs the tasks in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -319,6 +354,51 @@ class TestSweepWorkers:
         result = run_sweep(sweep, make_records(), jobs=jobs)
         assert started == workers
         assert len(result.reports) == 2 * len(seeds)
+
+    def test_each_dataset_reaches_a_worker_once(self, monkeypatch):
+        # the datasets go to each worker through the pool's initializer; a
+        # task, pickled to reach a worker, names its dataset by index
+        inits, task_bytes = [], []
+
+        class Pool:
+            """Pickles what a worker would receive, then runs the tasks here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                inits.append(pickle.loads(pickle.dumps(initargs)))
+                initializer(*inits[-1])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                task_bytes.extend(len(pickle.dumps(t)) for t in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        sweep = SweepSpec("architecture", ARCH_BASE, None, (0, 1))
+        result = run_sweep(sweep, make_records(), jobs=2)
+        assert len(inits) == 1
+        (datasets,) = inits[0]
+        assert len(datasets) == 1  # the four architectures read one dataset
+        assert len(task_bytes) == 8
+        assert max(task_bytes) < len(pickle.dumps(datasets[0])) / 4
+        assert [(r.label, r.seed) for r in result.reports] == [
+            (label, seed) for label, _ in sweep.cells for seed in (0, 1)]
+
+    def test_spawned_workers_give_the_in_process_results(self, monkeypatch):
+        # a spawned worker inherits nothing: it must receive the datasets
+        sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, (0, 1))
+        serial = run_sweep(sweep, make_records())
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(concurrent.futures.ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn")))
+        spawned = run_sweep(sweep, make_records(), jobs=2)
+        assert render_report(spawned) == render_report(serial)
 
     def test_one_task_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never called

@@ -20,6 +20,7 @@ from denguecast.lstm import (
     carve_validation,
     cell_forward,
     count_parameters,
+    gate_sum,
     load_model,
     model_backward,
     model_forward,
@@ -324,6 +325,20 @@ def use_reference_cell(monkeypatch):
     monkeypatch.setattr(lstm, "cell_backward", _ref_cell_backward)
 
 
+class TestGateSum:
+    @pytest.mark.parametrize("hidden", [1, 32])
+    @pytest.mark.parametrize("width", [5, 8])
+    def test_bits_of_the_batched_sum(self, hidden, width):
+        # gate_sum replaced np.matmul(da, W).sum(axis=0) in cell_backward, for
+        # dx (W is Wx, width F) and for dh_prev (W is Wh, width H)
+        rng = make_rng(hidden * 100 + width)
+        da = rng.normal(size=(4, 7, hidden))
+        for W in (rng.normal(size=(4, hidden, width)),
+                  rng.normal(size=(4, hidden, hidden))):
+            want = np.matmul(da, W).sum(axis=0)
+            assert gate_sum(da, W).tobytes() == want.tobytes()
+
+
 class TestMatchesPerGateReference:
     @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
     def test_batch_gradients_identical(self, arch, layers, monkeypatch):
@@ -414,12 +429,59 @@ def train_peak_bytes(epochs):
 
 
 class TestActivationLifetime:
-    # a training cache lives from model_forward until model_backward; an eval
-    # forward keeps none
+    # a training cache lives from model_forward until model_backward has
+    # consumed it; an eval forward keeps none
 
     def test_training_holds_one_epoch_of_activations(self):
         # a second epoch's forward must not find the first one's cache alive
         assert train_peak_bytes(3) <= 1.05 * train_peak_bytes(1)
+
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS + [("stacked", 3)])
+    def test_training_forward_retains_what_backward_reads(self, arch, layers):
+        B, hidden = 400, 16
+        spec = ModelSpec(arch=arch, num_layers=layers, hidden=hidden, dropout=0.2,
+                         epochs=1, timesteps=T, seed=26)
+        model = Model(spec, F)
+        X = make_rng(27).normal(size=(B, T, F))
+        rng = make_rng(28)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pred, cache = model_forward(model, X, training=True, rng=rng)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = len(model.cells())
+        width = cells // layers * hidden  # a layer's output width
+        # per cell step, float64: acts 4BH, c BH and h_prev BH (at step 0 the
+        # zero state, which is also c_prev); per non-top layer: its dropped
+        # output, float64, and the one-byte keep of its dropout; the head's
+        # dropped input and keep, a1 and z1; the predictions
+        payload = (cells * T * 6 * B * hidden * 8
+                   + (layers - 1) * T * B * width * 9
+                   + B * width * 9 + 2 * B * hidden * 8 + B * 8)
+        assert payload <= retained <= 1.01 * payload  # the rest is Python objects
+
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
+    def test_backward_consumes_every_step(self, arch, layers):
+        _, model, X, y = model_and_data(arch, layers, dropout_rate=0.2)
+        zero_grads(model.parameters())
+        pred, cache = model_forward(model, X, training=True, rng=make_rng(29))
+        steps = [s for lc in cache["layers"] for s in lc["steps"]]
+        assert len(steps) == len(model.cells())
+        assert all(len(s) == T for s in steps)
+        model_backward(model, cache, pred - y)
+        assert cache["layers"] == []
+        assert all(s == [] for s in steps)
+
+    def test_eval_sequence_forward_keeps_no_step(self):
+        cell = make_cell(seed=32)
+        X = make_rng(33).normal(size=(2, T, F))
+        seq, caches = sequence_forward(X, cell)
+        assert caches is None
+        train_seq, train_caches = sequence_forward(X, cell, training=True)
+        assert len(train_caches) == T
+        assert seq.tobytes() == train_seq.tobytes()
 
     @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
     def test_eval_forward_keeps_no_cache(self, arch, layers):

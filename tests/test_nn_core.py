@@ -7,6 +7,7 @@ from denguecast.nn_core import (
     Parameter,
     derive_seed,
     dropout,
+    dropout_mask,
     l2_penalty,
     load_params,
     make_rng,
@@ -57,9 +58,22 @@ class TestActivations:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = make_rng(0).normal(size=(4, 5))
-        y, mask = dropout(x, 0.0, make_rng(1))
+        y, keep = dropout(x, 0.0, make_rng(1))
         assert np.array_equal(y, x)
-        assert np.array_equal(mask, np.ones_like(x))
+        assert keep.dtype == bool and keep.shape == x.shape and keep.all()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_rebuilt_mask_is_the_float_mask_bit_for_bit(self, rate):
+        # the float mask dropout returned before it returned keep: all ones at
+        # rate 0, else the survivors of the same draw scaled by 1/(1-rate)
+        x = make_rng(0).normal(size=(40, 50))
+        if rate == 0.0:
+            old = np.ones_like(x)
+        else:
+            old = (make_rng(1).random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+        y, keep = dropout(x, rate, make_rng(1))
+        assert dropout_mask(keep, rate).tobytes() == old.tobytes()
+        assert y.tobytes() == (x * old).tobytes()
 
     def test_drop_fraction(self):
         x = np.ones((1000, 100))
