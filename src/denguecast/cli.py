@@ -44,18 +44,19 @@ Commands are idempotent: identical inputs and seed produce byte-identical
 outputs, so no timestamps or wall-clock values are ever written to artifacts.
 
 Allocator policy: main sets glibc's malloc to keep freed memory for reuse
-(keep_freed_memory), and sweep workers inherit it through fork. Training
-frees one epoch's LSTM activations, 33.7 MB by tracemalloc at 1,541 windows
-of a stacked 4x32 model, as the backward pass consumes them, and the next
-epoch allocates them again. With glibc's defaults that block sits at
-the top of the heap and is trimmed back to the OS every epoch, and the next
-forward faults it all in again. On a 2-vCPU VM, a 20-epoch stacked 4x32
-train on default synth data took 376,474 minor page faults and a median
-4.2 s without the policy, against 19,513 faults and 2.8 s with it. Both
-thresholds are set: setting only the trim threshold also freezes the mmap
-threshold at its 128 KiB start, and that train took 1,149,073 faults and
-5.7 s. A libc without mallopt keeps its defaults; results do not depend on
-the policy, only speed does.
+(keep_freed_memory), and each sweep worker sets it again in the pool's
+initializer (experiments._use_prepared), as only a forked worker inherits
+it. Training frees one epoch's LSTM activations, 24.2 MB by tracemalloc at
+1,541 windows of a stacked 4x32 model, as the backward pass consumes them,
+and the next epoch allocates them again. With glibc's defaults that block
+sits at the top of the heap and is trimmed back to the OS every epoch, and
+the next forward faults it all in again. On a 2-vCPU VM, a 20-epoch
+stacked 4x32 train on default synth data took 159,750 minor page faults and
+1.7 s without the policy, against 9,560 faults and 1.5 s with it, counted
+from the command's start. Both thresholds are set: setting only the trim
+threshold also freezes the mmap threshold at its 128 KiB start, and that
+train took 810,730 faults and 2.7 s. A libc without mallopt keeps its
+defaults; results do not depend on the policy, only speed does.
 """
 
 from __future__ import annotations
@@ -107,13 +108,19 @@ def _file_or_flags(args, given, keys, where):
     return given | flags, ["--" + k.replace("_", "-") for k in flags]
 
 
-def _spec(cls, args, given=None, path=None):
-    """The spec cls from a config object of its fields read from path and the
-    flags of the fields it leaves unset; a key or type error names the file,
-    a rule's error the file and those flags (nothing for flags alone)."""
-    given = specs.typed(cls, given or {}, path)
-    values, flags = _file_or_flags(args, given, [f.name for f in fields(cls)], path)
-    return specs.build(cls, values, path and " ".join([path, *flags]))
+def _config(path):
+    """The JSON object of the config file at path; {} without one."""
+    return specs.read_object(path, "config") if path else {}
+
+
+def _spec(cls, args, path=None):
+    """The spec cls from the config file at path, if any, and the flags of
+    the fields it leaves unset; specs.build types each value once, and a key
+    or type error names the file, a rule's error the file and those flags
+    (nothing for flags alone)."""
+    values, flags = _file_or_flags(args, _config(path), [f.name for f in fields(cls)],
+                                   path)
+    return specs.build(cls, values, path, flags)
 
 
 def _print_skipped(n):
@@ -193,8 +200,7 @@ def cmd_impute(args):
 def cmd_train(args):
     from . import experiments, lstm
 
-    given = specs.read_object(args.config, "config") if args.config else {}
-    spec = _spec(specs.ModelSpec, args, given, args.config)
+    spec = _spec(specs.ModelSpec, args, args.config)
     records = dataprep.load_records_csv(args.records)
     prepared = experiments.make_supervised(records, spec)
     _print_skipped(prepared.skipped)
@@ -225,19 +231,19 @@ def _sweep_spec(args):
     """SweepSpec from the --sweep-config file, if any, and the flags; --grid
     is read only by a timestep sweep whose file has no grid."""
     path = args.sweep_config
-    given = specs.typed(specs.SweepSpec,
-                        specs.read_object(path, "config") if path else {}, path)
-    values, flags = _file_or_flags(args, given, ("kind", "seeds"), path)
-    model_keys = [f.name for f in fields(specs.ModelSpec)]
-    values["base"], base_flags = _file_or_flags(
-        args, values.get("base", {}), model_keys, f"{path} base")
+    values, flags = _file_or_flags(args, _config(path), ("kind", "seeds"), path)
+    values.setdefault("base", {})
+    base_flags = []
+    if isinstance(values["base"], dict):  # else specs.build refuses its type
+        model_keys = [f.name for f in fields(specs.ModelSpec)]
+        values["base"], base_flags = _file_or_flags(
+            args, values["base"], model_keys, f"{path} base")
     read_grid = (args.grid is not None and values.get("kind") == "timestep"
                  and "grid" not in values)
     if read_grid:
         values["grid"] = specs.timestep_grid(args.grid)
         flags.append("--grid")
-    sweep = specs.build(specs.SweepSpec, values,
-                        path and " ".join([path, *flags, *base_flags]))
+    sweep = specs.build(specs.SweepSpec, values, path, [*flags, *base_flags])
     if args.grid is not None and not read_grid:
         raise UnreadFlag("--grid (read only by a timestep sweep without a config grid)")
     return sweep

@@ -333,8 +333,14 @@ _prepared = None
 
 
 def _use_prepared(prepared):
+    """Hold the prepared datasets for _sweep_task. As a pool's initializer it
+    also gives each worker the CLI's allocator policy, which a worker inherits
+    only when it is forked."""
+    from .cli import keep_freed_memory
+
     global _prepared
     _prepared = prepared
+    keep_freed_memory()
 
 
 def _sweep_task(task):

@@ -22,16 +22,19 @@ layers and before the head during training.
 
 Activation lifetime: backpropagation through time needs every cell step's
 activations, so they set the memory of training, and a cache holds only what
-the backward pass reads. A step's cache holds its input row x (a view), h_prev,
-c_prev, the four gate activations and c; c_prev and h_prev are the previous
-step's c and h, and cell_backward recomputes tanh(c) rather than storing it.
-Below the top layer, a layer's cache adds the boolean keep of the dropout on
-its output, and the next layer's steps hold views of the dropped output. A
-training forward's cache lives from model_forward until model_backward,
-which consumes it: it pops each layer, top first, and sequence_backward pops
-each step as it reads it, so the memory falls as backward walks down and
-only one epoch's activations are ever alive. An eval forward keeps no step
-caches and returns None for the cache.
+the backward pass cannot rebuild exactly. A step's cache holds its input row
+x (a view) and its four gate activations, 4BH floats. The rest are elementwise
+functions of the gates, and sequence_backward rebuilds them with the forward's
+own expressions, to the same bits: each step's c = f * c_prev + i * g walking
+forward from the zero state, then, walking back, h_prev = o * tanh(c) of the
+step before, whose tanh(c) is that step's tc. cell_backward writes each gate's
+gradient over the gate. Below the top layer, a layer's cache adds the boolean
+keep of the dropout on its output, and the next layer's steps hold views of
+the dropped output. A training forward's cache lives from model_forward until
+model_backward, which consumes it: it pops each layer, top first, and
+sequence_backward pops each step as it reads it, so the memory falls as
+backward walks down and only one epoch's activations are ever alive. An eval
+forward keeps no step caches and returns None for the cache.
 
 All tensors are batched: a batch of windows is (B, t, F). A saved model is a
 PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
@@ -111,7 +114,8 @@ class LstmCellParams:
 
 
 def cell_forward(x_t, h_prev, c_prev, cell):
-    """One LSTM step over a batch; returns (h, c, cache for the backward pass)."""
+    """One LSTM step over a batch; returns (h, c, cache for the backward
+    pass), the cache holding the input row x and the gates acts (4, B, H)."""
     a = np.matmul(x_t, cell.Wx.value.transpose(0, 2, 1))  # (4, B, H)
     a += np.matmul(h_prev, cell.Wh.value.transpose(0, 2, 1))
     a += cell.b.value[:, None, :]
@@ -123,34 +127,53 @@ def cell_forward(x_t, h_prev, c_prev, cell):
     i, f, g, o = a
     c = f * c_prev + i * g
     h = o * np.tanh(c)
-    # c, not tanh(c): c lives on as the next step's c_prev, and cell_backward
-    # recomputes tanh(c) to the same bits
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "acts": a, "c": c}
-    return h, c, cache
+    return h, c, {"x": x_t, "acts": a}
 
 
-def cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
+def cell_backward(dh, dc_carry, cache, c_prev, h_prev, tc, cell, need_dx=True):
     """Backward through one step; accumulates the weight gradients in place.
-    Returns (dx, dh_prev, dc_prev); dx is None unless need_dx. A first step
-    started from the zero state: it skips Wh, whose gradient term there is
-    zero, and returns None for dh_prev and dc_prev."""
-    acts = cache["acts"]
-    i, f, g, o = acts
-    tc = np.tanh(cache["c"])
-    dct = dc_carry + dh * o * (1.0 - tc * tc)
-    da = np.empty_like(acts)
-    da[0] = dct * g * i * (1.0 - i)
-    da[1] = dct * cache["c_prev"] * f * (1.0 - f)
-    da[2] = dct * i * (1.0 - g * g)
-    da[3] = dh * tc * o * (1.0 - o)
+    c_prev, h_prev and tc = tanh(c) are the step's values as cell_forward
+    computed them. Consumes the cache: each gate's slot of cache["acts"] is
+    overwritten with that gate's pre-activation gradient. Returns (dx,
+    dh_prev, dc_prev); dx is None unless need_dx. A first step started from
+    the zero state and gets h_prev None: it skips Wh, whose gradient term
+    there is zero, and returns None for dh_prev and dc_prev."""
+    da = cache["acts"]
+    i, f, g, o = da  # views: each gate turns into its gradient below
+    # the products of the pre-overwrite expressions, each in its operand
+    # order; a gate is overwritten once nothing else reads it
+    t = np.multiply(tc, tc)
+    np.subtract(1.0, t, out=t)
+    dct = dh * o
+    dct *= t
+    dct += dc_carry  # dct = dc_carry + dh * o * (1 - tc * tc)
+    _logistic_grad(o, dh, tc, t)
+    dc_prev = None if h_prev is None else dct * f
+    _logistic_grad(f, dct, c_prev, t)
+    da_g = dct * i
+    np.multiply(g, g, out=t)
+    np.subtract(1.0, t, out=t)
+    da_g *= t  # dct * i * (1 - g * g)
+    _logistic_grad(i, dct, g, t)
+    g[...] = da_g
+    del t, da_g, dct  # freed before the matmuls allocate theirs
     da_t = da.transpose(0, 2, 1)
     cell.Wx.grad += np.matmul(da_t, cache["x"])
     cell.b.grad += da.sum(axis=1)
     dx = gate_sum(da, cell.Wx.value) if need_dx else None
-    if first_step:
+    if h_prev is None:
         return dx, None, None
-    cell.Wh.grad += np.matmul(da_t, cache["h_prev"])
-    return dx, gate_sum(da, cell.Wh.value), dct * f
+    cell.Wh.grad += np.matmul(da_t, h_prev)
+    return dx, gate_sum(da, cell.Wh.value), dc_prev
+
+
+def _logistic_grad(gate, a, b, t):
+    """Overwrite a logistic gate's activation with a * b * gate * (1 - gate),
+    multiplied in that order, through the scratch array t."""
+    np.multiply(a, b, out=t)
+    t *= gate
+    np.subtract(1.0, gate, out=gate)
+    np.multiply(t, gate, out=gate)
 
 
 def gate_sum(da, W):
@@ -195,18 +218,40 @@ def sequence_backward(d_seq, caches, cell, need_dx=True):
     """Backward through a whole sequence; d_seq is indexed like the rows read,
     and so is the gradient w.r.t. them that it returns (None unless need_dx).
     Consumes caches: each step's cache is popped as it is read, and the list
-    is empty on return."""
+    is empty on return. Each step's c_prev, h_prev and tanh(c) are rebuilt
+    from the gates, as the module's "Activation lifetime" says."""
     B, t, _ = d_seq.shape
-    dh_carry = dc_carry = np.zeros((B, cell.hidden))  # cell_backward writes neither
+    zero = np.zeros((B, cell.hidden))  # nothing writes it
+    cs = _cell_states(caches, zero)
+    dh_carry = dc_carry = zero
     dX = np.empty((B, t, cell.input_dim)) if need_dx else None
+    tc = np.tanh(cs.pop())
     for s in reversed(range(t)):
+        c_prev, h_prev, tc_prev = zero, None, None
+        if s:
+            c_prev = cs.pop()
+            tc_prev = np.tanh(c_prev)
+            h_prev = caches[-2]["acts"][3] * tc_prev  # o * tanh(c) of step s - 1
         dx, dh_carry, dc_carry = cell_backward(
-            d_seq[:, s, :] + dh_carry, dc_carry, caches.pop(), cell,
-            need_dx=need_dx, first_step=s == 0,
+            d_seq[:, s, :] + dh_carry, dc_carry, caches.pop(), c_prev, h_prev, tc,
+            cell, need_dx=need_dx,
         )
+        tc = tc_prev
         if need_dx:
             dX[:, s, :] = dx
     return dX
+
+
+def _cell_states(caches, c):
+    """Each step's c, rebuilt from its gates with cell_forward's expression
+    from the initial state c. A function of its own, so that no loop variable
+    keeps the last step's gates alive once backward has consumed them."""
+    cs = []
+    for cache in caches:
+        i, f, g, _ = cache["acts"]
+        c = f * c + i * g
+        cs.append(c)
+    return cs
 
 
 # ---------------------------------------------------------------------------

@@ -293,14 +293,17 @@ def typed(cls, data, where):
     return values
 
 
-def build(cls, data, where):
-    """cls(**typed(cls, data, where)); a rule of cls that a value breaks
-    raises ValidationError prefixed with where, if given (flags give none)."""
+def build(cls, data, where, flags=()):
+    """cls(**typed(cls, data, where)). A rule of cls that a value breaks
+    raises ValidationError prefixed with where and then flags, the names of
+    the CLI flags that set some of data's values; with no where (flags
+    alone) there is no prefix."""
     values = typed(cls, data, where)
     try:
         return cls(**values)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}" if where else str(exc)) from None
+        raise ValidationError(
+            f"{' '.join([where, *flags])}: {exc}" if where else str(exc)) from None
 
 
 def _name(tp):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from denguecast import experiments
+from denguecast import cli, experiments
 from denguecast.dataprep import (
     DistrictMonthRecord,
     Scaler,
@@ -399,6 +399,15 @@ class TestSweepWorkers:
                               mp_context=multiprocessing.get_context("spawn")))
         spawned = run_sweep(sweep, make_records(), jobs=2)
         assert render_report(spawned) == render_report(serial)
+
+    def test_the_initializer_applies_the_allocator_policy(self, monkeypatch):
+        # only a forked worker inherits the policy that cli.main set
+        applied = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: applied.append(True))
+        monkeypatch.setattr(experiments, "_prepared", None)
+        experiments._use_prepared(["datasets"])
+        assert applied == [True]
+        assert experiments._prepared == ["datasets"]
 
     def test_one_task_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never called

@@ -291,28 +291,30 @@ def _ref_cell_forward(x_t, h_prev, c_prev, cell):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "tc": tc}
+    # the step contract: the input row and the gates, stacked in GATES order
+    cache = {"x": x_t, "acts": np.stack([i, f, g, o])}
     return h, c, cache
 
 
-def _ref_cell_backward(dh, dc_carry, cache, cell, need_dx=True, first_step=False):
+def _ref_cell_backward(dh, dc_carry, cache, c_prev, h_prev, tc, cell, need_dx=True):
     p = _per_gate(q.value for q in cell.parameters())
     grad = _per_gate(q.grad for q in cell.parameters())
-    i, f, g, o, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
+    i, f, g, o = cache["acts"]
+    if h_prev is None:  # a first step, from the zero state
+        h_prev = np.zeros_like(c_prev)
     do = dh * tc
     dct = dc_carry + dh * o * (1.0 - tc * tc)
     da = {
         "i": dct * g * i * (1.0 - i),
-        "f": dct * cache["c_prev"] * f * (1.0 - f),
+        "f": dct * c_prev * f * (1.0 - f),
         "g": dct * i * (1.0 - g * g),
         "o": do * o * (1.0 - o),
     }
     dx = np.zeros_like(cache["x"])
-    dh_prev = np.zeros_like(cache["h_prev"])
+    dh_prev = np.zeros_like(h_prev)
     for gate in GATES:
         grad["W"][gate] += da[gate].T @ cache["x"]
-        grad["U"][gate] += da[gate].T @ cache["h_prev"]
+        grad["U"][gate] += da[gate].T @ h_prev
         grad["b"][gate] += da[gate].sum(axis=0)
         dx += da[gate] @ p["W"][gate]
         dh_prev += da[gate] @ p["U"][gate]
@@ -453,11 +455,11 @@ class TestActivationLifetime:
             tracemalloc.stop()
         cells = len(model.cells())
         width = cells // layers * hidden  # a layer's output width
-        # per cell step, float64: acts 4BH, c BH and h_prev BH (at step 0 the
-        # zero state, which is also c_prev); per non-top layer: its dropped
-        # output, float64, and the one-byte keep of its dropout; the head's
-        # dropped input and keep, a1 and z1; the predictions
-        payload = (cells * T * 6 * B * hidden * 8
+        # per cell step, float64: the gates 4BH (its input row is a view);
+        # per non-top layer: its dropped output, float64, and the one-byte
+        # keep of its dropout; the head's dropped input and keep, a1 and z1;
+        # the predictions
+        payload = (cells * T * 4 * B * hidden * 8
                    + (layers - 1) * T * B * width * 9
                    + B * width * 9 + 2 * B * hidden * 8 + B * 8)
         assert payload <= retained <= 1.01 * payload  # the rest is Python objects
@@ -491,6 +493,80 @@ class TestActivationLifetime:
         train_pred, train_cache = model_forward(model, X, training=True)
         assert train_cache is not None
         assert pred.tobytes() == train_pred.tobytes()
+
+
+class TestStepContract:
+    # a step caches its input row and its gates; sequence_backward rebuilds
+    # the rest, and cell_backward writes the gates' gradients over them
+
+    @pytest.mark.parametrize("arch,layers", ARCH_LAYERS)
+    def test_backward_hands_each_step_its_forward_states(self, arch, layers,
+                                                         monkeypatch):
+        # per cell, in step order: (c_prev, h_prev, tanh(c)); backward hands
+        # h_prev None to a first step, whose h_prev was the zero state
+        seen = {"fwd": {}, "bwd": {}}
+        forward, backward = lstm.cell_forward, lstm.cell_backward
+
+        def recording_forward(x_t, h_prev, c_prev, cell):
+            h, c, cache = forward(x_t, h_prev, c_prev, cell)
+            seen["fwd"].setdefault(cell.prefix, []).append(
+                (c_prev.copy(), h_prev.copy(), np.tanh(c)))
+            return h, c, cache
+
+        def recording_backward(dh, dc_carry, cache, c_prev, h_prev, tc, cell,
+                               need_dx=True):
+            seen["bwd"].setdefault(cell.prefix, []).insert(
+                0, (c_prev.copy(), None if h_prev is None else h_prev.copy(),
+                    tc.copy()))
+            return backward(dh, dc_carry, cache, c_prev, h_prev, tc, cell,
+                            need_dx=need_dx)
+
+        monkeypatch.setattr(lstm, "cell_forward", recording_forward)
+        monkeypatch.setattr(lstm, "cell_backward", recording_backward)
+        _, model, X, y = model_and_data(arch, layers, dropout_rate=0.2)
+        zero_grads(model.parameters())
+        pred, cache = model_forward(model, X, training=True, rng=make_rng(34))
+        model_backward(model, cache, pred - y)
+        prefixes = [cell.prefix for cell in model.cells()]
+        assert sorted(seen["fwd"]) == sorted(seen["bwd"]) == sorted(prefixes)
+        for prefix in prefixes:
+            fwd, bwd = seen["fwd"][prefix], seen["bwd"][prefix]
+            assert len(fwd) == len(bwd) == T
+            assert bwd[0][1] is None and np.all(fwd[0][1] == 0.0)
+            for s, (want, got) in enumerate(zip(fwd, bwd)):
+                for k, (a, b) in enumerate(zip(want, got)):
+                    if s or k != 1:
+                        assert a.tobytes() == b.tobytes(), (prefix, s, k)
+
+    @pytest.mark.parametrize("first_step", [False, True])
+    def test_cell_backward_writes_the_gradients_over_the_gates(self, first_step):
+        cell = make_cell(seed=35)
+        rng = make_rng(36)
+        B = 6
+        x = rng.normal(size=(B, F))
+        h_prev, c_prev = (np.zeros((B, H)),) * 2 if first_step else (
+            rng.normal(size=(B, H)), rng.normal(size=(B, H)))
+        _, c, cache = cell_forward(x, h_prev, c_prev, cell)
+        dh, dc_carry = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+        tc = np.tanh(c)
+        # the expressions of the batched cell before it wrote into the gates
+        i, f, g, o = cache["acts"].copy()
+        dct = dc_carry + dh * o * (1.0 - tc * tc)
+        want = np.stack([dct * g * i * (1.0 - i),
+                         dct * c_prev * f * (1.0 - f),
+                         dct * i * (1.0 - g * g),
+                         dh * tc * o * (1.0 - o)])
+        zero_grads(cell.parameters())
+        dx, dh_prev, dc_prev = lstm.cell_backward(
+            dh, dc_carry, cache, c_prev, None if first_step else h_prev, tc, cell)
+        assert cache["acts"].tobytes() == want.tobytes()
+        assert dx.tobytes() == gate_sum(want, cell.Wx.value).tobytes()
+        if first_step:
+            assert dh_prev is None and dc_prev is None
+            assert np.all(cell.Wh.grad == 0.0)
+        else:
+            assert dh_prev.tobytes() == gate_sum(want, cell.Wh.value).tobytes()
+            assert dc_prev.tobytes() == (dct * f).tobytes()
 
 
 class TestTrain:
