@@ -57,6 +57,16 @@ from the command's start. Both thresholds are set: setting only the trim
 threshold also freezes the mmap threshold at its 128 KiB start, and that
 train took 810,730 faults and 2.7 s. A libc without mallopt keeps its
 defaults; results do not depend on the policy, only speed does.
+
+BLAS threads: main pins numpy's OpenBLAS to one thread (one_blas_thread), and
+each sweep worker pins it again in the pool's initializer. On more threads,
+OpenBLAS splits the batch sum of a weight-gradient matmul such as (4, 32, B)
+@ (B, 32) at B = 1,541, a default-size train's batch (at no B <= 1,024), and
+the split changes its bits: that train's model.bin differed between 1 and 2
+threads, and the second thread bought no wall time on a 2-vCPU VM. There is
+no knob: the pin overrides OPENBLAS_NUM_THREADS, because artifacts must
+repeat exactly on any machine. A numpy whose BLAS lacks OpenBLAS's
+set-threads entry point keeps its own threading.
 """
 
 from __future__ import annotations
@@ -85,6 +95,21 @@ def keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD: blocks below 64 MiB come from the heap
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: up to 256 MiB of free heap top is kept
+
+
+def one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread (see the module docstring) and
+    return True; without its set-threads entry point, do nothing: False."""
+    try:
+        from numpy._core import _multiarray_umath  # linked against OpenBLAS
+
+        pin = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return False
+    pin.argtypes = (ctypes.c_int,)
+    pin.restype = None
+    pin(1)
+    return True
 
 
 class UnreadFlag(ValidationError):
@@ -361,6 +386,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     keep_freed_memory()
+    one_blas_thread()
     try:
         return args.func(args)
     except UnreadFlag as exc:

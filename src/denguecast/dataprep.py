@@ -3,9 +3,10 @@
 Raw inputs are daily climate readings, weekly rainfall, monthly larval
 surveys and monthly case counts. They are aggregated to district-month
 resolution, joined into DistrictMonthRecord rows, windowed into (timesteps x
-features) supervised samples and split chronologically. Records and windows
+features) supervised samples, one Windows of arrays in (target month,
+district) order, and split chronologically by a slice. Records and windows
 hold values as read: apply_scaler, the one scaler of model inputs and
-targets, min-max scales a window list's stacked arrays with a model's Scaler.
+targets, min-max scales a Windows with a model's Scaler.
 
 A raw row is a tuple in header order. Each loader parses its rows through
 read_rows, the one place a bad row is named (path:line), and returns what
@@ -74,19 +75,28 @@ class DistrictMonthRecord:
         return f"{self.district} {month_text(self.month)}"
 
 
-@dataclass
-class SupervisedWindow:
-    features: np.ndarray  # (t, F), unscaled
-    target: int  # the current month's case count, an int as the record holds it
-    district: str
-    target_month: tuple[int, int]
+@dataclass(frozen=True, eq=False)  # == on arrays would compare elementwise
+class Windows:
+    """Row-aligned arrays in (target month, district) order. An index applies
+    to each: a slice is a Windows of views, an int one (t, F) window."""
+    features: np.ndarray  # (N, t, F) float64, unscaled; current-month incidence 0
+    target: np.ndarray  # (N,) the target month's case count, an int
+    district: np.ndarray  # (N,) str
+    month: np.ndarray  # (N,) the target month's month_index
+
+    def __len__(self):
+        return len(self.target)
+
+    def __getitem__(self, key):
+        return Windows(self.features[key], self.target[key], self.district[key],
+                       self.month[key])
 
 
 @dataclass
 class PreparedData:
     """A run's data, as experiments.make_supervised prepares it."""
-    train: list[SupervisedWindow]  # the chronological split, train then test
-    test: list[SupervisedWindow]
+    train: Windows  # the chronological split, train then test
+    test: Windows
     scaler: Scaler  # fitted on the training-period records
     skipped: int  # windows that would span a month gap
 
@@ -291,19 +301,19 @@ def fit_scaler(records, feature_set):
 
 
 def apply_scaler(scaler, windows):
-    """(X, y) for a model from windows built by build_windows: X (B, t, F)
-    stacks their features and y their targets, both min-max scaled by the
-    model's scaler, whose ranges are in window column order (incidence last).
-    The masked current-month incidence slot stays 0.
+    """(X, y) for a model from a Windows: X (B, t, F) its features and y its
+    targets, both min-max scaled by the model's scaler, whose ranges are in
+    window column order (incidence last). The masked current-month incidence
+    slot stays 0.
 
     This is the one place model inputs and targets are scaled; lstm.train
     and lstm.predict_batch call it, so a model learns and predicts in scaled
     units, experiments.evaluate takes the scaled MSE against this y and maps
     predictions back to counts (Scaler.invert_value on "cases").
     """
-    X = scaler.transform(np.stack([w.features for w in windows]))
+    X = scaler.transform(windows.features)
     X[:, -1, -1] = 0.0  # zero after scaling: a scaled 0 count need not be 0
-    y = scaler.transform([w.target for w in windows], ("cases",))
+    y = scaler.transform(windows.target, ("cases",))
     return X, y
 
 
@@ -322,7 +332,7 @@ def build_windows(records, spec):
     spec.columns. A span of month_spans that crosses a month gap is skipped
     and counted. spec is a specs.ModelSpec, which checks its fields.
 
-    Returns (windows, number of windows skipped); records in which no
+    Returns (Windows, number of windows skipped); records in which no
     district has that many consecutive months raise ValidationError.
     """
     if spec.variant == "II":
@@ -332,44 +342,33 @@ def build_windows(records, spec):
                 "larval index missing for districts: " + ", ".join(missing)
             )
 
-    columns = spec.columns
-    windows = []
-    skipped = 0
-    for district, span, whole in month_spans(records, spec.timesteps):
-        if not whole:
-            skipped += 1
-            continue
-        mat = np.array([[getattr(r, c) for c in columns] for r in span],
-                       dtype=np.float64)
-        mat[-1, -1] = 0.0  # the current month's incidence is masked
-        windows.append(
-            SupervisedWindow(
-                features=mat,
-                target=span[-1].cases,
-                district=district,
-                target_month=span[-1].month,
-            )
-        )
-    if not windows:
+    scan = list(month_spans(records, spec.timesteps))
+    spans = [span for _, span, whole in scan if whole]
+    if not spans:
         raise ValidationError(
             f"no district has {spec.timesteps} consecutive months (the model's "
             "timesteps) to make a window from")
-    return windows, skipped
+    # month_spans walks districts in sorted order, so a stable sort on the
+    # target month alone puts the rows in (target month, district) order
+    spans.sort(key=lambda span: month_index(span[-1].month))
+    features = np.stack([np.array([[getattr(r, c) for c in spec.columns] for r in span],
+                                  dtype=np.float64) for span in spans])
+    features[:, -1, -1] = 0.0  # the current month's incidence is masked
+    last = [span[-1] for span in spans]
+    return Windows(features, np.array([r.cases for r in last]),
+                   np.array([r.district for r in last]),
+                   np.array([month_index(r.month) for r in last])), len(scan) - len(spans)
 
 
 def split_dataset(windows, ratio):
-    """Chronological split: earliest floor(ratio * n) windows become train.
-
-    Returns (train, test), ordered by target month, ties broken by district
-    name, so every test target month is >= every train target month.
-    windows are build_windows', never empty; ratio is a specs.ModelSpec's,
-    which checks it.
-    """
-    ordered = sorted(windows, key=lambda w: (month_index(w.target_month), w.district))
-    n_train = int(math.floor(ratio * len(ordered)))
+    """Chronological split: (train, test), the slices before and after the
+    first floor(ratio * n) windows, so no test target month precedes a train
+    one. windows are build_windows', never empty; ratio is a
+    specs.ModelSpec's, which checks it."""
+    n_train = int(math.floor(ratio * len(windows)))
     if n_train == 0:
         raise PreconditionError(f"ratio {ratio} leaves an empty training split")
-    return ordered[:n_train], ordered[n_train:]
+    return windows[:n_train], windows[n_train:]
 
 
 # ---------------------------------------------------------------------------

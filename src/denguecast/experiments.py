@@ -14,10 +14,10 @@ dataset of a specs.SweepSpec's grid once, before any training, trains each
 grid cell once per seed, aggregates mean validation/test MSE and marks the
 argmin row; render_report gives every text file of its directory.
 
-Windows hold unscaled features and each target month's case count, an int.
-Every prediction, in train, sweep and predict alike, takes one path:
-lstm.predict_batch scales the windows' features and targets once, with the
-model's scaler (dataprep.apply_scaler, as lstm.train does), and gives the
+A dataprep.Windows holds unscaled features and each target month's case
+count, an int. Every prediction, in train, sweep and predict alike, takes one
+path: lstm.predict_batch scales the windows' features and targets once, with
+the model's scaler (dataprep.apply_scaler, as lstm.train does), and gives the
 model's output and the targets in those units; evaluate takes the scaled MSE
 of the two, de-scales the output for the raw MSE against the counts, and
 builds PredictionRows whose actual is the count; prediction_table_csv is the
@@ -231,7 +231,7 @@ def make_supervised(records, spec):
     """
     windows, skipped = build_windows(records, spec)
     train_w, test_w = split_dataset(windows, spec.ratio)
-    boundary = max(month_index(w.target_month) for w in train_w)
+    boundary = train_w.month[-1]
     train_records = [r for r in records if month_index(r.month) <= boundary]
     scaler = fit_scaler(train_records, spec.columns)
     return dataprep.PreparedData(train_w, test_w, scaler, skipped)
@@ -268,7 +268,7 @@ class RunReport:
 
 
 def evaluate(trained, windows):
-    """(scaled MSE, raw MSE, PredictionRows) of a trained model on windows.
+    """(scaled MSE, raw MSE, PredictionRows) of a trained model on a Windows.
 
     The scaled MSE is taken against the scaled targets that predict_batch
     gives with its predictions, so targets are scaled once; the predictions
@@ -277,14 +277,13 @@ def evaluate(trained, windows):
     """
     # through the module, so a wrapped lstm.predict_batch sees the call
     pred, y = lstm.predict_batch(trained, windows)
-    counts = [w.target for w in windows]
     raw_pred = trained.scaler.invert_value("cases", pred)
-    rows = [
-        PredictionRow(district=w.district, month=w.target_month,
-                      predicted=float(p), actual=w.target)
-        for w, p in zip(windows, raw_pred)
+    rows = [  # of Python scalars, whose reprs predictions.csv holds
+        PredictionRow(district=d, month=month_at(m), predicted=p, actual=a)
+        for d, m, p, a in zip(windows.district.tolist(), windows.month.tolist(),
+                              raw_pred.tolist(), windows.target.tolist())
     ]
-    return mse(y, pred), mse(counts, raw_pred), rows
+    return mse(y, pred), mse(windows.target, raw_pred), rows
 
 
 def run_config(prepared, spec, label, report_seed):
@@ -334,13 +333,14 @@ _prepared = None
 
 def _use_prepared(prepared):
     """Hold the prepared datasets for _sweep_task. As a pool's initializer it
-    also gives each worker the CLI's allocator policy, which a worker inherits
-    only when it is forked."""
-    from .cli import keep_freed_memory
+    also gives each worker the CLI's allocator policy and one BLAS thread,
+    which a worker inherits only when it is forked."""
+    from .cli import keep_freed_memory, one_blas_thread
 
     global _prepared
     _prepared = prepared
     keep_freed_memory()
+    one_blas_thread()
 
 
 def _sweep_task(task):

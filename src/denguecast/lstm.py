@@ -42,9 +42,9 @@ PSNAPv01 snapshot <name>.bin in snapshot_slots' per-gate parameter names
 spec (the ModelSpec, training settings included), scaler and best_epoch, all
 that load_model restores.
 
-Each model rule is checked once, where a model, a sidecar or a window list
+Each model rule is checked once, where a model, a sidecar or a window set
 enters: specs.ModelSpec checks its fields; dataprep.build_windows, given
-the spec, shapes every window to (timesteps, len(spec.columns)); load_model
+the spec, builds a Windows of (timesteps, len(spec.columns)) windows; load_model
 refuses a snapshot whose parameter names or shapes are not those its
 sidecar's spec builds. The kernels (cell, sequence, model forward and
 backward) trust their callers.
@@ -396,16 +396,16 @@ class Sidecar:
 
 
 def carve_validation(windows, fraction):
-    """Chronological carve: the last fraction of an ordered window list.
+    """Chronological carve: (train, validation) slices of a Windows, the
+    validation slice its last fraction.
 
     With too few windows for a non-empty carve, validation falls back to the
     training windows themselves.
     """
-    n = len(windows)
-    n_val = int(math.floor(fraction * n))
+    n_val = int(math.floor(fraction * len(windows)))
     if n_val == 0:
-        return list(windows), list(windows)
-    return list(windows[: n - n_val]), list(windows[n - n_val :])
+        return windows, windows
+    return windows[:-n_val], windows[-n_val:]
 
 
 def train(spec, split):
@@ -478,7 +478,7 @@ def predict_batch(trained, windows):
     both in the scaled units it was trained on; experiments.evaluate
     de-scales pred to counts.
 
-    The windows are unscaled, as build_windows makes them; the model's own
+    The Windows is unscaled, as build_windows makes it; the model's own
     scaler scales their features and targets once (dataprep.apply_scaler).
     Never clamped: a fitted model may emit small negative values.
     """

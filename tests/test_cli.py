@@ -1050,6 +1050,32 @@ def test_cli_import_leaves_out_the_lstm_stack():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "two"])
+def test_the_blas_pin_gives_one_thread_bits_whatever_the_variable(threads):
+    # OpenBLAS on more than one thread splits the batch sum of this weight-
+    # gradient product at a default-size train's 1,541 windows, and the split
+    # changes its bits; on a single core every child gives the same bits
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import hashlib, sys, numpy as np; from denguecast import cli; "
+             "found = cli.one_blas_thread() if sys.argv[1] == 'pin' else None; "
+             "rng = np.random.default_rng(0); a = rng.standard_normal((4, 32, 1541)); "
+             "b = rng.standard_normal((1541, 32)); "
+             "print(found, hashlib.sha256((a @ b).tobytes()).hexdigest())")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(src)
+
+    def child(mode, **variables):
+        return subprocess.run([sys.executable, "-c", probe, mode], capture_output=True,
+                              text=True, env={**env, **variables}, timeout=60,
+                              check=True).stdout.split()
+
+    found, pinned = child("pin", **({} if threads is None else
+                                    {"OPENBLAS_NUM_THREADS": threads}))
+    assert found == "True"
+    assert pinned == child("no pin", OPENBLAS_NUM_THREADS="1")[1]
+
+
 def test_a_bad_sweep_spec_exits_before_the_lstm_stack_loads(tmp_path):
     src = Path(cli.__file__).resolve().parent.parent
     probe = ("import sys, denguecast.cli; code = denguecast.cli.main(["

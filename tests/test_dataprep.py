@@ -12,7 +12,7 @@ from denguecast.dataprep import (
     LARVAL_HEADER,
     RAIN_HEADER,
     DistrictMonthRecord,
-    SupervisedWindow,
+    Windows,
     aggregate_monthly,
     apply_scaler,
     assemble_records,
@@ -24,6 +24,7 @@ from denguecast.dataprep import (
     load_larval_csv,
     load_rain_csv,
     load_records_csv,
+    month_at,
     month_index,
     rain_to_monthly,
     split_dataset,
@@ -34,6 +35,7 @@ from denguecast.dataprep import (
     write_records_csv,
 )
 from denguecast.errors import PreconditionError, ValidationError
+from denguecast.lstm import carve_validation
 from denguecast.nn_core import make_rng
 from denguecast.specs import ModelSpec
 
@@ -289,6 +291,18 @@ def district_series(district="D1", n_months=12, start=(2018, 1), larval=True,
     return records
 
 
+def shuffled_districts(seed=0, keep=0.8):
+    """Four districts' records, each month kept with probability keep,
+    shuffled."""
+    rng = make_rng(seed)
+    records = []
+    for d in range(4):
+        series = district_series(f"D{d}", 30, start=(2017, 11), seed=seed + d)
+        records += [r for r in series if rng.random() < keep]
+    rng.shuffle(records)
+    return records
+
+
 class TestBuildWindows:
     def test_twelve_months_ten_windows(self):
         windows, skipped = build_windows(district_series(n_months=12), T3_I)
@@ -312,14 +326,14 @@ class TestBuildWindows:
         by_month = {r.month: r for r in records}
         for w in windows:
             assert w.features[-1, -1] == 0.0  # masked current-month incidence
-            mi = month_index(w.target_month)
+            mi = int(w.month)
             for j in range(3):
                 month = ((mi - 2 + j) // 12, (mi - 2 + j) % 12 + 1)
                 rec = by_month[month]
                 assert w.features[j, 0] == rec.temp_mean
                 if j < 2:
                     assert w.features[j, -1] == float(rec.cases)
-            assert w.target == float(by_month[w.target_month].cases)
+            assert w.target == by_month[month_at(mi)].cases
 
     def test_gap_skips_windows(self):
         records = district_series(n_months=8)
@@ -339,12 +353,7 @@ class TestBuildWindows:
     @pytest.mark.parametrize("seed", range(5))
     def test_windows_and_gap_lines_follow_random_gaps(self, seed):
         # each district keeps a random subset of 30 months, often none or one
-        rng = make_rng(seed)
-        records = []
-        for d in range(4):
-            series = district_series(f"D{d}", 30, start=(2017, 11), seed=seed + d)
-            records += [r for r in series if rng.random() < 0.7]
-        rng.shuffle(records)
+        records = shuffled_districts(seed, keep=0.7)
         months = {}
         for r in records:
             months.setdefault(r.district, []).append(month_index(r.month))
@@ -377,19 +386,50 @@ class TestBuildWindows:
 
 
 def synthetic_windows(n, start=(2014, 1)):
-    """n windows with distinct target months across several districts."""
-    out = []
-    y, m = start
-    districts = ["D1", "D2", "D3"]
-    for i in range(n):
-        out.append(
-            SupervisedWindow(
-                features=np.zeros((3, 4)), target=float(i),
-                district=districts[i % 3],
-                target_month=(y + (m - 1 + i // 3) // 12, (m - 1 + i // 3) % 12 + 1),
-            )
-        )
-    return out
+    """n windows in (target month, district) order, three districts a month."""
+    i = np.arange(n)
+    return Windows(features=np.zeros((n, 3, 4)), target=i,
+                   district=np.array(["D1", "D2", "D3"])[i % 3],
+                   month=month_index(start) + i // 3)
+
+
+class TestWindowsContract:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_in_target_month_then_district_order(self, seed):
+        # built from shuffled records of districts with gaps, the rows come
+        # out in (target month, district) order, each row its record's window
+        records = shuffled_districts(seed)
+        windows, _ = build_windows(records, T3_II)
+        keys = list(zip(windows.month.tolist(), windows.district.tolist()))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        by_key = {(r.district, month_index(r.month)): r for r in records}
+        for w in windows:
+            rec = by_key[(str(w.district), int(w.month))]
+            assert w.target == rec.cases
+            assert w.features[-1].tolist() == [rec.temp_mean, rec.rh_mean,
+                                               rec.rain_total, rec.larval_index, 0.0]
+
+    def test_an_int_index_is_one_window(self):
+        windows, _ = build_windows(shuffled_districts(), T3_II)
+        w = windows[5]
+        assert w.features.shape == (3, 5)
+        assert w.features.tobytes() == windows.features[5].tobytes()
+        assert (w.target, w.district, w.month) == (
+            windows.target[5], windows.district[5], windows.month[5])
+        # the read perfbench's tracer makes of a train split
+        train, _ = split_dataset(windows, 0.85)
+        assert carve_validation(train, 0.15)[0][0].features.shape == (3, 5)
+
+    def test_split_and_carve_are_views_of_the_built_arrays(self):
+        windows, _ = build_windows(shuffled_districts(), T3_II)
+        train, test = split_dataset(windows, 0.85)
+        parts = [test, *carve_validation(train, 0.15)]
+        for part in parts:
+            for name in ("features", "target", "district", "month"):
+                assert np.shares_memory(getattr(part, name), getattr(windows, name))
+        assert sum(map(len, parts)) == len(windows)
+        assert np.concatenate([p.target for p in parts[1:] + parts[:1]]).tolist() == (
+            windows.target.tolist())
 
 
 class TestSplitDataset:
@@ -406,18 +446,20 @@ class TestSplitDataset:
         with pytest.raises(PreconditionError, match="empty training split"):
             split_dataset(synthetic_windows(1), 0.85)
 
-    def test_no_temporal_leakage(self):
-        train, test = split_dataset(synthetic_windows(100), 0.85)
-        max_train = max(month_index(w.target_month) for w in train)
-        min_test = min(month_index(w.target_month) for w in test)
-        assert min_test >= max_train
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_temporal_leakage(self, seed):
+        # build_windows' row order, not a sort in the split, keeps every test
+        # target month at or after every train one
+        windows, _ = build_windows(shuffled_districts(seed), T3_II)
+        train, test = split_dataset(windows, 0.85)
+        assert len(set(windows.district.tolist())) == 4
+        assert min(test.month) >= max(train.month)
 
     def test_partition(self):
         windows = synthetic_windows(50)
         train, test = split_dataset(windows, 0.6)
-        ids = sorted(id(w) for w in train + test)
-        assert ids == sorted(id(w) for w in windows)
-        assert not set(map(id, train)) & set(map(id, test))
+        assert (len(train), len(test)) == (30, 20)
+        assert train.target.tolist() + test.target.tolist() == list(range(50))
 
 
 class TestRecordsCsv:

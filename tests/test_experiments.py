@@ -17,6 +17,7 @@ from denguecast.dataprep import (
     apply_scaler,
     build_windows,
     fit_scaler,
+    month_at,
     month_index,
 )
 from denguecast.experiments import (
@@ -89,7 +90,8 @@ class TestEvaluate:
         assert all(type(r.actual) is int for r in rows)
         assert [r.predicted for r in rows] == [7.5] * len(counts)
         assert [(r.district, r.month) for r in rows] == [
-            (w.district, w.target_month) for w in windows]
+            (d, month_at(m)) for d, m in zip(windows.district.tolist(),
+                                             windows.month.tolist())]
         assert raw == mse(counts, [7.5] * len(counts))
         assert scaled == mse([(c - 0.0) / 30.0 for c in counts], [0.25] * len(counts))
 
@@ -303,7 +305,7 @@ class TestMakeSupervised:
         records = make_records(districts=2, months=12,
                                cases=lambda d, i: 10 * i + d)
         prepared = make_supervised(records, ModelSpec(timesteps=3, variant="II", ratio=0.5))
-        boundary = max(month_index(w.target_month) for w in prepared.train)
+        boundary = max(prepared.train.month)
         assert boundary < max(month_index(r.month) for r in records)
         seen = [r for r in records if month_index(r.month) <= boundary]
         columns = ModelSpec(predictors=("temp_mean", "rh_mean", "rain_total"),
@@ -315,8 +317,10 @@ class TestMakeSupervised:
         # the windows hold the counts; scaled, test targets lie beyond the
         # fitted range
         counts = {(r.district, r.month): r.cases for r in records}
-        assert all(w.target == counts[(w.district, w.target_month)]
-                   for w in prepared.train + prepared.test)
+        assert all(t == counts[(d, month_at(m))]
+                   for part in (prepared.train, prepared.test)
+                   for t, d, m in zip(part.target.tolist(), part.district.tolist(),
+                                      part.month.tolist()))
         _, y_train = apply_scaler(prepared.scaler, prepared.train)
         _, y_test = apply_scaler(prepared.scaler, prepared.test)
         assert max(y_test) > 1.0
@@ -401,12 +405,13 @@ class TestSweepWorkers:
         assert render_report(spawned) == render_report(serial)
 
     def test_the_initializer_applies_the_allocator_policy(self, monkeypatch):
-        # only a forked worker inherits the policy that cli.main set
+        # and the BLAS pin: only a forked worker inherits what cli.main set
         applied = []
-        monkeypatch.setattr(cli, "keep_freed_memory", lambda: applied.append(True))
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: applied.append("malloc"))
+        monkeypatch.setattr(cli, "one_blas_thread", lambda: applied.append("blas"))
         monkeypatch.setattr(experiments, "_prepared", None)
         experiments._use_prepared(["datasets"])
-        assert applied == [True]
+        assert applied == ["malloc", "blas"]
         assert experiments._prepared == ["datasets"]
 
     def test_one_task_runs_in_process(self, monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 from denguecast.dataprep import (
     PreparedData,
     Scaler,
-    SupervisedWindow,
+    Windows,
+    month_index,
 )
 from denguecast.errors import DivergenceError, ValidationError
 from denguecast import lstm
@@ -392,19 +393,24 @@ class TestParameterCount:
         assert count_parameters(model) == expected
 
 
+def windows_of(features, targets):
+    """A Windows of (t, F) feature matrices and their targets: one district's
+    months, from 2014-01 on."""
+    n = len(targets)
+    return Windows(features=np.stack(features), target=np.asarray(targets),
+                   district=np.full(n, "D1"), month=month_index((2014, 1)) + np.arange(n))
+
+
 def linear_dynamics_windows(n=60, seed=9, noise=0.02):
     """Targets are a linear function of the window entries, lightly noised."""
     rng = make_rng(seed)
     w = rng.normal(size=(T, F))
-    out = []
-    for i in range(n):
+    features, targets = [], []
+    for _ in range(n):
         X = rng.uniform(0, 1, size=(T, F))
-        y = float(np.sum(w * X) * 0.1 + 0.5 + rng.normal(0, noise))
-        out.append(
-            SupervisedWindow(features=X, target=y, district="D1",
-                             target_month=(2014 + i // 12, i % 12 + 1))
-        )
-    return out
+        features.append(X)
+        targets.append(float(np.sum(w * X) * 0.1 + 0.5 + rng.normal(0, noise)))
+    return windows_of(features, targets)
 
 
 def as_split(windows, scaler, ratio=0.85):
@@ -582,7 +588,7 @@ class TestTrain:
         windows = linear_dynamics_windows(n=80)
         # Adam's step is about lr, so lr x epochs must cover the distance to the fit
         _, history = train(spec, as_split(windows, unit_scaler(spec)))
-        targets = np.array([w.target for w in windows])
+        targets = windows.target
         final_train_mse = history[-1][0]
         assert final_train_mse < 0.1 * float(np.var(targets))
 
@@ -596,11 +602,8 @@ class TestTrain:
 
     def test_constant_targets_converge(self):
         rng = make_rng(4)
-        windows = [
-            SupervisedWindow(features=rng.uniform(0, 1, size=(T, F)), target=0.4,
-                             district="D1", target_month=(2014, i + 1))
-            for i in range(10)
-        ]
+        windows = windows_of([rng.uniform(0, 1, size=(T, F)) for _ in range(10)],
+                             [0.4] * 10)
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=500, timesteps=T, seed=5, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to 0.4
@@ -637,29 +640,23 @@ class TestTrain:
         windows = linear_dynamics_windows(n=20)
         tr, va = carve_validation(windows, 0.25)
         assert len(tr) == 15 and len(va) == 5
-        tr2, va2 = carve_validation(windows[:3], 0.15)
-        assert tr2 == va2 == windows[:3]  # degenerate fallback
-
-
-def window(features):
-    return SupervisedWindow(features=features, target=0.0, district="D1",
-                            target_month=(2014, 1))
+        assert tr.month.tolist() + va.month.tolist() == windows.month.tolist()
+        three = windows[:3]
+        tr2, va2 = carve_validation(three, 0.15)
+        assert tr2 is va2 is three  # degenerate fallback
 
 
 def predict_one(trained, features):
     """The model's (scaled) prediction for one (t, F) feature matrix."""
-    pred, _ = predict_batch(trained, [window(features)])
+    pred, _ = predict_batch(trained, windows_of([features], [0.0]))
     return float(pred[0])
 
 
 class TestPredict:
     def _trained_constant(self, c=12.0):
         rng = make_rng(8)
-        windows = [
-            SupervisedWindow(features=rng.uniform(0, 1, size=(T, F)), target=c,
-                             district="D1", target_month=(2014, i + 1))
-            for i in range(10)
-        ]
+        windows = windows_of([rng.uniform(0, 1, size=(T, F)) for _ in range(10)],
+                             [c] * 10)
         spec = ModelSpec(arch="plain", num_layers=1, hidden=4, dropout=0.0,
                          epochs=400, timesteps=T, seed=9, lr=1e-2)
         # Adam's step is about lr, so lr x epochs must cover the distance to c
