@@ -16,11 +16,12 @@ them straight into aggregate_monthly, and write_climate_csv writes it from
 per-month arrays.
 
 Months are (year, month) tuples everywhere; the calendar section holds their
-arithmetic and their "YYYY-MM" text. month_spans is the one gap scan: it
-yields each run of t records in a district's month order and says whether
-their months are consecutive, and both gap_report.txt (gap_lines) and the
-windows (build_windows) are read from it. All functions apart from the CSV
-loaders and writers are pure.
+arithmetic, their "YYYY-MM" text and week_month, the one rule for the month
+an ISO week belongs to. month_spans is the one gap scan: it yields each run
+of t records in a district's month order and says whether their months are
+consecutive, and both gap_report.txt (gap_lines) and the windows
+(build_windows) are read from it. All functions apart from the CSV loaders
+and writers are pure.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def month_at(index):
 def month_text(month):
     """A month as "YYYY-MM", the one way messages and reports write it."""
     return f"{month[0]:04d}-{month[1]:02d}"
+
+
+def week_month(iso_year, iso_week):
+    """The (year, month) that owns an ISO week: the month of its Thursday,
+    the standard convention. A week that does not exist raises ValueError."""
+    thursday = date.fromisocalendar(iso_year, iso_week, 4)
+    return thursday.year, thursday.month
 
 
 def month_spans(records, t):
@@ -324,18 +332,16 @@ def apply_scaler(scaler, windows):
 def build_windows(records, spec):
     """Slide a spec.timesteps-month window over each district's records.
 
-    Every row of a window carries the climate predictors (plus the larval
-    index under variant II). Rows for past months also carry the observed
-    incidence; the current-month row carries a masked incidence slot fixed
-    at 0 so all rows share one schema. The target is the current month's
-    incidence. Windows hold the records' values unscaled, in the columns of
-    spec.columns. A span of month_spans that crosses a month gap is skipped
-    and counted. spec is a specs.ModelSpec, which checks its fields.
+    Every row of a window carries the records' values of spec.columns,
+    unscaled; the current-month row's incidence is masked, fixed at 0, so
+    all rows share one schema. The target is the current month's incidence.
+    A span of month_spans that crosses a month gap is skipped and counted.
+    Of spec, a specs.ModelSpec, only columns and timesteps are read.
 
     Returns (Windows, number of windows skipped); records in which no
     district has that many consecutive months raise ValidationError.
     """
-    if spec.variant == "II":
+    if "larval_index" in spec.columns:
         missing = sorted({r.district for r in records if r.larval_index is None})
         if missing:
             raise PreconditionError(
@@ -529,10 +535,9 @@ def load_rain_csv(path):
     """rain.csv as (district, (year, month), rainfall) rows for
     rain_to_monthly, in file order.
 
-    Each ISO week is assigned to the month containing its Thursday, the
-    standard convention for deciding which month "owns" a week. A week that
-    does not exist, a rainfall that is not a finite number >= 0 or a repeated
-    (district, iso_year, iso_week) raises.
+    Each ISO week is assigned to its week_month. A week that does not exist,
+    a rainfall that is not a finite number >= 0 or a repeated (district,
+    iso_year, iso_week) raises.
     """
     seen = set()
 
@@ -540,7 +545,7 @@ def load_rain_csv(path):
         district, year_text, week_text, rain_text = cells
         year, week, rainfall = int(year_text), int(week_text), float(rain_text)
         try:
-            thursday = date.fromisocalendar(year, week, 4)
+            month = week_month(year, week)
         except ValueError as exc:
             raise ValidationError(
                 f"invalid ISO week {year}-W{week:02d} for {district}: {exc}") from None
@@ -551,7 +556,7 @@ def load_rain_csv(path):
             raise ValidationError(
                 f"duplicate rain row for {district} in {year}-W{week:02d}")
         seen.add((district, year, week))
-        return district, (thursday.year, thursday.month), rainfall
+        return district, month, rainfall
 
     return list(read_rows(path, parse, RAIN_HEADER))
 

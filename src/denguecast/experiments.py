@@ -47,6 +47,7 @@ from .dataprep import (
     new_key,
     parse_month,
     split_dataset,
+    week_month,
     weighted_larval_index,
 )
 from .errors import DivergenceError, PreconditionError, ValidationError
@@ -137,17 +138,14 @@ def synth_generate(spec):
     day_scales = np.tile([0.8 * spec.noise, 2.0 * spec.noise], day_starts[-1])
     log_cap = math.log(500.0)
 
-    # every ISO week belongs to the month containing its Thursday
-    first = date(months[0][0], months[0][1], 1)
-    last_y, last_m = months[-1]
-    last = date(last_y, last_m, n_days[-1])
+    # the ISO weeks each month owns, by dataprep.week_month
+    first = date(*months[0], 1)
+    last = date(*months[-1], n_days[-1])
     weeks_by_month = {}
     thursday = first + timedelta(days=(3 - first.weekday()) % 7)
     while thursday <= last:
-        iso = thursday.isocalendar()
-        weeks_by_month.setdefault((thursday.year, thursday.month), []).append(
-            (iso[0], iso[1])
-        )
+        week = thursday.isocalendar()[:2]
+        weeks_by_month.setdefault(week_month(*week), []).append(week)
         thursday += timedelta(days=7)
 
     climate = []
@@ -326,8 +324,8 @@ class SweepResult:
     argmin_label: str | None
 
 
-# the prepared datasets of the sweep this process runs tasks of; set by
-# _use_prepared, in a pool worker by its initializer
+# the prepared datasets, by _dataset_key, of the sweep this process runs
+# tasks of; set by _use_prepared, in a pool worker by its initializer
 _prepared = None
 
 
@@ -344,18 +342,18 @@ def _use_prepared(prepared):
 
 
 def _sweep_task(task):
-    """The RunReport of one sweep task, or the message of its divergence. The
-    task is (index into the prepared datasets, spec, label, report seed)."""
-    index, spec, label, seed = task
+    """The RunReport of a sweep task (spec, label, report seed), trained on the
+    dataset of its spec's _dataset_key, or the message of its divergence."""
+    spec, label, seed = task
     try:
-        return run_config(_prepared[index], spec, label, seed)
+        return run_config(_prepared[_dataset_key(spec)], spec, label, seed)
     except DivergenceError as exc:
         return str(exc)
 
 
 def _dataset_key(spec):
-    """All of a ModelSpec that make_supervised reads; columns encodes the
-    variant and the predictors."""
+    """All of a ModelSpec that make_supervised reads: columns (which encodes
+    the variant and the predictors), timesteps and ratio; not the seed."""
     return spec.columns, spec.timesteps, spec.ratio
 
 
@@ -364,29 +362,25 @@ def run_sweep(sweep, records, jobs=1):
 
     Each distinct dataset of the grid is prepared once, before any task
     starts; a dataset that cannot be prepared fails the sweep, naming the
-    first cell that reads it. A task carries the index of its dataset, and a
-    pool passes the datasets to each worker once, through its initializer.
-    Each cell x seed pair derives its own seed from (seed, label), so results
-    are independent of execution order. Divergence is recorded per row and
-    the sweep continues. Rows are aggregated as the mean over seeds and the
-    argmin is chosen by mean validation MSE.
+    first cell that reads it. A task finds its dataset by its spec's
+    _dataset_key, and a pool passes the datasets to each worker once, through
+    its initializer. Each cell x seed pair derives its own seed from (seed,
+    label), so results are independent of execution order. Divergence is
+    recorded per row and the sweep continues. Rows are aggregated as the mean
+    over seeds and the argmin is chosen by mean validation MSE.
     """
-    prepared, index = [], {}
+    prepared = {}
     for label, spec in sweep.cells:
         key = _dataset_key(spec)
-        if key in index:
+        if key in prepared:
             continue
         try:
-            prepared.append(make_supervised(records, spec))
+            prepared[key] = make_supervised(records, spec)
         except (ValidationError, PreconditionError) as exc:
             raise type(exc)(f"grid cell {label!r}: {exc}") from None
-        index[key] = len(prepared) - 1
-    tasks = [
-        (index[_dataset_key(spec)], replace(spec, seed=derive_seed(seed, label)),
-         label, seed)
-        for label, spec in sweep.cells
-        for seed in sweep.seeds
-    ]
+    tasks = [(replace(spec, seed=derive_seed(seed, label)), label, seed)
+             for label, spec in sweep.cells
+             for seed in sweep.seeds]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         # imported here, not at the top: every CLI command imports this
@@ -404,7 +398,7 @@ def run_sweep(sweep, records, jobs=1):
             _use_prepared(None)
 
     reports = [o for o in outcomes if isinstance(o, RunReport)]
-    failures = [(label, seed, o) for (_, _, label, seed), o in zip(tasks, outcomes)
+    failures = [(label, seed, o) for (_, label, seed), o in zip(tasks, outcomes)
                 if isinstance(o, str)]
 
     rows = []

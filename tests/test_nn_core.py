@@ -110,20 +110,19 @@ class TestMse:
 class TestL2Penalty:
     def test_zero_lambda_untouched(self):
         p = Parameter("w", [[3.0]])
-        assert l2_penalty([p], 0.0) == 0.0
+        l2_penalty([p], 0.0)
         assert p.grad is None
 
     def test_hand_value(self):
         p = Parameter("w", [[3.0]])
         p.zero_grad()
-        loss = l2_penalty([p], 0.1)
-        assert loss == pytest.approx(0.9, abs=1e-12)
+        l2_penalty([p], 0.1)
         assert p.grad[0, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_biases_excluded(self):
         b = Parameter("b", [5.0], is_bias=True)
         b.zero_grad()
-        assert l2_penalty([b], 0.5) == 0.0
+        l2_penalty([b], 0.5)
         assert np.all(b.grad == 0.0)
 
     def test_gradient_matches_finite_differences(self):
@@ -132,8 +131,10 @@ class TestL2Penalty:
         lam = 0.3
 
         def loss_and_grads():
+            # the penalty lambda*sum(w^2), whose gradient l2_penalty adds
             p.zero_grad()
-            return l2_penalty([p], lam)
+            l2_penalty([p], lam)
+            return lam * float(np.sum(p.value * p.value))
 
         assert grad_check(loss_and_grads, [p], eps=1e-6) < 1e-7
 

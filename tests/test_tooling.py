@@ -137,3 +137,32 @@ def test_only_cli_sets_the_allocator_policy():
              if {"ctypes", "mallopt"} & set(_named(ast.parse(
                  path.read_text(encoding="utf-8"))))]
     assert sites == ["cli"]
+
+
+def _sites(matches):
+    """module.name of each top-level definition (or <module>) per AST node in
+    src for which matches(node) holds."""
+    return [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(top) if matches(node)]
+
+
+def test_only_week_month_reads_an_iso_week():
+    # dataprep.week_month is the one rule for the month an ISO week belongs to
+    assert _sites(lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "fromisocalendar") == ["dataprep.week_month"]
+
+
+def _compares_variant_with_ii(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [ast.unparse(n) for n in (node.left, *node.comparators)]
+    return "'II'" in sides and any(side.rsplit(".", 1)[-1] == "variant" for side in sides)
+
+
+def test_only_model_spec_ties_variant_ii_to_its_columns():
+    # specs.ModelSpec.columns is the one place variant II means the larval
+    # column; the rest of the code reads the columns
+    assert _sites(_compares_variant_with_ii) == ["specs.ModelSpec"]
