@@ -58,8 +58,9 @@ threshold also freezes the mmap threshold at its 128 KiB start, and that
 train took 810,730 faults and 2.7 s. A libc without mallopt keeps its
 defaults; results do not depend on the policy, only speed does.
 
-BLAS threads: main pins numpy's OpenBLAS to one thread (one_blas_thread), and
-each sweep worker pins it again in the pool's initializer. On more threads,
+BLAS threads: main pins numpy's OpenBLAS to one thread (one_blas_thread) for
+every command but prepare, which runs without numpy (see dataprep), and each
+sweep worker pins it again in the pool's initializer. On more threads,
 OpenBLAS splits the batch sum of a weight-gradient matmul such as (4, 32, B)
 @ (B, 32) at B = 1,541, a default-size train's batch (at no B <= 1,024), and
 the split changes its bits: that train's model.bin differed between 1 and 2
@@ -79,7 +80,7 @@ from dataclasses import fields
 from pathlib import Path
 
 # experiments, imputation and lstm are imported by the commands that run them,
-# so that prepare and impute do not load the LSTM stack
+# so that prepare and impute do not load the LSTM stack, nor prepare numpy
 from . import dataprep, specs
 from .errors import DivergenceError, PipelineError, ValidationError
 
@@ -385,8 +386,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the pin loads numpy, which prepare never does; numpy loads before the
+    # allocator policy is set, so its import-time blocks stay outside the heap
+    if args.func is not cmd_prepare:
+        one_blas_thread()
     keep_freed_memory()
-    one_blas_thread()
     try:
         return args.func(args)
     except UnreadFlag as exc:

@@ -14,39 +14,38 @@ ys (n,) and the unlabeled rows (m, d); it returns one value per unlabeled
 row, in row order, and the iteration log, which names a row by its index.
 
 The scan is incremental, and its results are bit-identical to re-running
-every kNN query from scratch. Each regressor keeps two caches of
-_Neighbourhood, the k nearest training points of a point, nearest first, with
-their distances, training indices and labels, and the mean of those labels:
+every kNN query from scratch. Each regressor keeps two _Tables, one row per
+point: the point's L = min(k, n) nearest training points, nearest first, as
+(rows, L) arrays of distances, training indices and labels, with a mean
+vector of each row's labels and a known mask of the rows scanned so far.
+cand has a row per unlabeled row, scanned (one distance scan over the
+training set) the first time a pool draws it: its mean is the row's
+self-label, its points are Omega, whose local error the confidence measures.
+train has a row per training point, scanned the first time the point is in
+some Omega; its mean gives the "before" residual.
 
-- Candidates: the first scan of an unlabeled row costs one distance scan over
-  the training set. Its neighbourhood gives both its self-label (the mean)
-  and Omega, the training points whose local error the confidence measures.
-  Every later pool that draws the row reads the cached neighbourhood.
-- Training points: for every training point i that has appeared in some
-  Omega, the neighbourhood of i, whose mean gives the "before" residual y_i
-  minus that mean. The "after" neighbourhood of i is its cached list with
-  the candidate inserted at the candidate's distance to i, read from the
-  candidate's neighbourhood (|a - b| == |b - a|), then cut back to k.
-- One insertion rule keeps both caches exact. A point transferred into a
-  regressor's training set has the highest training index, so it enters a
-  neighbourhood after every equal distance (bisect_right), and the list is
-  cut back to k. Its distance to every cached point comes from one distance
-  scan per cache.
-- The final fill of a scanned row is its cached neighbourhood's mean; a row
-  never scanned takes one distance scan over the whole training set. Either
-  way it is the mean of the same labels in the same order as a fresh query,
-  so the bits match.
+- A pool is scored at once: _best_candidate scans the pool's unknown rows
+  and their Omega's, then one _confidence call builds every candidate's
+  "after" rows: each Omega point's row with the candidate put in at the
+  candidate's distance to it (|a - b| == |b - a|), cut back to k.
+- A point transferred into a regressor's training set has the highest
+  training index, so it enters a row after every equal distance (at the
+  count of the row's distances <= its own). One distance scan per table and
+  one vectorised insert update every row. While n < k a scan returns all n
+  points and every insert widens the rows by one, so no row is ragged.
+- Every mean is np.mean over the last axis of C-contiguous rows, which adds
+  a row as np.mean adds those labels alone, and the confidence adds the
+  Omega columns in order from 0.0, as a loop over Omega would. The final
+  fill of a row never scanned is one scan over the training set (_knn_mean).
 
 Distance ties go to the earlier training index, as a stable sort orders
 them. The training set and the unlabeled rows are held feature-major, (d, n)
 and (d, m), so a distance scan adds the d features as d vector adds (see
-_minkowski). The caches hold O((m + n) k) values per regressor: no candidate x
-training distance matrix is built.
+_minkowski). No candidate x training distance matrix is built.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -119,48 +118,55 @@ def _knn_mean(ys, xt, x, k, p):
     return float(np.mean(ys[_nearest(_minkowski(xt, x, p), k)]))
 
 
-class _Neighbourhood:
-    """The k nearest training points of one point, nearest first."""
+def _insert(rows, pos, value):
+    """rows (..., L) with value put in at column pos (...) of each, so that
+    the last column drops out; value broadcasts against rows. A row whose pos
+    is L comes back as it was."""
+    cols = np.arange(rows.shape[-1])
+    at = pos[..., None]
+    kept = np.take_along_axis(rows, cols - (cols > at), axis=-1)
+    return np.where(cols == at, value, kept)
 
-    __slots__ = ("dists", "indices", "labels", "mean")
 
-    def __init__(self, dists, indices, labels):
-        self.dists = dists      # list of distances, ascending
-        self.indices = indices  # their training indices, in the same order
-        self.labels = labels    # their labels, in the same order
-        self.mean = float(np.mean(labels))
+class _Table:
+    """The nearest training points of a set of points, one row per point,
+    nearest first: their distances dist, training indices idx and labels lab,
+    each (rows, L), the mean of each row's labels, and whether the row is
+    known (scanned). An unknown row holds nothing that is read."""
 
-    def insert_at(self, d, k):
-        """Position at which a point at distance d enters, or None if it does not.
+    def __init__(self, rows, width):
+        self.dist = np.zeros((rows, width))
+        self.idx = np.zeros((rows, width), dtype=np.intp)
+        self.lab = np.zeros((rows, width))
+        self.mean = np.zeros(rows)
+        self.known = np.zeros(rows, dtype=bool)
 
-        The point must have a higher training index than every neighbour, so
-        it goes after every equal distance.
-        """
-        pos = bisect.bisect_right(self.dists, d)
-        return pos if pos < k else None
+    def insert(self, dist, i, y, k):
+        """Let training point i, labelled y and dist[r] from row r's point, into
+        every known row. Its index is the highest, so it enters after every
+        equal distance, and a row it enters is cut back to k."""
+        pos = np.sum(self.dist <= dist[:, None], axis=-1)
+        if self.dist.shape[1] < k:  # while n < k it enters every row, one wider
+            self.dist, self.idx, self.lab = (np.pad(a, ((0, 0), (0, 1)))
+                                             for a in (self.dist, self.idx, self.lab))
+        rows = np.flatnonzero(self.known & (pos < self.dist.shape[1]))
+        pos = pos[rows]
+        self.dist[rows] = _insert(self.dist[rows], pos, dist[rows, None])
+        self.idx[rows] = _insert(self.idx[rows], pos, i)
+        self.lab[rows] = _insert(self.lab[rows], pos, y)
+        self.mean[rows] = np.mean(self.lab[rows], axis=-1)
 
-    def insert(self, d, i, y, k):
-        """Let training point i, labelled y at distance d, in and cut back to k."""
-        pos = self.insert_at(d, k)
-        if pos is None:
-            return
-        self.dists.insert(pos, d)
-        self.indices.insert(pos, i)
-        self.labels.insert(pos, y)
-        del self.dists[k:], self.indices[k:], self.labels[k:]
-        self.mean = float(np.mean(self.labels))
+    def grow(self):  # an unknown row, for the point just added
+        for name in ("dist", "idx", "lab", "mean", "known"):
+            a = getattr(self, name)
+            setattr(self, name, np.concatenate([a, np.zeros((1, *a.shape[1:]), a.dtype)]))
 
 
 class _Regressor:
     """One COREG kNN regressor: its feature-major training set xt (d, n), its
-    labels ys (n,) and two caches of _Neighbourhood, kept exact as the
-    training set grows.
-
-    _train maps a training index to its neighbourhood, computed the first time
-    the point appears in some candidate's neighbourhood. _candidates maps a
-    column of the feature-major unlabeled rows ut (d, m) to its neighbourhood,
-    computed the first time the row is scanned.
-    """
+    labels ys (n,) and its _Tables, kept exact as the training set grows:
+    train, a row per training point, and cand, a row per column of the
+    feature-major unlabeled rows ut (d, m)."""
 
     def __init__(self, xs, ys, ut, k, p):
         self.xt = np.ascontiguousarray(xs.T)
@@ -168,68 +174,64 @@ class _Regressor:
         self.ut = ut
         self.k = k
         self.p = p
-        self._train = {}
-        self._candidates = {}
+        self.train = _Table(len(ys), min(k, len(ys)))
+        self.cand = _Table(ut.shape[1], min(k, len(ys)))
 
-    def _scan(self, x):
-        """The k nearest training points of x, by one distance scan."""
-        dist = _minkowski(self.xt, x, self.p)
-        near = _nearest(dist, self.k)
-        return _Neighbourhood(dist[near].tolist(), near.tolist(), self.ys[near].tolist())
+    def _scan(self, table, points, rows):
+        """Scan each unknown row r of table, whose point is points[:, r]."""
+        rows = rows[~table.known[rows]]
+        for r in rows.tolist():
+            dist = _minkowski(self.xt, points[:, r], self.p)
+            near = table.idx[r] = _nearest(dist, self.k)
+            table.dist[r] = dist[near]
+        table.lab[rows] = self.ys[table.idx[rows]]
+        table.mean[rows] = np.mean(table.lab[rows], axis=-1)
+        table.known[rows] = True
 
-    def neighbourhood(self, i):
-        nb = self._train.get(i)
-        if nb is None:
-            nb = self._train[i] = self._scan(self.xt[:, i])
-        return nb
-
-    def candidate(self, u):
-        nb = self._candidates.get(u)
-        if nb is None:
-            nb = self._candidates[u] = self._scan(self.ut[:, u])
-        return nb
+    def scan(self, rows):
+        """Make the unlabeled rows known in cand, and their Omega in train."""
+        self._scan(self.cand, self.ut, rows)
+        omega = np.bincount(self.cand.idx[rows].ravel())  # np.unique loads numpy.ma
+        self._scan(self.train, self.xt, np.flatnonzero(omega))
 
     def fill(self, u):
-        """Mean label of unlabeled row u's k nearest training points: the mean
-        of its exact cached neighbourhood, or of one scan if it was never scanned."""
-        nb = self._candidates.get(u)
-        if nb is None:
-            return _knn_mean(self.ys, self.xt, self.ut[:, u], self.k, self.p)
-        return nb.mean
+        """Mean label of unlabeled row u's k nearest training points: its
+        known row's mean, or that of one scan if it was never scanned."""
+        if self.cand.known[u]:
+            return float(self.cand.mean[u])
+        return _knn_mean(self.ys, self.xt, self.ut[:, u], self.k, self.p)
 
     def add(self, x, y):
-        """Append (x, y) to the training set and update both caches."""
-        i = len(self.ys)
-        for cache, points in ((self._train, self.xt), (self._candidates, self.ut)):
-            # |a - b| == |b - a|: the distance from each cached point to x is
-            # the distance a fresh scan of that point would find to x
-            dist = _minkowski(points, x, self.p).tolist()
-            for j, nb in cache.items():
-                nb.insert(dist[j], i, y, self.k)
+        """Append (x, y) to the training set and update both tables."""
+        # |a - b| == |b - a|: the distance from each row's point to x is the
+        # distance a fresh scan of that point would find to x
+        for table, points in ((self.train, self.xt), (self.cand, self.ut)):
+            table.insert(_minkowski(points, x, self.p), len(self.ys), y, self.k)
+        self.train.grow()
         self.xt = np.hstack([self.xt, x[:, None]])
         self.ys = np.append(self.ys, y)
 
 
-def _confidence(reg, cand, cand_y):
-    """Delta in local squared error from tentatively adding a candidate.
+def _confidence(reg, rows, cand_y):
+    """Delta in local squared error from tentatively adding each candidate.
 
-    cand is the candidate's neighbourhood: Omega, its k nearest training
-    points of reg, and its distance to each. Positive means Omega is
-    predicted better after the addition.
+    rows are known rows of reg.cand, the candidates, labelled cand_y (P,). A
+    candidate's row is Omega, its nearest training points of reg, and its
+    distance to each. Returns (P,) deltas; positive means Omega is predicted
+    better after the addition.
     """
-    k = reg.k
-    delta = 0.0
-    for i, d in zip(cand.indices, cand.dists):
-        nb = reg.neighbourhood(i)
-        before = reg.ys[i] - nb.mean
-        pos = nb.insert_at(d, k)
-        if pos is None:
-            after = before
-        else:
-            labels = nb.labels[:pos] + [cand_y] + nb.labels[pos:k - 1]
-            after = reg.ys[i] - float(np.mean(labels))
-        delta += before * before - after * after
-    return float(delta)
+    omega, train = reg.cand.idx[rows], reg.train
+    pos = np.sum(train.dist[omega] <= reg.cand.dist[rows][..., None], axis=-1)
+    before = reg.ys[omega] - train.mean[omega]
+    labels = train.lab[omega]
+    if labels.shape[-1] < reg.k:  # while n < k the candidate widens every row
+        labels = np.pad(labels, ((0, 0), (0, 0), (0, 1)))
+    after = np.mean(_insert(labels, pos, cand_y[:, None, None]), axis=-1)
+    after = np.where(pos < reg.k, reg.ys[omega] - after, before)
+    delta = np.zeros(len(rows))
+    for term in (before * before - after * after).T:  # Omega in order, from 0.0
+        delta += term
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +239,20 @@ def _confidence(reg, cand, cand_y):
 
 
 def _best_candidate(reg, pool, taken):
-    """Scan the pool and return the best positive-delta pick, or None.
-
-    Selection maximizes delta; exact ties go to the smaller unlabeled index.
-    """
-    best = None
-    for u in pool:
-        if u in taken:
-            continue
-        cand = reg.candidate(u)
-        y_hat = cand.mean
-        delta = _confidence(reg, cand, y_hat)
-        if delta <= 0.0:
-            continue
-        if best is None or delta > best.delta or (delta == best.delta and u < best.index):
-            best = PickInfo(index=u, label=y_hat, delta=delta)
-    return best
+    """Score the pool's untaken rows at once and return the best
+    positive-delta pick, or None. Selection maximizes delta; exact ties go to
+    the smaller unlabeled index."""
+    rows = np.array([u for u in pool if u not in taken], dtype=np.intp)
+    if not len(rows):
+        return None
+    reg.scan(rows)
+    y_hat = reg.cand.mean[rows]
+    delta = _confidence(reg, rows, y_hat)
+    best = int(np.argmax(delta))  # the first of equal maxima; rows ascend
+    if delta[best] <= 0.0:
+        return None
+    return PickInfo(index=int(rows[best]), label=float(y_hat[best]),
+                    delta=float(delta[best]))
 
 
 def coreg_impute(xs, ys, unlabeled, cfg):

@@ -29,7 +29,18 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_impute_round_trip_matches_golden(tmp_path):
+# sha256 of impute's artifacts on the same records at its default 100
+# iterations, recorded while COREG still scored one candidate at a time: the
+# run stops at iteration 78 on two `none` picks and fills 209 of 672 cells
+IMPUTE_DEFAULT_ITERS_GOLDEN = {
+    "imputed.csv": "7107b9f2a7fbd881df369d243258320e623c0618ec4bcc1b7c9d3445e578aae1",
+    "coreg_log.txt": "759ee963f1174248b77207ae7347b3874e094cc9a14f8bdb1adcf0655a6dd5b4",
+}
+
+
+def _impute_8_districts(tmp_path, *flags):
+    """impute's output directory after `synth --districts 8 --seed 0`,
+    `prepare` and `impute` with flags."""
     raw, prep, imp = tmp_path / "raw", tmp_path / "prep", tmp_path / "imp"
     assert cli.main(["synth", "--out", str(raw), "--districts", "8",
                      "--seed", "0"]) == 0
@@ -39,9 +50,21 @@ def test_impute_round_trip_matches_golden(tmp_path):
         "--larval", str(raw / "larval.csv"), "--cases", str(raw / "cases.csv"),
     ]) == 0
     assert cli.main(["impute", "--out", str(imp),
-                     "--records", str(prep / "records.csv"),
-                     "--max-iters", "20"]) == 0
+                     "--records", str(prep / "records.csv"), *flags]) == 0
+    return imp
+
+
+def test_impute_round_trip_matches_golden(tmp_path):
+    imp = _impute_8_districts(tmp_path, "--max-iters", "20")
     assert {name: _sha256(imp / name) for name in IMPUTE_GOLDEN} == IMPUTE_GOLDEN
+
+
+def test_impute_at_its_default_iterations_matches_golden(tmp_path):
+    imp = _impute_8_districts(tmp_path)
+    assert ({name: _sha256(imp / name) for name in IMPUTE_DEFAULT_ITERS_GOLDEN}
+            == IMPUTE_DEFAULT_ITERS_GOLDEN)
+    log = (imp / "coreg_log.txt").read_text(encoding="utf-8").splitlines()
+    assert log[-1] == "iter=78 r1=none r2=none sizes=540/540"
 
 
 # sha256 of the daily climate table and the records prepared from it at the
@@ -1040,14 +1063,30 @@ def test_a_month_outside_1_to_12_exits_2(name, line, two_districts, tmp_path, ca
 
 
 def test_cli_import_leaves_out_the_lstm_stack():
-    # prepare and impute import cli but train no model
+    # prepare and impute import cli but train no model; prepare needs no numpy
     src = Path(cli.__file__).resolve().parent.parent
     probe = ("import sys, denguecast.cli; print(sorted("
-             "{'denguecast.lstm', 'denguecast.experiments'} & set(sys.modules)))")
+             "{'denguecast.lstm', 'denguecast.experiments', 'numpy'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
                           timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_prepare_runs_without_numpy(small_raw, tmp_path):
+    # its loaders, join and writers are plain Python, and main pins BLAS only
+    # for the commands that load numpy
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import sys; from denguecast import cli; raw, out = sys.argv[1:]; "
+             "code = cli.main(['prepare', '--out', out] + [f'--{name}={raw}/{name}.csv' "
+             "for name in ('climate', 'rain', 'larval', 'cases')]); "
+             "print(code, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe, str(small_raw), str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "records.csv").is_file()
 
 
 @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "two"])

@@ -98,15 +98,16 @@ class TestCfgValidation:
         # sanity check behind the CoregCfg rejection: same k and p means the
         # two would-be regressors are indistinguishable
         xs, ys = seeded_examples(30, seed=5)
-        no_rows = np.empty((4, 0))
-        sides = [_Regressor(xs, ys, no_rows, 3, 2.0),
-                 _Regressor(xs.copy(), ys.copy(), no_rows, 3, 2.0)]
         rng = make_rng(6)
-        for _ in range(10):
-            x = rng.normal(size=4)
+        ut = np.stack([rng.normal(size=4) for _ in range(10)], axis=1)
+        sides = [_Regressor(xs, ys, ut, 3, 2.0),
+                 _Regressor(xs.copy(), ys.copy(), ut, 3, 2.0)]
+        for side in sides:
+            side.scan(np.arange(10))
+        for x in ut.T:
             d1, d2 = (_minkowski(side.xt, x, side.p) for side in sides)
-            near1, near2 = (side._scan(x).indices for side in sides)
-            assert d1.tolist() == d2.tolist() and near1 == near2
+            assert d1.tolist() == d2.tolist()
+        assert sides[0].cand.idx.tolist() == sides[1].cand.idx.tolist()
 
     def test_k1_rejected(self):
         # each training point would be its own nearest neighbour: no picks
@@ -148,7 +149,8 @@ def brute_force_delta(xs, ys, cand_x, cand_y, k, p):
 def confidence(xs, ys, cand_x, cand_y, k, p):
     """The scan's confidence of labeling cand_x as cand_y, on a fresh regressor."""
     reg = _Regressor(xs, ys, np.asarray(cand_x)[:, None], k, p)
-    return _confidence(reg, reg.candidate(0), cand_y)
+    reg.scan(np.array([0]))
+    return float(_confidence(reg, np.array([0]), np.array([cand_y]))[0])
 
 
 class TestCoregConfidence:
@@ -398,6 +400,11 @@ class TestIncrementalScanMatchesReference:
         # k larger than the labeled set
         (7, 1.0, 5.0, 4, False, 7, 20),
         (3, 2.0, 1.0, 2, True, 2, 20),
+        # numpy's pairwise sum starts at 8 values: the batched means of rows
+        # of 8 and 9 labels must still match a lone np.mean of each
+        (8, 2.0, 5.0, 40, False, 79, 20),
+        (9, 5.0, 2.0, 30, True, 81, 20),
+        (8, 5.0, 1.0, 6, False, 8, 20),  # rows widen from 6 to 8 labels
     ]
 
     @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks",
@@ -435,9 +442,10 @@ class TestIncrementalScanMatchesReference:
 
         def add_counting_ties(reg, x, y):
             dist = _minkowski(reg.ut, x, reg.p).tolist()
-            for u, nb in reg._candidates.items():
-                pos = nb.insert_at(dist[u], reg.k)
-                if pos is not None and pos > 0 and nb.dists[pos - 1] == dist[u]:
+            for u in np.flatnonzero(reg.cand.known):
+                row = reg.cand.dist[u].tolist()
+                pos = sum(d <= dist[u] for d in row)  # after equal distances
+                if 0 < pos < reg.k and row[pos - 1] == dist[u]:
                     ties.append(u)
             add(reg, x, y)
 
@@ -455,23 +463,29 @@ class TestIncrementalScanMatchesReference:
         ys = np.array([1.0, 2.0, 3.0])
         ut = np.array([[1.0], [0.0]])  # one candidate, 1 from points 0 and 1
         reg = _Regressor(xs, ys, ut, 3, 2.0)
-        assert reg.candidate(0).indices == [0, 1, 2]
+        reg.scan(np.array([0]))
+        assert reg.cand.idx[0].tolist() == [0, 1, 2]
         reg.add(np.array([1.0, 1.0]), 9.0)  # also 1 from the candidate
         fresh = _Regressor(np.vstack([xs, [1.0, 1.0]]), np.append(ys, 9.0), ut, 3, 2.0)
-        cached, scanned = reg.candidate(0), fresh.candidate(0)
-        assert cached.indices == scanned.indices == [0, 1, 3]
-        assert cached.dists == scanned.dists == [1.0, 1.0, 1.0]
-        assert cached.labels == scanned.labels == [1.0, 2.0, 9.0]
-        assert cached.mean == scanned.mean == 4.0
+        fresh.scan(np.array([0]))
+        cached, scanned = reg.cand, fresh.cand
+        assert cached.idx[0].tolist() == scanned.idx[0].tolist() == [0, 1, 3]
+        assert cached.dist[0].tolist() == scanned.dist[0].tolist() == [1.0, 1.0, 1.0]
+        assert cached.lab[0].tolist() == scanned.lab[0].tolist() == [1.0, 2.0, 9.0]
+        assert cached.mean[0] == scanned.mean[0] == 4.0
 
     @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
     def test_confidence_identical(self, k, p1, p2, n_labeled, grid, seed,
                                   min_picks):
         xs, ys, candidates = _coreg_problem(n_labeled, 10, grid, seed + 1)
-        for j, x in enumerate(candidates):
-            y = 1.5 + 0.1 * j
-            assert confidence(xs, ys, x, y, k, p1) == _ref_confidence(
-                xs, ys, x, y, k, p1)
+        labels = [1.5 + 0.1 * j for j in range(10)]
+        ref = [_ref_confidence(xs, ys, x, y, k, p1) for x, y in zip(candidates, labels)]
+        assert [confidence(xs, ys, x, y, k, p1)
+                for x, y in zip(candidates, labels)] == ref
+        # the ten as one pool, as _best_candidate scores them
+        reg = _Regressor(xs, ys, np.ascontiguousarray(candidates.T), k, p1)
+        reg.scan(np.arange(10))
+        assert _confidence(reg, np.arange(10), np.array(labels)).tolist() == ref
 
 
 class TestMinkowski:
