@@ -44,11 +44,11 @@ Commands are idempotent: identical inputs and seed produce byte-identical
 outputs, so no timestamps or wall-clock values are ever written to artifacts.
 
 Allocator policy: main sets glibc's malloc to keep freed memory for reuse
-(keep_freed_memory), and each sweep worker sets it again in the pool's
-initializer (experiments._use_prepared), as only a forked worker inherits
-it. Training frees one epoch's LSTM activations, 24.2 MB by tracemalloc at
-1,541 windows of a stacked 4x32 model, as the backward pass consumes them,
-and the next epoch allocates them again. With glibc's defaults that block
+(keep_freed_memory), and each sweep worker sets it again in the sweep
+pool's initializer, as only a forked worker inherits it. Training frees one
+epoch's LSTM activations, 24.2 MB by tracemalloc at 1,541 windows of a
+stacked 4x32 model, as the backward pass consumes them, and the next epoch
+allocates them again. With glibc's defaults that block
 sits at the top of the heap and is trimmed back to the OS every epoch, and
 the next forward faults it all in again. On a 2-vCPU VM, a 20-epoch
 stacked 4x32 train on default synth data took 159,750 minor page faults and
@@ -66,8 +66,13 @@ OpenBLAS splits the batch sum of a weight-gradient matmul such as (4, 32, B)
 the split changes its bits: that train's model.bin differed between 1 and 2
 threads, and the second thread bought no wall time on a 2-vCPU VM. There is
 no knob: the pin overrides OPENBLAS_NUM_THREADS, because artifacts must
-repeat exactly on any machine. A numpy whose BLAS lacks OpenBLAS's
-set-threads entry point keeps its own threading.
+repeat exactly from machine to machine. They do so only where numpy and
+OpenBLAS take their AVX-512 paths: where either takes its AVX2 path (a CPU
+without AVX-512, or OPENBLAS_CORETYPE=Haswell), the LSTM's model.bin,
+loss.csv and predictions.csv change by ulps, and five LSTM goldens of
+tests/test_cli.py fail; synth, prepare and impute keep their bytes. ROADMAP
+direction 19 plans one code path on x86-64. A numpy whose BLAS lacks
+OpenBLAS's set-threads entry point keeps its own threading.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from typing import TYPE_CHECKING
@@ -168,38 +169,58 @@ def gap_lines(records):
 # aggregation
 
 
+_MONTH_SLOTS = bytes(8 * 32)  # 32 zero doubles: a slot per day, 1-31
+
+
 def aggregate_monthly(rows):
     """Arithmetic mean of daily temperature/humidity per (district, month).
 
     rows are (district, (year, month), date, temperature, humidity) tuples,
-    as load_climate_csv streams and checks them. Each sum accumulates in row
-    order, and the first repeated row raises (a bitmask per month marks its
-    days).
+    as load_climate_csv streams and checks them, in any order. A month holds
+    its readings in one slot per day (a bitmask marks the days read, and the
+    first repeated row raises), and each sum adds the slots in day order, so
+    the means do not depend on how the file lists its rows. An unread slot
+    holds 0.0, which leaves a sum that starts at 0.0 unchanged.
     """
-    sums = {}
+    days = {}
     for district, month, day, temperature, humidity in rows:
-        acc = sums.get((district, month))
+        acc = days.get((district, month))
         if acc is None:
-            acc = sums[(district, month)] = [0.0, 0.0, 0, 0]
-        bit = 1 << day.day
-        if acc[3] & bit:
+            acc = days[(district, month)] = [array("d", _MONTH_SLOTS),
+                                             array("d", _MONTH_SLOTS), 0]
+        d = day.day
+        if acc[2] >> d & 1:
             raise ValidationError(
                 f"duplicate climate row for {district} on {day.isoformat()}")
-        acc[0] += temperature
-        acc[1] += humidity
-        acc[2] += 1
-        acc[3] |= bit
-    if not sums:
+        acc[0][d] = temperature
+        acc[1][d] = humidity
+        acc[2] |= 1 << d
+    if not days:
         raise ValidationError("no climate readings")
-    return {k: (t / n, h / n) for k, (t, h, n, _) in sums.items()}
+    means = {}
+    for key, (temperatures, humidities, read) in days.items():
+        # a loop, not sum(): from Python 3.12 sum() compensates float sums
+        t = h = 0.0
+        for temperature, humidity in zip(temperatures, humidities):
+            t += temperature
+            h += humidity
+        n = read.bit_count()
+        means[key] = (t / n, h / n)
+    return means
 
 
 def rain_to_monthly(rows):
     """Total rainfall per (district, month) of load_rain_csv's rows, each
-    total summed in row order."""
+    total summed in (ISO year, week) order, however the rows are listed."""
+    weeks = {}
+    for district, month, week, rainfall in rows:
+        weeks.setdefault((district, month), []).append((week, rainfall))
     totals = {}
-    for district, month, rainfall in rows:
-        totals[(district, month)] = totals.get((district, month), 0.0) + rainfall
+    for key, listed in weeks.items():
+        total = 0.0
+        for _, rainfall in sorted(listed):
+            total += rainfall
+        totals[key] = total
     return totals
 
 
@@ -543,8 +564,8 @@ def write_climate_csv(blocks, path):
 
 
 def load_rain_csv(path):
-    """rain.csv as (district, (year, month), rainfall) rows for
-    rain_to_monthly, in file order.
+    """rain.csv as (district, (year, month), (iso_year, iso_week), rainfall)
+    rows for rain_to_monthly, in file order.
 
     Each ISO week is assigned to its week_month. A week that does not exist,
     a rainfall that is not a finite number >= 0 or a repeated (district,
@@ -567,7 +588,7 @@ def load_rain_csv(path):
             raise ValidationError(
                 f"duplicate rain row for {district} in {year}-W{week:02d}")
         seen.add((district, year, week))
-        return district, month, rainfall
+        return district, month, (year, week), rainfall
 
     return list(read_rows(path, parse, RAIN_HEADER))
 

@@ -324,29 +324,21 @@ class SweepResult:
     argmin_label: str | None
 
 
-# the prepared datasets, by _dataset_key, of the sweep this process runs
-# tasks of; set by _use_prepared, in a pool worker by its initializer
-_prepared = None
-
-
-def _use_prepared(prepared):
-    """Hold the prepared datasets for _sweep_task. As a pool's initializer it
-    also gives each worker the CLI's allocator policy and one BLAS thread,
-    which a worker inherits only when it is forked."""
+def _init_worker():
+    """A sweep pool's initializer: the CLI's allocator policy and one BLAS
+    thread, which a worker inherits only when it is forked."""
     from .cli import keep_freed_memory, one_blas_thread
 
-    global _prepared
-    _prepared = prepared
     keep_freed_memory()
     one_blas_thread()
 
 
 def _sweep_task(task):
-    """The RunReport of a sweep task (spec, label, report seed), trained on the
-    dataset of its spec's _dataset_key, or the message of its divergence."""
-    spec, label, seed = task
+    """The RunReport of a sweep task (prepared dataset, spec, label, report
+    seed), or the message of its divergence."""
+    prepared, spec, label, seed = task
     try:
-        return run_config(_prepared[_dataset_key(spec)], spec, label, seed)
+        return run_config(prepared, spec, label, seed)
     except DivergenceError as exc:
         return str(exc)
 
@@ -362,12 +354,12 @@ def run_sweep(sweep, records, jobs=1):
 
     Each distinct dataset of the grid is prepared once, before any task
     starts; a dataset that cannot be prepared fails the sweep, naming the
-    first cell that reads it. A task finds its dataset by its spec's
-    _dataset_key, and a pool passes the datasets to each worker once, through
-    its initializer. Each cell x seed pair derives its own seed from (seed,
-    label), so results are independent of execution order. Divergence is
-    recorded per row and the sweep continues. Rows are aggregated as the mean
-    over seeds and the argmin is chosen by mean validation MSE.
+    first cell that reads it. A task carries the dataset of its spec's
+    _dataset_key, so a worker needs nothing else. Each cell x seed pair
+    derives its own seed from (seed, label), so results are independent of
+    execution order. Divergence is recorded per row and the sweep continues.
+    Rows are aggregated as the mean over seeds and the argmin is chosen by
+    mean validation MSE.
     """
     prepared = {}
     for label, spec in sweep.cells:
@@ -378,7 +370,8 @@ def run_sweep(sweep, records, jobs=1):
             prepared[key] = make_supervised(records, spec)
         except (ValidationError, PreconditionError) as exc:
             raise type(exc)(f"grid cell {label!r}: {exc}") from None
-    tasks = [(replace(spec, seed=derive_seed(seed, label)), label, seed)
+    tasks = [(prepared[_dataset_key(spec)],
+              replace(spec, seed=derive_seed(seed, label)), label, seed)
              for label, spec in sweep.cells
              for seed in sweep.seeds]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
@@ -387,18 +380,13 @@ def run_sweep(sweep, records, jobs=1):
         # module, and only a sweep with --jobs > 1 starts a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_use_prepared,
-                                 initargs=(prepared,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
-        _use_prepared(prepared)
-        try:
-            outcomes = [_sweep_task(t) for t in tasks]
-        finally:
-            _use_prepared(None)
+        outcomes = [_sweep_task(t) for t in tasks]
 
     reports = [o for o in outcomes if isinstance(o, RunReport)]
-    failures = [(label, seed, o) for (_, label, seed), o in zip(tasks, outcomes)
+    failures = [(label, seed, o) for (_, _, label, seed), o in zip(tasks, outcomes)
                 if isinstance(o, str)]
 
     rows = []

@@ -87,6 +87,20 @@ class TestAggregateMonthly:
         with pytest.raises(ValidationError, match="no climate readings"):
             aggregate_monthly([])
 
+    def test_days_sum_in_day_order_however_listed(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in their last bit
+        readings = [reading(day=date(2018, 1, d), temp=v, rh=v)
+                    for d, v in ((1, 0.1), (2, 0.2), (3, 0.3))]
+        want = ((0.1 + 0.2) + 0.3) / 3
+        assert aggregate_monthly(readings[::-1])[("D1", (2018, 1))] == (want, want)
+
+    def test_a_repeated_day_raises_however_listed(self):
+        readings = [reading(day=date(2018, 1, 2)), reading(day=date(2018, 1, 1)),
+                    reading(day=date(2018, 1, 2))]
+        with pytest.raises(ValidationError,
+                           match="^duplicate climate row for D1 on 2018-01-02$"):
+            aggregate_monthly(readings)
+
     # load_climate_csv checks each row's values as aggregate_monthly reads it
     def read(self, tmp_path, rows):
         path = tmp_path / "climate.csv"
@@ -116,6 +130,12 @@ class TestRainToMonthly:
         # 2018-W10's Thursday is 2018-03-08
         out = self.monthly(tmp_path, [("D1", 2018, 10, 10.0)])
         assert out[("D1", (2018, 3))] == 10.0
+
+    def test_weeks_sum_in_week_order_however_listed(self, tmp_path):
+        # 2018-W10 to W12 are March's; (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        out = self.monthly(tmp_path, [("D1", 2018, 12, 0.3), ("D1", 2018, 11, 0.2),
+                                      ("D1", 2018, 10, 0.1)])
+        assert out[("D1", (2018, 3))] == (0.1 + 0.2) + 0.3
 
     def test_absent_month(self, tmp_path):
         out = self.monthly(tmp_path, [("D1", 2018, 10, 10.0)])
@@ -577,7 +597,7 @@ class TestRawCsv:
             "district,iso_year,iso_week,rain_mm\nD1,2018,1,12.5\nD2,2020,53,0.1\n")
         # each week in the month of its Thursday: 2018-01-04 and 2020-12-31
         assert load_rain_csv(tmp_path / "rain.csv") == [
-            ("D1", (2018, 1), 12.5), ("D2", (2020, 12), 0.1)]
+            ("D1", (2018, 1), (2018, 1), 12.5), ("D2", (2020, 12), (2020, 53), 0.1)]
         # a survey of no house leaves its month out
         assert load_larval_csv(tmp_path / "larval.csv") == {("D1", (2018, 1)): 1.1}
         assert list(load_cases_csv(tmp_path / "cases.csv").items()) == [

@@ -383,9 +383,9 @@ class TestSweepWorkers:
         class Pool:
             """Records max_workers and runs the tasks in this process."""
 
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, initializer):
                 started.append(max_workers)
-                initializer(*initargs)
+                initializer()
 
             def __enter__(self):
                 return self
@@ -402,17 +402,16 @@ class TestSweepWorkers:
         assert started == workers
         assert len(result.reports) == 2 * len(seeds)
 
-    def test_each_dataset_reaches_a_worker_once(self, monkeypatch):
-        # the datasets go to each worker through the pool's initializer; a
-        # task, pickled to reach a worker, finds its dataset by its spec
-        inits, task_bytes = [], []
+    def test_each_task_carries_its_cells_dataset(self, monkeypatch):
+        # a task, pickled to reach a worker, carries the prepared dataset of
+        # its own cell's _dataset_key; variants I and II read two datasets
+        received = []
 
         class Pool:
             """Pickles what a worker would receive, then runs the tasks here."""
 
-            def __init__(self, max_workers, initializer, initargs):
-                inits.append(pickle.loads(pickle.dumps(initargs)))
-                initializer(*inits[-1])
+            def __init__(self, max_workers, initializer):
+                initializer()
 
             def __enter__(self):
                 return self
@@ -421,24 +420,32 @@ class TestSweepWorkers:
                 return False
 
             def map(self, fn, tasks):
-                tasks = list(tasks)
-                task_bytes.extend(len(pickle.dumps(t)) for t in tasks)
-                return map(fn, tasks)
+                received.extend(pickle.loads(pickle.dumps(t)) for t in tasks)
+                return map(fn, received)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        sweep = SweepSpec("architecture", ARCH_BASE, None, (0, 1))
-        result = run_sweep(sweep, make_records(), jobs=2)
-        assert len(inits) == 1
-        (datasets,) = inits[0]
-        assert len(datasets) == 1  # the four architectures read one dataset
-        assert len(task_bytes) == 8
-        (dataset,) = datasets.values()
-        assert max(task_bytes) < len(pickle.dumps(dataset)) / 4
+        records = make_records()
+        sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, (0, 1))
+        result = run_sweep(sweep, records, jobs=2)
+        assert len(received) == 4
+        widths = set()
+        for (prepared, spec, label, _), (cell_label, cell) in zip(
+                received, [c for c in sweep.cells for _ in (0, 1)]):
+            assert label == cell_label
+            assert experiments._dataset_key(spec) == experiments._dataset_key(cell)
+            want = make_supervised(records, cell)
+            assert prepared.scaler.ranges == want.scaler.ranges
+            for part in ("train", "test"):
+                for array in ("features", "target", "district", "month"):
+                    assert np.array_equal(getattr(getattr(prepared, part), array),
+                                          getattr(getattr(want, part), array))
+            widths.add(prepared.train.features.shape[2])
+        assert len(widths) == 2  # variant II adds the larval index
         assert [(r.label, r.seed) for r in result.reports] == [
             (label, seed) for label, _ in sweep.cells for seed in (0, 1)]
 
     def test_spawned_workers_give_the_in_process_results(self, monkeypatch):
-        # a spawned worker inherits nothing: it must receive the datasets
+        # a spawned worker inherits nothing: its tasks bring the datasets
         sweep = SweepSpec("variant", BASE | {"lr": 1e-2}, None, (0, 1))
         serial = run_sweep(sweep, make_records())
         monkeypatch.setattr(
@@ -453,10 +460,8 @@ class TestSweepWorkers:
         applied = []
         monkeypatch.setattr(cli, "keep_freed_memory", lambda: applied.append("malloc"))
         monkeypatch.setattr(cli, "one_blas_thread", lambda: applied.append("blas"))
-        monkeypatch.setattr(experiments, "_prepared", None)
-        experiments._use_prepared(["datasets"])
+        experiments._init_worker()
         assert applied == ["malloc", "blas"]
-        assert experiments._prepared == ["datasets"]
 
     def test_one_task_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never called

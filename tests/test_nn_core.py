@@ -154,6 +154,21 @@ class TestAdam:
         Adam(lr=0.1).step([p])
         assert p.value[0] == pytest.approx(-0.1, abs=1e-8)
 
+    def test_two_steps_hand_value_where_eps_matters(self):
+        # |g| = eps = 1e-8, so eps added to the root halves each step, where
+        # eps added under it (sqrt(1e-16 + 1e-8) ~ 1e-4) would shrink it 5,000x.
+        # Step 1, g = 1e-8: m_hat = g, v_hat = g^2, so w = -lr * g / (2 g) = -lr/2.
+        # Step 2, g = -1e-8: m_hat = (0.09 - 0.1) 1e-8 / 0.19 = -1e-8 / 19 and
+        # v_hat = 0.001 (0.999 + 1) 1e-16 / (1 - 0.999^2) = 1e-16, so the step
+        # is +lr / 38 and w = -lr/2 + lr/38 = -9 lr / 19.
+        p = Parameter("w", [0.0])
+        opt = Adam(lr=0.1)
+        for g, want in ((1e-8, -0.05), (-1e-8, -0.9 / 19)):
+            p.zero_grad()
+            p.grad[0] = g
+            opt.step([p])
+            assert p.value[0] == pytest.approx(want, rel=1e-12)
+
     def test_bit_identical_runs(self):
         def run():
             rng = make_rng(9)
