@@ -16,13 +16,14 @@ row, in row order, and the iteration log, which names a row by its index.
 The scan is incremental, and its results are bit-identical to re-running
 every kNN query from scratch. Each regressor keeps two _Tables, one row per
 point: the point's L = min(k, n) nearest training points, nearest first, as
-(rows, L) arrays of distances, training indices and labels, with a mean
-vector of each row's labels and a known mask of the rows scanned so far.
-cand has a row per unlabeled row, scanned (one distance scan over the
-training set) the first time a pool draws it: its mean is the row's
-self-label, its points are Omega, whose local error the confidence measures.
-train has a row per training point, scanned the first time the point is in
-some Omega; its mean gives the "before" residual.
+(rows, L) arrays of distances and training indices, with a known mask of the
+rows scanned so far. A row's labels are read from the training labels,
+ys[idx[row]], where they are used. cand has a row per unlabeled row, scanned
+(one distance scan over the training set) the first time a pool draws it:
+its labels' mean is the row's self-label, its points are Omega, whose local
+error the confidence measures. train is sized once, with a row for every
+point the training set can ever hold; a row is scanned the first time its
+point is in some Omega, and its labels' mean gives the "before" residual.
 
 - A pool is scored at once: _best_candidate scans the pool's unknown rows
   and their Omega's, then one _confidence call builds every candidate's
@@ -33,10 +34,11 @@ some Omega; its mean gives the "before" residual.
   count of the row's distances <= its own). One distance scan per table and
   one vectorised insert update every row. While n < k a scan returns all n
   points and every insert widens the rows by one, so no row is ragged.
-- Every mean is np.mean over the last axis of C-contiguous rows, which adds
-  a row as np.mean adds those labels alone, and the confidence adds the
-  Omega columns in order from 0.0, as a loop over Omega would. The final
-  fill of a row never scanned is one scan over the training set (_knn_mean).
+- Every mean is np.mean over the last axis of a gather ys[idx[rows]], which
+  is C-contiguous, so it adds a row as np.mean adds those labels alone, and
+  the confidence adds the Omega columns in order from 0.0, as a loop over
+  Omega would. The final fill of a row never scanned is one scan over the
+  training set (_knn_mean).
 
 Distance ties go to the earlier training index, as a stable sort orders
 them. The training set and the unlabeled rows are held feature-major, (d, n)
@@ -130,42 +132,34 @@ def _insert(rows, pos, value):
 
 class _Table:
     """The nearest training points of a set of points, one row per point,
-    nearest first: their distances dist, training indices idx and labels lab,
-    each (rows, L), the mean of each row's labels, and whether the row is
-    known (scanned). An unknown row holds nothing that is read."""
+    nearest first: their distances dist and training indices idx, each
+    (rows, L), and whether the row is known (scanned). A row's labels are
+    ys[idx[row]]. An unknown row holds nothing that is read."""
 
     def __init__(self, rows, width):
         self.dist = np.zeros((rows, width))
         self.idx = np.zeros((rows, width), dtype=np.intp)
-        self.lab = np.zeros((rows, width))
-        self.mean = np.zeros(rows)
         self.known = np.zeros(rows, dtype=bool)
 
-    def insert(self, dist, i, y, k):
-        """Let training point i, labelled y and dist[r] from row r's point, into
-        every known row. Its index is the highest, so it enters after every
-        equal distance, and a row it enters is cut back to k."""
-        pos = np.sum(self.dist <= dist[:, None], axis=-1)
+    def insert(self, dist, i, k):
+        """Let training point i, dist[r] from row r's point, into every known
+        row. Its index is the highest, so it enters after every equal
+        distance, and a row it enters is cut back to k."""
+        rows = np.flatnonzero(self.known)
+        pos = np.sum(self.dist[rows] <= dist[rows, None], axis=-1)
         if self.dist.shape[1] < k:  # while n < k it enters every row, one wider
-            self.dist, self.idx, self.lab = (np.pad(a, ((0, 0), (0, 1)))
-                                             for a in (self.dist, self.idx, self.lab))
-        rows = np.flatnonzero(self.known & (pos < self.dist.shape[1]))
-        pos = pos[rows]
+            self.dist, self.idx = (np.pad(a, ((0, 0), (0, 1))) for a in (self.dist, self.idx))
+        enters = pos < self.dist.shape[1]
+        rows, pos = rows[enters], pos[enters]
         self.dist[rows] = _insert(self.dist[rows], pos, dist[rows, None])
         self.idx[rows] = _insert(self.idx[rows], pos, i)
-        self.lab[rows] = _insert(self.lab[rows], pos, y)
-        self.mean[rows] = np.mean(self.lab[rows], axis=-1)
-
-    def grow(self):  # an unknown row, for the point just added
-        for name in ("dist", "idx", "lab", "mean", "known"):
-            a = getattr(self, name)
-            setattr(self, name, np.concatenate([a, np.zeros((1, *a.shape[1:]), a.dtype)]))
 
 
 class _Regressor:
     """One COREG kNN regressor: its feature-major training set xt (d, n), its
     labels ys (n,) and its _Tables, kept exact as the training set grows:
-    train, a row per training point, and cand, a row per column of the
+    train, a row for each point the training set can ever hold (the n it
+    starts with and every column of ut), and cand, a row per column of the
     feature-major unlabeled rows ut (d, m)."""
 
     def __init__(self, xs, ys, ut, k, p):
@@ -174,7 +168,7 @@ class _Regressor:
         self.ut = ut
         self.k = k
         self.p = p
-        self.train = _Table(len(ys), min(k, len(ys)))
+        self.train = _Table(len(ys) + ut.shape[1], min(k, len(ys)))
         self.cand = _Table(ut.shape[1], min(k, len(ys)))
 
     def _scan(self, table, points, rows):
@@ -184,8 +178,6 @@ class _Regressor:
             dist = _minkowski(self.xt, points[:, r], self.p)
             near = table.idx[r] = _nearest(dist, self.k)
             table.dist[r] = dist[near]
-        table.lab[rows] = self.ys[table.idx[rows]]
-        table.mean[rows] = np.mean(table.lab[rows], axis=-1)
         table.known[rows] = True
 
     def scan(self, rows):
@@ -196,9 +188,9 @@ class _Regressor:
 
     def fill(self, u):
         """Mean label of unlabeled row u's k nearest training points: its
-        known row's mean, or that of one scan if it was never scanned."""
+        known row's labels, or those of one scan if it was never scanned."""
         if self.cand.known[u]:
-            return float(self.cand.mean[u])
+            return float(np.mean(self.ys[self.cand.idx[u]], axis=-1))
         return _knn_mean(self.ys, self.xt, self.ut[:, u], self.k, self.p)
 
     def add(self, x, y):
@@ -206,8 +198,7 @@ class _Regressor:
         # |a - b| == |b - a|: the distance from each row's point to x is the
         # distance a fresh scan of that point would find to x
         for table, points in ((self.train, self.xt), (self.cand, self.ut)):
-            table.insert(_minkowski(points, x, self.p), len(self.ys), y, self.k)
-        self.train.grow()
+            table.insert(_minkowski(points, x, self.p), len(self.ys), self.k)
         self.xt = np.hstack([self.xt, x[:, None]])
         self.ys = np.append(self.ys, y)
 
@@ -222,8 +213,8 @@ def _confidence(reg, rows, cand_y):
     """
     omega, train = reg.cand.idx[rows], reg.train
     pos = np.sum(train.dist[omega] <= reg.cand.dist[rows][..., None], axis=-1)
-    before = reg.ys[omega] - train.mean[omega]
-    labels = train.lab[omega]
+    labels = reg.ys[train.idx[omega]]
+    before = reg.ys[omega] - np.mean(labels, axis=-1)
     if labels.shape[-1] < reg.k:  # while n < k the candidate widens every row
         labels = np.pad(labels, ((0, 0), (0, 0), (0, 1)))
     after = np.mean(_insert(labels, pos, cand_y[:, None, None]), axis=-1)
@@ -246,7 +237,7 @@ def _best_candidate(reg, pool, taken):
     if not len(rows):
         return None
     reg.scan(rows)
-    y_hat = reg.cand.mean[rows]
+    y_hat = np.mean(reg.ys[reg.cand.idx[rows]], axis=-1)
     delta = _confidence(reg, rows, y_hat)
     best = int(np.argmax(delta))  # the first of equal maxima; rows ascend
     if delta[best] <= 0.0:

@@ -471,8 +471,9 @@ class TestIncrementalScanMatchesReference:
         cached, scanned = reg.cand, fresh.cand
         assert cached.idx[0].tolist() == scanned.idx[0].tolist() == [0, 1, 3]
         assert cached.dist[0].tolist() == scanned.dist[0].tolist() == [1.0, 1.0, 1.0]
-        assert cached.lab[0].tolist() == scanned.lab[0].tolist() == [1.0, 2.0, 9.0]
-        assert cached.mean[0] == scanned.mean[0] == 4.0
+        assert (reg.ys[cached.idx[0]].tolist() == fresh.ys[scanned.idx[0]].tolist()
+                == [1.0, 2.0, 9.0])
+        assert reg.fill(0) == fresh.fill(0) == 4.0
 
     @pytest.mark.parametrize("k,p1,p2,n_labeled,grid,seed,min_picks", CASES)
     def test_confidence_identical(self, k, p1, p2, n_labeled, grid, seed,

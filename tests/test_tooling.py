@@ -1,6 +1,7 @@
 """Checks on the source tree itself."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -166,3 +167,12 @@ def test_only_model_spec_ties_variant_ii_to_its_columns():
     # specs.ModelSpec.columns is the one place variant II means the larval
     # column; the rest of the code reads the columns
     assert _sites(_compares_variant_with_ii) == ["specs.ModelSpec"]
+
+
+def test_each_mutant_old_text_occurs_once():
+    # tools/mutants.py plants each fault by replacing its old text; the slow
+    # run stays out of tier-1, which checks only that the list follows the code
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.problems() == []
